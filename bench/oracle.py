@@ -46,33 +46,33 @@ def oracle_effects(m) -> dict:
             "beta_atoms": s[keep], "beta_cdf": np.cumsum(masses)}
 
 
-def _cdf_at(atoms, cdf, b, tol) -> float:
-    i = int(np.searchsorted(atoms, b + tol, side="left")) - 1
+def _cdf_at(atoms, cdf, b) -> float:
+    i = int(np.searchsorted(atoms, b + EFFECT_TOL, side="left")) - 1
     return 0.0 if i < 0 else float(cdf[i])
 
 
-def check_effects(rep, truth: dict, tol: float = EFFECT_TOL) -> list[str]:
+def check_effects(rep, truth: dict) -> list[str]:
     """An :class:`EstimandReport` against :func:`oracle_effects`."""
     bad = []
     for key in ("ate", "att", "atu"):
         gap = abs(getattr(rep, key) - truth[key])
-        if not gap <= tol:
+        if not gap <= EFFECT_TOL:
             bad.append(f"{key} off by {gap:.3e}")
     gap = float(np.max(np.abs(rep.pot_y - truth["pot_y"])))
-    if not gap <= tol:
+    if not gap <= EFFECT_TOL:
         bad.append(f"pot_y off by {gap:.3e}")
     for b in np.union1d(rep.beta_atoms, truth["beta_atoms"]):
-        gap = abs(_cdf_at(rep.beta_atoms, rep.beta_cdf, b, tol)
-                  - _cdf_at(truth["beta_atoms"], truth["beta_cdf"], b, tol))
-        if not gap <= tol:
+        gap = abs(_cdf_at(rep.beta_atoms, rep.beta_cdf, b)
+                  - _cdf_at(truth["beta_atoms"], truth["beta_cdf"], b))
+        if not gap <= EFFECT_TOL:
             bad.append(f"beta CDF off by {gap:.3e} at {b:.6g}")
             break
     return bad
 
 
-def check_cover(interval, value: float, what: str, tol: float = COVER_TOL) -> list[str]:
+def check_cover(interval, value: float, what: str) -> list[str]:
     lo, hi = interval
-    if lo - tol <= value <= hi + tol:
+    if lo - COVER_TOL <= value <= hi + COVER_TOL:
         return []
     return [f"{what} {value:.6g} outside [{lo:.6g}, {hi:.6g}]"]
 

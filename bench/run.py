@@ -154,19 +154,25 @@ class Outcome:
         return self.status in ("mismatch", "error")
 
 
-def execute(op, clock=time.perf_counter) -> Outcome:
-    """Run one op and classify it: ok, refused (a named refusal), known
-    (a listed defect), mismatch (a silent wrong answer) or error."""
-    from triproxy.errors import TriproxyError
+def execute(op) -> Outcome:
+    """Time one op's run, check its result untimed and classify it: ok,
+    refused (a generator's named refusal), known (a listed defect), mismatch
+    (a silent wrong answer) or error (any other exception)."""
+    from workloads import Refusal
 
-    t0 = clock()
+    t0 = time.perf_counter()
     try:
-        bad = op.run()
-    except TriproxyError as err:
-        return Outcome(op.cell, "refused", f"{type(err).__name__}: {err}", clock() - t0)
+        result = op.run()
+    except Refusal as err:
+        return Outcome(op.cell, "refused", str(err), time.perf_counter() - t0)
     except Exception:
-        return Outcome(op.cell, "error", traceback.format_exc(limit=3), clock() - t0)
-    elapsed = clock() - t0
+        return Outcome(op.cell, "error", traceback.format_exc(limit=3),
+                       time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    try:
+        bad = op.check(result)
+    except Exception:
+        return Outcome(op.cell, "error", traceback.format_exc(limit=3), elapsed)
     if not bad:
         return Outcome(op.cell, "ok", "", elapsed)
     if op.known is not None and all(op.known[1] in b for b in bad):

@@ -91,8 +91,7 @@ TARGETS = (
 class Tracer:
     """Span recorder plus the wrappers that feed it."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[Span] = []
         self.op = "setup"
         self._stack: list[Span] = []
@@ -102,13 +101,13 @@ class Tracer:
 
     def open(self, name: str) -> Span:
         parent = self._stack[-1].id if self._stack else None
-        span = Span(len(self.spans), parent, self.op, name, self.clock())
+        span = Span(len(self.spans), parent, self.op, name, time.perf_counter())
         self.spans.append(span)
         self._stack.append(span)
         return span
 
     def close(self, span: Span) -> None:
-        span.end = self.clock()
+        span.end = time.perf_counter()
         popped = self._stack.pop()
         if popped is not span:
             raise RuntimeError(f"span {span.name!r} closed out of order")
@@ -140,7 +139,7 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", name)
         return traced
 
-    def install(self, targets=TARGETS) -> None:
+    def install(self) -> None:
         """Wrap every name under ``triproxy`` bound to a target function.
 
         Module attributes are rebound, and so are module-level dicts whose
@@ -151,7 +150,7 @@ class Tracer:
             raise RuntimeError("wrappers are already installed")
         modules = [m for n, m in sorted(sys.modules.items())
                    if m is not None and (n == "triproxy" or n.startswith("triproxy."))]
-        for mod_name, attr, span_name, hook in targets:
+        for mod_name, attr, span_name, hook in TARGETS:
             home = sys.modules.get(mod_name)
             if home is None:
                 continue

@@ -6,6 +6,7 @@ Run from the repository root::
 """
 
 import dataclasses
+import json
 import sys
 import types
 from pathlib import Path
@@ -22,6 +23,7 @@ import triproxy.generators as generators  # noqa: E402
 import triproxy.pipelines as pipelines  # noqa: E402
 import triproxy.prob as prob  # noqa: E402
 import triproxy.scm as scm  # noqa: E402
+from triproxy.errors import IdentificationRefused  # noqa: E402
 
 import oracle  # noqa: E402
 import run  # noqa: E402
@@ -53,9 +55,8 @@ class _Tiny(workloads.Workload):
         m = generators.figure_model("fig2a", K=2, seed=0)
         truth = oracle.oracle_effects(m)
         rng = np.random.default_rng(0)
-        return [workloads.Op("fig2a/K2", workloads.identify_op(
-                    "fig2a", 2, scm.observed_joint(m), truth)),
-                workloads.Op("spectral/K3", workloads.round_trip_op(rng, 3))]
+        return [workloads.identify_op("fig2a/K2", "fig2a", 2, scm.observed_joint(m), truth),
+                workloads.round_trip_op("spectral/K3", rng, 3)]
 
 
 def _traced_tiny():
@@ -114,12 +115,34 @@ def test_result_perturbed_by_1e_5_is_a_failed_op():
                          ("pot_y", rep.pot_y + np.array([[1e-5, 0.0]] + [[0.0, 0.0]]
                                                         * (rep.pot_y.shape[0] - 1)))):
         bad = dataclasses.replace(rep, **{field: value})
-        outcome = run.execute(workloads.Op("fig2a/K2",
-                                           lambda: oracle.check_effects(bad, truth)))
+        outcome = run.execute(workloads.Op("fig2a/K2", lambda: bad,
+                                           lambda got: oracle.check_effects(got, truth)))
         assert not outcome.ok and outcome.unexpected, field
 
     shifted = dataclasses.replace(rep, beta_atoms=rep.beta_atoms + 1e-5)
     assert oracle.check_effects(shifted, truth)
+
+
+def test_only_generator_refusals_are_expected(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise IdentificationRefused("stubbed refusal")
+
+    assert run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0)).ok
+    monkeypatch.setattr(generators, "figure_model", refuse)
+    refused = run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0))
+    assert refused.status == "refused" and not refused.unexpected
+    monkeypatch.undo()
+
+    monkeypatch.setattr(pipelines, "identify_outcome_proxy", refuse)
+    outcome = run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0))
+    assert outcome.status == "error" and outcome.unexpected
+
+    # a whole run whose identification refuses exits 1 with "correct": false
+    monkeypatch.setitem(workloads.WORKLOADS, "tiny", _Tiny)
+    capsys.readouterr()
+    assert run.main(["--workload", "tiny", "--seed", "0", "--seconds", "0"]) == 1
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["correct"] is False and result["failed"] > 0
 
 
 def test_self_times_never_exceed_op_wall_time():

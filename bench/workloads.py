@@ -5,11 +5,14 @@ when the previous one has finished.  A workload is set up several times per
 run (each repetition is one *shard* of inputs with its own derived seeds),
 and a *pass* is one round over the op mix in a seed-shuffled order.
 
-An op's ``run`` returns the list of check mismatches (empty on success) or
-raises.  A :class:`~triproxy.errors.TriproxyError` is a refusal: the op
-failed, but with a named reason, which is expected behaviour.  A mismatch
-is a silent wrong answer and is unexpected unless the op is marked with a
-known defect whose marker every mismatch message contains.
+An op's ``run`` is the timed work and returns its result; its ``check``
+runs after the clock stops and returns the list of mismatches in that
+result (empty on success).  A :class:`Refusal` is a generator finding no
+well-posed model for the op's grid cell: the op failed, but with a named
+reason, which is expected behaviour.  Any other exception, a
+:class:`~triproxy.errors.TriproxyError` from identification included, is
+unexpected.  So is a mismatch (a silent wrong answer), unless the op is
+marked with a known defect whose marker every mismatch message contains.
 """
 
 from __future__ import annotations
@@ -64,14 +67,39 @@ def identify(figure_or_design: str, joint, k: int):
 @dataclass
 class Op:
     cell: str
-    run: Callable[[], list[str]]
-    known: tuple[str, str] | None = None   # (defect, marker in every mismatch)
+    run: Callable[[], object]                 # timed
+    check: Callable[[object], list[str]]      # untimed, on run's result
+    known: tuple[str, str] | None = None      # (defect, marker in every mismatch)
 
 
-def _refused(err: TriproxyError) -> Callable[[], list[str]]:
+class Refusal(Exception):
+    """A generator found no well-posed model for a grid cell."""
+
+    def __init__(self, err: TriproxyError):
+        super().__init__(f"{type(err).__name__}: {err}")
+
+
+def generate(make):
+    """``make()``, with a generator's named refusal raised as :class:`Refusal`."""
+    try:
+        return make()
+    except TriproxyError as err:
+        raise Refusal(err) from err
+
+
+def _build(make):
+    """Model (or the generator's refusal) for one grid cell during set-up."""
+    try:
+        return generate(make), None
+    except Refusal as err:
+        return None, err
+
+
+def refused_op(cell: str, err: Refusal) -> Op:
+    """An op for a cell whose set-up refused: it fails with that refusal."""
     def run():
         raise err
-    return run
+    return Op(cell, run, lambda _: [])
 
 
 class Workload:
@@ -106,34 +134,30 @@ class Workload:
         pass
 
 
-def _build(make):
-    """Model (or the generator's refusal) for one grid cell."""
-    try:
-        return make(), None
-    except TriproxyError as err:
-        return None, err
-
-
 # ---------------------------------------------------------------------------
 # oracle-sweep: generate, identify and check against the enumeration oracle
 
 
-def sweep_op(figure: str, k: int, seed: int) -> Callable[[], list[str]]:
+def sweep_op(cell: str, figure: str, k: int, seed: int) -> Op:
+    """Generate, identify and build the oracle reference, all timed; the
+    comparison runs after the clock stops."""
     def run():
-        m = generators.figure_model(figure, K=k, seed=seed)
+        m = generate(lambda: generators.figure_model(figure, K=k, seed=seed))
         rep = pipelines.estimands(identify(figure, scm.observed_joint(m), k))
-        return oracle.check_effects(rep, oracle.oracle_effects(m))
-    return run
+        return rep, oracle.oracle_effects(m)
+    return Op(cell, run, lambda result: oracle.check_effects(*result))
 
 
 class OracleSweep(Workload):
-    """A pass draws fresh models: twenty seeds per figure at K=2 and at K=3 (the
-    test suite's traffic) and one per figure at K=4 (the large enumerations)."""
+    """A pass draws fresh models: forty seeds per figure at K=2 and at K=3 (the
+    test suite's traffic) and one per figure at K=4 (the large enumerations).
+
+    K=4 ops are 1.2% of a pass, so the tail percentile (p98) falls among the
+    heavy K=3 ops rather than between K=4 draws whose rejection sampling
+    makes their cost vary tenfold from seed to seed."""
 
     name = "oracle-sweep"
-    seeds_per_k = {2: 20, 3: 20, 4: 1}
-    min_passes = 2
-    trace_passes = 1
+    seeds_per_k = {2: 40, 3: 40, 4: 1}
 
     def setup(self, rep: int) -> list[Op]:
         """Nothing to precompute: every op draws its own model."""
@@ -142,11 +166,11 @@ class OracleSweep(Workload):
     def warmup(self, shard, rep: int) -> list[Op]:
         """Two ops per figure at K=2 and at K=3: enough work that the set-up
         time is not lost in timer noise."""
-        return [Op(f"warm/{f}/K{k}", sweep_op(f, k, derive(self.seed, "warm", rep, f, k, i)))
+        return [sweep_op(f"warm/{f}/K{k}", f, k, derive(self.seed, "warm", rep, f, k, i))
                 for f in generators.PIPELINE_FIGURES for k in (2, 3) for i in range(2)]
 
     def pass_ops(self, shards, p: int) -> list[Op]:
-        return [Op(f"{f}/K{k}", sweep_op(f, k, derive(self.seed, "sweep", p, f, k, i)))
+        return [sweep_op(f"{f}/K{k}", f, k, derive(self.seed, "sweep", p, f, k, i))
                 for f in generators.PIPELINE_FIGURES
                 for k, n in self.seeds_per_k.items() for i in range(n)]
 
@@ -172,44 +196,45 @@ def forward_factors(rng: np.random.Generator, k: int):
     return z, c, w_given_v, v
 
 
-def round_trip_op(rng: np.random.Generator, k: int) -> Callable[[], list[str]]:
+def round_trip_op(cell: str, rng: np.random.Generator, k: int) -> Op:
     z, c, w_given_v, v = forward_factors(rng, k)
     f = np.einsum("zw,cw,wv,v->zcv", z, c, w_given_v, v)
 
     def run():
         fac = spectral.hs_decompose(f, spectral.HsOptions(latent_dim=k))
-        perm = spectral.match_permutation(z, fac.z_given_w)
+        return fac, spectral.match_permutation(z, fac.z_given_w)
+
+    def check(result):
+        fac, perm = result
         tol = oracle.SPECTRAL_TOL
         return (oracle.check_close(fac.z_given_w[:, perm], z, "z|w", tol)
                 + oracle.check_close(fac.c_given_w[:, perm], c, "c|w", tol)
                 + oracle.check_close(fac.w_given_v[perm], w_given_v, "w|v", tol)
                 + oracle.check_close(fac.v_marginal, v, "v", tol))
-    return run
+    return Op(cell, run, check)
 
 
-def identify_op(figure: str, k: int, joint, truth) -> Callable[[], list[str]]:
-    def run():
-        return oracle.check_effects(pipelines.estimands(identify(figure, joint, k)), truth)
-    return run
+def identify_op(cell: str, figure: str, k: int, joint, truth) -> Op:
+    return Op(cell, lambda: pipelines.estimands(identify(figure, joint, k)),
+              lambda rep: oracle.check_effects(rep, truth))
 
 
-def bounds_op(figure: str, k: int, joint, truth) -> Callable[[], list[str]]:
+def bounds_op(cell: str, figure: str, k: int, joint, truth) -> Op:
     fn_name = "bounds_outcome_proxy" if figure.startswith("fig6") else "bounds_auxiliary_proxy"
 
-    def run():
-        rep = getattr(bounds, fn_name)(joint, k)
+    def check(rep):
         return (oracle.check_cover(rep.att_interval, truth["att"], "ATT")
                 + oracle.check_cover(rep.atu_interval, truth["atu"], "ATU"))
-    return run
+    return Op(cell, lambda: getattr(bounds, fn_name)(joint, k), check)
 
 
-def relabel_op(figure: str, k: int, joint, cate) -> Callable[[], list[str]]:
+def relabel_op(cell: str, figure: str, k: int, joint, cate, known=None) -> Op:
     def run():
         lab = relabel.relabel_unbiased(identify(figure, joint, k),
                                        relabel.RelabelRule("mean", "unbiased"))
-        return oracle.check_close([lab.beta_at_value(float(w)) for w in range(k)],
-                                  cate, "relabeled CATE", oracle.EFFECT_TOL)
-    return run
+        return [lab.beta_at_value(float(w)) for w in range(k)]
+    return Op(cell, run, lambda got: oracle.check_close(got, cate, "relabeled CATE",
+                                                        oracle.EFFECT_TOL), known)
 
 
 RELABEL_AUXILIARY_DEFECT = ("relabel on the auxiliary design averages V under "
@@ -231,31 +256,30 @@ class IdentifyBatch(Workload):
             m, err = _build(lambda: generators.figure_model(f, K=k, seed=derive(*s, f, k)))
             cell = f"{f}/K{k}"
             if err is not None:
-                ops.append(Op(cell, _refused(err)))
+                ops.append(refused_op(cell, err))
                 continue
-            ops.append(Op(cell, identify_op(f, k, scm.observed_joint(m),
-                                            oracle.oracle_effects(m))))
+            ops.append(identify_op(cell, f, k, scm.observed_joint(m), oracle.oracle_effects(m)))
         for f in ("fig6a", "fig7a"):
             for i in range(2):
                 m, err = _build(lambda: generators.rank_invariant_bounds_model(
                     2, seed=derive(*s, "bounds", f, i), figure=f))
                 cell = f"bounds/{f}/K2/{i}"
-                ops.append(Op(cell, _refused(err)) if err is not None else
-                           Op(cell, bounds_op(f, 2, scm.observed_joint(m),
-                                              oracle.oracle_effects(m))))
+                ops.append(refused_op(cell, err) if err is not None else
+                           bounds_op(cell, f, 2, scm.observed_joint(m),
+                                     oracle.oracle_effects(m)))
         for f in ("fig2a", "fig5a"):
             for k in (2, 3):
                 m, err = _build(lambda: generators.unbiased_proxy_model(
                     k, seed=derive(*s, "relabel", f, k), figure=f))
                 cell = f"relabel/{f}/K{k}"
                 known = RELABEL_AUXILIARY_DEFECT if f == "fig5a" else None
-                ops.append(Op(cell, _refused(err)) if err is not None else
-                           Op(cell, relabel_op(f, k, scm.observed_joint(m),
-                                               oracle.oracle_effects(m)["cate"]), known))
+                ops.append(refused_op(cell, err) if err is not None else
+                           relabel_op(cell, f, k, scm.observed_joint(m),
+                                      oracle.oracle_effects(m)["cate"], known))
         rng = np.random.default_rng(derive(*s, "spectral"))
         for k in (2, 3, 4, 5, 6):
             for i in range(2):
-                ops.append(Op(f"spectral/K{k}/{i}", round_trip_op(rng, k)))
+                ops.append(round_trip_op(f"spectral/K{k}/{i}", rng, k))
         return ops
 
 
@@ -349,9 +373,17 @@ class CliVerbs(Workload):
         return proc.returncode, out, err
 
     def verb_op(self, cell: str, verbs: list[Verb], known=None) -> Op:
+        """Run the verbs in order, stopping after one exits unexpectedly."""
         def run():
+            done = []
             for v in verbs:
-                code, out, err = self.spawn(v.argv)
+                done.append((v, *self.spawn(v.argv)))
+                if done[-1][1] != v.expect:
+                    break
+            return done
+
+        def check(done):
+            for v, code, out, err in done:
                 if code != v.expect:
                     reason = err.strip().splitlines()[-1] if err.strip() else ""
                     return [f"{v.argv[0]} exited {code}, expected {v.expect}: {reason}"]
@@ -360,7 +392,7 @@ class CliVerbs(Workload):
                     if bad:
                         return bad
             return []
-        return Op(cell, run, known)
+        return Op(cell, run, check, known)
 
     # -- set-up ---------------------------------------------------------
 
@@ -440,7 +472,7 @@ class CliVerbs(Workload):
                 ["end-to-end", "--fixture", fixture], expect=code)], None)
              for fixture, code in (("fig1a-early-late-tests", 0), ("fig1d-auxiliary", 0),
                                    ("fig1b-double-only", 3))]
-        return [Op(cell, _refused(refusals[need])) if need and refusals[need] is not None
+        return [refused_op(cell, refusals[need]) if need and refusals[need] is not None
                 else self.verb_op(cell, verbs(), known)
                 for cell, need, verbs, known in table]
 
