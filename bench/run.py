@@ -9,8 +9,8 @@ metrics from a separate traced run.  The last line of standard output is one
 JSON object ``{"correct", "attempted", "failed", "metrics"}``; the lines
 before it give the provenance and a readable summary.  The full record
 (and, for traced runs, every span) is written to ``.bench_out/``.  The exit
-code is 1 when a check fails in an unexpected way, 2 when the checkout has
-no ``src/triproxy``.
+code is 1 when an op fails (a wrong answer or an exception other than a
+generator's refusal), 2 when the checkout has no ``src/triproxy``.
 """
 
 from __future__ import annotations
@@ -150,14 +150,15 @@ class Outcome:
         return self.status == "ok"
 
     @property
-    def unexpected(self) -> bool:
+    def failed(self) -> bool:
         return self.status in ("mismatch", "error")
 
 
 def execute(op) -> Outcome:
     """Time one op's run, check its result untimed and classify it: ok,
-    refused (a generator's named refusal), known (a listed defect), mismatch
-    (a silent wrong answer) or error (any other exception)."""
+    refused (a generator's named refusal), known (a probe reproducing its
+    listed defect), mismatch (a silent wrong answer) or error (any other
+    exception)."""
     from workloads import Refusal
 
     t0 = time.perf_counter()
@@ -186,7 +187,7 @@ def shuffled(ops, seed: int, p: int):
     return ops
 
 
-def failures_by_cell(outcomes) -> dict:
+def not_ok_by_cell(outcomes) -> dict:
     out: dict = {}
     for o in outcomes:
         if not o.ok:
@@ -215,14 +216,19 @@ def run_untraced(workload, args) -> tuple[dict, list, dict]:
         setup_times.append(time.perf_counter() - t0)
         shards.append(shard)
 
+    # whole passes up to min_passes, then op by op until the time is up
     outcomes, p = [], 0
     start = time.perf_counter()
-    while True:
+
+    def time_up() -> bool:
+        return p >= workload.min_passes and time.perf_counter() - start >= args.seconds
+
+    while not time_up():
         for op in shuffled(workload.pass_ops(shards, p), args.seed, p):
+            if time_up():
+                break
             outcomes.append(execute(op))
         p += 1
-        if p >= workload.min_passes and time.perf_counter() - start >= args.seconds:
-            break
     wall = time.perf_counter() - start
 
     lat_ms = [o.seconds * 1e3 for o in outcomes]
@@ -240,8 +246,8 @@ def run_untraced(workload, args) -> tuple[dict, list, dict]:
     }
     info = {"setup_times_s": setup_times, "passes": p, "timed_wall_s": wall,
             "tail_percentile": pct, "tail_samples_beyond": sum(x > tail for x in lat_ms)}
-    # warm-up ops are not counted, but a wrong answer there still fails the run
-    return metrics, outcomes + [o for o in warm if o.unexpected], info
+    # warm-up ops are not counted, but a failure there still fails the run
+    return metrics, outcomes + [o for o in warm if o.failed], info
 
 
 def run_traced(workload, args) -> tuple[dict, list, dict]:
@@ -267,7 +273,7 @@ def run_traced(workload, args) -> tuple[dict, list, dict]:
                 plain_s += plain.seconds
                 traced_s += traced.seconds
                 outcomes.append(traced)
-                if plain.unexpected:
+                if plain.failed:
                     outcomes.append(plain)
     finally:
         workload.detach()
@@ -353,12 +359,15 @@ def main(argv=None) -> int:
     try:
         runner = run_traced if args.trace else run_untraced
         metrics, outcomes, info = runner(workload, args)
+        # known defects, untimed and outside the op counts unless they fail
+        # in a way other than the listed one
+        probes = [] if args.trace else [execute(op) for op in workload.known]
     finally:
         workload.close()
+    outcomes += [o for o in probes if o.failed]
     units = PER_LAYER if args.trace else END_TO_END
-    failed = sum(not o.ok for o in outcomes)
-    unexpected = [o for o in outcomes if o.unexpected]
-    failures = failures_by_cell(outcomes)
+    failed = sum(o.failed for o in outcomes)
+    not_ok = not_ok_by_cell(outcomes)
 
     for name, unit in units.items():
         print(f"# {name:42s} {metrics[name]:14.6g} {unit}")
@@ -367,20 +376,27 @@ def main(argv=None) -> int:
               f"({info['tail_samples_beyond']} of {len(outcomes)} samples beyond it); "
               f"failed_frac {failed / max(len(outcomes), 1):.4f} "
               f"({failed}/{len(outcomes)}); passes {info['passes']}")
-    for cell, f in sorted(failures.items()):
-        print(f"# failed {cell}: {f['count']}x {f['status']} {f['detail'][:160]}")
+    for cell, reason in workload.refused:
+        print(f"# refused at set-up {cell}: {reason[:160]}")
+    for cell, f in sorted(not_ok.items()):
+        print(f"# {f['status']} {cell}: {f['count']}x {f['detail'][:160]}")
+    for o in probes:
+        state = {"known": "reproduces", "ok": "NO LONGER REPRODUCES"}.get(o.status, o.status)
+        print(f"# known defect {o.cell}: {state} {o.detail[:160]}")
 
     out_dir = ROOT / ".bench_out"
     out_dir.mkdir(exist_ok=True)
     record = {"provenance": prov, "metrics": metrics, "units": units, "info": info,
-              "failures": failures, "attempted": len(outcomes), "failed": failed}
+              "not_ok": not_ok, "refused_at_setup": workload.refused,
+              "probes": {o.cell: [o.status, o.detail] for o in probes},
+              "attempted": len(outcomes), "failed": failed}
     (out_dir / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
         json.dumps(record, default=float))
 
-    result = {"correct": not unexpected, "attempted": len(outcomes), "failed": failed,
+    result = {"correct": not failed, "attempted": len(outcomes), "failed": failed,
               "metrics": {k: {"value": float(metrics[k]), "unit": units[k]} for k in units}}
     print(json.dumps(result))
-    return 1 if unexpected else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

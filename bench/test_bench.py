@@ -117,7 +117,7 @@ def test_result_perturbed_by_1e_5_is_a_failed_op():
         bad = dataclasses.replace(rep, **{field: value})
         outcome = run.execute(workloads.Op("fig2a/K2", lambda: bad,
                                            lambda got: oracle.check_effects(got, truth)))
-        assert not outcome.ok and outcome.unexpected, field
+        assert not outcome.ok and outcome.failed, field
 
     shifted = dataclasses.replace(rep, beta_atoms=rep.beta_atoms + 1e-5)
     assert oracle.check_effects(shifted, truth)
@@ -130,12 +130,12 @@ def test_only_generator_refusals_are_expected(monkeypatch, capsys):
     assert run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0)).ok
     monkeypatch.setattr(generators, "figure_model", refuse)
     refused = run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0))
-    assert refused.status == "refused" and not refused.unexpected
+    assert refused.status == "refused" and not refused.failed
     monkeypatch.undo()
 
     monkeypatch.setattr(pipelines, "identify_outcome_proxy", refuse)
     outcome = run.execute(workloads.sweep_op("fig2a/K2", "fig2a", 2, seed=0))
-    assert outcome.status == "error" and outcome.unexpected
+    assert outcome.status == "error" and outcome.failed
 
     # a whole run whose identification refuses exits 1 with "correct": false
     monkeypatch.setitem(workloads.WORKLOADS, "tiny", _Tiny)
@@ -156,6 +156,37 @@ def test_self_times_never_exceed_op_wall_time():
         inside = [s for s in spans if s.op == op.op]
         assert all(by_id[s.parent].op == op.op for s in inside if s is not op)
         assert sum(own[s.id] for s in inside) <= (op.end - op.start) + 1e-9
+
+
+def test_known_defect_probes_count_only_when_they_fail_otherwise(monkeypatch, capsys):
+    def known_op(run_):
+        return workloads.Op("relabel/probe", run_,
+                            lambda got: oracle.check_close(got, [0.0], "relabeled CATE",
+                                                           oracle.EFFECT_TOL),
+                            ("a listed defect", "relabeled CATE off by"))
+
+    assert run.execute(known_op(lambda: [1.0])).status == "known"
+    assert run.execute(known_op(lambda: [0.0])).ok
+    assert run.execute(known_op(lambda: 1 / 0)).failed
+
+    class _Probed(_Tiny):
+        probe = staticmethod(lambda: [1.0])
+
+        def setup(self, rep):
+            self.known = [known_op(self.probe)]
+            return super().setup(rep)
+
+    monkeypatch.setitem(workloads.WORKLOADS, "tiny", _Probed)
+    capsys.readouterr()
+    assert run.main(["--workload", "tiny", "--seed", "0", "--seconds", "0"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    result = json.loads(out[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert any(line.startswith("# known defect relabel/probe: reproduces") for line in out)
+
+    _Probed.probe = staticmethod(lambda: 1 / 0)
+    assert run.main(["--workload", "tiny", "--seed", "0", "--seconds", "0"]) == 1
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["failed"] == 1
 
 
 def test_importtime_parsing():

@@ -8,11 +8,17 @@ and a *pass* is one round over the op mix in a seed-shuffled order.
 An op's ``run`` is the timed work and returns its result; its ``check``
 runs after the clock stops and returns the list of mismatches in that
 result (empty on success).  A :class:`Refusal` is a generator finding no
-well-posed model for the op's grid cell: the op failed, but with a named
-reason, which is expected behaviour.  Any other exception, a
-:class:`~triproxy.errors.TriproxyError` from identification included, is
-unexpected.  So is a mismatch (a silent wrong answer), unless the op is
-marked with a known defect whose marker every mismatch message contains.
+well-posed model for a grid cell: the program answers with a named reason,
+which is its specified behaviour, so the op is neither done nor failed.  A
+cell refused during set-up gets no op at all and is listed instead.  Any
+other exception, a :class:`~triproxy.errors.TriproxyError` from
+identification included, fails the op, and so does a mismatch (a silent
+wrong answer).
+
+Ops that hit a known defect are not in the timed mix: every op there is
+expected to pass.  Each run executes them once after timing as *probes*,
+which report whether the defect still reproduces (the op is marked with
+the defect and a marker every mismatch message contains).
 """
 
 from __future__ import annotations
@@ -87,24 +93,9 @@ def generate(make):
         raise Refusal(err) from err
 
 
-def _build(make):
-    """Model (or the generator's refusal) for one grid cell during set-up."""
-    try:
-        return generate(make), None
-    except Refusal as err:
-        return None, err
-
-
-def refused_op(cell: str, err: Refusal) -> Op:
-    """An op for a cell whose set-up refused: it fails with that refusal."""
-    def run():
-        raise err
-    return Op(cell, run, lambda _: [])
-
-
 class Workload:
     """One workload.  ``setup(rep)`` builds one shard of inputs and returns
-    its ops, ``warmup`` runs before timing, ``pass_ops`` gives a pass."""
+    its ops, ``warmup`` runs before timing and ``pass_ops`` gives a pass."""
 
     name = ""
     min_passes = 1      # the timed loop never stops before this many passes
@@ -114,6 +105,17 @@ class Workload:
         self.seed = seed
         self.root = root
         self.tracer = None
+        self.refused: list[tuple[str, str]] = []   # (cell, reason) refused at set-up
+        self.known: list[Op] = []                  # known-defect probes built at set-up
+
+    def build(self, cell: str, make):
+        """Model for one grid cell during set-up, or None when the generator
+        refuses; the refusal is recorded by cell."""
+        try:
+            return generate(make)
+        except Refusal as err:
+            self.refused.append((cell, str(err)))
+            return None
 
     def warmup(self, shard: list[Op], rep: int) -> list[Op]:
         return shard
@@ -164,10 +166,10 @@ class OracleSweep(Workload):
         return []
 
     def warmup(self, shard, rep: int) -> list[Op]:
-        """Two ops per figure at K=2 and at K=3: enough work that the set-up
+        """Five ops per figure at K=2 and at K=3: enough work that the set-up
         time is not lost in timer noise."""
         return [sweep_op(f"warm/{f}/K{k}", f, k, derive(self.seed, "warm", rep, f, k, i))
-                for f in generators.PIPELINE_FIGURES for k in (2, 3) for i in range(2)]
+                for f in generators.PIPELINE_FIGURES for k in (2, 3) for i in range(5)]
 
     def pass_ops(self, shards, p: int) -> list[Op]:
         return [sweep_op(f"{f}/K{k}", f, k, derive(self.seed, "sweep", p, f, k, i))
@@ -253,29 +255,33 @@ class IdentifyBatch(Workload):
         cells = [(f, k) for f in generators.PIPELINE_FIGURES for k in self.ks]
         cells += [(f, 6) for f in self.k6_figures]
         for f, k in cells:
-            m, err = _build(lambda: generators.figure_model(f, K=k, seed=derive(*s, f, k)))
             cell = f"{f}/K{k}"
-            if err is not None:
-                ops.append(refused_op(cell, err))
-                continue
-            ops.append(identify_op(cell, f, k, scm.observed_joint(m), oracle.oracle_effects(m)))
+            m = self.build(cell, lambda: generators.figure_model(f, K=k, seed=derive(*s, f, k)))
+            if m is not None:
+                ops.append(identify_op(cell, f, k, scm.observed_joint(m),
+                                       oracle.oracle_effects(m)))
         for f in ("fig6a", "fig7a"):
             for i in range(2):
-                m, err = _build(lambda: generators.rank_invariant_bounds_model(
-                    2, seed=derive(*s, "bounds", f, i), figure=f))
                 cell = f"bounds/{f}/K2/{i}"
-                ops.append(refused_op(cell, err) if err is not None else
-                           bounds_op(cell, f, 2, scm.observed_joint(m),
-                                     oracle.oracle_effects(m)))
+                m = self.build(cell, lambda: generators.rank_invariant_bounds_model(
+                    2, seed=derive(*s, "bounds", f, i), figure=f))
+                if m is not None:
+                    ops.append(bounds_op(cell, f, 2, scm.observed_joint(m),
+                                         oracle.oracle_effects(m)))
         for f in ("fig2a", "fig5a"):
             for k in (2, 3):
-                m, err = _build(lambda: generators.unbiased_proxy_model(
-                    k, seed=derive(*s, "relabel", f, k), figure=f))
                 cell = f"relabel/{f}/K{k}"
+                m = self.build(cell, lambda: generators.unbiased_proxy_model(
+                    k, seed=derive(*s, "relabel", f, k), figure=f))
+                if m is None:
+                    continue
                 known = RELABEL_AUXILIARY_DEFECT if f == "fig5a" else None
-                ops.append(refused_op(cell, err) if err is not None else
-                           relabel_op(cell, f, k, scm.observed_joint(m),
-                                      oracle.oracle_effects(m)["cate"], known))
+                op = relabel_op(cell, f, k, scm.observed_joint(m),
+                                oracle.oracle_effects(m)["cate"], known)
+                if known is None:
+                    ops.append(op)
+                elif rep == 0:
+                    self.known.append(op)
         rng = np.random.default_rng(derive(*s, "spectral"))
         for k in (2, 3, 4, 5, 6):
             for i in range(2):
@@ -430,9 +436,9 @@ class CliVerbs(Workload):
             "bounds": lambda: generators.rank_invariant_bounds_model(
                 2, seed=derive(*s, "bounds"), figure="fig6a"),
         }
-        files, refusals = {}, {}
+        files = {}
         for key, make in makers.items():
-            m, refusals[key] = _build(make)
+            m = self.build(f"{key}-model/rep{rep}", make)
             if m is not None:
                 files[f"{key}-model"] = write(f"{key}-model.json", m.to_dict())
                 files[key] = write(f"{key}-joint.json", scm.observed_joint(m).to_dict())
@@ -472,9 +478,16 @@ class CliVerbs(Workload):
                 ["end-to-end", "--fixture", fixture], expect=code)], None)
              for fixture, code in (("fig1a-early-late-tests", 0), ("fig1d-auxiliary", 0),
                                    ("fig1b-double-only", 3))]
-        return [refused_op(cell, refusals[need]) if need and refusals[need] is not None
-                else self.verb_op(cell, verbs(), known)
-                for cell, need, verbs, known in table]
+        ops = []
+        for cell, need, verbs, known in table:
+            if need is not None and f"{need}-model" not in files:
+                continue          # its model was refused, and is listed
+            op = self.verb_op(cell, verbs(), known)
+            if known is None:
+                ops.append(op)
+            elif rep == 0:
+                self.known.append(op)
+        return ops
 
     def warmup(self, shard, rep: int) -> list[Op]:
         """One interpreter start that imports the package."""
