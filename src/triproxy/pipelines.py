@@ -489,7 +489,7 @@ def estimands(m: LatentOutcomeModel,
     np.add.at(masses_x, group, w_given_x[order])
     beta_cdf = np.cumsum(masses)
     beta_cdf_given_x = np.cumsum(masses_x, axis=0)
-    var_beta = float(beta ** 2 @ w_marg - ate ** 2)
+    var_beta = float((beta - ate) ** 2 @ w_marg)
 
     return EstimandReport(
         y_levels=tuple(float(v) for v in y_levels),

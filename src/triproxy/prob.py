@@ -6,6 +6,7 @@ object, so everything here is safe to share across threads.
 
 Tolerances:
 
+* every entry must be finite (NaN and infinities are rejected);
 * total mass of a joint must be within ``MASS_TOL`` of one;
 * negative round-off entries in ``(-neg_tol, 0)`` are clipped and the
   array renormalized; anything more negative raises
@@ -72,6 +73,8 @@ class VarSpace:
 
 
 def _clean(values: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise InvalidDistribution(f"{what}: non-finite entries")
     worst = float(values.min()) if values.size else 0.0
     if worst < -neg_tol:
         raise InvalidDistribution(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlphaCollision, MissingLevels, TauOutOfRange
+from .errors import AlphaCollision, MissingLevels, TauOutOfRange, ZeroConditioningCell
 from .pipelines import LatentOutcomeModel, potential_joint
 from .prob import MarkovKernel, ProbTensor, VarSpace
 
@@ -236,7 +236,10 @@ def confounder_effects(m: LatentOutcomeModel | LabeledLatentModel,
     f_x = base.wx_joint.values.sum(axis=0)
     if base.design == "auxiliary" and base.y_given_wvx is not None:
         vw = base.vwx_joint.values.sum(axis=2)               # f(v, w)
-        v_given_w = vw[:, w] / vw[:, w].sum()
+        w_mass = vw[:, w].sum()
+        if w_mass <= 0:
+            raise ZeroConditioningCell(f"latent state W={w} has zero probability")
+        v_given_w = vw[:, w] / w_mass
         y_cond = base.y_given_wvx.values[:, w, :, x1] @ v_given_w
         y_vals = np.outer(y_cond, f_x)
     else:

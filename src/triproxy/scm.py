@@ -1,11 +1,21 @@
 """Discrete structural equations models with explicit exogenous noise.
 
 This is the ground-truth oracle: every node is a deterministic function of
-its parents and one private categorical noise term, so all observable,
-interventional, and cross-world joints are computable *exactly* by
-enumerating noise configurations.  Cross-world joints share the same noise
-draw across intervention arms, which is what the counterfactual
-independence statements in the proposition battery are about.
+its parents and one private categorical noise term.  Because the noises are
+independent, every observable, interventional and cross-world joint factorizes
+over nodes and is computed *exactly* by variable elimination (Zhang & Poole
+1994), never by enumerating noise configurations.  A cross-world joint is a
+numeric twin network (Balke & Pearl 1994): a node gets one copy per distinct
+tuple of parent values across the intervention arms, and its multi-world
+kernel ``Σ_u pmf(u)·Π_copies 1[table[pa_copy, u] = v_copy]`` sums its noise
+once for all copies, so every arm shares the same noise draw.  That shared
+draw is what the counterfactual independence statements in the proposition
+battery are about.
+
+The cost is the sum of the kernel sizes plus the intermediate joints.
+``ENUMERATION_GUARD`` bounds the cells of the requested joint and of every
+kernel, noise sum and intermediate joint; an oversized request raises
+:class:`~triproxy.errors.EnumerationTooLarge` before any array is allocated.
 """
 
 from __future__ import annotations
@@ -141,50 +151,151 @@ class Npsem:
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration
+# exact factorized oracle (variable elimination over multi-world kernels)
 
 
-def _noise_grid(m: Npsem) -> tuple[np.ndarray, np.ndarray]:
-    """All noise configurations: (per-node index arrays, per-config weights)."""
-    cards = [n.noise_card for n in m.nodes]
-    total = int(np.prod(cards, dtype=np.int64))
-    if total > ENUMERATION_GUARD:
+def _check_cells(cells: int, what: str) -> None:
+    if cells > ENUMERATION_GUARD:
         raise EnumerationTooLarge(
-            f"{total} noise configurations exceed the {ENUMERATION_GUARD} guard")
-    grid = np.indices(cards).reshape(len(cards), total)
-    weights = np.ones(total)
-    for i, n in enumerate(m.nodes):
-        weights *= n.noise_pmf[grid[i]]
-    return grid, weights
+            f"{what} would hold {cells} cells, over the {ENUMERATION_GUARD} guard")
 
 
-def _evaluate(m: Npsem, grid: np.ndarray, clamp: dict | None = None) -> dict:
-    """Node values for every noise configuration, with optional clamping."""
-    clamp = clamp or {}
-    vals: dict[str, np.ndarray] = {}
+def _cells(cards) -> int:
+    out = 1
+    for c in cards:
+        out *= int(c)
+    return out
+
+
+def _kernel(node: NodeSpec, copies, pa_vars, cards) -> np.ndarray:
+    """``Σ_u pmf(u)·Π_j 1[table[pa_j, u] = v_j]`` over ``(*pa_vars, *copies)``.
+
+    ``copies`` holds one parent-reference tuple per copy of the node; a
+    reference is a variable id or, for a clamped parent, ``("=", level)``.
+    """
+    shape = tuple(cards[v] for v in pa_vars)
+    ndim = len(shape) + 1
+
+    def along(axis: int, n: int) -> np.ndarray:
+        return np.arange(n).reshape([n if i == axis else 1 for i in range(ndim)])
+
+    u = along(ndim - 1, node.noise_card)
+    card = node.space.cardinality
+    flat = 0
+    for refs in copies:
+        idx = tuple(r[1] if isinstance(r, tuple) else along(pa_vars.index(r), cards[r])
+                    for r in refs)
+        flat = flat * card + node.table[idx + (u,)]
+    full = shape + (node.noise_card,)
+    copy_cells = card ** len(copies)
+    base = np.arange(_cells(shape)).reshape(shape + (1,)) * copy_cells
+    k = np.bincount((base + flat).ravel(),
+                    weights=np.broadcast_to(node.noise_pmf, full).ravel(),
+                    minlength=_cells(shape) * copy_cells)
+    return k.reshape(shape + (card,) * len(copies))
+
+
+def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
+    """Exact joint of ``outputs``, each a ``(world, node)`` pair.
+
+    ``worlds`` are clamp dicts (``{}`` is the factual world).  A node gets
+    one copy per distinct tuple of parent values across worlds, so copies
+    that cannot differ are one variable and all copies share the node's
+    noise, which is summed out once in the node's kernel.  Nodes are
+    eliminated in topological order: each step multiplies one kernel into
+    the running joint and sums out every variable past its last use.  All
+    cell counts are checked against :data:`ENUMERATION_GUARD` before any
+    array is allocated.
+    """
+    ids: dict = {}                 # (node, parent refs) -> variable id
+    owner: list[int] = []          # variable id -> node position
+    ref: dict = {}                 # (world, node) -> variable id or ("=", level)
     for i, n in enumerate(m.nodes):
         name = n.space.name
-        if name in clamp:
-            vals[name] = np.full(grid.shape[1], clamp[name], dtype=np.int64)
+        for w, clamp in enumerate(worlds):
+            if name in clamp:
+                ref[w, name] = ("=", clamp[name])
+                continue
+            key = (name, tuple(ref[w, p] for p in n.parents))
+            if key not in ids:
+                ids[key] = len(owner)
+                owner.append(i)
+            ref[w, name] = ids[key]
+    parents_of = {v: key[1] for key, v in ids.items()}
+    cards = [m.nodes[i].space.cardinality for i in owner]
+
+    out_refs = [ref[o] for o in outputs]
+    out_vars = {r for r in out_refs if not isinstance(r, tuple)}
+    needed = set(out_vars)
+    for v in reversed(range(len(owner))):    # parents have smaller ids
+        if v in needed:
+            needed.update(r for r in parents_of[v] if not isinstance(r, tuple))
+    copies_of: dict[int, list[int]] = {}
+    for v in sorted(needed):
+        copies_of.setdefault(owner[v], []).append(v)
+
+    steps = []                     # (node, copy parent refs, parent vars, kernel vars)
+    last_use: dict[int, int] = {}
+    for i, copies in sorted(copies_of.items()):
+        n = m.nodes[i]
+        pa_vars = list(dict.fromkeys(r for v in copies for r in parents_of[v]
+                                     if not isinstance(r, tuple)))
+        k_vars = pa_vars + copies
+        _check_cells(_cells(cards[v] for v in pa_vars) * n.noise_card,
+                     f"the noise sum of {n.space.name!r}")
+        _check_cells(_cells(cards[v] for v in k_vars), f"the kernel of {n.space.name!r}")
+        for v in k_vars:
+            last_use[v] = len(steps)
+        steps.append((n, [parents_of[v] for v in copies], pa_vars, k_vars))
+
+    plan, live = [], []
+    for step, (_, _, _, k_vars) in enumerate(steps):
+        union = list(dict.fromkeys(live + k_vars))
+        live = [v for v in union if last_use[v] > step or v in out_vars]
+        _check_cells(_cells(cards[v] for v in live), "an intermediate joint")
+        plan.append(live)
+    _check_cells(_cells(s.cardinality for s in spaces), "the requested joint")
+
+    # size-1 axes are left out of every einsum; the guard then keeps the
+    # subscripts within numpy's 52, as each operand and the output carry at
+    # most log2(ENUMERATION_GUARD) < 24 axes of size >= 2
+    def wide(vs):
+        return [v for v in vs if cards[v] > 1]
+
+    joint, j_vars = np.ones(()), []
+    for (n, copy_refs, pa_vars, k_vars), live in zip(steps, plan):
+        k_vars, live = wide(k_vars), wide(live)
+        kern = _kernel(n, copy_refs, pa_vars, cards).reshape([cards[v] for v in k_vars])
+        local = {v: c for c, v in enumerate(dict.fromkeys(j_vars + k_vars))}
+        joint = np.einsum(joint, [local[v] for v in j_vars],
+                          kern, [local[v] for v in k_vars],
+                          [local[v] for v in live])
+        j_vars = live
+
+    # place the outputs: a repeated variable is a diagonal, a clamp a point mass
+    operands, out_axes = [joint, list(range(len(j_vars)))], []
+    for r, space in zip(out_refs, spaces):
+        if space.cardinality == 1:
             continue
-        idx = tuple(vals[p] for p in n.parents) + (grid[i],)
-        vals[name] = n.table[idx]
-    return vals
-
-
-def _accumulate(value_arrays, spaces, weights) -> ProbTensor:
-    cards = tuple(s.cardinality for s in spaces)
-    flat = np.ravel_multi_index(tuple(value_arrays), cards)
-    dense = np.bincount(flat, weights=weights, minlength=int(np.prod(cards)))
-    return ProbTensor.build(tuple(spaces), dense.reshape(cards))
+        if not isinstance(r, tuple) and j_vars.index(r) not in out_axes:
+            out_axes.append(j_vars.index(r))
+            continue
+        fresh = len(j_vars) + len(out_axes)
+        if isinstance(r, tuple):
+            point = np.zeros(space.cardinality)
+            point[r[1]] = 1.0
+            operands += [point, [fresh]]
+        else:
+            operands += [np.eye(space.cardinality), [j_vars.index(r), fresh]]
+        out_axes.append(fresh)
+    values = np.einsum(*operands, out_axes).reshape([s.cardinality for s in spaces])
+    return ProbTensor.build(tuple(spaces), values)
 
 
 def observable_joint(m: Npsem) -> ProbTensor:
     """Exact joint over every node (latent included), mass one."""
-    grid, weights = _noise_grid(m)
-    vals = _evaluate(m, grid)
-    spaces = [n.space for n in m.nodes]
-    return _accumulate([vals[s.name] for s in spaces], spaces, weights)
+    return _exact_joint(m, [{}], [(0, name) for name in m.names],
+                        [n.space for n in m.nodes])
 
 
 def observed_joint(m: Npsem) -> ProbTensor:
@@ -206,29 +317,14 @@ def counterfactual_joint(m: Npsem, intervene_on, outcome: str = "Y",
     axes retained (default: all nodes).
     """
     intervene_on = tuple(intervene_on)
-    for n in intervene_on:
-        m[n]
-    m[outcome]
-    grid, weights = _noise_grid(m)
-    vals = _evaluate(m, grid)
-
-    arms = list(itertools.product(*[range(m[n].space.cardinality) for n in intervene_on]))
-    arm_spaces, arm_values = [], []
     y_space = m[outcome].space
-    for arm in arms:
-        clamp = dict(zip(intervene_on, arm))
-        cf_vals = _evaluate(m, grid, clamp=clamp)
-        arm_spaces.append(VarSpace(arm_label(outcome, arm), y_space.cardinality,
-                                   y_space.levels))
-        arm_values.append(cf_vals[outcome])
-
     keep = tuple(keep) if keep is not None else m.names
-    spaces = arm_spaces + [m[n].space for n in keep]
-    values = arm_values + [vals[n] for n in keep]
-    total_cells = int(np.prod([s.cardinality for s in spaces], dtype=np.int64))
-    if total_cells > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"cross-world tensor would hold {total_cells} cells")
-    return ProbTensor.build(tuple(spaces), _accumulate(values, spaces, weights).values)
+    arms = list(itertools.product(*[range(m[n].space.cardinality) for n in intervene_on]))
+    worlds = [{}] + [dict(zip(intervene_on, arm)) for arm in arms]
+    outputs = [(w, outcome) for w in range(1, len(worlds))] + [(0, n) for n in keep]
+    spaces = [VarSpace(arm_label(outcome, arm), y_space.cardinality, y_space.levels)
+              for arm in arms] + [m[n].space for n in keep]
+    return _exact_joint(m, worlds, outputs, spaces)
 
 
 _CF_NAME = re.compile(r"^([A-Za-z_]\w*)\(([\w,]+)\)$")
@@ -313,5 +409,8 @@ def sample(m: Npsem, n: int, seed: int) -> dict[str, np.ndarray]:
 def empirical_tensor(dataset: dict[str, np.ndarray], spaces) -> ProbTensor:
     spaces = tuple(spaces)
     arrays = [np.asarray(dataset[s.name], dtype=np.int64) for s in spaces]
-    n = arrays[0].size
-    return _accumulate(arrays, spaces, np.full(n, 1.0 / n))
+    cards = tuple(s.cardinality for s in spaces)
+    flat = np.ravel_multi_index(tuple(arrays), cards)
+    dense = np.bincount(flat, weights=np.full(flat.size, 1.0 / flat.size),
+                        minlength=_cells(cards))
+    return ProbTensor.build(spaces, dense.reshape(cards))

@@ -174,6 +174,13 @@ class TestInvariances:
         assert abs(rep.beta_atoms[0] - 0.6) < 1e-8
         assert abs(rep.var_beta) < 1e-8
 
+    def test_var_beta_non_negative_for_constant_effect(self):
+        from triproxy.generators import rank_invariant_bounds_model
+        m = rank_invariant_bounds_model(2, seed=1, constant_cate=True)
+        rep = estimands(identify_outcome_proxy(observed_joint(m), 2))
+        assert rep.var_beta >= 0.0
+        assert rep.var_beta < 1e-12
+
     def test_qte_of_shifted_outcome(self):
         """If Y(1) = Y(0) + 1 in law, every quantile effect is the shift."""
         model = _two_point_model()

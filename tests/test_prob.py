@@ -61,6 +61,13 @@ class TestConstruction:
             MarkovKernel.build(A, (B,), np.array([[0.5, 0.5, 0.5],
                                                   [0.4, 0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidDistribution):
+            ProbTensor.build((A,), np.array([bad, 1.0]))
+        with pytest.raises(InvalidDistribution):
+            MarkovKernel.build(A, (C,), np.array([[bad, 0.5], [0.5, 0.5]]))
+
     def test_varspace_levels_length_checked(self):
         with pytest.raises(InvalidDistribution):
             VarSpace("A", 3, (0.0, 1.0))
@@ -128,6 +135,14 @@ class TestSerialization:
         assert back.axes == t.axes
         # build() renormalizes, which may shave the last ulp
         np.testing.assert_allclose(back.values, t.values, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_rejected(self, literal):
+        text = '{"axes": [{"name": "A", "cardinality": 2}], "values": [%s, 1.0]}' % literal
+        with pytest.raises(InvalidDistribution):
+            ProbTensor.from_json(text)
+        with pytest.raises(InvalidDistribution):
+            ProbTensor.from_dict(json.loads(text))
 
     def test_row_major_flattening(self):
         t = ProbTensor.build((A, C), np.array([[0.1, 0.2], [0.3, 0.4]]))

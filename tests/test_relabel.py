@@ -1,15 +1,18 @@
 """Latent relabeling: alpha recovery, unbiased and monotone rules,
 confounder effects against the double-intervention oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import oracle_cate_by_w, oracle_clamp_xw_mean, oracle_w_marginal
-from triproxy.errors import AlphaCollision, MissingLevels, TauOutOfRange
+from triproxy.errors import (AlphaCollision, MissingLevels, TauOutOfRange,
+                             ZeroConditioningCell)
 from triproxy.generators import unbiased_proxy_model
 from triproxy.pipelines import (identify_auxiliary_proxy,
                                 identify_outcome_proxy)
-from triproxy.prob import MarkovKernel, VarSpace
+from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
 from triproxy.relabel import (RelabelRule, compute_alpha, confounder_effects,
                               relabel_monotone, relabel_unbiased)
 from triproxy.scm import observed_joint
@@ -187,6 +190,16 @@ class TestConfounderEffects:
                 t = confounder_effects(labeled, x1, w)
                 got = float(y @ t.values.sum(axis=1))
                 assert abs(got - oracle_clamp_xw_mean(m, x1, w)) < 1e-7
+
+    def test_zero_mass_latent_state_rejected(self):
+        m = unbiased_proxy_model(2, seed=10, figure="fig5a")
+        model = identified(m, 2, design="auxiliary")
+        vwx = np.array(model.vwx_joint.values)
+        vwx[:, 1, :] = 0.0
+        starved = replace(model, vwx_joint=ProbTensor.build(model.vwx_joint.axes,
+                                                            vwx / vwx.sum()))
+        with pytest.raises(ZeroConditioningCell):
+            confounder_effects(starved, 1, 1)
 
     def test_treatment_margin_is_factual_law(self):
         m = unbiased_proxy_model(2, seed=11)

@@ -1,7 +1,8 @@
-"""Structural models: exact enumeration vs a brute-force loop oracle,
-counterfactual consistency, sampling convergence, guards."""
+"""Structural models: the factorized oracle vs brute-force noise
+enumeration, counterfactual consistency, sampling convergence, guards."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from triproxy.errors import (EnumerationTooLarge, InvalidDistribution,
 from triproxy.generators import figure_model, random_npsem, standard_spaces
 from triproxy.graphs import FIGURES
 from triproxy.prob import VarSpace, marginalize
-from triproxy.scm import (NodeSpec, Npsem, arm_label, check_counterfactual_ci,
-                          consistency_residual, counterfactual_joint,
-                          empirical_tensor, observable_joint, observed_joint,
-                          sample)
+from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label,
+                          check_counterfactual_ci, consistency_residual,
+                          counterfactual_joint, empirical_tensor,
+                          observable_joint, observed_joint, sample)
 
 
 def brute_force_joint(m: Npsem) -> np.ndarray:
@@ -31,6 +32,37 @@ def brute_force_joint(m: Npsem) -> np.ndarray:
             vals[node.space.name] = int(node.table[idx])
         out[tuple(vals[n.space.name] for n in m.nodes)] += weight
     return out
+
+
+def brute_force_counterfactual(m: Npsem, intervene_on, outcome="Y",
+                               keep=None) -> np.ndarray:
+    """Cross-world joint by evaluating every noise configuration in every
+    arm at once; same axis order as ``counterfactual_joint``."""
+    cards = [n.noise_card for n in m.nodes]
+    grid = np.indices(cards).reshape(len(cards), -1)
+    weights = np.ones(grid.shape[1])
+    for i, n in enumerate(m.nodes):
+        weights *= n.noise_pmf[grid[i]]
+
+    def evaluate(clamp):
+        vals = {}
+        for i, n in enumerate(m.nodes):
+            name = n.space.name
+            if name in clamp:
+                vals[name] = np.full(grid.shape[1], clamp[name])
+            else:
+                vals[name] = n.table[tuple(vals[p] for p in n.parents) + (grid[i],)]
+        return vals
+
+    arms = itertools.product(*[range(m[n].space.cardinality) for n in intervene_on])
+    columns = [evaluate(dict(zip(intervene_on, arm)))[outcome] for arm in arms]
+    factual = evaluate({})
+    keep = m.names if keep is None else keep
+    columns += [factual[n] for n in keep]
+    shape = ((m[outcome].space.cardinality,) * (len(columns) - len(keep))
+             + tuple(m[n].space.cardinality for n in keep))
+    flat = np.ravel_multi_index(tuple(columns), shape)
+    return np.bincount(flat, weights=weights, minlength=int(np.prod(shape))).reshape(shape)
 
 
 def small_model(seed=0) -> Npsem:
@@ -54,21 +86,95 @@ class TestEnumeration:
         np.testing.assert_allclose(observed_joint(m).values.sum(), 1.0)
 
     def test_guard(self):
-        space = VarSpace("A", 2)
+        # 10^9 noise configurations over an 8-cell joint: each node's noise
+        # is summed out on its own, so the joint is exact and cheap
         pmf = np.full(10 ** 3, 1e-3)
-        big = NodeSpec(space, (), np.zeros(10 ** 3, dtype=np.int64), pmf)
-        m = Npsem((
-            big,
-            NodeSpec(VarSpace("B", 2), (), np.zeros(10 ** 3, dtype=np.int64), pmf),
-            NodeSpec(VarSpace("C", 2), (), np.zeros(10 ** 3, dtype=np.int64), pmf),
-        ))
+        m = Npsem(tuple(NodeSpec(VarSpace(name, 2), (), np.zeros(10 ** 3, dtype=np.int64), pmf)
+                        for name in "ABC"))
+        joint = observable_joint(m)
+        assert joint.values.shape == (2, 2, 2)
+        assert joint.values[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        # 300^3 joint cells are over the guard: refused before allocation
+        wide = Npsem(tuple(NodeSpec(VarSpace(name, 300), (), np.zeros(1, dtype=np.int64),
+                                    np.ones(1)) for name in "ABC"))
+        assert 300 ** 3 > ENUMERATION_GUARD
         with pytest.raises(EnumerationTooLarge):
-            observable_joint(m)
+            observable_joint(wide)
+
+    def test_guard_bounds_kernels_not_only_output(self):
+        # a 4-cell cross-world output whose kernel of B over (A, B) alone
+        # holds 4000^2 cells
+        a, b = VarSpace("A", 4000), VarSpace("B", 4000)
+        m = Npsem((
+            NodeSpec(VarSpace("X", 2), (), np.arange(2), np.full(2, 0.5)),
+            NodeSpec(a, (), np.arange(4000), np.full(4000, 1 / 4000)),
+            NodeSpec(b, ("A",), np.arange(4000).reshape(4000, 1), np.ones(1)),
+            NodeSpec(VarSpace("Y", 2), ("X", "B"), np.zeros((2, 4000, 1), dtype=np.int64),
+                     np.ones(1)),
+        ))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge):
+                counterfactual_joint(m, ("X",), keep=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20      # the kernel alone would take 128 MB
 
     def test_bad_parent_order_rejected(self):
         with pytest.raises(InvalidDistribution):
             Npsem((NodeSpec(VarSpace("A", 2), ("B",),
                             np.zeros((2, 2), dtype=np.int64), np.full(2, 0.5)),))
+
+
+def _cross_check_cases():
+    for fig in FIGURES:
+        for K in (2, 3):
+            keeps = [("W", "X"), ("W",), None, ("V",)]
+            for keep in keeps:
+                yield fig, K, ("X",), keep
+            if K == 2:
+                for keep in keeps:
+                    yield fig, K, ("X", "W"), keep
+
+
+class TestFactorizedOracle:
+    """Enumeration, factorized oracle and identification are independent
+    paths; these tests tie the first two together on every figure graph."""
+
+    @pytest.mark.parametrize("fig,K,arms,keep", list(_cross_check_cases()))
+    def test_matches_enumeration(self, fig, K, arms, keep):
+        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K, latent=("W",))
+        joint = counterfactual_joint(m, arms, keep=keep)
+        want = brute_force_counterfactual(m, arms, keep=keep)
+        assert joint.values.shape == want.shape
+        np.testing.assert_allclose(joint.values, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    def test_observable_matches_enumeration(self, fig):
+        m = random_npsem(FIGURES[fig], standard_spaces(3), seed=3, latent=("W",))
+        # with no intervention there is one arm, Y(), equal to the factual Y
+        want = brute_force_counterfactual(m, (), keep=m.names).sum(axis=0)
+        np.testing.assert_allclose(observable_joint(m).values, want, rtol=0, atol=1e-13)
+
+    def test_clamped_outcome_is_a_point_mass(self):
+        m = small_model(1)
+        joint = counterfactual_joint(m, ("Y",), keep=("X",))
+        want = brute_force_counterfactual(m, ("Y",), keep=("X",))
+        np.testing.assert_allclose(joint.values, want, rtol=0, atol=1e-13)
+
+    def test_unaffected_outcome_repeats_the_factual_axis(self):
+        # Z is not downstream of X, so Z(x) is the factual Z in every arm
+        m = small_model(2)
+        joint = counterfactual_joint(m, ("X",), outcome="Z", keep=("Z", "W"))
+        want = brute_force_counterfactual(m, ("X",), outcome="Z", keep=("Z", "W"))
+        np.testing.assert_allclose(joint.values, want, rtol=0, atol=1e-13)
+
+    def test_many_single_level_nodes(self):
+        # more axes than einsum has subscripts, all of size one
+        m = Npsem(tuple(NodeSpec(VarSpace(f"N{i}", 1), (), np.zeros(1, dtype=np.int64),
+                                 np.ones(1)) for i in range(60)))
+        assert observable_joint(m).values.shape == (1,) * 60
 
 
 class TestCounterfactuals:
