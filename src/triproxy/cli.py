@@ -27,7 +27,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from importlib import resources
 
@@ -464,16 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TRIPROXY_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -120,7 +120,7 @@ class ProbTensor:
         values = _clean(values, neg_tol, "ProbTensor")
         mass = values.sum()
         if abs(mass - 1.0) > MASS_TOL:
-            raise InvalidDistribution(f"total mass {mass!r} not within {MASS_TOL} of 1")
+            raise InvalidDistribution(f"total mass {float(mass)!r} not within {MASS_TOL} of 1")
         return cls(tuple(axes), values / mass)
 
     # -- bookkeeping ------------------------------------------------------

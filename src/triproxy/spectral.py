@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     AmbiguousMatch,
@@ -143,7 +141,7 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     for retries in range(opts.max_retries):
         xi = rng.dirichlet(np.ones(nc))
         t = np.einsum("c,cij->ij", xi, compressed) @ b_inv
-        vals, vecs = scipy.linalg.eig(t)
+        vals, vecs = np.linalg.eig(t)
         order = np.argsort(vals.real, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
         gap = float(np.diff(vals.real).min()) if k > 1 else np.inf
@@ -202,6 +200,51 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     return HsFactors(z_given_w, c_given_w, w_given_v, v_marg, diag)
 
 
+def _min_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost perfect matching of a square
+    matrix: Kuhn-Munkres with potentials (shortest augmenting paths, O(k^3)).
+    The lists are 1-based; index 0 is the virtual column from which each
+    row's augmenting path starts."""
+    k = len(cost)
+    inf = float("inf")
+    u = [0.0] * (k + 1)
+    v = [0.0] * (k + 1)
+    row_of = [0] * (k + 1)  # row_of[j]: 1-based row matched to column j
+    way = [0] * (k + 1)
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = [inf] * (k + 1)
+        used = [False] * (k + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = [0] * k
+    for j in range(1, k + 1):
+        cols[row_of[j] - 1] = j - 1
+    return cols
+
+
 def match_permutation(reference: np.ndarray, candidate: np.ndarray,
                       ambiguity_tol: float = 1e-6) -> np.ndarray:
     """Permutation ``p`` minimizing total L1 gap of ``candidate[:, p]`` to
@@ -209,22 +252,28 @@ def match_permutation(reference: np.ndarray, candidate: np.ndarray,
     clearly unique."""
     if reference.shape != candidate.shape:
         raise AmbiguousMatch("column sets have different shapes")
-    k = reference.shape[1]
     cost = np.abs(reference[:, :, None] - candidate[:, None, :]).sum(axis=0)
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    if not np.isfinite(cost).all():
+        raise ValueError("column sets contain non-finite entries")
+    rows = np.arange(cost.shape[0])
+    table = cost.tolist()
+    cols = _min_assignment(table)
     best = float(cost[rows, cols].sum())
-    # uniqueness: forbidding any chosen edge must strictly raise the optimum
-    for i, j in zip(rows, cols):
-        forbidden = cost.copy()
-        forbidden[i, j] = np.inf
-        r2, c2 = scipy.optimize.linear_sum_assignment(forbidden)
-        alt = float(forbidden[r2, c2].sum())
-        if np.isfinite(alt) and alt - best < ambiguity_tol:
+    # uniqueness: forbidding any chosen edge must strictly raise the optimum;
+    # an edge costing more than every full matching is forbidden, and a
+    # re-solve that still takes it has no alternative matching
+    forbidden = float(cost.sum()) + 1.0
+    for i, j in enumerate(cols):
+        table[i][j] = forbidden
+        alt_cols = _min_assignment(table)
+        table[i][j] = float(cost[i, j])
+        if alt_cols[i] == j:
+            continue
+        alt = float(cost[rows, alt_cols].sum())
+        if alt - best < ambiguity_tol:
             raise AmbiguousMatch(
                 f"two column matchings differ by only {alt - best:.3e}")
-    perm = np.empty(k, dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    return np.asarray(cols, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ def oracle_w_marginal(m: Npsem) -> np.ndarray:
     return marginalize(fj, set(fj.names) - {"W"}).values
 
 
-def oracle_arm_means_by_w(m: Npsem, outcome: str = "Y",
-                          treatment: str = "X") -> np.ndarray:
-    """E[Y(x) | W = w] for both arms, shape (2, |W|)."""
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=("W",))
+def _arm_means_by_w(m: Npsem, joint: ProbTensor, outcome: str) -> np.ndarray:
+    """E[Y(x) | W = w] for both arms of a cross-world joint that keeps W,
+    shape (2, |W|); every other kept axis is marginalized out."""
     y = m[outcome].space.level_values()
     out = np.empty((2, m["W"].space.cardinality))
     for x in (0, 1):
@@ -39,13 +38,23 @@ def oracle_arm_means_by_w(m: Npsem, outcome: str = "Y",
     return out
 
 
+def oracle_arm_means_by_w(m: Npsem, outcome: str = "Y",
+                          treatment: str = "X") -> np.ndarray:
+    """E[Y(x) | W = w] for both arms, shape (2, |W|)."""
+    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=("W",))
+    return _arm_means_by_w(m, joint, outcome)
+
+
 def oracle_cate_by_w(m: Npsem) -> np.ndarray:
     means = oracle_arm_means_by_w(m)
     return means[1] - means[0]
 
 
 def oracle_effects(m: Npsem, outcome: str = "Y", treatment: str = "X") -> dict:
-    """ATE, ATT, ATU, potential pmfs, and the effect-distribution CDF."""
+    """ATE, ATT, ATU, potential pmfs, and the effect-distribution CDF.
+
+    One cross-world joint over (Y(0), Y(1), W, X) serves every arm quantity;
+    the CATE marginalizes X out of it."""
     joint = counterfactual_joint(m, (treatment,), outcome=outcome,
                                  keep=("W", treatment))
     y = m[outcome].space.level_values()
@@ -57,13 +66,9 @@ def oracle_effects(m: Npsem, outcome: str = "Y", treatment: str = "X") -> dict:
         t = t.reorder((a, treatment)).values
         pot_y[:, x] = t.sum(axis=1)
         by_x.append(t / t.sum(axis=0))
-    cate = oracle_cate_by_w(m)
+    means = _arm_means_by_w(m, joint, outcome)
+    cate = means[1] - means[0]
     w = oracle_w_marginal(m)
-    fx = marginalize(observable_joint(m),
-                     set(observable_joint(m).names) - {treatment}).values
-    fj = observable_joint(m)
-    w_given_x = marginalize(fj, set(fj.names) - {"W", treatment})
-    w_given_x = w_given_x.reorder(("W", treatment)).values / fx
 
     order = np.argsort(cate, kind="stable")
     s = cate[order]

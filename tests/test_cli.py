@@ -4,10 +4,14 @@ byte-determinism of reports, and the golden end-to-end fixtures."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triproxy
 from conftest import oracle_effects
 from triproxy.cli import main
 from triproxy.generators import figure_model, rank_invariant_bounds_model
@@ -219,13 +223,23 @@ class TestExitCodesAndDiagnostics:
         diag = json.loads(err)
         assert "Assumption" in diag["assumption"]
 
-    def test_thread_cap_env(self, capsys, monkeypatch, fig2a_files):
-        _, _, joint = fig2a_files
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("TRIPROXY_THREADS", "1")
-        code, _, _ = run(capsys, "identify", "--design", "outcome",
-                         "--latent-dim", "2", "--joint", joint)
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
+    def test_single_latent_state_refused_with_diagnostic(self, tmp_path, capsys):
+        # a one-state fit of a two-state auxiliary joint: each stratum's
+        # single column is matched to the reference, then the fit is refused
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(observed_joint(figure_model("fig5a", 2, seed=0)).to_dict()))
+        code, _, err = run(capsys, "identify", "--design", "auxiliary",
+                           "--latent-dim", "1", "--joint", str(path))
+        assert code in (2, 3)
+        diag = json.loads(err)
+        assert set(diag) == {"error", "message", "assumption"}
+        assert "np.float64" not in diag["message"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(triproxy.__file__).parents[1])
+    probe = ("import sys, triproxy.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,8 @@
 """Spectral factorization: forward-construction round trips, an mpmath
-singular-value oracle, failure modes, and canonical ordering."""
+singular-value oracle, failure modes, canonical ordering, and a brute-force
+check of the latent-label assignment."""
+
+import itertools
 
 import mpmath
 import numpy as np
@@ -145,6 +148,51 @@ class TestMatchPermutation:
     def test_shape_mismatch(self):
         with pytest.raises(AmbiguousMatch):
             match_permutation(np.ones((2, 2)) / 2, np.ones((2, 3)) / 2)
+
+    def test_non_finite_entries_rejected(self):
+        ref = np.array([[0.5, 0.2], [0.5, 0.8]])
+        with pytest.raises(ValueError):
+            match_permutation(ref, np.array([[np.nan, 0.2], [0.5, 0.8]]))
+
+    def test_single_column(self):
+        ref = np.array([[0.3], [0.7]])
+        np.testing.assert_array_equal(match_permutation(ref, ref[::-1]), [0])
+
+
+def candidate_columns(rng, ref, kind):
+    """A candidate column set: a noisy relabeling, two columns a hair apart,
+    or two identical columns."""
+    nz, k = ref.shape
+    cand = ref[:, rng.permutation(k)] + rng.normal(scale=1e-3, size=ref.shape)
+    if kind == "random":
+        return rng.dirichlet(np.ones(nz), size=k).T if rng.random() < 0.5 else cand
+    if kind == "near_tie" and k > 1:
+        cand[:, 1] = cand[:, 0] + rng.choice([1e-8, 1e-4]) * np.linspace(-1, 1, nz)
+    elif kind == "exact_tie" and k > 1:
+        cand[:, 1] = cand[:, 0]
+    return cand
+
+
+@pytest.mark.parametrize("kind", ["random", "near_tie", "exact_tie"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_match_permutation_against_brute_force(k, kind):
+    """The best of all k! relabelings is returned, and AmbiguousMatch is
+    raised exactly when the two best distinct ones lie within the tolerance."""
+    tol = 1e-6
+    rng = np.random.default_rng(100 * k + len(kind))
+    perms = np.array(list(itertools.permutations(range(k))))
+    for _ in range(20):
+        ref = rng.dirichlet(np.ones(4), size=k).T
+        cand = candidate_columns(rng, ref, kind)
+        cost = np.abs(ref[:, :, None] - cand[:, None, :]).sum(axis=0)
+        totals = cost[np.arange(k), perms].sum(axis=1)
+        order = np.argsort(totals, kind="stable")
+        if k > 1 and totals[order[1]] - totals[order[0]] < tol:
+            with pytest.raises(AmbiguousMatch):
+                match_permutation(ref, cand)
+        else:
+            np.testing.assert_array_equal(match_permutation(ref, cand),
+                                          perms[order[0]])
 
 
 def mpmath_singular_values(a: np.ndarray) -> list[float]:
