@@ -14,14 +14,12 @@ from .pipelines import (EstimandReport, LatentOutcomeModel, estimands,
                         identify_auxiliary_proxy, identify_cond_treatment_proxy,
                         identify_outcome_proxy, identify_treatment_proxy,
                         potential_joint)
-from .prob import (MarkovKernel, ProbTensor, VarSpace, condition, expectation,
-                   kernel_product, marginalize, restrict)
+from .prob import MarkovKernel, ProbTensor, VarSpace, condition, marginalize, restrict
 from .relabel import (LabeledLatentModel, RelabelRule, compute_alpha,
                       confounder_effects, relabel_monotone, relabel_unbiased)
 from .scm import (NodeSpec, Npsem, arm_label, check_counterfactual_ci,
-                  consistency_residual, counterfactual_joint, empirical_tensor,
-                  observable_joint, observed_joint, sample)
-from .spectral import (CompletenessReport, HsFactors, HsOptions,
-                       completeness_diagnostics, hs_decompose, match_permutation)
+                  counterfactual_joint, empirical_tensor, observable_joint,
+                  observed_joint, sample)
+from .spectral import HsFactors, HsOptions, hs_decompose, match_permutation
 
 __version__ = "0.1.0"

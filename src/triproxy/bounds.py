@@ -27,12 +27,12 @@ interval is conditional on the assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
-from .pipelines import _slice_joint, _require_axes
+from .pipelines import _deconvolve, _hs_options, _require_axes, _slice_joint
 from .prob import MASS_TOL, ProbTensor, marginalize
 from .scm import Npsem, arm_label, counterfactual_joint
 from .spectral import HsOptions, hs_decompose
@@ -51,13 +51,6 @@ class BoundsReport:
     per_v_lower: np.ndarray | None = None
     per_v_upper: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def _arm_opts(opts: HsOptions | None, k: int) -> HsOptions:
-    opts = opts or HsOptions(latent_dim=k)
-    if opts.latent_dim != k:
-        opts = replace(opts, latent_dim=k)
-    return opts
 
 
 def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
@@ -84,7 +77,7 @@ def bounds_outcome_proxy(joint: ProbTensor, k: int,
     joint; no cross-arm latent alignment is attempted."""
     _require_axes(joint, ("Y", "Z", "V", "X"))
     y_levels = _check_binary_numeric(joint)
-    opts = _arm_opts(opts, k)
+    opts = _hs_options(opts, k)
 
     diag: dict = {"design": "bounds-outcome"}
     extremes = {}
@@ -114,7 +107,7 @@ def bounds_auxiliary_proxy(joint: ProbTensor, k: int,
     auxiliary signal C, averaged into ATT/ATU intervals."""
     _require_axes(joint, ("Y", "C", "Z", "V", "X"))
     y_levels = _check_binary_numeric(joint)
-    opts = _arm_opts(opts, k)
+    opts = _hs_options(opts, k)
     n_v = joint.axis("V").cardinality
 
     f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
@@ -130,19 +123,16 @@ def bounds_auxiliary_proxy(joint: ProbTensor, k: int,
         fac = hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}), opts)
         diag[f"arm{x}"] = {"eigen_gap": fac.diagnostics.eigen_gap,
                            "singular_ratio": fac.diagnostics.singular_ratio}
-        # deconvolve the outcome law per v through the arm's proxy kernel
-        yzv = _slice_joint(joint, ("Y", "Z", "V"), {"X": x})
-        rhs = np.moveaxis(yzv, 1, 0).reshape(yzv.shape[1], -1)
-        sol, *_ = np.linalg.lstsq(fac.z_given_w, rhs, rcond=None)
-        ywv = np.clip(sol.reshape(-1, yzv.shape[0], n_v), 0.0, None)  # (w, y, v)
+        ywv, _, _ = _deconvolve(fac.z_given_w,
+                                _slice_joint(joint, ("Y", "Z", "V"), {"X": x}),
+                                f"outcome/latent joint (X={x})")
         for v in range(n_v):
-            wv = ywv[:, :, v].sum(axis=1)                    # latent mass within v
+            wv = ywv[:, :, v].sum(axis=0)                    # latent mass within v
             total = wv.sum()
             if total <= SUPPORT_TOL:
                 raise ZeroConditioningCell(f"cell (V={v}, X={x}) lost all mass")
             keep = wv / total > SUPPORT_TOL
-            cond = ywv[keep, :, v] / wv[keep, None]
-            means = cond @ y_levels
+            means = y_levels @ (ywv[:, keep, v] / wv[keep])
             mins[v, x], maxs[v, x] = float(means.min()), float(means.max())
 
     per_v_lower = mins[:, 1] - mins[:, 0]

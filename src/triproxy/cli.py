@@ -33,18 +33,19 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import bounds_auxiliary_proxy, bounds_outcome_proxy
+from .bounds import POINT_TOL, bounds_auxiliary_proxy, bounds_outcome_proxy
 from .errors import (GoldenMismatch, IdentificationRefused, MissingLevels,
                      NonBinaryTreatment, TriproxyError, ValidationError)
 from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
-from .pipelines import (DEFAULT_TAUS, EstimandReport, estimands,
+from .pipelines import (COND_GUARD, PROJECTION_TOL, EstimandReport, estimands,
                         identify_auxiliary_proxy, identify_cond_treatment_proxy,
                         identify_outcome_proxy, identify_treatment_proxy)
-from .prob import ProbTensor, marginalize
+from .prob import MASS_TOL, ProbTensor, marginalize
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import (Npsem, arm_label, counterfactual_joint, empirical_tensor,
                   observed_joint, sample)
-from .spectral import HsOptions
+from .spectral import (AMBIGUITY_TOL, EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL,
+                       HsOptions)
 
 REPORT_FORMAT = 1
 
@@ -55,13 +56,19 @@ PIPELINES = {
     "auxiliary": (identify_auxiliary_proxy, ("Y", "C", "Z", "V", "X")),
 }
 
+GOLDEN_TOL = 1e-9
+
 TOLERANCES = {
-    "mass_tol": 1e-10,
-    "rank_tol": 1e-7,
-    "eigen_gap_tol": 1e-6,
-    "projection_tol": 1e-4,
-    "point_identified_tol": 1e-7,
-    "golden_tol": 1e-9,
+    "mass_tol": MASS_TOL,
+    "rank_tol": RANK_TOL,
+    "eigen_gap_tol": EIGEN_GAP_TOL,
+    "imag_tol": IMAG_TOL,
+    "neg_tol": NEG_TOL,
+    "ambiguity_tol": AMBIGUITY_TOL,
+    "cond_guard": COND_GUARD,
+    "projection_tol": PROJECTION_TOL,
+    "point_identified_tol": POINT_TOL,
+    "golden_tol": GOLDEN_TOL,
 }
 
 
@@ -114,8 +121,11 @@ def _load_model(path: str) -> Npsem:
 
 
 def _load_tensor(path: str) -> ProbTensor:
+    d = _load_json(path)
+    if isinstance(d, dict) and d.get("verb") == "simulate":   # a simulate report
+        d = d.get("result")
     try:
-        return ProbTensor.from_dict(_load_json(path))
+        return ProbTensor.from_dict(d)
     except TriproxyError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -356,7 +366,7 @@ def run_fixture(name: str) -> dict:
     return result
 
 
-def compare_golden(fresh: dict, golden: dict, tol: float = 1e-9,
+def compare_golden(fresh: dict, golden: dict, tol: float = GOLDEN_TOL,
                    path: str = "") -> list[str]:
     diffs: list[str] = []
     if isinstance(golden, dict) and isinstance(fresh, dict):
@@ -384,7 +394,7 @@ def compare_golden(fresh: dict, golden: dict, tol: float = 1e-9,
 def _cmd_end_to_end(args) -> int:
     payload = _fixture_payload(args.fixture)
     result = run_fixture(args.fixture)
-    diffs = compare_golden(result, payload["golden"], TOLERANCES["golden_tol"])
+    diffs = compare_golden(result, payload["golden"])
     if diffs:
         raise GoldenMismatch("golden mismatch: " + "; ".join(diffs[:20]))
     _write(args.report, _report(args, "end-to-end", result))

@@ -7,6 +7,10 @@ report *why* a run failed, not just that it did.
 
 from __future__ import annotations
 
+#: what a latent law with negative or missing mass says about the input: the
+#: latent dimension is below the true one, or the joint is not exact
+FACTORIZATION_ASSUMPTION = "the joint factors through the stated number of latent states"
+
 
 class TriproxyError(Exception):
     """Base class for all package errors."""
@@ -81,7 +85,9 @@ class ComplexResidual(TriproxyError):
 
 
 class NegativeMass(TriproxyError):
-    pass
+    """A recovered latent-indexed kernel has entries below the tolerance."""
+
+    assumption = FACTORIZATION_ASSUMPTION
 
 
 class AmbiguousMatch(TriproxyError):
@@ -95,7 +101,9 @@ class SolveIllConditioned(TriproxyError):
 
 
 class NonStochasticSolution(TriproxyError):
-    pass
+    """A second-stage solution is too far from a probability law."""
+
+    assumption = FACTORIZATION_ASSUMPTION
 
 
 class MissingLevels(TriproxyError):

@@ -11,6 +11,12 @@ objects every downstream quantity — potential-outcome laws, ATE/ATT/ATU,
 quantile effects, and the distribution of the stratum effect β(W) — is a
 finite sum, computed by :func:`estimands`.
 
+The designs differ in which variable is the third proxy, and share two
+stages: the outcome and conditional-treatment designs run one
+reference-stratum stage (factorize in the most probable stratum, transfer
+``f(z | w)`` to the others), and the treatment and auxiliary designs run one
+deconvolution of an observed joint through ``f(z | w)``.
+
 The latent ordering inside every assembled model is canonical (latent
 states sorted lexicographically by their ``f(z | w)`` column), so reports
 are invariant — bit for bit — under relabelings of the generating model's
@@ -30,7 +36,7 @@ from .errors import (
     SolveIllConditioned,
     UnknownAxis,
 )
-from .prob import MarkovKernel, ProbTensor, VarSpace, condition, marginalize, restrict
+from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize, restrict
 from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose, match_permutation
 
 COND_GUARD = 1e8
@@ -90,7 +96,7 @@ class LatentOutcomeModel:
 
 
 # ---------------------------------------------------------------------------
-# shared solve helpers
+# shared stages
 
 
 def _require_axes(joint: ProbTensor, names: tuple[str, ...]) -> None:
@@ -99,20 +105,17 @@ def _require_axes(joint: ProbTensor, names: tuple[str, ...]) -> None:
         raise UnknownAxis(f"joint is missing axes {sorted(missing)}")
 
 
-def _guard_condition(mat: np.ndarray, what: str) -> float:
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _solve(design: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Least-squares solution of ``design @ sol = rhs`` and the design's
+    condition number, from one SVD.  The guard keeps every singular value far
+    above lstsq's cutoff, so this is the solution lstsq returns."""
+    u, sv, vh = np.linalg.svd(design, full_matrices=False)
     cond = np.inf if sv[-1] <= 0 else float(sv[0] / sv[-1])
     if cond > COND_GUARD:
         raise SolveIllConditioned(
             f"{what} has condition number {cond:.3e} above {COND_GUARD:.0e}",
             assumption=STRATUM_COMPLETENESS_LABEL)
-    return cond
-
-
-def _solve(design: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    cond = _guard_condition(design, what)
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return sol, cond
+    return vh.T @ ((u.T @ rhs) / sv[:, None]), cond
 
 
 def _project_columns(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -129,11 +132,29 @@ def _project_columns(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return projected, dist
 
 
-def _project_nonneg(arr: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    dist = float(-min(arr.min(), 0.0))
-    if dist > PROJECTION_TOL:
-        raise NonStochasticSolution(f"{what} has negative mass {dist:.3e}")
-    return np.clip(arr, 0.0, None), dist
+def _deconvolve(z_given_w: np.ndarray, arr: np.ndarray,
+                what: str) -> tuple[np.ndarray, float, float]:
+    """Latent joint ``out`` with ``arr[a, z, ...] = sum_w f(z | w) out[a, w, ...]``
+    (axis 1 of ``arr`` is the proxy Z), round-off negatives clipped.
+
+    Returns ``(out, projection distance, solve condition number)``.  An
+    exact joint that factors through the latent states gives a solution with
+    no negative entries and unit mass; one with entries below
+    ``-PROJECTION_TOL``, or whose clipped mass is off by more than the
+    tensor layer's ``MASS_TOL``, is refused.
+    """
+    zs = np.moveaxis(arr, 1, 0)
+    sol, cond = _solve(z_given_w, zs.reshape(zs.shape[0], -1), "shared proxy kernel")
+    out = np.moveaxis(sol.reshape((-1,) + zs.shape[1:]), 0, 1)
+    neg = float(-min(out.min(), 0.0))
+    if neg > PROJECTION_TOL:
+        raise NonStochasticSolution(f"{what} has negative mass {neg:.3e}")
+    out = np.clip(out, 0.0, None)
+    mass = float(out.sum())
+    if abs(mass - 1.0) > MASS_TOL:
+        raise NonStochasticSolution(
+            f"{what} has total mass {mass!r}, not within {MASS_TOL} of 1")
+    return out, neg, cond
 
 
 def _normalize_slices(joint: np.ndarray) -> np.ndarray:
@@ -161,14 +182,11 @@ DISTINCTNESS_BY_DESIGN = {
 }
 
 
-def _hs(joint_zcv: np.ndarray, k: int, opts: HsOptions | None,
-        design: str | None = None) -> HsFactors:
-    opts = opts or HsOptions(latent_dim=k)
-    if opts.latent_dim != k:
-        opts = replace(opts, latent_dim=k)
-    if design in DISTINCTNESS_BY_DESIGN:
-        opts = replace(opts, distinctness_label=DISTINCTNESS_BY_DESIGN[design])
-    return hs_decompose(joint_zcv, opts)
+def _hs_options(opts: HsOptions | None, k: int, design: str | None = None) -> HsOptions:
+    """``opts`` (defaults when None) at latent dimension ``k``, naming the
+    distinctness assumption of ``design`` when one is given."""
+    label = {} if design is None else {"distinctness_label": DISTINCTNESS_BY_DESIGN[design]}
+    return replace(opts or HsOptions(latent_dim=k), latent_dim=k, **label)
 
 
 def _diag_entry(f: HsFactors) -> dict:
@@ -176,6 +194,67 @@ def _diag_entry(f: HsFactors) -> dict:
     return {"singular_ratio": d.singular_ratio, "eigen_gap": d.eigen_gap,
             "max_imag": d.max_imag, "lstsq_residual": d.lstsq_residual,
             "clipped_mass": d.clipped_mass}
+
+
+def _reference_stratum(joint: ProbTensor, k: int, opts: HsOptions | None,
+                       strata: str, signal: str, design: str):
+    """Factorize the (Z, signal, V) law in the most probable level of
+    ``strata``, carry the shared proxy kernel f(z | w) to every other level,
+    and solve that level's f(w | v) and f(signal | w) by linear solves.
+
+    Returns ``(z_given_w, signal_given_w, w_strata_joint, projection
+    distance, diagnostics)``; ``signal_given_w`` has shape
+    ``(|signal|, k, |strata|)`` and ``w_strata_joint`` is f(w, strata).
+    """
+    f_s = marginalize(joint, set(joint.names) - {strata}).values
+    s_ref = int(np.argmax(f_s))
+    diag: dict = {"design": design, "reference_stratum": s_ref, "stages": f_s.size}
+
+    fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), {strata: s_ref}),
+                       _hs_options(opts, k, design))
+    diag[f"hs_{strata.lower()}{s_ref}"] = _diag_entry(fac)
+    z_given_w = fac.z_given_w
+    k_card = z_given_w.shape[1]
+    signal_given_w = np.empty((joint.axis(signal).cardinality, k_card, f_s.size))
+    w_given_v = np.empty((k_card, joint.axis("V").cardinality, f_s.size))
+    signal_given_w[:, :, s_ref] = fac.c_given_w
+    w_given_v[:, :, s_ref] = fac.w_given_v
+    proj = 0.0
+
+    for s in range(f_s.size):
+        if s == s_ref:
+            continue
+        where = f"{strata}={s}"
+        z_given_v = _slice_joint(joint, ("Z", "V"), {strata: s})
+        sol, _ = _solve(z_given_w, z_given_v / z_given_v.sum(axis=0, keepdims=True),
+                        f"shared proxy kernel ({where})")
+        w_given_v[:, :, s], d = _project_columns(sol, f"latent posterior ({where})")
+        proj = max(proj, d)
+        # trilinear stage: per signal level, the (z, v) slice is linear in
+        # the K unknown latent weights
+        design_mat = (z_given_w[:, None, :] * w_given_v[:, :, s].T).reshape(-1, k_card)
+        czv = _slice_joint(joint, (signal, "Z", "V"), {strata: s})
+        czv = czv / czv.sum(axis=(0, 1), keepdims=True)      # condition on v
+        sol, _ = _solve(design_mat, czv.reshape(czv.shape[0], -1).T,
+                        f"signal design matrix ({where})")
+        signal_given_w[:, :, s], d = _project_columns(sol.T, f"signal kernel ({where})")
+        proj = max(proj, d)
+
+    # stochastic columns of f(w | v, s) keep this joint on the simplex
+    f_vs = marginalize(joint, set(joint.names) - {"V", strata}).reorder(("V", strata)).values
+    w_strata = np.einsum("wvs,vs->ws", w_given_v, f_vs)
+    return z_given_w, signal_given_w, w_strata, proj, diag
+
+
+def _latent_model(joint: ProbTensor, design: str, y_given_wx: np.ndarray,
+                  wx: np.ndarray, z_given_w: np.ndarray, diag: dict,
+                  **auxiliary) -> LatentOutcomeModel:
+    w = _latent_space(z_given_w.shape[1])
+    return LatentOutcomeModel(
+        y_given_wx=MarkovKernel.build(joint.axis("Y"), (w, joint.axis("X")), y_given_wx),
+        wx_joint=ProbTensor.build((w, joint.axis("X")), wx),
+        z_given_w=MarkovKernel.build(joint.axis("Z"), (w,), z_given_w),
+        design=design, diagnostics=diag, **auxiliary)
 
 
 # ---------------------------------------------------------------------------
@@ -187,56 +266,10 @@ def identify_outcome_proxy(joint: ProbTensor, k: int,
     """Outcome-proxy design: factorize within a reference treatment stratum,
     carry the shared proxy kernel to the other strata by linear solves."""
     _require_axes(joint, ("Y", "Z", "V", "X"))
-    f_x = marginalize(joint, set(joint.names) - {"X"}).values
-    n_x = f_x.size
-    x_ref = int(np.argmax(f_x))
-    diag: dict = {"design": "outcome", "reference_stratum": x_ref}
-
-    fac = _hs(_slice_joint(joint, ("Z", "Y", "V"), {"X": x_ref}), k, opts, "outcome")
-    diag[f"hs_x{x_ref}"] = _diag_entry(fac)
-    z_given_w = fac.z_given_w
-
-    k_card = z_given_w.shape[1]
-    y_card = joint.axis("Y").cardinality
-    v_card = joint.axis("V").cardinality
-    y_given_w = np.empty((y_card, k_card, n_x))
-    w_given_v = np.empty((k_card, v_card, n_x))
-    y_given_w[:, :, x_ref] = fac.c_given_w
-    w_given_v[:, :, x_ref] = fac.w_given_v
-    proj = 0.0
-
-    for x in range(n_x):
-        if x == x_ref:
-            continue
-        z_given_v = _slice_joint(joint, ("Z", "V"), {"X": x})
-        z_given_v = z_given_v / z_given_v.sum(axis=0, keepdims=True)
-        sol, _ = _solve(z_given_w, z_given_v, "shared proxy kernel")
-        w_given_v[:, :, x], d = _project_columns(sol, f"latent posterior in stratum {x}")
-        proj = max(proj, d)
-        # trilinear stage: per outcome level, the (z, v) slice is linear in
-        # the K unknown latent weights
-        design = np.stack([np.outer(z_given_w[:, w], w_given_v[w, :, x]).ravel()
-                           for w in range(k_card)], axis=1)
-        yzv = _slice_joint(joint, ("Y", "Z", "V"), {"X": x})
-        yzv = yzv / yzv.sum(axis=(0, 1), keepdims=True)      # condition on v
-        sol, _ = _solve(design, yzv.reshape(y_card, -1).T,
-                        "stratum outcome design matrix")
-        y_given_w[:, :, x], d = _project_columns(sol.T, f"outcome kernel in stratum {x}")
-        proj = max(proj, d)
-
-    f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
-    wx = np.einsum("wvx,vx->wx", w_given_v, f_vx)
-    wx, d = _project_nonneg(wx, "latent/treatment joint")
-    proj = max(proj, d)
+    z_given_w, y_given_wx, wx, proj, diag = _reference_stratum(
+        joint, k, opts, "X", "Y", "outcome")
     diag["projection_distance"] = proj
-
-    return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(joint.axis("Y"), (_latent_space(k_card),
-                                                        joint.axis("X")), y_given_w),
-        wx_joint=ProbTensor.build((_latent_space(k_card), joint.axis("X")), wx),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), (_latent_space(k_card),),
-                                     z_given_w),
-        design="outcome", diagnostics=diag)
+    return _latent_model(joint, "outcome", y_given_wx, wx, z_given_w, diag)
 
 
 def identify_treatment_proxy(joint: ProbTensor, k: int,
@@ -244,30 +277,14 @@ def identify_treatment_proxy(joint: ProbTensor, k: int,
     """Treatment-proxy design: one global factorization with the treatment as
     the signal, then per-(y, x) deconvolution of the outcome law."""
     _require_axes(joint, ("Y", "Z", "X", "V"))
-    fac = _hs(_slice_joint(joint, ("Z", "X", "V"), {}), k, opts, "treatment")
-    diag = {"design": "treatment", "hs": _diag_entry(fac)}
-    z_given_w = fac.z_given_w
-    k_card = z_given_w.shape[1]
-
-    yzx = _slice_joint(joint, ("Y", "Z", "X"), {})
-    y_card, _, n_x = yzx.shape
-    rhs = np.moveaxis(yzx, 1, 0).reshape(yzx.shape[1], -1)  # (|Z|, y*x)
-    sol, cond = _solve(z_given_w, rhs, "shared proxy kernel")
-    ywx = sol.reshape(k_card, y_card, n_x).transpose(1, 0, 2)  # f(y, w, x)
-    ywx, proj = _project_nonneg(ywx, "outcome/latent/treatment joint")
-    diag["projection_distance"] = proj
-    diag["solve_condition"] = cond
-
-    wx = ywx.sum(axis=0)
-    y_given_wx = _normalize_slices(ywx)
-
-    return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(joint.axis("Y"), (_latent_space(k_card),
-                                                        joint.axis("X")), y_given_wx),
-        wx_joint=ProbTensor.build((_latent_space(k_card), joint.axis("X")), wx),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), (_latent_space(k_card),),
-                                     z_given_w),
-        design="treatment", diagnostics=diag)
+    fac = hs_decompose(_slice_joint(joint, ("Z", "X", "V"), {}),
+                       _hs_options(opts, k, "treatment"))
+    ywx, proj, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, ("Y", "Z", "X"), {}),
+                                  "outcome/latent/treatment joint")
+    diag = {"design": "treatment", "hs": _diag_entry(fac),
+            "projection_distance": proj, "solve_condition": cond}
+    return _latent_model(joint, "treatment", _normalize_slices(ywx), ywx.sum(axis=0),
+                         fac.z_given_w, diag)
 
 
 def identify_cond_treatment_proxy(joint: ProbTensor, k: int,
@@ -276,63 +293,12 @@ def identify_cond_treatment_proxy(joint: ProbTensor, k: int,
     stratum, align the remaining outcome strata through the shared proxy
     kernel, and reassemble the (y, x, w) joint."""
     _require_axes(joint, ("X", "Z", "V", "Y"))
-    f_y = marginalize(joint, set(joint.names) - {"Y"}).values
-    n_y = f_y.size
-    y_ref = int(np.argmax(f_y))
-    diag: dict = {"design": "cond-treatment", "reference_stratum": y_ref,
-                  "stages": 0}
-
-    fac = _hs(_slice_joint(joint, ("Z", "X", "V"), {"Y": y_ref}), k, opts,
-              "cond-treatment")
-    diag[f"hs_y{y_ref}"] = _diag_entry(fac)
-    diag["stages"] += 1
-    z_given_w = fac.z_given_w
-    k_card = z_given_w.shape[1]
-    n_x = joint.axis("X").cardinality
-    v_card = joint.axis("V").cardinality
-
-    x_given_wy = np.empty((n_x, k_card, n_y))
-    w_given_vy = np.empty((k_card, v_card, n_y))
-    x_given_wy[:, :, y_ref] = fac.c_given_w
-    w_given_vy[:, :, y_ref] = fac.w_given_v
-    proj = 0.0
-
-    for y in range(n_y):
-        if y == y_ref:
-            continue
-        diag["stages"] += 1
-        z_given_v = _slice_joint(joint, ("Z", "V"), {"Y": y})
-        z_given_v = z_given_v / z_given_v.sum(axis=0, keepdims=True)
-        sol, _ = _solve(z_given_w, z_given_v, f"shared proxy kernel (outcome {y})")
-        w_given_vy[:, :, y], d = _project_columns(sol, f"latent posterior (outcome {y})")
-        proj = max(proj, d)
-        design = np.stack([np.outer(z_given_w[:, w], w_given_vy[w, :, y]).ravel()
-                           for w in range(k_card)], axis=1)
-        xzv = _slice_joint(joint, ("X", "Z", "V"), {"Y": y})
-        xzv = xzv / xzv.sum(axis=(0, 1), keepdims=True)      # condition on v
-        sol, _ = _solve(design, xzv.reshape(n_x, -1).T,
-                        f"treatment design matrix (outcome {y})")
-        x_given_wy[:, :, y], d = _project_columns(sol.T,
-                                                  f"treatment kernel (outcome {y})")
-        proj = max(proj, d)
-
-    f_vy = marginalize(joint, set(joint.names) - {"V", "Y"}).reorder(("V", "Y")).values
-    wy = np.einsum("wvy,vy->wy", w_given_vy, f_vy)          # f(w, y)
-    yxw = np.einsum("xwy,wy->yxw", x_given_wy, wy)          # f(y, x, w)
-    yxw, d = _project_nonneg(yxw, "outcome/treatment/latent joint")
-    proj = max(proj, d)
+    z_given_w, x_given_wy, wy, proj, diag = _reference_stratum(
+        joint, k, opts, "Y", "X", "cond-treatment")
     diag["projection_distance"] = proj
-
-    wx = yxw.sum(axis=0).T                                   # (w, x)
-    y_given_wx = _normalize_slices(np.transpose(yxw, (0, 2, 1)))
-
-    return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(joint.axis("Y"), (_latent_space(k_card),
-                                                        joint.axis("X")), y_given_wx),
-        wx_joint=ProbTensor.build((_latent_space(k_card), joint.axis("X")), wx),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), (_latent_space(k_card),),
-                                     z_given_w),
-        design="cond-treatment", diagnostics=diag)
+    yxw = np.einsum("xwy,wy->yxw", x_given_wy, wy)
+    return _latent_model(joint, "cond-treatment", _normalize_slices(yxw.transpose(0, 2, 1)),
+                         yxw.sum(axis=0).T, z_given_w, diag)
 
 
 def identify_auxiliary_proxy(joint: ProbTensor, k: int,
@@ -342,75 +308,65 @@ def identify_auxiliary_proxy(joint: ProbTensor, k: int,
     potential-outcome display."""
     _require_axes(joint, ("Y", "C", "Z", "V", "X"))
     f_x = marginalize(joint, set(joint.names) - {"X"}).values
-    n_x = f_x.size
     x_ref = int(np.argmax(f_x))
     diag: dict = {"design": "auxiliary", "reference_stratum": x_ref}
 
-    y_card = joint.axis("Y").cardinality
-    v_card = joint.axis("V").cardinality
-    factors: dict[int, HsFactors] = {}
-    for x in range(n_x):
-        fac = _hs(_slice_joint(joint, ("Z", "C", "V"), {"X": x}), k, opts, "auxiliary")
-        factors[x] = fac
+    hs_opts = _hs_options(opts, k, "auxiliary")
+    factors = [hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}), hs_opts)
+               for x in range(f_x.size)]
+    for x, fac in enumerate(factors):
         diag[f"hs_x{x}"] = _diag_entry(fac)
-    k_card = factors[x_ref].z_given_w.shape[1]
     z_given_w = factors[x_ref].z_given_w
 
-    # align every stratum's latent ordering to the reference proxy kernel
-    w_given_vx = np.empty((k_card, v_card, n_x))
-    for x in range(n_x):
-        perm = match_permutation(z_given_w, factors[x].z_given_w)
-        w_given_vx[:, :, x] = factors[x].w_given_v[perm]
-
+    # align every stratum's latent ordering to the reference proxy kernel;
+    # the stochastic columns of f(w | v, x) keep f(v, w, x) on the simplex
+    w_given_vx = np.stack([fac.w_given_v[match_permutation(z_given_w, fac.z_given_w)]
+                           for fac in factors], axis=2)
     f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
     vwx = np.einsum("wvx,vx->vwx", w_given_vx, f_vx)        # f(v, w, x)
-    vwx, proj = _project_nonneg(vwx, "proxy/latent/treatment joint")
 
-    yzvx = _slice_joint(joint, ("Y", "Z", "V", "X"), {})
-    rhs = np.moveaxis(yzvx, 1, 0).reshape(yzvx.shape[1], -1)
-    sol, cond = _solve(z_given_w, rhs, "shared proxy kernel")
-    ywvx = sol.reshape(k_card, y_card, v_card, n_x).transpose(1, 0, 2, 3)
-    ywvx, d = _project_nonneg(ywvx, "outcome/latent joint")
-    proj = max(proj, d)
+    ywvx, proj, cond = _deconvolve(z_given_w, _slice_joint(joint, ("Y", "Z", "V", "X"), {}),
+                                   "outcome/latent joint")
     diag["projection_distance"] = proj
     diag["solve_condition"] = cond
 
-    y_given_wvx = _normalize_slices(ywvx)
     ywx = ywvx.sum(axis=2)
-    wx = ywx.sum(axis=0)
-    y_given_wx = _normalize_slices(ywx)
-
-    w_space = _latent_space(k_card)
-    return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(joint.axis("Y"), (w_space, joint.axis("X")),
-                                      y_given_wx),
-        wx_joint=ProbTensor.build((w_space, joint.axis("X")), wx),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), (w_space,), z_given_w),
-        design="auxiliary",
+    w_space = _latent_space(z_given_w.shape[1])
+    return _latent_model(
+        joint, "auxiliary", _normalize_slices(ywx), ywx.sum(axis=0), z_given_w, diag,
         y_given_wvx=MarkovKernel.build(joint.axis("Y"),
                                        (w_space, joint.axis("V"), joint.axis("X")),
-                                       y_given_wvx),
-        vwx_joint=ProbTensor.build((joint.axis("V"), w_space, joint.axis("X")), vwx),
-        diagnostics=diag)
+                                       _normalize_slices(ywvx)),
+        vwx_joint=ProbTensor.build((joint.axis("V"), w_space, joint.axis("X")), vwx))
 
 
 # ---------------------------------------------------------------------------
 # estimands
 
 
+def _arm_laws(m: LatentOutcomeModel) -> np.ndarray:
+    """f(Y(x1) = y, W = w, X = x) for every arm ``x1``, shape
+    ``(n_x, |Y|, k, n_x)``, in the model's own latent order.  The auxiliary
+    design integrates V within each latent stratum and factual treatment."""
+    if m.y_given_wvx is not None:
+        return np.einsum("ywvt,vwx->tywx", m.y_given_wvx.values, m.vwx_joint.values)
+    return np.einsum("ywt,wx->tywx", m.y_given_wx.values, m.wx_joint.values)
+
+
+def _state_effects(laws: np.ndarray, w_marginal: np.ndarray,
+                   y_levels: np.ndarray) -> np.ndarray:
+    """Per-latent-state effect E[Y(1) - Y(0) | W = w] from the arm laws."""
+    cond_w = laws.sum(axis=3) / w_marginal                   # (x1, y, w)
+    return y_levels @ (cond_w[1] - cond_w[0])
+
+
 def potential_joint(m: LatentOutcomeModel, x1: int) -> ProbTensor:
     """Joint law of the potential outcome under treatment level ``x1``
     together with the latent state and the factual treatment."""
     m = m.canonicalized()
-    if m.design == "auxiliary" and m.y_given_wvx is not None:
-        vals = np.einsum("ywv,vwx->ywx", m.y_given_wvx.values[:, :, :, x1],
-                         m.vwx_joint.values)
-    else:
-        vals = np.einsum("yw,wx->ywx", m.y_given_wx.values[:, :, x1],
-                         m.wx_joint.values)
     y = m.y_given_wx.target
     arm = VarSpace(f"{y.name}({x1})", y.cardinality, y.levels)
-    return ProbTensor.build((arm, m.wx_joint.axes[0], m.wx_joint.axes[1]), vals)
+    return ProbTensor.build((arm,) + m.wx_joint.axes, _arm_laws(m)[x1])
 
 
 def _left_quantile(levels: np.ndarray, pmf: np.ndarray, tau: float) -> float:
@@ -452,25 +408,21 @@ def estimands(m: LatentOutcomeModel,
         raise MissingLevels(f"outcome {y_space.name!r} carries no numeric levels")
     y_levels = y_space.level_values()
     n_x = m.wx_joint.values.shape[1]
-
-    pots = [potential_joint(m, x1) for x1 in range(n_x)]
-    w_x = m.wx_joint.values
-    f_x = w_x.sum(axis=0)
-    w_marg = w_x.sum(axis=1)
-    w_given_x = w_x / f_x
-
-    pot_y_given_x = np.stack(
-        [p.values.sum(axis=1) / f_x for p in pots], axis=1)      # (|Y|, x1, x2)
-    pot_y = np.stack([p.values.sum(axis=(1, 2)) for p in pots], axis=1)
-
     if n_x != 2:
         raise NonBinaryTreatment(f"effect summaries need a binary treatment, "
                                  f"got {n_x} levels")
 
     # effect summaries come from the potential-outcome laws so the
     # auxiliary design's V-integrated display is honored
-    cond_w = np.stack([p.values.sum(axis=2) / w_marg for p in pots])  # (x1, y, w)
-    beta = y_levels @ (cond_w[1] - cond_w[0])
+    laws = _arm_laws(m)                                      # (x1, y, w, x2)
+    w_x = m.wx_joint.values
+    f_x = w_x.sum(axis=0)
+    w_marg = w_x.sum(axis=1)
+    w_given_x = w_x / f_x
+
+    pot_y_given_x = laws.sum(axis=2).transpose(1, 0, 2) / f_x   # (|Y|, x1, x2)
+    pot_y = laws.sum(axis=(2, 3)).T                          # (|Y|, x1)
+    beta = _state_effects(laws, w_marg, y_levels)
     ate = float(y_levels @ (pot_y[:, 1] - pot_y[:, 0]))
     att = float(y_levels @ (pot_y_given_x[:, 1, 1] - pot_y_given_x[:, 0, 1]))
     atu = float(y_levels @ (pot_y_given_x[:, 1, 0] - pot_y_given_x[:, 0, 0]))

@@ -8,7 +8,7 @@ Tolerances:
 
 * every entry must be finite (NaN and infinities are rejected);
 * total mass of a joint must be within ``MASS_TOL`` of one;
-* negative round-off entries in ``(-neg_tol, 0)`` are clipped and the
+* negative round-off entries in ``(-NEG_TOL, 0)`` are clipped and the
   array renormalized; anything more negative raises
   :class:`~triproxy.errors.InvalidDistribution`.
 """
@@ -72,13 +72,13 @@ class VarSpace:
                    tuple(d["levels"]) if d.get("levels") is not None else None)
 
 
-def _clean(values: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
+def _clean(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InvalidDistribution(f"{what}: non-finite entries")
     worst = float(values.min()) if values.size else 0.0
-    if worst < -neg_tol:
+    if worst < -NEG_TOL:
         raise InvalidDistribution(
-            f"{what}: entry {worst:.3e} below -{neg_tol:.0e}"
+            f"{what}: entry {worst:.3e} below -{NEG_TOL:.0e}"
         )
     return np.clip(values, 0.0, None)
 
@@ -114,10 +114,10 @@ class ProbTensor:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, axes, values, neg_tol: float = NEG_TOL) -> "ProbTensor":
+    def build(cls, axes, values) -> "ProbTensor":
         """Validate, clip benign negative round-off, renormalize."""
         values = np.asarray(values, dtype=float)
-        values = _clean(values, neg_tol, "ProbTensor")
+        values = _clean(values, "ProbTensor")
         mass = values.sum()
         if abs(mass - 1.0) > MASS_TOL:
             raise InvalidDistribution(f"total mass {float(mass)!r} not within {MASS_TOL} of 1")
@@ -194,12 +194,11 @@ class MarkovKernel:
         self.values.setflags(write=False)
 
     @classmethod
-    def build(cls, target, given, values,
-              neg_tol: float = NEG_TOL, slice_tol: float = MASS_TOL) -> "MarkovKernel":
+    def build(cls, target, given, values) -> "MarkovKernel":
         values = np.asarray(values, dtype=float)
-        values = _clean(values, neg_tol, "MarkovKernel")
+        values = _clean(values, "MarkovKernel")
         sums = values.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > slice_tol):
+        if np.any(np.abs(sums - 1.0) > MASS_TOL):
             worst = float(np.abs(sums - 1.0).max())
             raise InvalidDistribution(f"kernel slice mass off by {worst:.3e}")
         return cls(target, tuple(given), values / sums)
@@ -210,9 +209,6 @@ class MarkovKernel:
         if len(self.given) != 1:
             raise AxisMismatch("matrix view needs exactly one conditioning axis")
         return self.values
-
-    def given_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.given)
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +254,6 @@ def condition(t: ProbTensor, on) -> MarkovKernel:
     return MarkovKernel(target, given, arr / marg)
 
 
-def kernel_product(k: MarkovKernel, m: ProbTensor) -> ProbTensor:
-    """Attach ``k``'s target to ``m``: the joint ``f(target, m axes)``.
-
-    Requires every conditioning axis of ``k`` to appear in ``m`` (matched by
-    name and cardinality).  Mass of ``m`` is preserved exactly up to
-    round-off.
-    """
-    if k.target.name in m.names:
-        raise AxisMismatch(f"target {k.target.name!r} already present in {m.names}")
-    for g in k.given:
-        try:
-            axis = m.axis(g.name)
-        except UnknownAxis:
-            raise AxisMismatch(f"conditioning axis {g.name!r} missing from {m.names}")
-        if axis.cardinality != g.cardinality:
-            raise AxisMismatch(f"axis {g.name!r} cardinality mismatch")
-    # broadcast k over m: shape (target, *m) with k's given axes aligned
-    shape = [k.target.cardinality] + [
-        m.axes[i].cardinality if m.axes[i].name in k.given_names() else 1
-        for i in range(len(m.axes))
-    ]
-    perm = [0] + [1 + k.given_names().index(a.name)
-                  for a in m.axes if a.name in k.given_names()]
-    kv = np.transpose(k.values, perm).reshape(shape)
-    values = kv * m.values[np.newaxis, ...]
-    return ProbTensor((k.target,) + m.axes, values)
-
-
 def restrict(t: ProbTensor, assignments: dict, renormalize: bool = True) -> ProbTensor:
     """Fix axes to level indices; optionally renormalize to the conditional."""
     for name in assignments:
@@ -304,10 +272,3 @@ def restrict(t: ProbTensor, assignments: dict, renormalize: bool = True) -> Prob
         keep = (VarSpace("_unit", 1),)
         values = np.asarray(values).reshape((1,))
     return ProbTensor(keep, values)
-
-
-def expectation(t: ProbTensor, name: str) -> float:
-    """Mean of the numeric levels of axis ``name`` under the joint."""
-    axis = t.axis(name)
-    marg = marginalize(t, set(t.names) - {name})
-    return float(marg.values @ axis.level_values())

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlphaCollision, MissingLevels, TauOutOfRange, ZeroConditioningCell
-from .pipelines import LatentOutcomeModel, potential_joint
+from .pipelines import LatentOutcomeModel, _arm_laws, _state_effects
 from .prob import MarkovKernel, ProbTensor, VarSpace
 
 
@@ -139,9 +139,8 @@ class LabeledLatentModel:
 
     def beta(self) -> np.ndarray:
         """Per-state effect E[Y(1) - Y(0) | W = state], base ordering."""
-        y = self.base.y_given_wx.target.level_values()
-        means = np.einsum("y,ywx->wx", y, self.base.y_given_wx.values)
-        return means[:, 1] - means[:, 0]
+        return _state_effects(_arm_laws(self.base), self.w_marginal,
+                              self.base.y_given_wx.target.level_values())
 
     def beta_at_value(self, w_value: float) -> float:
         """Unbiased rule: effect in the stratum whose true value is ``w_value``."""

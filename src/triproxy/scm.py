@@ -371,23 +371,6 @@ def check_counterfactual_ci(m: Npsem, left_template: str, right, given=(),
     return True
 
 
-def consistency_residual(m: Npsem, treatment: str = "X", outcome: str = "Y") -> float:
-    """Max-abs gap between the row-selected cross-world joint and the factual law."""
-    x_card = m[treatment].space.cardinality
-    rest = tuple(n for n in m.names if n not in (outcome, treatment))
-    fact = observable_joint(m).reorder((outcome, treatment) + rest)
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome)
-    worst = 0.0
-    for x in range(x_card):
-        name = arm_label(outcome, (x,))
-        drop = {arm_label(outcome, (k,)) for k in range(x_card) if k != x} | {outcome}
-        j = marginalize(joint, drop).reorder((name, treatment) + rest)
-        # on the event treatment == x the arm coincides with the factual outcome
-        diff = j.values[:, x, ...] - fact.values[:, x, ...]
-        worst = max(worst, float(np.abs(diff).max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

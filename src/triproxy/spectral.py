@@ -37,19 +37,20 @@ from .prob import MASS_TOL, ProbTensor
 COMPLETENESS_LABEL = "HS Assumption 3 / Assumption 2: completeness of the proxy kernels"
 DISTINCTNESS_LABEL = "HS Assumption 4: distinct signal-kernel columns"
 
+RANK_TOL = 1e-7        # least singular-value ratio of the (z, v) margin at rank k
+EIGEN_GAP_TOL = 1e-6   # least gap between transfer-matrix eigenvalues
+IMAG_TOL = 1e-7        # largest imaginary part of an accepted eigenvalue
+NEG_TOL = 1e-6         # most negative entry clipped from a recovered kernel
+MAX_RETRIES = 8        # random reweightings tried before refusing
+AMBIGUITY_TOL = 1e-6   # least cost margin of a unique latent-label matching
+
 
 @dataclass(frozen=True)
 class HsOptions:
-    """Tuning knobs for :func:`hs_decompose`."""
+    """Per-call settings of :func:`hs_decompose`."""
 
     latent_dim: int
-    rank_tol: float = 1e-7
-    eigen_gap_tol: float = 1e-6
-    imag_tol: float = 1e-7
-    neg_tol: float = 1e-6
     seed: int = 0
-    max_retries: int = 8
-    completeness_label: str = COMPLETENESS_LABEL
     distinctness_label: str = DISTINCTNESS_LABEL
 
 
@@ -88,10 +89,9 @@ def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
     return np.lexsort(z_given_w[::-1])
 
 
-def _clip_stochastic(mat: np.ndarray, axis: int, neg_tol: float,
-                     what: str) -> tuple[np.ndarray, float]:
+def _clip_stochastic(mat: np.ndarray, axis: int, what: str) -> tuple[np.ndarray, float]:
     worst = float(-min(mat.min(), 0.0))
-    if worst > neg_tol:
+    if worst > NEG_TOL:
         raise NegativeMass(f"{what} has entries as low as {-worst:.3e}")
     out = np.clip(mat, 0.0, None)
     sums = out.sum(axis=axis, keepdims=True)
@@ -118,15 +118,15 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     if k > min(nz, nv):
         raise RankDeficient(
             f"latent dimension {k} exceeds proxy cardinalities ({nz}, {nv})",
-            assumption=opts.completeness_label)
+            assumption=COMPLETENESS_LABEL)
 
     m_zv = f.sum(axis=1)
     u_full, sv, vh = np.linalg.svd(m_zv)
-    if sv[0] <= 0 or sv[k - 1] / sv[0] < opts.rank_tol:
+    if sv[0] <= 0 or sv[k - 1] / sv[0] < RANK_TOL:
         ratio = 0.0 if sv[0] <= 0 else float(sv[k - 1] / sv[0])
         raise RankDeficient(
             f"(z, v) margin has singular-value ratio {ratio:.3e} below "
-            f"{opts.rank_tol:.1e} at rank {k}", assumption=opts.completeness_label)
+            f"{RANK_TOL:.1e} at rank {k}", assumption=COMPLETENESS_LABEL)
     u = u_full[:, :k]
     r = vh[:k].T
     b = u.T @ m_zv @ r
@@ -138,7 +138,7 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     eigvecs = None
     gap = imag = np.nan
     retries = 0
-    for retries in range(opts.max_retries):
+    for retries in range(MAX_RETRIES):
         xi = rng.dirichlet(np.ones(nc))
         t = np.einsum("c,cij->ij", xi, compressed) @ b_inv
         vals, vecs = np.linalg.eig(t)
@@ -148,18 +148,18 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
         imag = float(np.abs(vals.imag).max())
         best_gap = max(best_gap, gap)
         best_imag = min(best_imag, imag)
-        if gap >= opts.eigen_gap_tol and imag <= opts.imag_tol:
+        if gap >= EIGEN_GAP_TOL and imag <= IMAG_TOL:
             eigvecs = vecs.real
             break
     if eigvecs is None:
-        if best_gap >= opts.eigen_gap_tol:
+        if best_gap >= EIGEN_GAP_TOL:
             raise ComplexResidual(
                 f"transfer-matrix eigenvalues kept imaginary parts up to "
-                f"{best_imag:.3e} after {opts.max_retries} reweightings",
+                f"{best_imag:.3e} after {MAX_RETRIES} reweightings",
                 assumption=opts.distinctness_label)
         raise EigenGapExhausted(
-            f"best eigenvalue gap {best_gap:.3e} below {opts.eigen_gap_tol:.1e} "
-            f"after {opts.max_retries} reweightings",
+            f"best eigenvalue gap {best_gap:.3e} below {EIGEN_GAP_TOL:.1e} "
+            f"after {MAX_RETRIES} reweightings",
             assumption=opts.distinctness_label)
 
     e_inv = np.linalg.inv(eigvecs)
@@ -171,7 +171,7 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     col_sums = z_cols.sum(axis=0)
     if np.any(np.abs(col_sums) < 1e-12):
         raise RankDeficient("recovered proxy columns are mass-free",
-                            assumption=opts.completeness_label)
+                            assumption=COMPLETENESS_LABEL)
     z_cols = z_cols / col_sums
 
     v_marg = m_zv.sum(axis=0)
@@ -186,11 +186,11 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     z_cols, c_given_w, w_given_v = z_cols[:, perm], c_given_w[:, perm], w_given_v[perm]
 
     clipped = 0.0
-    z_given_w, worst = _clip_stochastic(z_cols, 0, opts.neg_tol, "proxy kernel")
+    z_given_w, worst = _clip_stochastic(z_cols, 0, "proxy kernel")
     clipped = max(clipped, worst)
-    c_given_w, worst = _clip_stochastic(c_given_w, 0, opts.neg_tol, "signal kernel")
+    c_given_w, worst = _clip_stochastic(c_given_w, 0, "signal kernel")
     clipped = max(clipped, worst)
-    w_given_v, worst = _clip_stochastic(w_given_v, 0, opts.neg_tol, "latent posterior")
+    w_given_v, worst = _clip_stochastic(w_given_v, 0, "latent posterior")
     clipped = max(clipped, worst)
 
     diag = HsDiagnostics(
@@ -245,8 +245,7 @@ def _min_assignment(cost: list[list[float]]) -> list[int]:
     return cols
 
 
-def match_permutation(reference: np.ndarray, candidate: np.ndarray,
-                      ambiguity_tol: float = 1e-6) -> np.ndarray:
+def match_permutation(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Permutation ``p`` minimizing total L1 gap of ``candidate[:, p]`` to
     ``reference``; raises :class:`AmbiguousMatch` when the optimum is not
     clearly unique."""
@@ -270,22 +269,7 @@ def match_permutation(reference: np.ndarray, candidate: np.ndarray,
         if alt_cols[i] == j:
             continue
         alt = float(cost[rows, alt_cols].sum())
-        if alt - best < ambiguity_tol:
+        if alt - best < AMBIGUITY_TOL:
             raise AmbiguousMatch(
                 f"two column matchings differ by only {alt - best:.3e}")
     return np.asarray(cols, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    singular_values: tuple[float, ...]
-    ratio: float
-    rank_ok: bool
-
-
-def completeness_diagnostics(matrix: np.ndarray, k: int,
-                             rank_tol: float = 1e-7) -> CompletenessReport:
-    """Singular-value summary of a candidate proxy kernel at target rank."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    ratio = 0.0 if sv.size < k or sv[0] <= 0 else float(sv[k - 1] / sv[0])
-    return CompletenessReport(tuple(float(s) for s in sv), ratio, ratio >= rank_tol)

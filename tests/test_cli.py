@@ -4,6 +4,7 @@ byte-determinism of reports, and the golden end-to-end fixtures."""
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,9 @@ import pytest
 import triproxy
 from conftest import oracle_effects
 from triproxy.cli import main
-from triproxy.generators import figure_model, rank_invariant_bounds_model
+from triproxy.generators import (FIGURE_DESIGNS, figure_model,
+                                 rank_invariant_bounds_model,
+                                 unbiased_proxy_model)
 from triproxy.prob import ProbTensor
 from triproxy.scm import observed_joint
 
@@ -234,6 +237,39 @@ class TestExitCodesAndDiagnostics:
         diag = json.loads(err)
         assert set(diag) == {"error", "message", "assumption"}
         assert "np.float64" not in diag["message"]
+
+
+class TestLatentDimBelowTruth:
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    def test_exit_3_names_assumption(self, tmp_path, capsys, figure):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(observed_joint(figure_model(figure, 3, seed=0)).to_dict()))
+        code, _, err = run(capsys, "identify", "--design", FIGURE_DESIGNS[figure],
+                           "--latent-dim", "2", "--joint", str(path))
+        assert code == 3
+        assert json.loads(err)["assumption"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The command lines of the README's ``## Command line`` block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
+    """Every README command, in order, on a model whose proxy is an unbiased
+    measure of the latent state (the relabel line needs one)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(
+        json.dumps(unbiased_proxy_model(2, seed=0).to_dict()))
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "triproxy"
+        code = main(argv[1:])
+        err = capsys.readouterr().err
+        assert code == 0, f"{shlex.join(argv)}: {err}"
 
 
 def test_cli_import_loads_no_scipy():

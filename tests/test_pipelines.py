@@ -6,7 +6,8 @@ import pytest
 
 from conftest import assert_cdf_match, oracle_effects
 from triproxy.errors import (EigenGapExhausted, MissingLevels,
-                             NonBinaryTreatment, RankDeficient, UnknownAxis)
+                             NonBinaryTreatment, RankDeficient, TriproxyError,
+                             UnknownAxis)
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
                                  standard_spaces)
@@ -235,6 +236,16 @@ class TestFailureModes:
         with pytest.raises(EigenGapExhausted) as ei:
             identify_treatment_proxy(observed_joint(m), K)
         assert DISTINCTNESS_BY_DESIGN["treatment"] in str(ei.value)
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_latent_dim_below_truth_names_assumption(self, figure, K):
+        """One latent state too few is refused with a named assumption."""
+        for seed in range(5):
+            m = figure_model(figure, K=K, seed=seed)
+            with pytest.raises(TriproxyError) as ei:
+                run_pipeline(m, K - 1)
+            assert ei.value.assumption, f"seed {seed}: {ei.value!r}"
 
     def test_missing_axis(self):
         m = figure_model("fig2a", K=2, seed=1)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triproxy.errors import (AxisMismatch, InvalidDistribution, UnknownAxis,
+from triproxy.errors import (InvalidDistribution, UnknownAxis,
                              ZeroConditioningCell)
 from triproxy.prob import (MASS_TOL, MarkovKernel, ProbTensor, VarSpace,
-                           condition, expectation, kernel_product, marginalize,
-                           restrict)
+                           condition, marginalize, restrict)
 
 A = VarSpace("A", 2, (0.0, 1.0))
 B = VarSpace("B", 3, (0.0, 1.0, 2.0))
@@ -87,9 +86,8 @@ class TestOperations:
     def test_condition_roundtrip(self, rng):
         t = random_tensor(rng, A, B)
         k = condition(t, {"B"})
-        back = kernel_product(k, marginalize(t, {"A"}))
-        np.testing.assert_allclose(back.reorder(("A", "B")).values, t.values,
-                                   atol=1e-14)
+        back = k.values * marginalize(t, {"A"}).values      # f(a | b) f(b)
+        np.testing.assert_allclose(back, t.values, atol=1e-14)
 
     def test_condition_zero_cell(self):
         vals = np.array([[0.5, 0.0], [0.5, 0.0]])
@@ -97,12 +95,6 @@ class TestOperations:
         with pytest.raises(ZeroConditioningCell) as e:
             condition(t, {"C"})
         assert "C" in str(e.value)
-
-    def test_kernel_product_rejects_overlap(self, rng):
-        t = random_tensor(rng, A, B)
-        k = condition(t, {"B"})
-        with pytest.raises(AxisMismatch):
-            kernel_product(k, t)  # target A already present
 
     def test_restrict_renormalizes(self, rng):
         t = random_tensor(rng, A, B)
@@ -114,18 +106,6 @@ class TestOperations:
         t = ProbTensor.build((A, C), np.array([[0.5, 0.0], [0.5, 0.0]]))
         with pytest.raises(ZeroConditioningCell):
             restrict(t, {"C": 1})
-
-    def test_expectation_against_loop(self, rng):
-        t = random_tensor(rng, B, A)
-        manual = sum(t.values[i, j] * B.level_values()[i]
-                     for i in range(3) for j in range(2))
-        assert abs(expectation(t, "B") - manual) < 1e-14
-
-    def test_expectation_requires_levels(self, rng):
-        t = random_tensor(rng, C, A)
-        from triproxy.errors import MissingLevels
-        with pytest.raises(MissingLevels):
-            expectation(t, "C")
 
 
 class TestSerialization:
@@ -182,5 +162,5 @@ def test_condition_then_product_conserves_mass(seed):
     vals = rng.dirichlet(np.ones(9)).reshape(3, 3) + 1e-3
     t = ProbTensor.build(axes, vals / vals.sum())
     k = condition(t, {"Q"})
-    back = kernel_product(k, marginalize(t, {"P"}))
-    assert abs(back.values.sum() - 1.0) <= MASS_TOL
+    back = k.values * marginalize(t, {"P"}).values       # f(p | q) f(q)
+    assert abs(back.sum() - 1.0) <= MASS_TOL

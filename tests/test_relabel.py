@@ -100,6 +100,17 @@ class TestUnbiased:
         np.testing.assert_allclose(labeled.w_marginal, oracle_w_marginal(m),
                                    atol=1e-7)
 
+    def test_auxiliary_per_state_effects_match_oracle(self):
+        """Per-state effects of the auxiliary design integrate V under
+        f(v | w), not f(v | w, x)."""
+        for seed in range(10):
+            m = unbiased_proxy_model(2, seed=seed, figure="fig5a")
+            labeled = relabel_unbiased(identified(m, 2, design="auxiliary"),
+                                       RelabelRule("mean", "unbiased"))
+            truth = oracle_cate_by_w(m)
+            for w in range(2):
+                assert abs(labeled.beta_at_value(float(w)) - truth[w]) < 1e-7
+
     def test_idempotent(self):
         m = unbiased_proxy_model(2, seed=5)
         rule = RelabelRule("mean", "unbiased")

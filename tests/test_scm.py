@@ -13,9 +13,9 @@ from triproxy.generators import figure_model, random_npsem, standard_spaces
 from triproxy.graphs import FIGURES
 from triproxy.prob import VarSpace, marginalize
 from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label,
-                          check_counterfactual_ci, consistency_residual,
-                          counterfactual_joint, empirical_tensor,
-                          observable_joint, observed_joint, sample)
+                          check_counterfactual_ci, counterfactual_joint,
+                          empirical_tensor, observable_joint, observed_joint,
+                          sample)
 
 
 def brute_force_joint(m: Npsem) -> np.ndarray:
@@ -179,8 +179,17 @@ class TestFactorizedOracle:
 
 class TestCounterfactuals:
     def test_consistency_is_exact(self):
+        # on the event X = x the arm Y(x) coincides with the factual outcome
         for seed in range(5):
-            assert consistency_residual(small_model(seed)) <= 1e-15
+            m = small_model(seed)
+            rest = tuple(n for n in m.names if n not in ("Y", "X"))
+            fact = observable_joint(m).reorder(("Y", "X") + rest).values
+            joint = counterfactual_joint(m, ("X",), outcome="Y")
+            for x in (0, 1):
+                name = arm_label("Y", (x,))
+                arm = marginalize(joint, {arm_label("Y", (1 - x,)), "Y"})
+                arm = arm.reorder((name, "X") + rest).values
+                assert np.abs(arm[:, x] - fact[:, x]).max() <= 1e-15
 
     def test_arm_marginal_is_interventional_law(self):
         # f(Y(x)) must equal the truncated-factorization intervention law,
