@@ -37,8 +37,8 @@ from .bounds import POINT_TOL, bounds_auxiliary_proxy, bounds_outcome_proxy
 from .errors import (GoldenMismatch, IdentificationRefused, MissingLevels,
                      NonBinaryTreatment, TriproxyError, ValidationError)
 from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
-from .pipelines import (COND_GUARD, PROJECTION_TOL, EstimandReport, estimands,
-                        identify_auxiliary_proxy, identify_cond_treatment_proxy,
+from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandReport,
+                        estimands, identify_auxiliary_proxy, identify_cond_treatment_proxy,
                         identify_outcome_proxy, identify_treatment_proxy)
 from .prob import MASS_TOL, ProbTensor, marginalize
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
@@ -67,6 +67,7 @@ TOLERANCES = {
     "ambiguity_tol": AMBIGUITY_TOL,
     "cond_guard": COND_GUARD,
     "projection_tol": PROJECTION_TOL,
+    "assembly_mass_tol": ASSEMBLY_MASS_TOL,
     "point_identified_tol": POINT_TOL,
     "golden_tol": GOLDEN_TOL,
 }

@@ -66,19 +66,18 @@ def encode_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     card = kernel.shape[0]
     cols = kernel.reshape(card, -1)
-    if np.any(cols < 0) or np.any(np.abs(cols.sum(axis=0) - 1.0) > 1e-10):
+    if cols.min() < 0 or np.abs(cols.sum(axis=0) - 1.0).max() > 1e-10:
         raise InvalidDistribution("kernel columns must be pmfs")
     cums = np.cumsum(cols, axis=0)
     cums[-1, :] = 1.0
-    breaks = np.unique(np.concatenate([[0.0, 1.0], cums[:-1].ravel()]))
+    breaks = np.unique(cums[:-1])
     breaks = breaks[(breaks > 1e-15) & (breaks < 1.0 - 1e-15)]
     edges = np.concatenate([[0.0], breaks, [1.0]])
     pmf = np.diff(edges)
     mids = (edges[:-1] + edges[1:]) / 2.0
-    table = np.empty((cols.shape[1], pmf.size), dtype=np.int64)
-    for j in range(cols.shape[1]):
-        table[j] = np.searchsorted(cums[:, j], mids, side="left")
-    table = np.clip(table, 0, card - 1)
+    # each column is sorted, so counting its entries below a midpoint gives
+    # the left insertion point; every midpoint is below the last entry, 1
+    table = (cums.T[:, :, None] < mids).sum(axis=1)
     return table.reshape(kernel.shape[1:] + (pmf.size,)), pmf
 
 
@@ -136,6 +135,15 @@ def standard_spaces(K: int, y_card: int = 3, proxy_card: int | None = None,
 # ---------------------------------------------------------------------------
 # well-separated kernels for figure models
 
+def _separated_blocks(kernel: np.ndarray, sep_axis: int):
+    """Views ``(level, separated parent)`` of ``kernel``, one per
+    configuration of the other parents, in row-major order."""
+    cards = kernel.shape[1:]
+    other = [range(c) for i, c in enumerate(cards) if i != sep_axis]
+    for idx in itertools.product(*other):
+        yield kernel[(slice(None),) + idx[:sep_axis] + (slice(None),) + idx[sep_axis:]]
+
+
 def separated_kernel(rng: np.random.Generator, card: int,
                      parent_cards: tuple[int, ...], sep_axis: int,
                      grains: int) -> np.ndarray:
@@ -149,31 +157,24 @@ def separated_kernel(rng: np.random.Generator, card: int,
     shared ``1/grains`` grid keeps the exact noise encoding small: the CDF
     breakpoints of all parent configurations land on the same grid.
     """
-    shape = (card,) + tuple(parent_cards)
-    out = np.empty(shape)
     k_sep = parent_cards[sep_axis]
-    other_axes = [i for i in range(len(parent_cards)) if i != sep_axis]
-    for other in itertools.product(*[range(parent_cards[i]) for i in other_axes]):
+    out = np.empty((card,) + tuple(parent_cards))
+    spare = grains - card
+    top = min(3, max(spare - 2, 0))
+    for block in _separated_blocks(out, sep_axis):
         if card == 2:
             heights = rng.choice(np.arange(1, grains), size=k_sep, replace=False)
+            block[0], block[1] = grains - heights, heights
         else:
             start = int(rng.integers(card))
-        for w in range(k_sep):
-            idx = [0] * len(parent_cards)
-            for ax, val in zip(other_axes, other):
-                idx[ax] = val
-            idx[sep_axis] = w
-            if card == 2:
-                col = np.array([grains - heights[w], heights[w]], dtype=float)
-            else:
-                col = np.ones(card)
-                spare = grains - card
-                sprinkle = int(rng.integers(0, min(3, max(spare - 2, 0)) + 1))
+            for w in range(k_sep):
+                col = [1] * card
+                sprinkle = int(rng.integers(0, top + 1))
                 col[(start + w) % card] += spare - sprinkle
                 for _ in range(sprinkle):
                     col[int(rng.integers(card))] += 1
-            out[(slice(None),) + tuple(idx)] = col / grains
-    return out
+                block[:, w] = col
+    return out / grains
 
 
 def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
@@ -181,20 +182,14 @@ def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
                         sep_axis: int) -> np.ndarray:
     """Continuous outcome kernel whose conditional means are stratified
     across the separated parent, so latent-state effects never tie."""
-    shape = (levels.size,) + tuple(parent_cards)
-    out = np.empty(shape)
     k_sep = parent_cards[sep_axis]
-    other_axes = [i for i in range(len(parent_cards)) if i != sep_axis]
+    out = np.empty((levels.size,) + tuple(parent_cards))
     lo, hi = levels.min() + 0.25, levels.max() - 0.25
-    for other in itertools.product(*[range(parent_cards[i]) for i in other_axes]):
+    for block in _separated_blocks(out, sep_axis):
         offsets = rng.permutation(k_sep)
         for w in range(k_sep):
             mean = lo + (offsets[w] + rng.uniform(0.15, 0.85)) * (hi - lo) / k_sep
-            idx = [0] * len(parent_cards)
-            for ax, val in zip(other_axes, other):
-                idx[ax] = val
-            idx[sep_axis] = w
-            out[(slice(None),) + tuple(idx)] = _pmf_with_mean(levels, mean, rng)
+            block[:, w] = _pmf_with_mean(levels, mean, rng)
     return out
 
 
@@ -254,12 +249,9 @@ PIPELINE_FIGURES = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c",
                     "fig4a", "fig4b", "fig5a", "fig5b", "fig5c")
 
 
-def _kernel(joint: ProbTensor, target: str, given: tuple[str, ...],
-            fix: dict | None = None) -> np.ndarray:
-    t = restrict(joint, fix) if fix else joint
+def _kernel(t: ProbTensor, target: str, given: tuple[str, ...]) -> np.ndarray:
     t = marginalize(t, set(t.names) - {target} - set(given))
-    return condition(t, set(given)).values if given else \
-        marginalize(t, set(t.names) - {target}).values
+    return condition(t, set(given)).values
 
 
 def _sv_ratio(mat: np.ndarray, k: int) -> float:
@@ -291,8 +283,12 @@ class FixtureDiagnostics:
 
 
 def oracle_cate(m: Npsem, treatment: str = "X", outcome: str = "Y") -> np.ndarray:
-    """Exact E[Y(1) - Y(0) | W = w] per latent state."""
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=("W",))
+    """Exact E[Y(1) - Y(0) | W = w] per latent state.
+
+    It reads the cross-world joint that keeps ``W`` and the treatment, the
+    one every effect reference of the model uses, and sums the treatment
+    out."""
+    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=("W", treatment))
     y_levels = m[outcome].space.level_values()
     w_card = m["W"].space.cardinality
     means = np.empty((2, w_card))
@@ -304,61 +300,53 @@ def oracle_cate(m: Npsem, treatment: str = "X", outcome: str = "Y") -> np.ndarra
     return means[1] - means[0]
 
 
+#: per design: (stratum axis or None, signal, axes whose per-stratum
+#: marginals must keep mass)
+_SCREENS: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
+    "outcome": ("X", "Y", ("W",)),
+    "bounds-outcome": ("X", "Y", ("W",)),
+    "treatment": (None, "X", ("W",)),
+    "cond-treatment": ("Y", "X", ("W",)),
+    "auxiliary": ("X", "C", ("V", "W")),
+    "bounds-auxiliary": ("X", "C", ("V", "W")),
+}
+
+
 def figure_diagnostics(m: Npsem, figure: str, K: int,
                        with_cate: bool = True) -> FixtureDiagnostics:
-    design = FIGURE_DESIGNS[figure]
+    """Rank, column-gap and mass screens of a figure model's intended
+    design, then the CATE gap from the cross-world oracle.
+
+    Within each stratum (each level of the stratum axis, or the whole joint)
+    the Z|W kernel and the W-V matrix must have rank K, the signal's
+    columns given W must differ, and the W (and V) marginals must keep
+    mass; so must the stratum axis itself.  The oracle runs only when these
+    screens pass at :meth:`FixtureDiagnostics.passes`'s thresholds, since
+    a draw failing them is refused whatever its CATE gap; ``cate_gap`` is
+    NaN then, and infinite when ``with_cate`` is false.
+    """
+    axis, signal, mass_axes = _SCREENS[FIGURE_DESIGNS[figure]]
     joint = observable_joint(m)
     sv, gap, mass = np.inf, np.inf, np.inf
-
-    def wv_matrix(fix):
-        t = restrict(joint, fix) if fix else joint
-        return marginalize(t, set(t.names) - {"W", "V"}).reorder(("W", "V")).values
-
-    if design in ("outcome", "bounds-outcome"):
-        fx = marginalize(joint, set(joint.names) - {"X"}).values
-        mass = min(mass, float(fx.min()))
-        for x in range(2):
-            sv = min(sv, _sv_ratio(_kernel(joint, "Z", ("W",), {"X": x}), K),
-                     _sv_ratio(wv_matrix({"X": x}), K))
-            gap = min(gap, _col_gap(_kernel(joint, "Y", ("W",), {"X": x})))
-            fw = restrict(joint, {"X": x})
-            fw = marginalize(fw, set(fw.names) - {"W"}).values
-            mass = min(mass, float(fw.min()))
-    elif design == "treatment":
-        sv = min(_sv_ratio(_kernel(joint, "Z", ("W",)), K), _sv_ratio(wv_matrix(None), K))
-        gap = _col_gap(_kernel(joint, "X", ("W",)))
-        mass = float(marginalize(joint, set(joint.names) - {"W"}).values.min())
-    elif design == "cond-treatment":
-        fy = marginalize(joint, set(joint.names) - {"Y"}).values
-        mass = min(mass, float(fy.min()))
-        for y in range(m["Y"].space.cardinality):
-            sv = min(sv, _sv_ratio(_kernel(joint, "Z", ("W",), {"Y": y}), K),
-                     _sv_ratio(wv_matrix({"Y": y}), K))
-            gap = min(gap, _col_gap(_kernel(joint, "X", ("W",), {"Y": y})))
-            fw = restrict(joint, {"Y": y})
-            fw = marginalize(fw, set(fw.names) - {"W"}).values
-            mass = min(mass, float(fw.min()))
-    elif design in ("auxiliary", "bounds-auxiliary"):
-        fx = marginalize(joint, set(joint.names) - {"X"}).values
-        mass = min(mass, float(fx.min()))
-        for x in range(2):
-            sv = min(sv, _sv_ratio(_kernel(joint, "Z", ("W",), {"X": x}), K),
-                     _sv_ratio(wv_matrix({"X": x}), K))
-            gap = min(gap, _col_gap(_kernel(joint, "C", ("W",), {"X": x})))
-            fvx = restrict(joint, {"X": x})
-            fvx = marginalize(fvx, set(fvx.names) - {"V"}).values
-            mass = min(mass, float(fvx.min()))
-            fw = restrict(joint, {"X": x})
-            fw = marginalize(fw, set(fw.names) - {"W"}).values
-            mass = min(mass, float(fw.min()))
+    if axis is None:
+        strata = [joint]
     else:
-        raise InvalidDistribution(f"no diagnostics for design {design!r}")
+        mass = float(marginalize(joint, set(joint.names) - {axis}).values.min())
+        strata = [restrict(joint, {axis: s}) for s in range(m[axis].space.cardinality)]
+    for t in strata:
+        wv = marginalize(t, set(t.names) - {"W", "V"}).reorder(("W", "V")).values
+        sv = min(sv, _sv_ratio(_kernel(t, "Z", ("W",)), K), _sv_ratio(wv, K))
+        gap = min(gap, _col_gap(_kernel(t, signal, ("W",))))
+        for a in mass_axes:
+            mass = min(mass, float(marginalize(t, set(t.names) - {a}).values.min()))
 
-    cate = oracle_cate(m) if with_cate else None
     cate_gap = np.inf
-    if cate is not None and cate.size > 1:
-        cate_gap = float(min(abs(a - b) for i, a in enumerate(cate)
-                             for b in cate[i + 1:]))
+    if with_cate:
+        cate_gap = np.nan
+        if FixtureDiagnostics(sv, gap, mass, np.inf).passes():
+            cate = oracle_cate(m)
+            cate_gap = float(min((abs(a - b) for i, a in enumerate(cate)
+                                  for b in cate[i + 1:]), default=np.inf))
     return FixtureDiagnostics(sv, gap, mass, cate_gap)
 
 

@@ -41,6 +41,7 @@ from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose, match
 
 COND_GUARD = 1e8
 PROJECTION_TOL = 1e-4
+ASSEMBLY_MASS_TOL = 1e-8    # mass of the assembled f(y, x) may be off by this
 STRATUM_COMPLETENESS_LABEL = "stratum-wise completeness of the proxy system"
 
 
@@ -56,20 +57,15 @@ class LatentOutcomeModel:
     wx_joint: ProbTensor                # f(w, x) over (W, X)
     z_given_w: MarkovKernel             # shared proxy kernel f(z | w)
     design: str = "outcome"
-    alignment: str = "canonical-column-order"
     y_given_wvx: MarkovKernel | None = None   # auxiliary design only
     vwx_joint: ProbTensor | None = None       # auxiliary design only
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        yx = np.einsum("ywx,wx->yx", self.y_given_wx.values, self.wx_joint.values)
-        if abs(yx.sum() - 1.0) > 1e-8:
+        mass = self.observed_yx().sum()
+        if abs(mass - 1.0) > ASSEMBLY_MASS_TOL:
             raise NonStochasticSolution("assembled outcome/treatment law has "
-                                        f"mass {yx.sum():.12f}")
-
-    @property
-    def latent_dim(self) -> int:
-        return self.wx_joint.values.shape[0]
+                                        f"mass {mass:.12f}")
 
     def observed_yx(self) -> np.ndarray:
         """The implied observed joint f(y, x)."""

@@ -16,6 +16,12 @@ The cost is the sum of the kernel sizes plus the intermediate joints.
 ``ENUMERATION_GUARD`` bounds the cells of the requested joint and of every
 kernel, noise sum and intermediate joint; an oversized request raises
 :class:`~triproxy.errors.EnumerationTooLarge` before any array is allocated.
+
+A model computes each exact joint once: the result is kept on the
+:class:`Npsem` it was computed for and handed out again on every later
+request for the same worlds, outputs and axes.  Sharing it is safe because
+the model is frozen and the tables and the joint's values are read-only;
+the stored joints go away with their model.
 """
 
 from __future__ import annotations
@@ -75,24 +81,25 @@ class Npsem:
 
     nodes: tuple[NodeSpec, ...]
     latent: tuple[str, ...] = ()
+    # exact joints already computed for this model, keyed by request
+    _joints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
         names = [n.space.name for n in nodes]
         if len(set(names)) != len(names):
             raise InvalidDistribution("duplicate node names")
-        seen: set[str] = set()
+        cards: dict[str, int] = {}          # nodes defined so far
         for n in nodes:
             for p in n.parents:
-                if p not in seen:
+                if p not in cards:
                     raise InvalidDistribution(
                         f"{n.space.name}: parent {p!r} not defined earlier (or cycle)")
-            expected = tuple(s.cardinality for s in
-                             (self.node(p, nodes).space for p in n.parents)) + (n.noise_card,)
+            expected = tuple(cards[p] for p in n.parents) + (n.noise_card,)
             if n.table.shape != expected:
                 raise InvalidDistribution(
                     f"{n.space.name}: table shape {n.table.shape}, expected {expected}")
-            seen.add(n.space.name)
+            cards[n.space.name] = n.space.cardinality
         for l in self.latent:
             if l not in names:
                 raise UnknownNode(f"latent {l!r} not a node")
@@ -205,8 +212,13 @@ def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
     eliminated in topological order: each step multiplies one kernel into
     the running joint and sums out every variable past its last use.  All
     cell counts are checked against :data:`ENUMERATION_GUARD` before any
-    array is allocated.
+    array is allocated.  The result is stored on ``m`` and returned as is
+    on every repeat of the request.
     """
+    request = (tuple(tuple(sorted(w.items())) for w in worlds), tuple(outputs),
+               tuple(spaces))
+    if request in m._joints:
+        return m._joints[request]
     ids: dict = {}                 # (node, parent refs) -> variable id
     owner: list[int] = []          # variable id -> node position
     ref: dict = {}                 # (world, node) -> variable id or ("=", level)
@@ -289,7 +301,8 @@ def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
             operands += [np.eye(space.cardinality), [j_vars.index(r), fresh]]
         out_axes.append(fresh)
     values = np.einsum(*operands, out_axes).reshape([s.cardinality for s in spaces])
-    return ProbTensor.build(tuple(spaces), values)
+    m._joints[request] = ProbTensor.build(tuple(spaces), values)
+    return m._joints[request]
 
 
 def observable_joint(m: Npsem) -> ProbTensor:

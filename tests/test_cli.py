@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from importlib import resources, util
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,17 @@ from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  unbiased_proxy_model)
 from triproxy.prob import ProbTensor
 from triproxy.scm import observed_joint
+
+
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = util.spec_from_file_location(name, path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_goldens = _load_script("make_goldens")
 
 
 def run(capsys, *argv):
@@ -174,6 +186,16 @@ class TestEndToEnd:
         code, out, err = run(capsys, "end-to-end", "--fixture", fixture)
         assert code == 0, err
         assert _result(out)["fixture"] == fixture
+
+    @pytest.mark.parametrize("fixture", ["fig1a-early-late-tests", "fig1d-auxiliary",
+                                         "fig1b-double-only"])
+    def test_fixture_models_rebuild_from_their_specs(self, fixture):
+        # pins the generators' random stream: the stored model must come back
+        # exactly (the stored goldens are compared at GOLDEN_TOL elsewhere)
+        stored = json.loads((resources.files("triproxy") / "fixtures" / f"{fixture}.json")
+                            .read_text(encoding="utf-8"))
+        assert make_goldens.build_model(make_goldens.SPECS[fixture]).to_dict() \
+            == stored["model"]
 
     def test_unidentified_fixture_refused(self, capsys):
         code, out, err = run(capsys, "end-to-end", "--fixture",

@@ -10,7 +10,7 @@ from triproxy.errors import (EigenGapExhausted, MissingLevels,
                              UnknownAxis)
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
-                                 standard_spaces)
+                                 separated_kernel, standard_spaces)
 from triproxy.graphs import FIGURES
 from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
                                 estimands, identify_auxiliary_proxy,
@@ -279,3 +279,50 @@ class TestFailureModes:
             z_given_w=model.z_given_w)
         with pytest.raises(MissingLevels):
             estimands(bad)
+
+
+def _decoded(table: np.ndarray, pmf: np.ndarray, card: int) -> np.ndarray:
+    """f(v | parents) = sum_u pmf(u) 1[table[parents, u] = v], looped."""
+    rows = table.reshape(-1, pmf.size)
+    out = np.zeros((card, rows.shape[0]))
+    for j, row in enumerate(rows):
+        for u, v in enumerate(row):
+            out[v, j] += pmf[u]
+    return out.reshape((card,) + table.shape[:-1])
+
+
+def _test_kernels(card: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    dirichlet = rng.dirichlet(np.ones(card), size=card + 1).T
+    zeros = dirichlet * (rng.random(dirichlet.shape) < 0.6)
+    zeros[0] += 1e-3                   # every column keeps some mass
+    zeros /= zeros.sum(axis=0)
+    point = np.eye(card)[:, :1]
+    return {
+        "separated": separated_kernel(rng, card, (card, 2), 0, grains=12),
+        "separated-second-axis": separated_kernel(rng, card, (2, card), 1, grains=16),
+        "dirichlet": dirichlet,
+        "zeros": zeros,
+        # repeated columns and a point mass share CDF breakpoints
+        "tied": np.concatenate([dirichlet[:, :2], dirichlet[:, :1], point], axis=1),
+    }
+
+
+class TestKernelEncoding:
+    @pytest.mark.parametrize("card", range(2, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip(self, card, seed):
+        for name, kernel in _test_kernels(card, seed).items():
+            table, pmf = encode_kernel(kernel)
+            assert table.shape == kernel.shape[1:] + (pmf.size,), name
+            assert table.min() >= 0 and table.max() < card, name
+            assert pmf.min() > 0 and abs(pmf.sum() - 1.0) <= 1e-15, name
+            gap = np.abs(_decoded(table, pmf, card) - kernel).max()
+            assert gap <= 1e-15, (name, gap)
+
+    def test_rejects_non_pmf_columns(self):
+        from triproxy.errors import InvalidDistribution
+        with pytest.raises(InvalidDistribution):
+            encode_kernel(np.array([[0.5, 1.2], [0.5, -0.2]]))
+        with pytest.raises(InvalidDistribution):
+            encode_kernel(np.array([[0.5, 0.5], [0.4, 0.5]]))

@@ -224,6 +224,47 @@ class TestCounterfactuals:
             counterfactual_joint(small_model(), ("Q",))
 
 
+class TestJointMemo:
+    """Each exact joint is computed once per model and then handed out again."""
+
+    def test_repeats_return_the_same_object(self):
+        m = figure_model("fig2a", K=2, seed=0)
+        assert observable_joint(m) is observable_joint(m)
+        cf = counterfactual_joint(m, ("X",), keep=("W", "X"))
+        assert counterfactual_joint(m, ("X",), keep=("W", "X")) is cf
+        assert counterfactual_joint(m, ("X",), keep=("W",)) is not cf
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a"])
+    def test_fresh_model_computes_the_same_values(self, figure):
+        m = figure_model(figure, K=3, seed=1)
+        requests = (observable_joint, observed_joint,
+                    lambda t: counterfactual_joint(t, ("X",), keep=("W", "X")),
+                    lambda t: counterfactual_joint(t, ("X", "W"), keep=()))
+        kept = [f(m) for f in requests]
+        back = Npsem.from_dict(m.to_dict())
+        assert back._joints == {}
+        for f, old in zip(requests, kept):
+            new = f(back)
+            assert new.names == old.names
+            assert np.array_equal(new.values, old.values)
+
+    def test_refused_request_raises_every_time_and_stores_nothing(self):
+        wide = Npsem(tuple(NodeSpec(VarSpace(name, 300), (), np.zeros(1, dtype=np.int64),
+                                    np.ones(1)) for name in "ABC"))
+        for _ in range(3):
+            with pytest.raises(EnumerationTooLarge):
+                observable_joint(wide)
+        assert wide._joints == {}
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        m = small_model(3)
+        fresh = Npsem(m.nodes, m.latent)
+        observable_joint(m)
+        assert m._joints and not fresh._joints
+        assert m == fresh
+        assert repr(m) == repr(fresh)
+
+
 class TestSampling:
     def test_deterministic(self):
         m = small_model(1)
