@@ -5,8 +5,7 @@ two-stage identification pipelines, latent relabeling, rank-invariance
 bounds, graphical design checks, and a structural-model oracle.
 """
 
-from .bounds import (BoundsReport, bounds_auxiliary_proxy, bounds_outcome_proxy,
-                     check_rank_invariance)
+from .bounds import BoundsReport, bounds_auxiliary_proxy, bounds_outcome_proxy
 from .graphs import (FIGURES, PROPOSITIONS, CiQuery, Dag, check_proposition,
                      classify_designs, counterfactual_d_separated, d_separated,
                      twin_network)
@@ -18,8 +17,7 @@ from .prob import MarkovKernel, ProbTensor, VarSpace, condition, marginalize, re
 from .relabel import (LabeledLatentModel, RelabelRule, compute_alpha,
                       confounder_effects, relabel_monotone, relabel_unbiased)
 from .scm import (NodeSpec, Npsem, arm_label, check_counterfactual_ci,
-                  counterfactual_joint, empirical_tensor, observable_joint,
-                  observed_joint, sample)
+                  counterfactual_joint, effects, observable_joint, observed_joint)
 from .spectral import HsFactors, HsOptions, hs_decompose, match_permutation
 
 __version__ = "0.1.0"

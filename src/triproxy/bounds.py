@@ -20,9 +20,8 @@ Extremes are taken only over latent states carrying real mass — zero-mass
 spectral artifacts must not widen the bounds.
 
 Whether rank invariance actually holds in the data-generating process is
-not testable from observables; :func:`check_rank_invariance` exists for
-oracle fixtures where the structural model is available, and every reported
-interval is conditional on the assumption.
+not testable from observables, so every reported interval is conditional on
+the assumption.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
 from .pipelines import _deconvolve, _hs_options, _require_axes, _slice_joint
 from .prob import MASS_TOL, ProbTensor, marginalize
-from .scm import Npsem, arm_label, counterfactual_joint
 from .spectral import HsOptions, hs_decompose
 
 POINT_TOL = 1e-7
@@ -149,47 +147,3 @@ def bounds_auxiliary_proxy(joint: ProbTensor, k: int,
         point_identified=float(np.abs(hi - lo).max()) <= POINT_TOL,
         per_v_lower=lo, per_v_upper=hi, diagnostics=diag)
 
-
-def check_rank_invariance(m: Npsem, treatment: str = "X", outcome: str = "Y",
-                          given: str | None = None, tol: float = 1e-12) -> bool:
-    """Oracle-fixture utility: does the structural model satisfy rank
-    invariance (per-``given``-level if a conditioning node is named)?"""
-    latent = "W"
-    keep = (latent,) if given is None else (latent, given)
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=keep)
-    y_levels = m[outcome].space.level_values()
-    arms = [arm_label(outcome, (x,)) for x in (0, 1)]
-
-    def monotone_ok(mean0: np.ndarray, cate: np.ndarray) -> bool:
-        for i in range(mean0.size):
-            for j in range(mean0.size):
-                if mean0[j] >= mean0[i] - tol and cate[j] < cate[i] - tol:
-                    return False
-        return True
-
-    def arm_means(t: ProbTensor) -> tuple[np.ndarray, np.ndarray]:
-        out = []
-        for a in arms:
-            pair = marginalize(t, set(t.names) - {a, latent}).reorder((a, latent))
-            vals = pair.values
-            mass = vals.sum(axis=0)
-            cond = vals / np.where(mass > 0, mass, 1.0)
-            out.append(y_levels @ cond)
-        return out[0], out[1] - out[0]
-
-    if given is None:
-        mean0, cate = arm_means(joint)
-        return monotone_ok(mean0, cate)
-    n_g = m[given].space.cardinality
-    for g in range(n_g):
-        idx = joint.axis_index(given)
-        sub_vals = np.take(joint.values, g, axis=idx)
-        total = sub_vals.sum()
-        if total <= SUPPORT_TOL:
-            continue
-        axes = tuple(a for i, a in enumerate(joint.axes) if i != idx)
-        sub = ProbTensor(axes, sub_vals / total)
-        mean0, cate = arm_means(sub)
-        if not monotone_ok(mean0, cate):
-            return False
-    return True

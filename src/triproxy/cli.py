@@ -2,8 +2,8 @@
 
 Verbs::
 
-    simulate    exact observed joint (or a seeded empirical one) from a model
-    oracle      counterfactual-enumeration effect summaries from a model
+    simulate    exact observed joint from a model
+    oracle      exact effect summaries from a model's cross-world joint
     identify    run an identification pipeline on an observed joint
     relabel     identify + resolve the latent labeling
     bounds      rank-invariance partial identification
@@ -34,16 +34,15 @@ import numpy as np
 
 from . import __version__
 from .bounds import POINT_TOL, bounds_auxiliary_proxy, bounds_outcome_proxy
-from .errors import (GoldenMismatch, IdentificationRefused, MissingLevels,
-                     NonBinaryTreatment, TriproxyError, ValidationError)
+from .errors import (GoldenMismatch, IdentificationRefused, MissingLevels, MissingRole,
+                     NonBinaryTreatment, TriproxyError, UnknownNode, ValidationError)
 from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
 from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandReport,
                         estimands, identify_auxiliary_proxy, identify_cond_treatment_proxy,
                         identify_outcome_proxy, identify_treatment_proxy)
-from .prob import MASS_TOL, ProbTensor, marginalize
+from .prob import MASS_TOL, ProbTensor
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
-from .scm import (Npsem, arm_label, counterfactual_joint, empirical_tensor,
-                  observed_joint, sample)
+from .scm import Npsem, effects, observed_joint
 from .spectral import (AMBIGUITY_TOL, EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL,
                        HsOptions)
 
@@ -193,48 +192,22 @@ def _identify(joint: ProbTensor, design: str, k: int, seed: int):
 
 def _cmd_simulate(args) -> int:
     m = _load_model(args.model)
-    if args.samples:
-        data = sample(m, args.samples, args.seed)
-        spaces = {n: m[n].space for n in data}
-        obs = [n for n in data if n not in m.latent]
-        t = empirical_tensor({n: data[n] for n in obs},
-                             tuple(spaces[n] for n in obs))
-    else:
-        t = observed_joint(m)
-    _write(args.out, _report(args, "simulate", t.to_dict()))
+    _write(args.out, _report(args, "simulate", observed_joint(m).to_dict()))
     return 0
+
+
+#: oracle report key -> field of :func:`triproxy.scm.effects`
+ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cate",
+                 "w_marginal": "w", "pot_y": "pot_y"}
 
 
 def _cmd_oracle(args) -> int:
     m = _load_model(args.model)
-    treatment, outcome = args.treatment, args.outcome
-    n_x = m[treatment].space.cardinality
-    if n_x != 2:
-        raise ValidationError("oracle effect summaries need a binary treatment")
-    y_levels = m[outcome].space.level_values()
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome,
-                                 keep=("W", treatment))
-    arms = [arm_label(outcome, (x,)) for x in (0, 1)]
-
-    def arm_view(a: str) -> np.ndarray:
-        t = marginalize(joint, set(joint.names) - {a, "W", treatment})
-        return t.reorder((a, "W", treatment)).values
-
-    views = [arm_view(a) for a in arms]
-    w_mass = views[0].sum(axis=(0, 2))
-    x_mass = views[0].sum(axis=(0, 1))
-    cond = [v.sum(axis=2) / w_mass for v in views]
-    beta = y_levels @ (cond[1] - cond[0])
-    pot_y = np.stack([v.sum(axis=(1, 2)) for v in views], axis=1)
-    by_x = [v.sum(axis=1) / x_mass for v in views]
-    result = {
-        "ate": float(y_levels @ (pot_y[:, 1] - pot_y[:, 0])),
-        "att": float(y_levels @ (by_x[1][:, 1] - by_x[0][:, 1])),
-        "atu": float(y_levels @ (by_x[1][:, 0] - by_x[0][:, 0])),
-        "beta_by_state": beta.tolist(),
-        "w_marginal": w_mass.tolist(),
-        "pot_y": pot_y.tolist(),
-    }
+    try:
+        eff = effects(m, treatment=args.treatment, outcome=args.outcome)
+    except (MissingRole, UnknownNode) as e:
+        raise ValidationError(str(e)) from e
+    result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
     _write(args.out, _report(args, "oracle", result))
     return 0
 
@@ -414,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="observed joint from a model file")
     sim.add_argument("--model", required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--samples", type=int, default=0,
-                     help="draw an empirical joint instead of the exact one")
     sim.add_argument("--out", default="-")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidDistribution
 from .graphs import FIGURES, Dag
 from .prob import ProbTensor, VarSpace, condition, marginalize, restrict
-from .scm import NodeSpec, Npsem, arm_label, counterfactual_joint, observable_joint
+from .scm import NodeSpec, Npsem, effects, observable_joint
 
 MAX_TRIES = 100
 
@@ -282,24 +282,6 @@ class FixtureDiagnostics:
                 and self.stratum_mass >= mass_min and self.cate_gap >= cate_min)
 
 
-def oracle_cate(m: Npsem, treatment: str = "X", outcome: str = "Y") -> np.ndarray:
-    """Exact E[Y(1) - Y(0) | W = w] per latent state.
-
-    It reads the cross-world joint that keeps ``W`` and the treatment, the
-    one every effect reference of the model uses, and sums the treatment
-    out."""
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=("W", treatment))
-    y_levels = m[outcome].space.level_values()
-    w_card = m["W"].space.cardinality
-    means = np.empty((2, w_card))
-    for x in (0, 1):
-        name = arm_label(outcome, (x,))
-        pair = marginalize(joint, set(joint.names) - {name, "W"}).reorder((name, "W"))
-        cond = pair.values / pair.values.sum(axis=0)
-        means[x] = y_levels @ cond
-    return means[1] - means[0]
-
-
 #: per design: (stratum axis or None, signal, axes whose per-stratum
 #: marginals must keep mass)
 _SCREENS: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
@@ -344,7 +326,7 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     if with_cate:
         cate_gap = np.nan
         if FixtureDiagnostics(sv, gap, mass, np.inf).passes():
-            cate = oracle_cate(m)
+            cate = effects(m)["cate"]
             cate_gap = float(min((abs(a - b) for i, a in enumerate(cate)
                                   for b in cate[i + 1:]), default=np.inf))
     return FixtureDiagnostics(sv, gap, mass, cate_gap)

@@ -22,6 +22,10 @@ A model computes each exact joint once: the result is kept on the
 request for the same worlds, outputs and axes.  Sharing it is safe because
 the model is frozen and the tables and the joint's values are read-only;
 the stored joints go away with their model.
+
+:func:`effects` is the one effect oracle: ATE, ATT, ATU, the potential
+outcome laws and the distribution of the stratum effect, all read from the
+memoized cross-world joint that keeps the latent node and the treatment.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import numpy as np
 from .errors import (
     EnumerationTooLarge,
     InvalidDistribution,
+    MissingRole,
+    NonBinaryTreatment,
     UnknownNode,
 )
 from .graphs import Dag
@@ -340,6 +346,42 @@ def counterfactual_joint(m: Npsem, intervene_on, outcome: str = "Y",
     return _exact_joint(m, worlds, outputs, spaces)
 
 
+def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
+    """Exact effects of a binary treatment, all from one cross-world joint.
+
+    The joint keeps the model's one latent node ``W`` and the treatment next
+    to both arms, so every effect reference of a model is one memoized
+    request.  The summary holds ``ate``, ``att`` and ``atu``; ``pot_y``, the
+    law of ``Y(x)`` in column ``x``; ``cate``, ``E[Y(1) - Y(0) | W = w]`` per
+    latent state, and ``w``, the latent law; and the CDF of that stratum
+    effect as its sorted distinct values ``beta_atoms`` (values within 1e-12
+    are one atom) with the cumulative masses ``beta_cdf``.
+    """
+    if len(m.latent) != 1:
+        raise MissingRole("effect summaries need exactly one latent node; the model "
+                          f"declares {list(m.latent) or 'none'}")
+    (latent,) = m.latent
+    if m[treatment].space.cardinality != 2:
+        raise NonBinaryTreatment("effect summaries need a binary treatment")
+    y = m[outcome].space.level_values()
+    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=(latent, treatment))
+    arms = tuple(arm_label(outcome, (x,)) for x in (0, 1))
+    v = joint.reorder(arms + (latent, treatment)).values
+    y0, y1 = v.sum(axis=1), v.sum(axis=0)              # (Y(x), W, X)
+    wx = y0.sum(axis=0)
+    w, fx = wx.sum(axis=1), wx.sum(axis=0)
+    pot_y = np.stack([y0.sum(axis=(1, 2)), y1.sum(axis=(1, 2))], axis=1)
+    atu, att = y @ (y1.sum(axis=1) - y0.sum(axis=1)) / fx
+    cate = y @ (y1.sum(axis=2) - y0.sum(axis=2)) / w
+    order = np.argsort(cate, kind="stable")
+    atom = np.concatenate([[True], np.diff(cate[order]) > 1e-12])
+    return {"ate": float(y @ (pot_y[:, 1] - pot_y[:, 0])),
+            "att": float(att), "atu": float(atu),
+            "pot_y": pot_y, "cate": cate, "w": w,
+            "beta_atoms": cate[order][atom],
+            "beta_cdf": np.cumsum(np.add.reduceat(w[order], np.flatnonzero(atom)))}
+
+
 _CF_NAME = re.compile(r"^([A-Za-z_]\w*)\(([\w,]+)\)$")
 
 
@@ -382,31 +424,3 @@ def check_counterfactual_ci(m: Npsem, left_template: str, right, given=(),
         if not _independent(joint, (name,), right, given, tol):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def sample(m: Npsem, n: int, seed: int) -> dict[str, np.ndarray]:
-    """IID ancestral draws; deterministic under a fixed seed."""
-    if n < 1:
-        raise InvalidDistribution("need n >= 1 draws")
-    rng = np.random.default_rng(seed)
-    noise = {node.space.name: rng.choice(node.noise_card, size=n, p=node.noise_pmf)
-             for node in m.nodes}
-    vals: dict[str, np.ndarray] = {}
-    for node in m.nodes:
-        idx = tuple(vals[p] for p in node.parents) + (noise[node.space.name],)
-        vals[node.space.name] = node.table[idx]
-    return vals
-
-
-def empirical_tensor(dataset: dict[str, np.ndarray], spaces) -> ProbTensor:
-    spaces = tuple(spaces)
-    arrays = [np.asarray(dataset[s.name], dtype=np.int64) for s in spaces]
-    cards = tuple(s.cardinality for s in spaces)
-    flat = np.ravel_multi_index(tuple(arrays), cards)
-    dense = np.bincount(flat, weights=np.full(flat.size, 1.0 / flat.size),
-                        minlength=_cells(cards))
-    return ProbTensor.build(spaces, dense.reshape(cards))

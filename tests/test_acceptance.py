@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (assert_cdf_match, oracle_cate_by_w, oracle_clamp_xw_mean,
-                      oracle_effects, oracle_w_marginal)
+from conftest import assert_cdf_match, oracle_clamp_xw_mean
 from triproxy.bounds import bounds_auxiliary_proxy, bounds_outcome_proxy
 from triproxy.cli import main as cli_main
 from triproxy.errors import (EigenGapExhausted, RankDeficient,
@@ -34,7 +33,7 @@ from triproxy.prob import marginalize
 from triproxy.relabel import (RelabelRule, confounder_effects,
                               relabel_monotone, relabel_unbiased)
 from triproxy.scm import (arm_label, check_counterfactual_ci,
-                          counterfactual_joint, observed_joint)
+                          counterfactual_joint, effects, observed_joint)
 from triproxy.spectral import HsOptions, hs_decompose, match_permutation
 
 PIPELINES = {
@@ -124,7 +123,7 @@ def test_criterion_2_pipelines_vs_oracle():
             for seed in range(30):
                 m = figure_model(figure, K=K, seed=2000 + seed)
                 rep = estimands(pipeline(observed_joint(m), K))
-                truth = oracle_effects(m)
+                truth = effects(m)
                 assert abs(rep.ate - truth["ate"]) <= 1e-6
                 assert abs(rep.att - truth["att"]) <= 1e-6
                 np.testing.assert_allclose(rep.pot_y, truth["pot_y"], atol=1e-6)
@@ -186,7 +185,7 @@ def test_criterion_4_relabeling():
             m = unbiased_proxy_model(K, seed=4000 + seed)
             model = identify_outcome_proxy(observed_joint(m), K)
             labeled = relabel_unbiased(model, rule)
-            truth = oracle_cate_by_w(m)
+            truth = effects(m)["cate"]
             for w in range(K):
                 assert abs(labeled.beta_at_value(float(w)) - truth[w]) <= 1e-6
 
@@ -196,11 +195,11 @@ def test_criterion_4_relabeling():
         m = unbiased_proxy_model(3, seed=4100 + seed, monotone_map=garbling)
         labeled = relabel_monotone(identify_outcome_proxy(observed_joint(m), 3),
                                    RelabelRule("mean", "monotone"))
-        cdf = np.cumsum(oracle_w_marginal(m))
-        truth = oracle_cate_by_w(m)
+        truth = effects(m)
+        cdf = np.cumsum(truth["w"])
         for tau in (0.25, 0.5, 0.75):
             state = int(np.searchsorted(cdf, tau - 1e-12, side="left"))
-            assert abs(labeled.beta_at_quantile(tau) - truth[state]) <= 1e-6
+            assert abs(labeled.beta_at_quantile(tau) - truth["cate"][state]) <= 1e-6
 
     # confounder effects E[Y(x, w)] vs the clamp-both oracle
     for figure, design, pipeline in (("fig2a", "outcome", identify_outcome_proxy),
@@ -237,7 +236,7 @@ def test_criterion_5_bounds():
     for seed in range(30):
         m = rank_invariant_bounds_model(2, seed=5000 + seed, figure="fig6a")
         rep = bounds_outcome_proxy(observed_joint(m), 2)
-        truth = oracle_effects(m)
+        truth = effects(m)
         lo, hi = rep.s_lower - 1e-7, rep.s_upper + 1e-7
         for val in (truth["att"], truth["atu"], *truth["cate"]):
             assert lo <= val <= hi
@@ -245,7 +244,7 @@ def test_criterion_5_bounds():
     for seed in range(30):
         m = rank_invariant_bounds_model(2, seed=5100 + seed, figure="fig7a")
         rep = bounds_auxiliary_proxy(observed_joint(m), 2)
-        truth = oracle_effects(m)
+        truth = effects(m)
         assert rep.att_interval[0] - 1e-7 <= truth["att"] <= rep.att_interval[1] + 1e-7
         assert rep.atu_interval[0] - 1e-7 <= truth["atu"] <= rep.atu_interval[1] + 1e-7
         cate_v = _oracle_cate_by_v(m)

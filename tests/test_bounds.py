@@ -4,14 +4,13 @@ points, per-v intervals, and the oracle-side rank-invariance check."""
 import numpy as np
 import pytest
 
-from conftest import oracle_cate_by_w, oracle_effects
-from triproxy.bounds import (BoundsReport, bounds_auxiliary_proxy,
-                             bounds_outcome_proxy, check_rank_invariance)
+from conftest import check_rank_invariance
+from triproxy.bounds import BoundsReport, bounds_auxiliary_proxy, bounds_outcome_proxy
 from triproxy.errors import (MissingLevels, NonBinaryTreatment,
                              ZeroConditioningCell)
 from triproxy.generators import rank_invariant_bounds_model
 from triproxy.prob import ProbTensor, VarSpace, marginalize
-from triproxy.scm import observed_joint
+from triproxy.scm import effects, observed_joint
 
 
 class TestOutcomeBounds:
@@ -30,7 +29,7 @@ class TestOutcomeBounds:
         m = rank_invariant_bounds_model(K, seed=seed, figure=figure)
         assert check_rank_invariance(m)  # premise of the bounds
         rep = bounds_outcome_proxy(observed_joint(m), K)
-        truth = oracle_effects(m)
+        truth = effects(m)
         lo, hi = rep.s_lower - 1e-7, rep.s_upper + 1e-7
         for val in (truth["att"], truth["atu"], *truth["cate"]):
             assert lo <= val <= hi
@@ -41,7 +40,7 @@ class TestOutcomeBounds:
         rep = bounds_outcome_proxy(observed_joint(m), 3)
         assert rep.point_identified
         assert rep.s_upper - rep.s_lower <= 1e-7
-        truth = oracle_cate_by_w(m)
+        truth = effects(m)["cate"]
         assert abs(rep.s_lower - truth[0]) < 1e-7
 
     def test_zero_effect_gives_zero_interval(self):
@@ -57,7 +56,7 @@ class TestAuxiliaryBounds:
         K = 2
         m = rank_invariant_bounds_model(K, seed=4, figure="fig7a")
         rep = bounds_auxiliary_proxy(observed_joint(m), K)
-        truth = oracle_effects(m)
+        truth = effects(m)
         assert rep.att_interval[0] - 1e-7 <= truth["att"] <= rep.att_interval[1] + 1e-7
         assert rep.atu_interval[0] - 1e-7 <= truth["atu"] <= rep.atu_interval[1] + 1e-7
         assert rep.per_v_lower is not None and rep.per_v_upper is not None

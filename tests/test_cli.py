@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 
 import triproxy
-from conftest import oracle_effects
 from triproxy.cli import main
 from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  rank_invariant_bounds_model,
                                  unbiased_proxy_model)
 from triproxy.prob import ProbTensor
-from triproxy.scm import observed_joint
+from triproxy.scm import Npsem, effects, observed_joint
+
+#: oracle report key -> field of ``scm.effects``
+ORACLE_REPORT = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cate",
+                 "w_marginal": "w", "pot_y": "pot_y"}
 
 
 def _load_script(name: str):
@@ -68,26 +71,43 @@ class TestSimulateOracle:
         np.testing.assert_allclose(
             t.reorder(truth.names).values, truth.values, atol=1e-12)
 
-    def test_simulate_empirical_deterministic(self, capsys, fig2a_files):
-        _, model, _ = fig2a_files
-        args = ("simulate", "--model", model, "--seed", "5",
-                "--samples", "4000")
-        code, out1, _ = run(capsys, *args)
-        assert code == 0
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
-        t = ProbTensor.from_dict(_result(out1))
-        assert abs(t.values.sum() - 1.0) < 1e-12
-
     def test_oracle_matches_enumeration(self, capsys, fig2a_files):
         m, model, _ = fig2a_files
         code, out, _ = run(capsys, "oracle", "--model", model)
         assert code == 0
         res = _result(out)
-        truth = oracle_effects(m)
-        assert abs(res["ate"] - truth["ate"]) < 1e-12
-        assert abs(res["att"] - truth["att"]) < 1e-12
-        assert abs(res["atu"] - truth["atu"]) < 1e-12
+        truth = effects(m)
+        assert set(res) == set(ORACLE_REPORT)
+        for key, field in ORACLE_REPORT.items():
+            assert res[key] == np.asarray(truth[field]).tolist(), key
+
+    def test_oracle_reads_the_declared_latent_node(self, tmp_path, capsys, fig2a_files):
+        m, model, _ = fig2a_files
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(m.to_dict()).replace('"W"', '"U"'))
+        assert Npsem.from_dict(json.loads(renamed.read_text())).latent == ("U",)
+        outs = []
+        for path in (model, str(renamed)):
+            code, out, err = run(capsys, "oracle", "--model", path)
+            assert code == 0, err
+            outs.append(_result(out))
+        assert outs[0] == outs[1]
+
+    def test_oracle_refuses_a_model_without_latent_node(self, tmp_path, capsys, fig2a_files):
+        m, _, _ = fig2a_files
+        d = m.to_dict()
+        del d["latent"]
+        path = tmp_path / "no-latent.json"
+        path.write_text(json.dumps(d))
+        code, _, err = run(capsys, "oracle", "--model", str(path))
+        assert code == 2
+        assert "latent" in json.loads(err)["message"]
+
+    def test_oracle_refuses_an_unknown_treatment(self, capsys, fig2a_files):
+        _, model, _ = fig2a_files
+        code, _, err = run(capsys, "oracle", "--model", model, "--treatment", "Q")
+        assert code == 2
+        assert "'Q'" in json.loads(err)["message"]
 
 
 class TestIdentify:
@@ -97,7 +117,7 @@ class TestIdentify:
                            "--latent-dim", "2", "--joint", joint)
         assert code == 0
         est = _result(out)["estimands"]
-        truth = oracle_effects(m)
+        truth = effects(m)
         assert abs(est["ate"] - truth["ate"]) < 1e-8
         assert abs(est["att"] - truth["att"]) < 1e-8
 

@@ -4,7 +4,7 @@ plus failure modes and invariances."""
 import numpy as np
 import pytest
 
-from conftest import assert_cdf_match, oracle_effects
+from conftest import assert_cdf_match
 from triproxy.errors import (EigenGapExhausted, MissingLevels,
                              NonBinaryTreatment, RankDeficient, TriproxyError,
                              UnknownAxis)
@@ -18,7 +18,7 @@ from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
                                 identify_outcome_proxy,
                                 identify_treatment_proxy, potential_joint)
 from triproxy.prob import marginalize
-from triproxy.scm import observed_joint
+from triproxy.scm import effects, observed_joint
 
 PIPELINES = {
     "outcome": identify_outcome_proxy,
@@ -46,7 +46,7 @@ class TestAgainstOracle:
     def test_effects_match(self, figure, K):
         m = figure_model(figure, K=K, seed=101)
         rep = estimands(run_pipeline(m, K))
-        truth = oracle_effects(m)
+        truth = effects(m)
         assert abs(rep.ate - truth["ate"]) < 1e-8
         assert abs(rep.att - truth["att"]) < 1e-8
         assert abs(rep.atu - truth["atu"]) < 1e-8
@@ -62,14 +62,14 @@ class TestAgainstOracle:
         m = figure_model(figure, K=K, seed=7)
         model = run_pipeline(m, K).canonicalized()
         rep = estimands(model)
-        from conftest import oracle_cate_by_w, oracle_w_marginal
-        truth_cate = oracle_cate_by_w(m)
+        truth = effects(m)
+        truth_cate = truth["cate"]
         # match latent states by their effect values
         perm = [int(np.argmin(np.abs(truth_cate - b))) for b in rep.beta]
         assert sorted(perm) == list(range(K))
         np.testing.assert_allclose(rep.beta, truth_cate[perm], atol=1e-8)
         np.testing.assert_allclose(rep.w_marginal,
-                                   oracle_w_marginal(m)[perm], atol=1e-8)
+                                   truth["w"][perm], atol=1e-8)
 
 
 class TestStructuralIdentities:
@@ -100,7 +100,7 @@ class TestStructuralIdentities:
         cond = yx.values / yx.values.sum(axis=0)
         y = np.asarray(joint.axis("Y").level_values())
         naive = float(y @ (cond[:, 1] - cond[:, 0]))
-        truth = oracle_effects(m)
+        truth = effects(m)
         assert abs(naive - truth["ate"]) < 1e-10  # premise: no confounding
         assert abs(rep.ate - naive) < 1e-8
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import oracle_cate_by_w, oracle_clamp_xw_mean, oracle_w_marginal
+from conftest import oracle_clamp_xw_mean
 from triproxy.errors import (AlphaCollision, MissingLevels, TauOutOfRange,
                              ZeroConditioningCell)
 from triproxy.generators import unbiased_proxy_model
@@ -15,7 +15,7 @@ from triproxy.pipelines import (identify_auxiliary_proxy,
 from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
 from triproxy.relabel import (RelabelRule, compute_alpha, confounder_effects,
                               relabel_monotone, relabel_unbiased)
-from triproxy.scm import observed_joint
+from triproxy.scm import effects, observed_joint
 
 
 def identified(m, K, design="outcome"):
@@ -94,10 +94,10 @@ class TestUnbiased:
     def test_per_state_effects_match_oracle(self, K):
         m = unbiased_proxy_model(K, seed=4)
         labeled = relabel_unbiased(identified(m, K), RelabelRule("mean", "unbiased"))
-        truth = oracle_cate_by_w(m)
+        truth = effects(m)
         for w in range(K):
-            assert abs(labeled.beta_at_value(float(w)) - truth[w]) < 1e-7
-        np.testing.assert_allclose(labeled.w_marginal, oracle_w_marginal(m),
+            assert abs(labeled.beta_at_value(float(w)) - truth["cate"][w]) < 1e-7
+        np.testing.assert_allclose(labeled.w_marginal, truth["w"],
                                    atol=1e-7)
 
     def test_auxiliary_per_state_effects_match_oracle(self):
@@ -107,7 +107,7 @@ class TestUnbiased:
             m = unbiased_proxy_model(2, seed=seed, figure="fig5a")
             labeled = relabel_unbiased(identified(m, 2, design="auxiliary"),
                                        RelabelRule("mean", "unbiased"))
-            truth = oracle_cate_by_w(m)
+            truth = effects(m)["cate"]
             for w in range(2):
                 assert abs(labeled.beta_at_value(float(w)) - truth[w]) < 1e-7
 
@@ -134,9 +134,9 @@ class TestMonotone:
         K = 3
         m = unbiased_proxy_model(K, seed=6, monotone_map=(0.0, 0.4, 2.1))
         labeled = relabel_monotone(identified(m, K), RelabelRule("mean", "monotone"))
-        truth_w = oracle_w_marginal(m)
-        truth_cate = oracle_cate_by_w(m)
-        cdf = np.cumsum(truth_w)
+        truth = effects(m)
+        truth_cate = truth["cate"]
+        cdf = np.cumsum(truth["w"])
         for tau in (0.1, 0.4, 0.6, 0.9):
             true_state = int(np.searchsorted(cdf, tau - 1e-12, side="left"))
             assert abs(labeled.beta_at_quantile(tau) - truth_cate[true_state]) < 1e-7
@@ -147,9 +147,9 @@ class TestMonotone:
         K = 2
         m = unbiased_proxy_model(K, seed=7, monotone_map=(1.5, -0.5))
         labeled = relabel_monotone(identified(m, K), RelabelRule("mean", "monotone"))
-        truth_cate = oracle_cate_by_w(m)
-        truth_w = oracle_w_marginal(m)
-        cdf = np.cumsum(truth_w[::-1])
+        truth = effects(m)
+        truth_cate = truth["cate"]
+        cdf = np.cumsum(truth["w"][::-1])
         for tau in (0.2, 0.8):
             rev_state = int(np.searchsorted(cdf, tau - 1e-12, side="left"))
             assert abs(labeled.beta_at_quantile(tau)

@@ -1,5 +1,5 @@
-"""Structural models: the factorized oracle vs brute-force noise
-enumeration, counterfactual consistency, sampling convergence, guards."""
+"""Structural models: the factorized oracle and the effect summary vs
+brute-force noise enumeration, counterfactual consistency, guards."""
 
 import itertools
 import tracemalloc
@@ -7,15 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triproxy.errors import (EnumerationTooLarge, InvalidDistribution,
-                             UnknownNode)
+from triproxy.errors import (EnumerationTooLarge, InvalidDistribution, MissingRole,
+                             NonBinaryTreatment, UnknownNode)
 from triproxy.generators import figure_model, random_npsem, standard_spaces
 from triproxy.graphs import FIGURES
 from triproxy.prob import VarSpace, marginalize
 from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label,
-                          check_counterfactual_ci, counterfactual_joint,
-                          empirical_tensor, observable_joint, observed_joint,
-                          sample)
+                          check_counterfactual_ci, counterfactual_joint, effects,
+                          observable_joint, observed_joint)
 
 
 def brute_force_joint(m: Npsem) -> np.ndarray:
@@ -177,6 +176,58 @@ class TestFactorizedOracle:
         assert observable_joint(m).values.shape == (1,) * 60
 
 
+def enumerated_effects(m: Npsem) -> dict:
+    """The effect summary in plain numpy from the brute-force cross-world
+    joint, one latent state and one factual arm at a time."""
+    b = brute_force_counterfactual(m, ("X",), keep=("W", "X"))   # (Y(0), Y(1), W, X)
+    y = m["Y"].space.level_values()
+    total = [np.einsum("a,abwx->wx", y, b), np.einsum("b,abwx->wx", y, b)]
+    w = np.array([b[:, :, k].sum() for k in range(b.shape[2])])
+    cate = np.array([(total[1][k].sum() - total[0][k].sum()) / w[k] for k in range(w.size)])
+    treated = [(total[1][:, x].sum() - total[0][:, x].sum()) / b[..., x].sum() for x in (0, 1)]
+    atoms, cdf = [], []
+    for c, p in sorted(zip(cate, w)):
+        if atoms and c - prev <= 1e-12:
+            cdf[-1] += p
+        else:
+            atoms.append(c)
+            cdf.append((cdf[-1] if cdf else 0.0) + p)
+        prev = c
+    return {"ate": float(w @ cate), "att": treated[1], "atu": treated[0],
+            "pot_y": np.stack([b.sum(axis=(1, 2, 3)), b.sum(axis=(0, 2, 3))], axis=1),
+            "cate": cate, "w": w, "beta_atoms": np.array(atoms), "beta_cdf": np.array(cdf)}
+
+
+class TestEffects:
+    """``effects`` against an independent summary of brute-force enumeration."""
+
+    @pytest.mark.parametrize("fig", sorted(FIGURES))
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_enumeration(self, fig, K):
+        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K, latent=("W",))
+        got, want = effects(m), enumerated_effects(m)
+        assert set(got) == set(want)
+        for key in want:
+            assert np.shape(got[key]) == np.shape(want[key]), key
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+    def test_reads_the_one_memoized_joint(self):
+        m = random_npsem(FIGURES["fig2a"], standard_spaces(2), seed=4, latent=("W",))
+        effects(m)
+        assert list(m._joints.values()) == [counterfactual_joint(m, ("X",), keep=("W", "X"))]
+
+    def test_needs_exactly_one_latent_node(self):
+        m = small_model(4)
+        for latent in ((), ("W", "V")):
+            with pytest.raises(MissingRole):
+                effects(Npsem(m.nodes, latent))
+
+    def test_needs_a_binary_treatment(self):
+        m = random_npsem(FIGURES["fig2a"], standard_spaces(3), seed=0, latent=("W",))
+        with pytest.raises(NonBinaryTreatment):
+            effects(m, treatment="Z")
+
+
 class TestCounterfactuals:
     def test_consistency_is_exact(self):
         # on the event X = x the arm Y(x) coincides with the factual outcome
@@ -263,26 +314,6 @@ class TestJointMemo:
         assert m._joints and not fresh._joints
         assert m == fresh
         assert repr(m) == repr(fresh)
-
-
-class TestSampling:
-    def test_deterministic(self):
-        m = small_model(1)
-        a = sample(m, 200, seed=42)
-        b = sample(m, 200, seed=42)
-        assert all(np.array_equal(a[k], b[k]) for k in a)
-
-    def test_empirical_converges(self):
-        m = small_model(2)
-        truth = observable_joint(m)
-        data = sample(m, 200_000, seed=7)
-        emp = empirical_tensor(data, truth.axes)
-        # 200k draws: cellwise error well inside 4 sigma of a binomial cell
-        assert np.abs(emp.values - truth.values).max() < 4 * 0.5 / np.sqrt(200_000)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidDistribution):
-            sample(small_model(), 0, seed=0)
 
 
 class TestSerialization:
