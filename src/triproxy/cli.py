@@ -112,11 +112,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_model(path: str) -> Npsem:
+    d = _load_json(path)
     try:
-        return Npsem.from_dict(_load_json(path))
-    except TriproxyError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+        return Npsem.from_dict(d)
+    except (TriproxyError, KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"bad model file {path}: {e}") from e
 
 

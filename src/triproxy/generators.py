@@ -14,7 +14,9 @@ Two construction routes:
 Draws failing the rank / distinguishability / stratum-mass diagnostics of
 the intended design are discarded and redrawn (bounded retry loop), so
 every fixture this module hands out is numerically well-posed for its
-pipeline.
+pipeline.  The diagnostics screen every stratum of a draw in one batched
+pass over the observable joint, and the redraws on one graph share its
+topological order and the exact oracle's elimination plan.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDistribution
+from .errors import InvalidDistribution, ZeroConditioningCell
 from .graphs import FIGURES, Dag
-from .prob import ProbTensor, VarSpace, condition, marginalize, restrict
+from .prob import VarSpace, marginalize
 from .scm import NodeSpec, Npsem, effects, observable_joint
 
 MAX_TRIES = 100
@@ -249,27 +251,6 @@ PIPELINE_FIGURES = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c",
                     "fig4a", "fig4b", "fig5a", "fig5b", "fig5c")
 
 
-def _kernel(t: ProbTensor, target: str, given: tuple[str, ...]) -> np.ndarray:
-    t = marginalize(t, set(t.names) - {target} - set(given))
-    return condition(t, set(given)).values
-
-
-def _sv_ratio(mat: np.ndarray, k: int) -> float:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size < k or sv[0] <= 0:
-        return 0.0
-    return float(sv[k - 1] / sv[0])
-
-
-def _col_gap(mat: np.ndarray) -> float:
-    k = mat.shape[1]
-    if k < 2:
-        return np.inf
-    gaps = [np.abs(mat[:, i] - mat[:, j]).max()
-            for i in range(k) for j in range(i + 1, k)]
-    return float(min(gaps))
-
-
 @dataclass(frozen=True)
 class FixtureDiagnostics:
     sv_ratio: float
@@ -302,25 +283,41 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     Within each stratum (each level of the stratum axis, or the whole joint)
     the Z|W kernel and the W-V matrix must have rank K, the signal's
     columns given W must differ, and the W (and V) marginals must keep
-    mass; so must the stratum axis itself.  The oracle runs only when these
-    screens pass at :meth:`FixtureDiagnostics.passes`'s thresholds, since
-    a draw failing them is refused whatever its CATE gap; ``cate_gap`` is
-    NaN then, and infinite when ``with_cate`` is false.
+    mass; so must the stratum axis itself.  The observable joint is summed
+    once down to (stratum, W, Z, V, signal), so each family of per-stratum
+    matrices is one stacked array, screened by one batched SVD or one
+    pairwise column comparison.  A stratum, or a W cell within one, without
+    mass raises :class:`~triproxy.errors.ZeroConditioningCell`.  The oracle
+    runs only when these screens pass at :meth:`FixtureDiagnostics.passes`'s
+    thresholds, since a draw failing them is refused whatever its CATE gap;
+    ``cate_gap`` is NaN then, and infinite when ``with_cate`` is false.
     """
     axis, signal, mass_axes = _SCREENS[FIGURE_DESIGNS[figure]]
     joint = observable_joint(m)
-    sv, gap, mass = np.inf, np.inf, np.inf
-    if axis is None:
-        strata = [joint]
-    else:
-        mass = float(marginalize(joint, set(joint.names) - {axis}).values.min())
-        strata = [restrict(joint, {axis: s}) for s in range(m[axis].space.cardinality)]
-    for t in strata:
-        wv = marginalize(t, set(t.names) - {"W", "V"}).reorder(("W", "V")).values
-        sv = min(sv, _sv_ratio(_kernel(t, "Z", ("W",)), K), _sv_ratio(wv, K))
-        gap = min(gap, _col_gap(_kernel(t, signal, ("W",))))
-        for a in mass_axes:
-            mass = min(mass, float(marginalize(t, set(t.names) - {a}).values.min()))
+    order = ((axis,) if axis else ()) + ("W", "Z", "V", signal)
+    t = marginalize(joint, set(joint.names) - set(order)).reorder(order).values
+    t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
+    w = t.sum(axis=(2, 3, 4))                            # (stratum, W)
+    empty = np.argwhere(w <= 0)
+    if empty.size:
+        raise ZeroConditioningCell(f"W = {empty[0, 1]} has zero probability in "
+                                   f"stratum {empty[0, 0]} of {axis or 'the joint'}")
+    strata = w.sum(axis=1)
+    mass = np.inf if axis is None else float(strata.min())
+    sv = np.inf                    # of f(Z|W) and f(W, V); ratios ignore stratum mass
+    for mats in (t.sum(axis=(3, 4)) / w[:, :, None], t.sum(axis=(2, 4))):
+        vals = np.linalg.svd(mats, compute_uv=False)
+        ratio = vals[:, K - 1] / vals[:, 0] if vals.shape[1] >= K else np.zeros(1)
+        sv = min(sv, float(ratio.min()))
+    gap = np.inf
+    if w.shape[1] >= 2:            # between the signal's columns W = i and W = j
+        cols = t.sum(axis=(2, 3)) / w[:, :, None]
+        pairs = np.abs(cols[:, :, None] - cols[:, None]).max(axis=3)
+        upper = np.triu_indices(w.shape[1], 1)
+        gap = float(pairs[:, upper[0], upper[1]].min())
+    for a in mass_axes:
+        marginal = w if a == "W" else t.sum(axis=(1, 2, 4))
+        mass = min(mass, float((marginal / strata[:, None]).min()))
 
     cate_gap = np.inf
     if with_cate:

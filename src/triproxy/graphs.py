@@ -26,6 +26,10 @@ from .errors import CyclicGraph, InvalidDistribution, MissingRole, UnknownNode
 class Dag:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    # each node's parents in edge order, and a topological order, both
+    # fixed by the frozen nodes and edges
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -40,12 +44,27 @@ class Dag:
                 raise UnknownNode(f"edge ({a},{b}) uses undeclared node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
-        self.topological_order()  # raises CyclicGraph
+        parents = {n: tuple(a for a, b in edges if b == n) for n in nodes}
+        children = {n: [b for a, b in edges if a == n] for n in nodes}
+        indeg = {n: len(parents[n]) for n in nodes}
+        queue = deque(n for n in nodes if indeg[n] == 0)
+        order = []
+        while queue:
+            n = queue.popleft()
+            order.append(n)
+            for c in children[n]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    queue.append(c)
+        if len(order) != len(nodes):
+            raise CyclicGraph("graph has a directed cycle")
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_order", tuple(order))
 
     def parents(self, node: str) -> tuple[str, ...]:
-        if node not in self.nodes:
+        if node not in self._parents:
             raise UnknownNode(f"unknown node {node!r}")
-        return tuple(a for a, b in self.edges if b == node)
+        return self._parents[node]
 
     def children(self, node: str) -> tuple[str, ...]:
         if node not in self.nodes:
@@ -53,21 +72,7 @@ class Dag:
         return tuple(b for a, b in self.edges if a == node)
 
     def topological_order(self) -> tuple[str, ...]:
-        indeg = {n: 0 for n in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        queue = deque(n for n in self.nodes if indeg[n] == 0)
-        order = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for c in self.children(n):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != len(self.nodes):
-            raise CyclicGraph("graph has a directed cycle")
-        return tuple(order)
+        return self._order
 
     def descendants(self, node: str) -> set[str]:
         out: set[str] = set()

@@ -16,6 +16,11 @@ The cost is the sum of the kernel sizes plus the intermediate joints.
 ``ENUMERATION_GUARD`` bounds the cells of the requested joint and of every
 kernel, noise sum and intermediate joint; an oversized request raises
 :class:`~triproxy.errors.EnumerationTooLarge` before any array is allocated.
+All but the arithmetic depends only on the structure (node names, parents
+and cardinalities, worlds and outputs), so it is planned once per structure
+and kept in a cache of at most ``PLAN_CACHE_SIZE`` plans that every model
+drawn on one graph shares; per model, the noise sums are checked first, as
+the noise cardinalities vary between models of one structure.
 
 A model computes each exact joint once: the result is kept on the
 :class:`Npsem` it was computed for and handed out again on every later
@@ -64,7 +69,7 @@ class NodeSpec:
         pmf = np.asarray(self.noise_pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size < 1:
             raise InvalidDistribution(f"{self.space.name}: bad noise pmf")
-        if abs(pmf.sum() - 1.0) > 1e-10 or pmf.min() < 0:
+        if not np.isfinite(pmf).all() or abs(pmf.sum() - 1.0) > 1e-10 or pmf.min() < 0:
             raise InvalidDistribution(f"{self.space.name}: noise pmf not a distribution")
         if table.shape[-1] != pmf.size:
             raise InvalidDistribution(f"{self.space.name}: table/noise shape mismatch")
@@ -180,67 +185,36 @@ def _cells(cards) -> int:
     return out
 
 
-def _kernel(node: NodeSpec, copies, pa_vars, cards) -> np.ndarray:
-    """``Σ_u pmf(u)·Π_j 1[table[pa_j, u] = v_j]`` over ``(*pa_vars, *copies)``.
+def _plan(nodes, worlds, outputs, out_cards, noise_cards) -> tuple:
+    """Everything of an exact joint that depends only on the structure.
 
-    ``copies`` holds one parent-reference tuple per copy of the node; a
-    reference is a variable id or, for a clamped parent, ``("=", level)``.
-    """
-    shape = tuple(cards[v] for v in pa_vars)
-    ndim = len(shape) + 1
-
-    def along(axis: int, n: int) -> np.ndarray:
-        return np.arange(n).reshape([n if i == axis else 1 for i in range(ndim)])
-
-    u = along(ndim - 1, node.noise_card)
-    card = node.space.cardinality
-    flat = 0
-    for refs in copies:
-        idx = tuple(r[1] if isinstance(r, tuple) else along(pa_vars.index(r), cards[r])
-                    for r in refs)
-        flat = flat * card + node.table[idx + (u,)]
-    full = shape + (node.noise_card,)
-    copy_cells = card ** len(copies)
-    base = np.arange(_cells(shape)).reshape(shape + (1,)) * copy_cells
-    k = np.bincount((base + flat).ravel(),
-                    weights=np.broadcast_to(node.noise_pmf, full).ravel(),
-                    minlength=_cells(shape) * copy_cells)
-    return k.reshape(shape + (card,) * len(copies))
-
-
-def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
-    """Exact joint of ``outputs``, each a ``(world, node)`` pair.
-
-    ``worlds`` are clamp dicts (``{}`` is the factual world).  A node gets
-    one copy per distinct tuple of parent values across worlds, so copies
-    that cannot differ are one variable and all copies share the node's
-    noise, which is summed out once in the node's kernel.  Nodes are
+    ``nodes`` holds ``(name, parents, cardinality)`` per node.  A node gets
+    one copy per distinct tuple of parent values across ``worlds``, so
+    copies that cannot differ are one variable and all copies share the
+    node's noise, which is summed out once in the node's kernel.  Nodes are
     eliminated in topological order: each step multiplies one kernel into
     the running joint and sums out every variable past its last use.  All
     cell counts are checked against :data:`ENUMERATION_GUARD` before any
-    array is allocated.  The result is stored on ``m`` and returned as is
-    on every repeat of the request.
+    array is allocated; ``noise_cards`` only enter that check.  Each step
+    holds the node, its parent cells, per copy the table index of each parent
+    configuration, the kernel's cell offsets, cells and shape and the einsum
+    subscripts.
     """
-    request = (tuple(tuple(sorted(w.items())) for w in worlds), tuple(outputs),
-               tuple(spaces))
-    if request in m._joints:
-        return m._joints[request]
     ids: dict = {}                 # (node, parent refs) -> variable id
     owner: list[int] = []          # variable id -> node position
     ref: dict = {}                 # (world, node) -> variable id or ("=", level)
-    for i, n in enumerate(m.nodes):
-        name = n.space.name
+    for i, (name, parents, _) in enumerate(nodes):
         for w, clamp in enumerate(worlds):
             if name in clamp:
                 ref[w, name] = ("=", clamp[name])
                 continue
-            key = (name, tuple(ref[w, p] for p in n.parents))
+            key = (name, tuple(ref[w, p] for p in parents))
             if key not in ids:
                 ids[key] = len(owner)
                 owner.append(i)
             ref[w, name] = ids[key]
     parents_of = {v: key[1] for key, v in ids.items()}
-    cards = [m.nodes[i].space.cardinality for i in owner]
+    cards = [nodes[i][2] for i in owner]
 
     out_refs = [ref[o] for o in outputs]
     out_vars = {r for r in out_refs if not isinstance(r, tuple)}
@@ -252,27 +226,26 @@ def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
     for v in sorted(needed):
         copies_of.setdefault(owner[v], []).append(v)
 
-    steps = []                     # (node, copy parent refs, parent vars, kernel vars)
+    steps = []                     # (node, copies, parent vars, kernel vars)
     last_use: dict[int, int] = {}
     for i, copies in sorted(copies_of.items()):
-        n = m.nodes[i]
         pa_vars = list(dict.fromkeys(r for v in copies for r in parents_of[v]
                                      if not isinstance(r, tuple)))
         k_vars = pa_vars + copies
-        _check_cells(_cells(cards[v] for v in pa_vars) * n.noise_card,
-                     f"the noise sum of {n.space.name!r}")
-        _check_cells(_cells(cards[v] for v in k_vars), f"the kernel of {n.space.name!r}")
+        _check_cells(_cells(cards[v] for v in pa_vars) * noise_cards[i],
+                     f"the noise sum of {nodes[i][0]!r}")
+        _check_cells(_cells(cards[v] for v in k_vars), f"the kernel of {nodes[i][0]!r}")
         for v in k_vars:
             last_use[v] = len(steps)
-        steps.append((n, [parents_of[v] for v in copies], pa_vars, k_vars))
+        steps.append((i, copies, pa_vars, k_vars))
 
-    plan, live = [], []
+    lives, live = [], []
     for step, (_, _, _, k_vars) in enumerate(steps):
         union = list(dict.fromkeys(live + k_vars))
         live = [v for v in union if last_use[v] > step or v in out_vars]
         _check_cells(_cells(cards[v] for v in live), "an intermediate joint")
-        plan.append(live)
-    _check_cells(_cells(s.cardinality for s in spaces), "the requested joint")
+        lives.append(live)
+    _check_cells(_cells(out_cards), "the requested joint")
 
     # size-1 axes are left out of every einsum; the guard then keeps the
     # subscripts within numpy's 52, as each operand and the output carry at
@@ -280,33 +253,84 @@ def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
     def wide(vs):
         return [v for v in vs if cards[v] > 1]
 
-    joint, j_vars = np.ones(()), []
-    for (n, copy_refs, pa_vars, k_vars), live in zip(steps, plan):
+    planned, j_vars = [], []
+    for (i, copies, pa_vars, k_vars), live in zip(steps, lives):
+        shape = [cards[v] for v in pa_vars]
+        pa_cells = _cells(shape)
+        grid = np.indices(shape).reshape(len(shape), pa_cells)
+        index = [tuple(r[1] if isinstance(r, tuple) else grid[pa_vars.index(r)]
+                       for r in parents_of[v]) for v in copies]
+        card = nodes[i][2]
         k_vars, live = wide(k_vars), wide(live)
-        kern = _kernel(n, copy_refs, pa_vars, cards).reshape([cards[v] for v in k_vars])
         local = {v: c for c, v in enumerate(dict.fromkeys(j_vars + k_vars))}
-        joint = np.einsum(joint, [local[v] for v in j_vars],
-                          kern, [local[v] for v in k_vars],
-                          [local[v] for v in live])
+        planned.append((
+            i, pa_cells, index, np.arange(pa_cells).reshape(pa_cells, 1) * card ** len(copies),
+            pa_cells * card ** len(copies), [cards[v] for v in k_vars],
+            ([local[v] for v in j_vars], [local[v] for v in k_vars],
+             [local[v] for v in live])))
         j_vars = live
 
     # place the outputs: a repeated variable is a diagonal, a clamp a point mass
-    operands, out_axes = [joint, list(range(len(j_vars)))], []
-    for r, space in zip(out_refs, spaces):
-        if space.cardinality == 1:
+    operands, out_axes = [], []
+    for r, card in zip(out_refs, out_cards):
+        if card == 1:
             continue
         if not isinstance(r, tuple) and j_vars.index(r) not in out_axes:
             out_axes.append(j_vars.index(r))
             continue
         fresh = len(j_vars) + len(out_axes)
         if isinstance(r, tuple):
-            point = np.zeros(space.cardinality)
+            point = np.zeros(card)
             point[r[1]] = 1.0
             operands += [point, [fresh]]
         else:
-            operands += [np.eye(space.cardinality), [j_vars.index(r), fresh]]
+            operands += [np.eye(card), [j_vars.index(r), fresh]]
         out_axes.append(fresh)
-    values = np.einsum(*operands, out_axes).reshape([s.cardinality for s in spaces])
+    return planned, operands, out_axes
+
+
+#: most elimination plans kept at once
+PLAN_CACHE_SIZE = 256
+_PLANS: dict = {}                  # structure key -> plan, oldest first
+
+
+def _exact_joint(m: Npsem, worlds, outputs, spaces) -> ProbTensor:
+    """Exact joint of ``outputs``, each a ``(world, node)`` pair.
+
+    ``worlds`` are clamp dicts (``{}`` is the factual world).  Each kernel
+    is gathered from the node's table by the structure's plan and multiplied
+    in.  The result is stored on ``m`` and returned as is on every repeat of
+    the request.
+    """
+    world_items = tuple(tuple(sorted(w.items())) for w in worlds)
+    request = (world_items, tuple(outputs), tuple(spaces))
+    if request in m._joints:
+        return m._joints[request]
+    key = (tuple((n.space.name, n.parents, n.space.cardinality) for n in m.nodes),
+           world_items, tuple(outputs), tuple(s.cardinality for s in spaces))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _plan(key[0], worlds, key[2], key[3], [n.noise_card for n in m.nodes])
+        if len(_PLANS) >= PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]             # the oldest plan
+        _PLANS[key] = plan
+    steps, out_operands, out_axes = plan
+    for i, pa_cells, *_ in steps:
+        n = m.nodes[i]
+        _check_cells(pa_cells * n.noise_card, f"the noise sum of {n.space.name!r}")
+    joint = np.ones(())
+    for i, pa_cells, index, base, cells, shape, (j_sub, k_sub, live) in steps:
+        # the node's kernel: each parent configuration and noise level adds
+        # pmf(u) to the cell of the copies' values, all in one bincount
+        n = m.nodes[i]
+        flat = n.table[index[0]]
+        for idx in index[1:]:
+            flat = flat * n.space.cardinality + n.table[idx]
+        weights = n.noise_pmf[np.newaxis].repeat(pa_cells, axis=0)
+        kern = np.bincount((base + flat).ravel(), weights=weights.ravel(), minlength=cells)
+        joint = np.einsum(joint, j_sub, kern.reshape(shape), k_sub, live)
+    values = np.einsum(joint, list(range(joint.ndim)), *out_operands, out_axes)
+    values = values.reshape(key[3])
     m._joints[request] = ProbTensor.build(tuple(spaces), values)
     return m._joints[request]
 
@@ -361,6 +385,9 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
         raise MissingRole("effect summaries need exactly one latent node; the model "
                           f"declares {list(m.latent) or 'none'}")
     (latent,) = m.latent
+    if latent in (treatment, outcome):
+        raise MissingRole(f"the treatment and the outcome must be observed; {latent!r} "
+                          "is the model's latent node")
     if m[treatment].space.cardinality != 2:
         raise NonBinaryTreatment("effect summaries need a binary treatment")
     y = m[outcome].space.level_values()

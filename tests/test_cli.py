@@ -109,6 +109,13 @@ class TestSimulateOracle:
         assert code == 2
         assert "'Q'" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("flag", ["--treatment", "--outcome"])
+    def test_oracle_refuses_the_latent_node_as_a_role(self, capsys, fig2a_files, flag):
+        _, model, _ = fig2a_files
+        code, _, err = run(capsys, "oracle", "--model", model, flag, "W")
+        assert code == 2
+        assert "latent node" in json.loads(err)["message"]
+
 
 class TestIdentify:
     def test_outcome_design_matches_oracle(self, capsys, fig2a_files):
@@ -243,6 +250,24 @@ class TestExitCodesAndDiagnostics:
         assert code == 2
         diag = json.loads(err)
         assert set(diag) == {"error", "message", "assumption"}
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda d: d.update(latent=["Q"]), "latent 'Q' not a node"),
+        (lambda d: d["nodes"][0]["table"].__setitem__(0, 99), "table values out of range"),
+        (lambda d: d["nodes"][0]["noise_pmf"].__setitem__(0, float("nan")),
+         "noise pmf not a distribution"),
+    ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf"])
+    def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
+        m, _, _ = fig2a_files
+        d = m.to_dict()
+        edit(d)
+        path = tmp_path / "bad-model.json"
+        path.write_text(json.dumps(d))
+        code, _, err = run(capsys, "simulate", "--model", str(path), "--seed", "0")
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert reason in diag["message"]
 
     def test_latent_dim_too_large_exit_2(self, capsys, fig2a_files):
         _, _, joint = fig2a_files

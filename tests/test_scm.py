@@ -11,6 +11,7 @@ from triproxy.errors import (EnumerationTooLarge, InvalidDistribution, MissingRo
                              NonBinaryTreatment, UnknownNode)
 from triproxy.generators import figure_model, random_npsem, standard_spaces
 from triproxy.graphs import FIGURES
+from triproxy import scm
 from triproxy.prob import VarSpace, marginalize
 from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label,
                           check_counterfactual_ci, counterfactual_joint, effects,
@@ -124,6 +125,58 @@ class TestEnumeration:
         with pytest.raises(InvalidDistribution):
             Npsem((NodeSpec(VarSpace("A", 2), ("B",),
                             np.zeros((2, 2), dtype=np.int64), np.full(2, 0.5)),))
+
+
+class TestPlanCache:
+    """The elimination is planned once per structure and shared by every
+    model with that structure, whatever its noise cardinalities."""
+
+    def test_models_on_one_dag_share_one_plan(self):
+        dag, spaces = FIGURES["fig2a"], standard_spaces(2)
+        models = [random_npsem(dag, spaces, seed=s, latent=("W",), noise_cards={"Y": nc})
+                  for s, nc in ((0, 4), (1, 9))]
+        assert models[0]["Y"].noise_card != models[1]["Y"].noise_card
+        scm._PLANS.clear()
+        for m in models:
+            np.testing.assert_allclose(observable_joint(m).values, brute_force_joint(m),
+                                       rtol=0, atol=1e-14)
+            for keep in (("W", "X"), None):
+                np.testing.assert_allclose(
+                    counterfactual_joint(m, ("X",), keep=keep).values,
+                    brute_force_counterfactual(m, ("X",), keep=keep), rtol=0, atol=1e-13)
+            assert len(scm._PLANS) == 3
+
+    def test_noise_guard_runs_on_a_cached_plan(self, monkeypatch):
+        # Y(0) and Y(1) read the two clamped copies of B, so Y's noise sum
+        # runs over 400^2 parent configurations per noise level
+        def model(y_noise: int) -> Npsem:
+            return Npsem((
+                NodeSpec(VarSpace("X", 2), (), np.arange(2), np.full(2, 0.5)),
+                NodeSpec(VarSpace("B", 400), ("X",), np.tile(np.arange(400), (2, 1)),
+                         np.full(400, 1 / 400)),
+                NodeSpec(VarSpace("Y", 2), ("B",), np.zeros((400, y_noise), dtype=np.int64),
+                         np.full(y_noise, 1 / y_noise)),
+            ))
+        small, big = model(2), model(100)
+        assert 400 ** 2 * 100 > ENUMERATION_GUARD
+        assert counterfactual_joint(small, ("X",), keep=()).values[0, 0] == pytest.approx(1)
+        monkeypatch.setattr(scm, "_plan", None)      # any new plan would fail
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge, match="noise sum of 'Y'"):
+                counterfactual_joint(big, ("X",), keep=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20      # the noise sum's indices alone would take 128 MB
+
+    def test_cache_holds_at_most_its_bound(self):
+        for card in range(1, scm.PLAN_CACHE_SIZE + 10):
+            m = Npsem((NodeSpec(VarSpace("A", card), (), np.arange(card),
+                                np.full(card, 1 / card)),))
+            observable_joint(m)
+            assert len(scm._PLANS) <= scm.PLAN_CACHE_SIZE
+        assert len(scm._PLANS) == scm.PLAN_CACHE_SIZE
 
 
 def _cross_check_cases():
