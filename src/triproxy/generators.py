@@ -22,6 +22,7 @@ topological order and the exact oracle's elimination plan.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -72,10 +73,12 @@ def encode_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidDistribution("kernel columns must be pmfs")
     cums = np.cumsum(cols, axis=0)
     cums[-1, :] = 1.0
-    breaks = np.unique(cums[:-1])
-    breaks = breaks[(breaks > 1e-15) & (breaks < 1.0 - 1e-15)]
-    edges = np.concatenate([[0.0], breaks, [1.0]])
-    pmf = np.diff(edges)
+    # the distinct breakpoints inside (0, 1): sort, drop left-neighbour repeats
+    flat = np.sort(cums[:-1], axis=None)
+    keep = (flat > 1e-15) & (flat < 1.0 - 1e-15)
+    keep[1:] &= flat[1:] != flat[:-1]
+    edges = np.concatenate(([0.0], flat[keep], [1.0]))
+    pmf = edges[1:] - edges[:-1]
     mids = (edges[:-1] + edges[1:]) / 2.0
     # each column is sorted, so counting its entries below a midpoint gives
     # the left insertion point; every midpoint is below the last entry, 1
@@ -183,16 +186,21 @@ def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
                         parent_cards: tuple[int, ...],
                         sep_axis: int) -> np.ndarray:
     """Continuous outcome kernel whose conditional means are stratified
-    across the separated parent, so latent-state effects never tie."""
+    across the separated parent, so latent-state effects never tie.  Per
+    block of the separated parent the draws are one permutation, then per
+    column one uniform and one Dirichlet draw."""
     k_sep = parent_cards[sep_axis]
-    out = np.empty((levels.size,) + tuple(parent_cards))
+    others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
     lo, hi = levels.min() + 0.25, levels.max() - 0.25
-    for block in _separated_blocks(out, sep_axis):
-        offsets = rng.permutation(k_sep)
-        for w in range(k_sep):
-            mean = lo + (offsets[w] + rng.uniform(0.15, 0.85)) * (hi - lo) / k_sep
-            block[:, w] = _pmf_with_mean(levels, mean, rng)
-    return out
+    offsets, spread, qs = [], [], []
+    for _ in range(math.prod(others)):
+        offsets.append(rng.permutation(k_sep))
+        for _ in range(k_sep):
+            spread.append(rng.uniform(0.15, 0.85))
+            qs.append(rng.dirichlet(np.ones(levels.size)))
+    means = lo + (np.concatenate(offsets) + spread) * (hi - lo) / k_sep
+    cols = _pmfs_with_means(levels, means, np.array(qs))
+    return np.moveaxis(cols.reshape((levels.size,) + others + (k_sep,)), -1, sep_axis + 1)
 
 
 def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
@@ -351,33 +359,29 @@ def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True,
 # designed kernels (exact means)
 
 
-def _pmf_with_mean(levels: np.ndarray, mean: float, rng: np.random.Generator,
-                   floor: float = 0.05) -> np.ndarray:
-    """Random pmf over ``levels`` with the exact requested mean."""
+def _pmfs_with_means(levels: np.ndarray, means: np.ndarray,
+                     qs: np.ndarray) -> np.ndarray:
+    """Columns ``(levels, means)`` of pmfs over ``levels`` with the exact
+    requested ``means``, one per row of the Dirichlet draws ``qs``."""
     lo, hi = levels.min(), levels.max()
-    if not lo + 1e-9 < mean < hi - 1e-9:
-        raise InvalidDistribution(f"mean {mean} outside ({lo}, {hi})")
-    q = rng.dirichlet(np.ones(levels.size))
-    mq = float(q @ levels)
-    # mix q with a two-point law at the extreme levels; the mixture weight is
-    # chosen so the two-point mean stays feasible and the result is exact
-    slack = min(mean - lo, hi - mean)
-    lam = min(0.95, max(0.35, abs(mean - mq) / (abs(mean - mq) + slack) + 0.05))
-    m2 = (mean - (1 - lam) * mq) / lam
-    p = (1 - lam) * q
+    outside = ~((lo + 1e-9 < means) & (means < hi - 1e-9))
+    if outside.any():
+        raise InvalidDistribution(f"mean {means[outside][0]} outside ({lo}, {hi})")
+    # row by row: a stacked product can round differently in the last bit
+    mq = np.array([q @ levels for q in qs])
+    # mix each q with a two-point law at the extreme levels; the mixture weight
+    # keeps the two-point mean feasible, so the result is exact
+    dist = np.abs(means - mq)
+    slack = np.minimum(means - lo, hi - means)
+    lam = np.minimum(0.95, np.maximum(0.35, dist / (dist + slack) + 0.05))
+    m2 = (means - (1 - lam) * mq) / lam
+    p = (1 - lam)[:, None] * qs
     w_hi = (m2 - lo) / (hi - lo)
-    p[np.argmax(levels)] += lam * w_hi
-    p[np.argmin(levels)] += lam * (1 - w_hi)
+    p[:, np.argmax(levels)] += lam * w_hi
+    p[:, np.argmin(levels)] += lam * (1 - w_hi)
     if p.min() < -1e-12:
         raise InvalidDistribution("could not realize requested mean")
-    return np.clip(p, 0, None) / p.sum()
-
-
-def proxy_kernel_with_means(z_levels: np.ndarray, targets: np.ndarray,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Columns are pmfs over ``z_levels`` whose means equal ``targets`` exactly."""
-    cols = [ _pmf_with_mean(z_levels, t, rng) for t in targets ]
-    return np.stack(cols, axis=1)
+    return (np.clip(p, 0, None) / p.sum(axis=1, keepdims=True)).T
 
 
 def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
@@ -398,7 +402,8 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
         raise InvalidDistribution("target means must lie inside the Z level range")
     for attempt in range(max_tries):
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ub"))
-        z_kernel = proxy_kernel_with_means(z_levels, targets, rng)
+        z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(
+            np.ones(z_levels.size), size=targets.size))
         m = designed_npsem(dag, spaces,
                            seed=_derive(figure, K, seed, attempt, "rest"),
                            latent=("W",), kernels={"Z": z_kernel})
@@ -436,22 +441,19 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
                 cate = np.sort(rng.uniform(0.05, 0.45 * (hi - lo), size=K))
             return base, cate
 
+        # per V level (one without V), the targets, then one draw per (w, x)
+        n_v = spaces["V"].cardinality if auxiliary else 1
+        means, qs = [], []
+        for _ in range(n_v):
+            base, cate = monotone_targets()
+            means.append(np.stack([base, base + cate], axis=1))
+            qs.append(rng.dirichlet(np.ones(y_levels.size), size=2 * K))
+        kern = _pmfs_with_means(y_levels, np.ravel(means), np.concatenate(qs))
+        kern = kern.reshape(-1, n_v, K, 2).transpose(0, 2, 1, 3)    # (y, w, v, x)
         if auxiliary:
-            v_card = spaces["V"].cardinality
-            kern = np.empty((y_levels.size, K, v_card, 2))
-            for v in range(v_card):
-                base, cate = monotone_targets()
-                for w in range(K):
-                    kern[:, w, v, 0] = _pmf_with_mean(y_levels, base[w], rng)
-                    kern[:, w, v, 1] = _pmf_with_mean(y_levels, base[w] + cate[w], rng)
             y_parents, y_kernel = ("W", "V", "X"), kern
         else:
-            base, cate = monotone_targets()
-            kern = np.empty((y_levels.size, K, 2))
-            for w in range(K):
-                kern[:, w, 0] = _pmf_with_mean(y_levels, base[w], rng)
-                kern[:, w, 1] = _pmf_with_mean(y_levels, base[w] + cate[w], rng)
-            y_parents, y_kernel = ("W", "X"), kern
+            y_parents, y_kernel = ("W", "X"), kern[:, :, 0]
 
         dag_mod = _with_outcome_parents(dag, y_parents)
         actual = dag_mod.parents("Y")

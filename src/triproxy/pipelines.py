@@ -35,8 +35,9 @@ from .errors import (
     NonStochasticSolution,
     SolveIllConditioned,
     UnknownAxis,
+    ZeroConditioningCell,
 )
-from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize, restrict
+from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize
 from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose, match_permutation
 
 COND_GUARD = 1e8
@@ -163,10 +164,18 @@ def _normalize_slices(joint: np.ndarray) -> np.ndarray:
 
 
 def _slice_joint(joint: ProbTensor, axes: tuple[str, ...], fix: dict) -> np.ndarray:
-    """Conditional joint over ``axes`` (in order) given exact values ``fix``."""
-    t = restrict(joint, fix)
-    t = marginalize(t, set(t.names) - set(axes))
-    return t.reorder(axes).values
+    """Conditional joint over ``axes`` (in order) given exact values ``fix``:
+    ``restrict`` (dividing by the mass even with nothing fixed), then
+    ``marginalize`` and ``reorder``, on the bare array."""
+    values = joint.values[tuple(fix.get(n, slice(None)) for n in joint.names)]
+    mass = values.sum()
+    if mass <= 0:
+        raise ZeroConditioningCell(f"stratum {fix} has zero probability")
+    values = values / mass
+    kept = [n for n in joint.names if n not in fix]
+    values = values.sum(axis=tuple(i for i, n in enumerate(kept) if n not in axes))
+    kept = [n for n in kept if n in axes]
+    return values.transpose([kept.index(a) for a in axes])
 
 
 DISTINCTNESS_BY_DESIGN = {
@@ -365,12 +374,6 @@ def potential_joint(m: LatentOutcomeModel, x1: int) -> ProbTensor:
     return ProbTensor.build((arm,) + m.wx_joint.axes, _arm_laws(m)[x1])
 
 
-def _left_quantile(levels: np.ndarray, pmf: np.ndarray, tau: float) -> float:
-    cdf = np.cumsum(pmf)
-    idx = int(np.searchsorted(cdf, tau - 1e-12, side="left"))
-    return float(levels[min(idx, levels.size - 1)])
-
-
 @dataclass(frozen=True)
 class EstimandReport:
     """All reordering-invariant summaries of a latent outcome model."""
@@ -423,8 +426,12 @@ def estimands(m: LatentOutcomeModel,
     att = float(y_levels @ (pot_y_given_x[:, 1, 1] - pot_y_given_x[:, 0, 1]))
     atu = float(y_levels @ (pot_y_given_x[:, 1, 0] - pot_y_given_x[:, 0, 0]))
 
-    qte = np.array([_left_quantile(y_levels, pot_y[:, 1], t)
-                    - _left_quantile(y_levels, pot_y[:, 0], t) for t in taus])
+    # each arm's left quantiles; a CDF value within 1e-12 of tau reaches it
+    cdf = np.cumsum(pot_y, axis=0)
+    at = np.asarray(taus, dtype=float) - 1e-12
+    q = [y_levels[np.minimum(np.searchsorted(cdf[:, x], at, side="left"),
+                             y_levels.size - 1)] for x in (0, 1)]
+    qte = q[1] - q[0]
 
     order = np.argsort(beta, kind="stable")
     sorted_beta = beta[order]

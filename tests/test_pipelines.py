@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_cdf_match
 from triproxy.errors import (EigenGapExhausted, MissingLevels,
                              NonBinaryTreatment, RankDeficient, TriproxyError,
-                             UnknownAxis)
+                             UnknownAxis, ZeroConditioningCell)
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
                                  separated_kernel, standard_spaces)
@@ -16,8 +16,9 @@ from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
                                 estimands, identify_auxiliary_proxy,
                                 identify_cond_treatment_proxy,
                                 identify_outcome_proxy,
-                                identify_treatment_proxy, potential_joint)
-from triproxy.prob import marginalize
+                                identify_treatment_proxy, potential_joint,
+                                _slice_joint)
+from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import effects, observed_joint
 
 PIPELINES = {
@@ -158,13 +159,11 @@ class TestInvariances:
         spaces = standard_spaces(K)
         rng = np.random.default_rng(8)
         # f(y | w, x): mean depends on x only => constant CATE across w
-        from triproxy.generators import _pmf_with_mean
+        from triproxy.generators import _pmfs_with_means
         y_levels = np.arange(3.0)
-        means = {0: 0.7, 1: 1.3}
-        kern = np.empty((3, K, 2))
-        for x in (0, 1):
-            for w in range(K):
-                kern[:, w, x] = _pmf_with_mean(y_levels, means[x], rng)
+        means = np.repeat([0.7, 1.3], K)                    # per (x, w)
+        qs = rng.dirichlet(np.ones(3), size=2 * K)
+        kern = _pmfs_with_means(y_levels, means, qs).reshape(3, 2, K).transpose(0, 2, 1)
         # dag order for Y's parents
         y_parents = FIGURES["fig2a"].parents("Y")   # ("X", "W")
         kern_dag = np.transpose(kern, (0, 2, 1)) if y_parents == ("X", "W") else kern
@@ -308,7 +307,35 @@ def _test_kernels(card: int, seed: int) -> dict:
     }
 
 
+def _encode_with_unique(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints through ``np.unique``, as :func:`encode_kernel` once did."""
+    card = kernel.shape[0]
+    cums = np.cumsum(kernel.reshape(card, -1), axis=0)
+    cums[-1, :] = 1.0
+    breaks = np.unique(cums[:-1])
+    breaks = breaks[(breaks > 1e-15) & (breaks < 1.0 - 1e-15)]
+    edges = np.concatenate([[0.0], breaks, [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    table = np.array([np.searchsorted(c, mids, side="left") for c in cums.T])
+    return table.reshape(kernel.shape[1:] + (mids.size,)), np.diff(edges)
+
+
 class TestKernelEncoding:
+    @pytest.mark.parametrize("card", range(2, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_unique_based_reference(self, card, seed):
+        kernels = _test_kernels(card, seed)
+        rng = np.random.default_rng(seed)
+        # the last entry of a column within 1e-15 of 1, and a near-zero head
+        edge = rng.dirichlet(np.ones(card), size=3).T
+        edge[0, 0], edge[-1, 1] = 1e-16, 1e-16
+        kernels["edge"] = edge / edge.sum(axis=0)
+        for name, kernel in kernels.items():
+            table, pmf = encode_kernel(kernel)
+            want_table, want_pmf = _encode_with_unique(kernel)
+            assert pmf.tobytes() == want_pmf.tobytes(), name
+            assert np.array_equal(table, want_table), name
+
     @pytest.mark.parametrize("card", range(2, 7))
     @pytest.mark.parametrize("seed", range(3))
     def test_round_trip(self, card, seed):
@@ -326,3 +353,49 @@ class TestKernelEncoding:
             encode_kernel(np.array([[0.5, 1.2], [0.5, -0.2]]))
         with pytest.raises(InvalidDistribution):
             encode_kernel(np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+
+def _left_quantile(levels: np.ndarray, pmf: np.ndarray, tau: float) -> float:
+    """One arm's left quantile at one tau, as :func:`estimands` once
+    searched it."""
+    cdf = np.cumsum(pmf)
+    idx = int(np.searchsorted(cdf, tau - 1e-12, side="left"))
+    return float(levels[min(idx, levels.size - 1)])
+
+
+class TestStackedEqualsTensorOps:
+    """The array code in :mod:`triproxy.pipelines` against the tensor
+    operations and per-tau loops it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    def test_qte_matches_the_per_tau_search(self, figure):
+        model = run_pipeline(figure_model(figure, K=2, seed=1), 2)
+        y = np.arange(3.0)
+        cdf = np.cumsum(estimands(model).pot_y, axis=0).ravel()
+        # taus on, just inside and just outside 1e-12 of every CDF value
+        taus = tuple(float(c + d) for c in cdf
+                     for d in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12))
+        taus += (0.0, 0.5, 1.0, 1.5)
+        rep = estimands(model, taus)
+        want = np.array([_left_quantile(y, rep.pot_y[:, 1], t)
+                         - _left_quantile(y, rep.pot_y[:, 0], t) for t in taus])
+        assert rep.qte.tobytes() == want.tobytes()
+        assert estimands(model, ()).qte.shape == (0,)
+
+    def test_slice_joint_matches_restrict_marginalize_reorder(self):
+        joint = observed_joint(figure_model("fig5a", K=3, seed=0))
+        for fix in ({}, {"X": 1}, {"X": 0, "Y": 2}, {"Z": 3, "C": 0}):
+            free = [n for n in joint.names if n not in fix]
+            for axes in (tuple(free), tuple(reversed(free)), tuple(free[1:3]),
+                         (free[-1],)):
+                t = restrict(joint, fix)
+                want = marginalize(t, set(t.names) - set(axes)).reorder(axes).values
+                got = _slice_joint(joint, axes, fix)
+                assert got.tobytes() == want.tobytes(), (fix, axes)
+                assert got.strides == want.strides, (fix, axes)
+
+    def test_slice_joint_refuses_an_empty_stratum(self):
+        x, z = VarSpace("X", 2), VarSpace("Z", 2)
+        joint = ProbTensor.build((x, z), [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ZeroConditioningCell):
+            _slice_joint(joint, ("Z",), {"X": 1})
