@@ -125,9 +125,7 @@ def _load_tensor(path: str) -> ProbTensor:
         d = d.get("result")
     try:
         return ProbTensor.from_dict(d)
-    except TriproxyError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (TriproxyError, KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"bad tensor file {path}: {e}") from e
 
 
@@ -266,11 +264,10 @@ def _load_graph(args) -> Dag:
         return FIGURES[args.figure]
     if not args.graph:
         raise ValidationError("provide --graph FILE or --figure NAME")
+    d = _load_json(args.graph)
     try:
-        return Dag.from_dict(_load_json(args.graph))
-    except TriproxyError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+        return Dag.from_dict(d)
+    except (TriproxyError, KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"bad graph file: {e}") from e
 
 
@@ -385,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="observed joint from a model file")
     sim.add_argument("--model", required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=int, default=0,
+                     help="accepted for symmetry with the other verbs; the exact "
+                          "joint does not depend on it")
     sim.add_argument("--out", default="-")
     sim.set_defaults(func=_cmd_simulate)
 

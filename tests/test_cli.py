@@ -71,6 +71,15 @@ class TestSimulateOracle:
         np.testing.assert_allclose(
             t.reorder(truth.names).values, truth.values, atol=1e-12)
 
+    def test_simulate_seed_is_optional_and_shapes_nothing(self, capsys, fig2a_files):
+        _, model, _ = fig2a_files
+        results = []
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            code, out, _ = run(capsys, "simulate", "--model", model, *seed)
+            assert code == 0
+            results.append(_result(out))
+        assert results[0] == results[1] == results[2]
+
     def test_oracle_matches_enumeration(self, capsys, fig2a_files):
         m, model, _ = fig2a_files
         code, out, _ = run(capsys, "oracle", "--model", model)
@@ -264,6 +273,30 @@ class TestExitCodesAndDiagnostics:
         path = tmp_path / "bad-model.json"
         path.write_text(json.dumps(d))
         code, _, err = run(capsys, "simulate", "--model", str(path), "--seed", "0")
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert reason in diag["message"]
+
+    @pytest.mark.parametrize("verb,edit,reason", [
+        ("identify", lambda d: d["values"].__setitem__(0, float("nan")), "non-finite"),
+        ("identify", lambda d: d["axes"][0].update(cardinality=99),
+         "levels for cardinality 99"),
+        ("classify", lambda d: d["edges"].append(["Y", "W"]), "directed cycle"),
+        ("classify", lambda d: d["edges"].append(["Q", "Y"]), "undeclared node"),
+    ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node"])
+    def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
+                                            verb, edit, reason):
+        from triproxy.graphs import FIGURES
+        m, _, _ = fig2a_files
+        d = (observed_joint(m) if verb == "identify" else FIGURES["fig2a"]).to_dict()
+        edit(d)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        argv = (["identify", "--joint", str(path), "--design", "outcome",
+                 "--latent-dim", "2"] if verb == "identify"
+                else ["classify", "--graph", str(path)])
+        code, _, err = run(capsys, *argv)
         assert code == 2
         diag = json.loads(err)
         assert diag["error"] == "ValidationError"
