@@ -85,8 +85,9 @@ class HsFactors:
 
 
 def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
-    """Permutation sorting latent states lexicographically by proxy column."""
-    return np.lexsort(z_given_w[::-1])
+    """Permutation sorting latent states lexicographically by proxy column,
+    rounded to 12 digits so that round-off cannot order tied entries."""
+    return np.lexsort(np.round(z_given_w, 12)[::-1])
 
 
 def _clip_stochastic(mat: np.ndarray, axis: int, what: str) -> tuple[np.ndarray, float]:
@@ -182,7 +183,7 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     w_given_v, res, *_ = np.linalg.lstsq(z_cols, z_given_v, rcond=None)
     residual = float(np.abs(z_cols @ w_given_v - z_given_v).max())
 
-    perm = canonical_order(np.round(z_cols, 12))
+    perm = canonical_order(z_cols)
     z_cols, c_given_w, w_given_v = z_cols[:, perm], c_given_w[:, perm], w_given_v[perm]
 
     clipped = 0.0

@@ -20,6 +20,7 @@ from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
                                 _slice_joint)
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import effects, observed_joint
+from triproxy.spectral import canonical_order
 
 PIPELINES = {
     "outcome": identify_outcome_proxy,
@@ -142,6 +143,27 @@ class TestStructuralIdentities:
 
 
 class TestInvariances:
+    def test_pipeline_outputs_are_in_canonical_order(self):
+        # the pipelines order latent states as canonical_order does, so the
+        # report's own canonicalization never reorders them
+        for figure in PIPELINE_FIGURES:
+            for K in (2, 3):
+                for seed in range(4):
+                    z = run_pipeline(figure_model(figure, K, seed), K).z_given_w.values
+                    assert np.array_equal(canonical_order(z), np.arange(K)), \
+                        (figure, K, seed)
+
+    def test_ulp_perturbed_tied_joint_keeps_state_effects(self):
+        joint = observed_joint(figure_model("fig5b", K=2, seed=5))
+        z = identify_auxiliary_proxy(joint, 2).z_given_w.values
+        assert abs(z[0, 0] - z[0, 1]) < 1e-12       # tied in the first level
+        values = joint.values.copy()
+        up = np.random.default_rng(0).random(values.shape) < 0.5
+        values[up] = np.nextafter(values[up], np.inf)
+        perturbed = ProbTensor.build(joint.axes, values)
+        beta = [estimands(identify_auxiliary_proxy(j, 2)).beta for j in (joint, perturbed)]
+        np.testing.assert_allclose(beta[1], beta[0], rtol=0, atol=1e-9)
+
     def test_reports_bit_identical_under_latent_permutation(self):
         m = figure_model("fig2a", K=3, seed=15)
         model = identify_outcome_proxy(observed_joint(m), 3)
