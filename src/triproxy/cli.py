@@ -383,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="observed joint from a model file")
     sim.add_argument("--model", required=True)
     sim.add_argument("--seed", type=int, default=0,
-                     help="accepted for symmetry with the other verbs; the exact "
-                          "joint does not depend on it")
+                     help="ignored: the exact joint does not depend on a seed")
     sim.add_argument("--out", default="-")
     sim.set_defaults(func=_cmd_simulate)
 

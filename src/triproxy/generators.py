@@ -16,7 +16,9 @@ the intended design are discarded and redrawn (bounded retry loop), so
 every fixture this module hands out is numerically well-posed for its
 pipeline.  The diagnostics screen every stratum of a draw in one batched
 pass over the observable joint, and the redraws on one graph share its
-topological order and the exact oracle's elimination plan.
+topological order and the exact oracle's elimination plan.  Kernels take
+their random draws in the order of a column-by-column loop, so a seed
+always gives the same model.
 """
 
 from __future__ import annotations

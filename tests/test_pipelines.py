@@ -348,7 +348,7 @@ class TestKernelEncoding:
     def test_matches_the_unique_based_reference(self, card, seed):
         kernels = _test_kernels(card, seed)
         rng = np.random.default_rng(seed)
-        # the last entry of a column within 1e-15 of 1, and a near-zero head
+        # CDF values within 1e-15 of 0 (a tiny head) and of 1 (a tiny last entry)
         edge = rng.dirichlet(np.ones(card), size=3).T
         edge[0, 0], edge[-1, 1] = 1e-16, 1e-16
         kernels["edge"] = edge / edge.sum(axis=0)
