@@ -28,6 +28,7 @@ import hashlib
 import io
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -94,39 +95,46 @@ def _report(args, verb: str, result: dict) -> dict:
             "result": result}
 
 
-def _write(path: str | None, report: dict) -> None:
-    text = _canonical_json(report) + "\n"
+@contextmanager
+def _invalid(what: str, errors=(TriproxyError, KeyError, TypeError, ValueError)):
+    """Re-raise ``errors`` as a validation problem, prefixed by ``what``."""
+    try:
+        yield
+    except errors as e:
+        raise ValidationError(f"{what}{e}") from e
+
+
+def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with _invalid(f"cannot write {path}: ", OSError), \
+            open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _write(path: str | None, report: dict) -> None:
+    _write_text(path, _canonical_json(report) + "\n")
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
+    with _invalid(f"cannot read {path}: ", (OSError, ValueError)), \
+            open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _load_model(path: str) -> Npsem:
     d = _load_json(path)
-    try:
+    with _invalid(f"bad model file {path}: "):
         return Npsem.from_dict(d)
-    except (TriproxyError, KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"bad model file {path}: {e}") from e
 
 
 def _load_tensor(path: str) -> ProbTensor:
     d = _load_json(path)
     if isinstance(d, dict) and d.get("verb") == "simulate":   # a simulate report
         d = d.get("result")
-    try:
+    with _invalid(f"bad tensor file {path}: "):
         return ProbTensor.from_dict(d)
-    except (TriproxyError, KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"bad tensor file {path}: {e}") from e
 
 
 def _round(x) -> float:
@@ -161,26 +169,37 @@ def _write_csv(path: str, rep: EstimandReport) -> None:
     for a, c, (c0, c1) in zip(rep.beta_atoms, rep.beta_cdf, rep.beta_cdf_given_x):
         w.writerow(["beta_cdf", repr(float(a)), repr(float(c)),
                     repr(float(c0)), repr(float(c1))])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_text(path, buf.getvalue())
 
 
-def _identify(joint: ProbTensor, design: str, k: int, seed: int):
-    if design not in PIPELINES:
-        raise ValidationError(f"unknown design {design!r}")
-    fn, order = PIPELINES[design]
-    missing = set(order) - set(joint.names)
-    if missing:
-        raise ValidationError(f"joint lacks axes {sorted(missing)} needed by "
-                              f"the {design} design")
+def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
+    """The axis order of ``design``, once ``joint`` has exactly its axes and
+    proxies with at least ``k`` levels."""
+    order = PIPELINES[design][1]
+    if sorted(order) != sorted(joint.names):
+        raise ValidationError(f"the {design} design needs exactly the axes "
+                              f"{sorted(order)}; the joint has {sorted(joint.names)}")
     for proxy in ("Z", "V"):
         card = joint.axis(proxy).cardinality
         if card < k:
             raise ValidationError(
                 f"latent dimension {k} exceeds |{proxy}| = {card}; the design "
                 f"needs |Z|, |V| >= K")
-    model = fn(joint.reorder(order), k, HsOptions(latent_dim=k, seed=seed))
+    return order
+
+
+def _identify(joint: ProbTensor, design: str, k: int, seed: int):
+    order = _check_joint(joint, design, k)
+    model = PIPELINES[design][0](joint.reorder(order), k, HsOptions(latent_dim=k, seed=seed))
     return estimands(model), model
+
+
+def _taus(text: str) -> tuple[float, ...]:
+    with _invalid(f"bad --tau {text!r}: ", ValueError):
+        taus = tuple(float(t) for t in text.split(","))
+    if not all(0.0 < t <= 1.0 for t in taus):
+        raise ValidationError(f"--tau {text!r}: every quantile rank must lie in (0, 1]")
+    return taus
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +219,8 @@ ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cat
 
 def _cmd_oracle(args) -> int:
     m = _load_model(args.model)
-    try:
+    with _invalid("", (MissingRole, UnknownNode)):
         eff = effects(m, treatment=args.treatment, outcome=args.outcome)
-    except (MissingRole, UnknownNode) as e:
-        raise ValidationError(str(e)) from e
     result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
     _write(args.out, _report(args, "oracle", result))
     return 0
@@ -221,11 +238,11 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
+    taus = _taus(args.tau)
     joint = _load_tensor(args.joint)
     _, model = _identify(joint, args.design, args.latent_dim, args.seed)
     functional, mode = args.rule.rsplit("-", 1)
     rule = RelabelRule(functional=functional, mode=mode)
-    taus = tuple(float(t) for t in args.tau.split(",")) if args.tau else (0.25, 0.5, 0.75)
     if mode == "unbiased":
         lab = relabel_unbiased(model, rule)
         result = {"mode": mode, "alpha": lab.alpha.tolist(),
@@ -242,6 +259,7 @@ def _cmd_relabel(args) -> int:
 
 def _cmd_bounds(args) -> int:
     joint = _load_tensor(args.joint)
+    _check_joint(joint, args.design, args.latent_dim)
     fn = bounds_outcome_proxy if args.design == "outcome" else bounds_auxiliary_proxy
     rep = fn(joint, args.latent_dim, HsOptions(latent_dim=args.latent_dim,
                                                seed=args.seed))
@@ -265,10 +283,8 @@ def _load_graph(args) -> Dag:
     if not args.graph:
         raise ValidationError("provide --graph FILE or --figure NAME")
     d = _load_json(args.graph)
-    try:
+    with _invalid("bad graph file: "):
         return Dag.from_dict(d)
-    except (TriproxyError, KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"bad graph file: {e}") from e
 
 
 def _cmd_dag_check(args) -> int:
@@ -276,7 +292,8 @@ def _cmd_dag_check(args) -> int:
     if args.proposition not in PROPOSITIONS:
         raise ValidationError(f"no proposition {args.proposition}; have "
                               f"{sorted(PROPOSITIONS)}")
-    rep = check_proposition(g, args.proposition)
+    with _invalid("", MissingRole):
+        rep = check_proposition(g, args.proposition)
     result = {"proposition": rep.proposition,
               "all_observational_certified": rep.all_observational_certified,
               "conclusions": [
@@ -289,7 +306,8 @@ def _cmd_dag_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args)
-    designs = sorted(classify_designs(g))
+    with _invalid("", MissingRole):
+        designs = sorted(classify_designs(g))
     _write(args.report, _report(args, "classify", {"designs": designs}))
     return 0
 
@@ -449,6 +467,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if getattr(args, "latent_dim", 1) < 1:
+            raise ValidationError(f"--latent-dim must be at least 1, got {args.latent_dim}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValidationError, MissingLevels, NonBinaryTreatment) as e:
         diag = {"error": type(e).__name__, "message": str(e),

@@ -15,7 +15,6 @@ claim counterfactual conclusions as verified-by-simulation.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -84,19 +83,12 @@ class Dag:
                     stack.append(c)
         return out
 
-    def to_dict(self, roles: dict | None = None) -> dict:
-        d: dict = {"nodes": list(self.nodes), "edges": [list(e) for e in self.edges]}
-        if roles:
-            d["roles"] = dict(roles)
-        return d
+    def to_dict(self) -> dict:
+        return {"nodes": list(self.nodes), "edges": [list(e) for e in self.edges]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dag":
         return cls(tuple(d["nodes"]), tuple((a, b) for a, b in d["edges"]))
-
-    @classmethod
-    def from_json(cls, s: str) -> "Dag":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -340,7 +332,19 @@ class CheckReport:
         return all(c.certified for c in self.conclusions if c.kind == "observational")
 
 
-def check_proposition(g: Dag, prop_id: int, roles: dict[str, str] | None = None) -> CheckReport:
+def _holds(g: Dag, c: Conclusion, roles: dict[str, str]) -> bool:
+    """d-separation of an observational conclusion, or the twin-network
+    check of a counterfactual one, with the roles mapped to nodes of ``g``."""
+    def mapped(names):
+        return frozenset(roles[n] for n in names)
+
+    if c.kind == "observational":
+        return d_separated(g, CiQuery(mapped(c.left), mapped(c.right), mapped(c.given)))
+    return counterfactual_d_separated(g, roles[c.left[0]], mapped(c.intervene),
+                                      mapped(c.right), mapped(c.given))
+
+
+def check_proposition(g: Dag, prop_id: int) -> CheckReport:
     """Certify a proposition's observational conclusions by d-separation.
 
     Counterfactual conclusions get ``certified=None`` (delegated to the
@@ -348,115 +352,59 @@ def check_proposition(g: Dag, prop_id: int, roles: dict[str, str] | None = None)
     """
     if prop_id not in PROPOSITIONS:
         raise InvalidDistribution(f"no proposition {prop_id}")
-    roles = roles or {n: n for n in g.nodes}
-    needed = {r for c in PROPOSITIONS[prop_id]
-              for r in (*c.left, *c.right, *c.given, *c.intervene)}
-    for r in needed:
-        if r not in roles or roles[r] not in g.nodes:
-            raise MissingRole(f"graph lacks a node for role {r!r}")
-
-    def mapped(names):
-        return tuple(roles[n] for n in names)
+    for c in PROPOSITIONS[prop_id]:
+        for r in (*c.left, *c.right, *c.given, *c.intervene):
+            if r not in g.nodes:
+                raise MissingRole(f"graph lacks a node for role {r!r}")
+    roles = {n: n for n in g.nodes}
 
     reports = []
     for c in PROPOSITIONS[prop_id]:
+        ok = _holds(g, c, roles)
         if c.kind == "observational":
-            ok = d_separated(g, CiQuery(frozenset(mapped(c.left)),
-                                        frozenset(mapped(c.right)),
-                                        frozenset(mapped(c.given))))
             reports.append(ConclusionReport(c.label, c.kind, str(c.query()), ok, ok))
         else:
-            hint = counterfactual_d_separated(
-                g, roles[c.left[0]], mapped(c.intervene),
-                set(mapped(c.right)), set(mapped(c.given)))
             stmt = f"{c.left[0]}({','.join(n.lower() for n in c.intervene)}) ⊥ " \
                    f"{','.join(c.right)} | {','.join(c.given) or '∅'}"
-            reports.append(ConclusionReport(c.label, c.kind, stmt, None, hint))
+            reports.append(ConclusionReport(c.label, c.kind, stmt, None, ok))
     return CheckReport(prop_id, tuple(reports))
 
 
 # ---------------------------------------------------------------------------
 # design classification
 
-#: proxy roles each design must fill from non-core nodes
-_DESIGN_ROLES: dict[str, tuple[str, ...]] = {
-    "outcome": ("Z", "V"),
-    "treatment": ("Z", "V"),
-    "cond-treatment": ("Z", "V"),
-    "auxiliary": ("Z", "V", "C"),
-    "outcome-rank-invariance": ("Z", "V"),
-    "auxiliary-rank-invariance": ("Z", "V", "C"),
-    "double-proxy": ("Z", "V"),
+#: design -> (proxy roles it fills from non-core nodes, proposition, labels
+#: of the conclusions it needs; None for all observational ones).  The
+#: double proxy needs conclusions ii. and iii. of the outcome-proxy
+#: proposition plus its counterfactual conclusion iv.
+_DESIGNS: dict[str, tuple[tuple[str, ...], int, tuple[str, ...] | None]] = {
+    "outcome": (("Z", "V"), 1, None),
+    "treatment": (("Z", "V"), 2, None),
+    "cond-treatment": (("Z", "V"), 3, None),
+    "auxiliary": (("Z", "V", "C"), 4, None),
+    "outcome-rank-invariance": (("Z", "V"), 6, None),
+    "auxiliary-rank-invariance": (("Z", "V", "C"), 7, None),
+    "double-proxy": (("Z", "V"), 1, ("ii", "iii", "iv")),
 }
 
-DESIGN_NAMES = tuple(_DESIGN_ROLES)
 
-
-def _design_holds(g: Dag, design: str, roles: dict[str, str]) -> bool:
-    def obs_conclusions(prop):
-        return [c for c in PROPOSITIONS[prop] if c.kind == "observational"]
-
-    def mapped(names):
-        return tuple(roles[n] for n in names)
-
-    def all_obs(prop) -> bool:
-        return all(
-            d_separated(g, CiQuery(frozenset(mapped(c.left)),
-                                   frozenset(mapped(c.right)),
-                                   frozenset(mapped(c.given))))
-            for c in obs_conclusions(prop))
-
-    if design == "outcome":
-        return all_obs(1)
-    if design == "treatment":
-        return all_obs(2)
-    if design == "cond-treatment":
-        return all_obs(3)
-    if design == "auxiliary":
-        return all_obs(4)
-    if design == "outcome-rank-invariance":
-        return all_obs(6)
-    if design == "auxiliary-rank-invariance":
-        return all_obs(7)
-    if design == "double-proxy":
-        # conclusions ii. and iii. of the outcome-proxy proposition plus its
-        # counterfactual conclusion iv., which the double-proxy strategy
-        # needs and which is checkable on the twin network
-        p1 = PROPOSITIONS[1]
-        obs_ok = all(
-            d_separated(g, CiQuery(frozenset(mapped(c.left)),
-                                   frozenset(mapped(c.right)),
-                                   frozenset(mapped(c.given))))
-            for c in p1 if c.label in ("ii", "iii"))
-        if not obs_ok:
-            return False
-        iv = next(c for c in p1 if c.label == "iv")
-        return counterfactual_d_separated(
-            g, roles[iv.left[0]], mapped(iv.intervene),
-            set(mapped(iv.right)), set(mapped(iv.given)))
-    raise InvalidDistribution(f"unknown design {design!r}")
-
-
-def classify_designs(g: Dag, roles: dict[str, str] | None = None) -> frozenset:
+def classify_designs(g: Dag) -> frozenset:
     """Designs whose graphical prerequisites hold under some proxy-role assignment.
 
-    ``roles`` must name the core nodes Y, X, W; remaining nodes are tried in
+    The core nodes Y, X, W must be present; the remaining nodes are tried in
     every injective assignment to the proxy roles each design requires.
     """
-    roles = roles or {}
-    core = {r: roles.get(r, r) for r in ("Y", "X", "W")}
-    for r, n in core.items():
-        if n not in g.nodes:
+    for r in ("Y", "X", "W"):
+        if r not in g.nodes:
             raise MissingRole(f"graph lacks a node for core role {r!r}")
-    candidates = [n for n in g.nodes if n not in core.values()]
+    candidates = [n for n in g.nodes if n not in ("Y", "X", "W")]
     found = set()
-    for design, proxy_roles in _DESIGN_ROLES.items():
-        if len(candidates) < len(proxy_roles):
-            continue
+    for design, (proxy_roles, prop, labels) in _DESIGNS.items():
+        needed = [c for c in PROPOSITIONS[prop]
+                  if (c.label in labels if labels else c.kind == "observational")]
         for combo in itertools.permutations(candidates, len(proxy_roles)):
-            assignment = dict(core)
-            assignment.update(dict(zip(proxy_roles, combo)))
-            if _design_holds(g, design, assignment):
+            roles = {"Y": "Y", "X": "X", "W": "W", **dict(zip(proxy_roles, combo))}
+            if all(_holds(g, c, roles) for c in needed):
                 found.add(design)
                 break
     return frozenset(found)

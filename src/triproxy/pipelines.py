@@ -5,9 +5,9 @@ Each ``identify_*`` function consumes an exact observed joint distribution
 latent cardinality, runs the spectral factorization of
 :mod:`triproxy.spectral` on the appropriate conditional slice, aligns every
 stratum to one shared latent ordering, and assembles a
-:class:`LatentOutcomeModel` holding the latent-conditional outcome law
-``f(y | w, x)`` and the latent/treatment joint ``f(w, x)``.  From those two
-objects every downstream quantity — potential-outcome laws, ATE/ATT/ATU,
+:class:`LatentOutcomeModel` holding the arm laws
+``f(Y(x1) = y, W = w, X = x)`` and the latent/treatment joint ``f(w, x)``.
+From those every downstream quantity — potential-outcome laws, ATE/ATT/ATU,
 quantile effects, and the distribution of the stratum effect β(W) — is a
 finite sum, computed by :func:`estimands`.
 
@@ -15,7 +15,9 @@ The designs differ in which variable is the third proxy, and share two
 stages: the outcome and conditional-treatment designs run one
 reference-stratum stage (factorize in the most probable stratum, transfer
 ``f(z | w)`` to the others), and the treatment and auxiliary designs run one
-deconvolution of an observed joint through ``f(z | w)``.
+deconvolution of an observed joint through ``f(z | w)``.  They differ again
+only where the arm laws are assembled: the auxiliary design integrates the
+extra proxy V within each latent stratum and factual treatment.
 
 The latent ordering inside every assembled model is canonical (latent
 states sorted lexicographically by their ``f(z | w)`` column), so reports
@@ -52,41 +54,36 @@ def _latent_space(k: int) -> VarSpace:
 
 @dataclass(frozen=True)
 class LatentOutcomeModel:
-    """Latent-conditional outcome law plus the latent/treatment joint."""
+    """The arm laws of every design plus the latent/treatment joint."""
 
-    y_given_wx: MarkovKernel            # f(y | w, x), given axes (W, X)
+    arm_laws: np.ndarray                # f(Y(x1) = y, W = w, X = x), (n_x, |Y|, k, n_x)
+    y_space: VarSpace                   # the outcome Y
     wx_joint: ProbTensor                # f(w, x) over (W, X)
     z_given_w: MarkovKernel             # shared proxy kernel f(z | w)
     design: str = "outcome"
-    y_given_wvx: MarkovKernel | None = None   # auxiliary design only
-    vwx_joint: ProbTensor | None = None       # auxiliary design only
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        # one layout, so that sums over the laws round the same way
+        laws = np.ascontiguousarray(self.arm_laws, dtype=float)
+        laws.setflags(write=False)
+        object.__setattr__(self, "arm_laws", laws)
         mass = self.observed_yx().sum()
         if abs(mass - 1.0) > ASSEMBLY_MASS_TOL:
             raise NonStochasticSolution("assembled outcome/treatment law has "
                                         f"mass {mass:.12f}")
 
     def observed_yx(self) -> np.ndarray:
-        """The implied observed joint f(y, x)."""
-        return np.einsum("ywx,wx->yx", self.y_given_wx.values, self.wx_joint.values)
+        """The implied observed joint f(y, x): each arm at its factual level."""
+        return np.einsum("xywx->yx", self.arm_laws)
 
     def permuted(self, perm: np.ndarray) -> "LatentOutcomeModel":
         """Same model with latent states relabeled by ``perm``."""
-        aux_k = None if self.y_given_wvx is None else MarkovKernel(
-            self.y_given_wvx.target, self.y_given_wvx.given,
-            self.y_given_wvx.values[:, perm])
-        aux_j = None if self.vwx_joint is None else ProbTensor(
-            self.vwx_joint.axes, self.vwx_joint.values[:, perm])
         return replace(
-            self,
-            y_given_wx=MarkovKernel(self.y_given_wx.target, self.y_given_wx.given,
-                                    self.y_given_wx.values[:, perm]),
+            self, arm_laws=self.arm_laws[:, :, perm],
             wx_joint=ProbTensor(self.wx_joint.axes, self.wx_joint.values[perm]),
             z_given_w=MarkovKernel(self.z_given_w.target, self.z_given_w.given,
-                                   self.z_given_w.values[:, perm]),
-            y_given_wvx=aux_k, vwx_joint=aux_j)
+                                   self.z_given_w.values[:, perm]))
 
     def canonicalized(self) -> "LatentOutcomeModel":
         return self.permuted(canonical_order(self.z_given_w.values))
@@ -251,15 +248,26 @@ def _reference_stratum(joint: ProbTensor, k: int, opts: HsOptions | None,
     return z_given_w, signal_given_w, w_strata, proj, diag
 
 
-def _latent_model(joint: ProbTensor, design: str, y_given_wx: np.ndarray,
+def _latent_model(joint: ProbTensor, design: str, y_given: np.ndarray,
                   wx: np.ndarray, z_given_w: np.ndarray, diag: dict,
-                  **auxiliary) -> LatentOutcomeModel:
-    w = _latent_space(z_given_w.shape[1])
+                  vwx: np.ndarray | None = None) -> LatentOutcomeModel:
+    """Validate the recovered laws and assemble the arm laws.  ``y_given``
+    is f(y | w, x), or for the auxiliary design f(y | w, v, x), which is
+    integrated over ``vwx`` = f(v, w, x) within each latent stratum and
+    factual treatment."""
+    w, x, y = _latent_space(z_given_w.shape[1]), joint.axis("X"), joint.axis("Y")
+    wx_joint = ProbTensor.build((w, x), wx)
+    if design == "auxiliary":
+        v = joint.axis("V")
+        laws = np.einsum("ywvt,vwx->tywx", MarkovKernel.build(y, (w, v, x), y_given).values,
+                         ProbTensor.build((v, w, x), vwx).values)
+    else:
+        laws = np.einsum("ywt,wx->tywx", MarkovKernel.build(y, (w, x), y_given).values,
+                         wx_joint.values)
     return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(joint.axis("Y"), (w, joint.axis("X")), y_given_wx),
-        wx_joint=ProbTensor.build((w, joint.axis("X")), wx),
+        arm_laws=laws, y_space=y, wx_joint=wx_joint,
         z_given_w=MarkovKernel.build(joint.axis("Z"), (w,), z_given_w),
-        design=design, diagnostics=diag, **auxiliary)
+        design=design, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +343,20 @@ def identify_auxiliary_proxy(joint: ProbTensor, k: int,
     diag["projection_distance"] = proj
     diag["solve_condition"] = cond
 
-    ywx = ywvx.sum(axis=2)
-    w_space = _latent_space(z_given_w.shape[1])
-    return _latent_model(
-        joint, "auxiliary", _normalize_slices(ywx), ywx.sum(axis=0), z_given_w, diag,
-        y_given_wvx=MarkovKernel.build(joint.axis("Y"),
-                                       (w_space, joint.axis("V"), joint.axis("X")),
-                                       _normalize_slices(ywvx)),
-        vwx_joint=ProbTensor.build((joint.axis("V"), w_space, joint.axis("X")), vwx))
+    return _latent_model(joint, "auxiliary", _normalize_slices(ywvx),
+                         ywvx.sum(axis=2).sum(axis=0), z_given_w, diag, vwx)
 
 
 # ---------------------------------------------------------------------------
 # estimands
 
 
-def _arm_laws(m: LatentOutcomeModel) -> np.ndarray:
-    """f(Y(x1) = y, W = w, X = x) for every arm ``x1``, shape
-    ``(n_x, |Y|, k, n_x)``, in the model's own latent order.  The auxiliary
-    design integrates V within each latent stratum and factual treatment."""
-    if m.y_given_wvx is not None:
-        return np.einsum("ywvt,vwx->tywx", m.y_given_wvx.values, m.vwx_joint.values)
-    return np.einsum("ywt,wx->tywx", m.y_given_wx.values, m.wx_joint.values)
+def _left_quantile_index(pmf: np.ndarray, taus):
+    """Index of the left ``taus``-quantile of ``pmf``; a CDF value within
+    1e-12 of tau reaches it."""
+    cdf = np.cumsum(pmf)
+    at = np.asarray(taus, dtype=float) - 1e-12
+    return np.minimum(np.searchsorted(cdf, at, side="left"), pmf.size - 1)
 
 
 def _state_effects(laws: np.ndarray, w_marginal: np.ndarray,
@@ -369,9 +370,9 @@ def potential_joint(m: LatentOutcomeModel, x1: int) -> ProbTensor:
     """Joint law of the potential outcome under treatment level ``x1``
     together with the latent state and the factual treatment."""
     m = m.canonicalized()
-    y = m.y_given_wx.target
+    y = m.y_space
     arm = VarSpace(f"{y.name}({x1})", y.cardinality, y.levels)
-    return ProbTensor.build((arm,) + m.wx_joint.axes, _arm_laws(m)[x1])
+    return ProbTensor.build((arm,) + m.wx_joint.axes, m.arm_laws[x1])
 
 
 @dataclass(frozen=True)
@@ -402,7 +403,7 @@ DEFAULT_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def estimands(m: LatentOutcomeModel,
               taus: tuple[float, ...] = DEFAULT_TAUS) -> EstimandReport:
     m = m.canonicalized()
-    y_space = m.y_given_wx.target
+    y_space = m.y_space
     if y_space.levels is None:
         raise MissingLevels(f"outcome {y_space.name!r} carries no numeric levels")
     y_levels = y_space.level_values()
@@ -411,9 +412,7 @@ def estimands(m: LatentOutcomeModel,
         raise NonBinaryTreatment(f"effect summaries need a binary treatment, "
                                  f"got {n_x} levels")
 
-    # effect summaries come from the potential-outcome laws so the
-    # auxiliary design's V-integrated display is honored
-    laws = _arm_laws(m)                                      # (x1, y, w, x2)
+    laws = m.arm_laws                                        # (x1, y, w, x2)
     w_x = m.wx_joint.values
     f_x = w_x.sum(axis=0)
     w_marg = w_x.sum(axis=1)
@@ -426,11 +425,7 @@ def estimands(m: LatentOutcomeModel,
     att = float(y_levels @ (pot_y_given_x[:, 1, 1] - pot_y_given_x[:, 0, 1]))
     atu = float(y_levels @ (pot_y_given_x[:, 1, 0] - pot_y_given_x[:, 0, 0]))
 
-    # each arm's left quantiles; a CDF value within 1e-12 of tau reaches it
-    cdf = np.cumsum(pot_y, axis=0)
-    at = np.asarray(taus, dtype=float) - 1e-12
-    q = [y_levels[np.minimum(np.searchsorted(cdf[:, x], at, side="left"),
-                             y_levels.size - 1)] for x in (0, 1)]
+    q = [y_levels[_left_quantile_index(pot_y[:, x], taus)] for x in (0, 1)]
     qte = q[1] - q[0]
 
     order = np.argsort(beta, kind="stable")

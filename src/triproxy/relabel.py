@@ -24,12 +24,12 @@ documented limitation of the monotone regime, not a detectable error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AlphaCollision, MissingLevels, TauOutOfRange, ZeroConditioningCell
-from .pipelines import LatentOutcomeModel, _arm_laws, _state_effects
+from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
 from .prob import MarkovKernel, ProbTensor, VarSpace
 
 
@@ -46,13 +46,6 @@ class RelabelRule:
             raise ValueError(f"unknown functional {self.functional!r}")
         if self.mode not in ("unbiased", "monotone"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def _left_quantile_index(pmf: np.ndarray, tau: float) -> int:
-    if not 0.0 < tau <= 1.0:
-        raise TauOutOfRange(f"quantile rank {tau} outside (0, 1]")
-    cdf = np.cumsum(pmf)
-    return int(min(np.searchsorted(cdf, tau - 1e-12, side="left"), pmf.size - 1))
 
 
 def _location(levels: np.ndarray, pmf: np.ndarray, functional: str) -> float:
@@ -123,7 +116,6 @@ class LabeledLatentModel:
     base: LatentOutcomeModel
     rule: RelabelRule
     alpha: np.ndarray
-    order: np.ndarray                      # alpha-sorted latent permutation
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -132,6 +124,8 @@ class LabeledLatentModel:
 
     def state_at(self, tau: float, coordinate: int = 0) -> int:
         """Flat latent index at quantile rank ``tau`` of the labeled law."""
+        if not 0.0 < tau <= 1.0:
+            raise TauOutOfRange(f"quantile rank {tau} outside (0, 1]")
         alpha2d = self.alpha.reshape(self.alpha.shape[0], -1)
         order = np.argsort(alpha2d[:, coordinate], kind="stable")
         idx = _left_quantile_index(self.w_marginal[order], tau)
@@ -139,8 +133,8 @@ class LabeledLatentModel:
 
     def beta(self) -> np.ndarray:
         """Per-state effect E[Y(1) - Y(0) | W = state], base ordering."""
-        return _state_effects(_arm_laws(self.base), self.w_marginal,
-                              self.base.y_given_wx.target.level_values())
+        return _state_effects(self.base.arm_laws, self.w_marginal,
+                              self.base.y_space.level_values())
 
     def beta_at_value(self, w_value: float) -> float:
         """Unbiased rule: effect in the stratum whose true value is ``w_value``."""
@@ -165,12 +159,12 @@ def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
     base = m.permuted(order)
     sorted_alpha = alpha[order]
     if alpha.ndim == 1:
-        w_old = base.wx_joint.axes[0]
-        w_new = VarSpace(w_old.name, w_old.cardinality,
-                         tuple(float(a) for a in sorted_alpha))
-        base = _with_latent_space(base, w_new)
-    return LabeledLatentModel(base, rule, sorted_alpha, np.arange(alpha.shape[0]),
-                              diagnostics={"mode": "unbiased"})
+        w_old, x = base.wx_joint.axes
+        w = VarSpace(w_old.name, w_old.cardinality, tuple(float(a) for a in sorted_alpha))
+        base = replace(base, wx_joint=ProbTensor((w, x), base.wx_joint.values),
+                       z_given_w=MarkovKernel(base.z_given_w.target, (w,),
+                                              base.z_given_w.values))
+    return LabeledLatentModel(base, rule, sorted_alpha, diagnostics={"mode": "unbiased"})
 
 
 def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule,
@@ -190,34 +184,11 @@ def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule,
         if np.any(np.diff(s) < 1e-9):
             raise AlphaCollision(
                 f"coordinate {c} alpha values are not strictly separated")
-    labeled = LabeledLatentModel(m, rule, alpha, np.lexsort(alpha2d.T[::-1]),
-                                 diagnostics={"mode": "monotone"})
+    labeled = LabeledLatentModel(m, rule, alpha, diagnostics={"mode": "monotone"})
     # resolve the grid eagerly so TauOutOfRange surfaces here
     labeled.diagnostics["tau_states"] = {
         float(t): labeled.state_at(t) for t in taus}
     return labeled
-
-
-def _with_latent_space(m: LatentOutcomeModel, w_new: VarSpace) -> LatentOutcomeModel:
-    from dataclasses import replace
-
-    def swap_kernel(k: MarkovKernel | None) -> MarkovKernel | None:
-        if k is None:
-            return None
-        given = tuple(w_new if g.name == w_new.name else g for g in k.given)
-        return MarkovKernel(k.target, given, k.values)
-
-    def swap_tensor(t: ProbTensor | None) -> ProbTensor | None:
-        if t is None:
-            return None
-        axes = tuple(w_new if a.name == w_new.name else a for a in t.axes)
-        return ProbTensor(axes, t.values)
-
-    return replace(m, y_given_wx=swap_kernel(m.y_given_wx),
-                   wx_joint=swap_tensor(m.wx_joint),
-                   z_given_w=swap_kernel(m.z_given_w),
-                   y_given_wvx=swap_kernel(m.y_given_wvx),
-                   vwx_joint=swap_tensor(m.vwx_joint))
 
 
 def confounder_effects(m: LatentOutcomeModel | LabeledLatentModel,
@@ -225,25 +196,20 @@ def confounder_effects(m: LatentOutcomeModel | LabeledLatentModel,
     """Joint law of the doubly-intervened outcome Y(x1, w) and the factual
     treatment: ``f(y, x2) = f(y | x1, w) * f(x2)``.
 
-    For the auxiliary design the outcome law integrates the extra proxy
-    over its law within the clamped latent stratum,
-    ``f(y | x1, w) = sum_v f(y | w, v, x1) f(v | w)``, which renders the
-    intervened display when the extra proxy sits downstream of the latent
-    state (as in the builtin auxiliary figures with W -> V).
+    The outcome law is the arm law of ``x1`` within the clamped latent
+    stratum, ``f(Y(x1) = y | W = w) = sum_x f(Y(x1) = y, W = w, X = x) / f(w)``,
+    the same formula for every design.  For the auxiliary design the arm
+    laws integrate the extra proxy over its law within each latent stratum,
+    which renders the intervened display when the extra proxy sits
+    downstream of the latent state (as in the builtin auxiliary figures
+    with W -> V).
     """
     base = m.base if isinstance(m, LabeledLatentModel) else m
-    f_x = base.wx_joint.values.sum(axis=0)
-    if base.design == "auxiliary" and base.y_given_wvx is not None:
-        vw = base.vwx_joint.values.sum(axis=2)               # f(v, w)
-        w_mass = vw[:, w].sum()
-        if w_mass <= 0:
-            raise ZeroConditioningCell(f"latent state W={w} has zero probability")
-        v_given_w = vw[:, w] / w_mass
-        y_cond = base.y_given_wvx.values[:, w, :, x1] @ v_given_w
-        y_vals = np.outer(y_cond, f_x)
-    else:
-        y_cond = base.y_given_wx.values[:, w, x1]
-        y_vals = np.outer(y_cond, f_x)
-    y = base.y_given_wx.target
+    w_x = base.wx_joint.values
+    w_mass = w_x[w].sum()
+    if w_mass <= 0:
+        raise ZeroConditioningCell(f"latent state W={w} has zero probability")
+    y_cond = base.arm_laws[x1, :, w].sum(axis=1) / w_mass
+    y = base.y_space
     arm = VarSpace(f"{y.name}({x1},{w})", y.cardinality, y.levels)
-    return ProbTensor.build((arm, base.wx_joint.axes[1]), y_vals)
+    return ProbTensor.build((arm, base.wx_joint.axes[1]), np.outer(y_cond, w_x.sum(axis=0)))

@@ -36,7 +36,6 @@ memoized cross-world joint that keeps the latent node and the treatment.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -162,10 +161,6 @@ class Npsem:
             specs.append(NodeSpec(space, tuple(nd["parents"]), table,
                                   np.asarray(nd["noise_pmf"], dtype=float)))
         return cls(tuple(specs), tuple(d.get("latent", ())))
-
-    @classmethod
-    def from_json(cls, s: str) -> "Npsem":
-        return cls.from_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,6 @@ class HsFactors:
     def wv_joint(self) -> np.ndarray:
         return self.w_given_v * self.v_marginal
 
-    @property
-    def latent_dim(self) -> int:
-        return self.z_given_w.shape[1]
-
 
 def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
     """Permutation sorting latent states lexicographically by proxy column,

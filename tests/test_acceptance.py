@@ -207,7 +207,7 @@ def test_criterion_4_relabeling():
         for seed in range(3):
             m = unbiased_proxy_model(2, seed=4200 + seed, figure=figure)
             labeled = relabel_unbiased(pipeline(observed_joint(m), 2), rule)
-            y = labeled.base.y_given_wx.target.level_values()
+            y = labeled.base.y_space.level_values()
             for w in range(2):
                 for x1 in (0, 1):
                     got = float(y @ confounder_effects(labeled, x1, w).values.sum(axis=1))

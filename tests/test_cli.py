@@ -302,6 +302,53 @@ class TestExitCodesAndDiagnostics:
         assert diag["error"] == "ValidationError"
         assert reason in diag["message"]
 
+    _IDENTIFY = ["identify", "--design", "outcome", "--latent-dim", "2", "--joint", "{joint}"]
+    _RELABEL = ["relabel", "--design", "outcome", "--latent-dim", "2", "--joint", "{joint}",
+                "--rule", "mean-monotone"]
+    _BOUNDS = ["bounds", "--design", "outcome", "--latent-dim", "2", "--joint", "{joint}"]
+
+    @pytest.mark.parametrize("argv,reason", [
+        (_RELABEL + ["--tau", "abc"], "bad --tau 'abc'"),
+        (_RELABEL + ["--tau", "0"], "quantile rank must lie in (0, 1]"),
+        (_RELABEL + ["--tau", "1.5"], "quantile rank must lie in (0, 1]"),
+        (_IDENTIFY[:3] + ["--latent-dim", "-1", "--joint", "{joint}"],
+         "--latent-dim must be at least 1"),
+        (_IDENTIFY[:3] + ["--latent-dim", "0", "--joint", "{joint}"],
+         "--latent-dim must be at least 1"),
+        (_IDENTIFY + ["--seed", "-1"], "--seed must be non-negative"),
+        (_RELABEL + ["--seed", "-1"], "--seed must be non-negative"),
+        (_BOUNDS + ["--seed", "-1"], "--seed must be non-negative"),
+        (_IDENTIFY + ["--report", "{missing}"], "cannot write"),
+        (_IDENTIFY + ["--csv", "{missing}"], "cannot write"),
+        (_BOUNDS[:3] + ["--latent-dim", "9", "--joint", "{joint}"],
+         "latent dimension 9 exceeds"),
+        (["bounds", "--design", "auxiliary", "--latent-dim", "2", "--joint", "{joint}"],
+         "the auxiliary design needs exactly the axes"),
+        (["identify", "--design", "treatment", "--latent-dim", "2", "--joint", "{aux_joint}"],
+         "the treatment design needs exactly the axes"),
+        (["classify", "--graph", "{graph}"], "graph lacks a node for core role 'W'"),
+        (["dag-check", "--graph", "{graph}", "--proposition", "1"],
+         "graph lacks a node for role"),
+    ], ids=["relabel-tau-abc", "relabel-tau-0", "relabel-tau-1.5", "latent-dim-negative",
+            "latent-dim-0", "identify-seed-negative", "relabel-seed-negative",
+            "bounds-seed-negative", "report-in-missing-dir", "csv-in-missing-dir",
+            "bounds-latent-dim-9", "bounds-auxiliary-without-c", "treatment-joint-with-c",
+            "classify-graph-without-w", "dag-check-graph-without-w"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, fig2a_files, argv, reason):
+        _, _, joint = fig2a_files
+        aux_joint = tmp_path / "aux-joint.json"
+        aux_joint.write_text(json.dumps(
+            observed_joint(figure_model("fig5a", 2, seed=0)).to_dict()))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": ["Y", "X", "Z"], "edges": [["X", "Y"]]}))
+        paths = {"joint": joint, "aux_joint": aux_joint, "graph": graph,
+                 "missing": tmp_path / "no-such-dir" / "out"}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert reason in diag["message"]
+
     def test_latent_dim_too_large_exit_2(self, capsys, fig2a_files):
         _, _, joint = fig2a_files
         code, _, err = run(capsys, "identify", "--design", "outcome",

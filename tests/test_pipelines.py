@@ -1,6 +1,8 @@
 """Identification pipelines against the exact structural-model oracle,
 plus failure modes and invariances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,11 +77,12 @@ class TestAgainstOracle:
 
 
 class TestStructuralIdentities:
-    def test_observed_yx_consistency(self):
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    def test_observed_yx_consistency(self, figure):
         """The assembled model must reproduce the observed (Y, X) margin."""
-        m = figure_model("fig2a", K=2, seed=9)
+        m = figure_model(figure, K=2, seed=9)
         joint = observed_joint(m)
-        model = identify_outcome_proxy(joint, 2)
+        model = run_pipeline(m, 2)
         truth = marginalize(joint, set(joint.names) - {"Y", "X"})
         np.testing.assert_allclose(model.observed_yx(),
                                    truth.reorder(("Y", "X")).values, atol=1e-8)
@@ -225,7 +228,7 @@ def _two_point_model():
     wx = np.array([[0.3, 0.2], [0.25, 0.25]])
     z_given_w = np.array([[0.9, 0.2], [0.1, 0.8]])
     return LatentOutcomeModel(
-        y_given_wx=MarkovKernel.build(y, (w, x), y_given_wx),
+        arm_laws=np.einsum("ywt,wx->tywx", y_given_wx, wx), y_space=y,
         wx_joint=ProbTensor.build((w, x), wx),
         z_given_w=MarkovKernel.build(z, (w,), z_given_w))
 
@@ -277,27 +280,18 @@ class TestFailureModes:
 
     def test_non_binary_treatment_rejected(self):
         model = _two_point_model()
-        from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
         x3 = VarSpace("X", 3, (0.0, 1.0, 2.0))
         w = model.wx_joint.axes[0]
         wx = np.full((2, 3), 1 / 6)
-        y_given = np.repeat(model.y_given_wx.values[:, :, :1], 3, axis=2)
-        bad = LatentOutcomeModel(
-            y_given_wx=MarkovKernel.build(model.y_given_wx.target, (w, x3), y_given),
-            wx_joint=ProbTensor.build((w, x3), wx),
-            z_given_w=model.z_given_w)
+        # every arm takes arm 0's law f(y | w)
+        y_given_w = model.arm_laws[0].sum(axis=2) / model.wx_joint.values.sum(axis=1)
+        laws = np.stack([np.einsum("yw,wx->ywx", y_given_w, wx)] * 3)
+        bad = replace(model, arm_laws=laws, wx_joint=ProbTensor.build((w, x3), wx))
         with pytest.raises(NonBinaryTreatment):
             estimands(bad)
 
     def test_missing_levels(self):
-        from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
-        model = _two_point_model()
-        y_nolevels = VarSpace("Y", 3, None)
-        bad = LatentOutcomeModel(
-            y_given_wx=MarkovKernel.build(y_nolevels, model.y_given_wx.given,
-                                          model.y_given_wx.values),
-            wx_joint=model.wx_joint,
-            z_given_w=model.z_given_w)
+        bad = replace(_two_point_model(), y_space=VarSpace("Y", 3, None))
         with pytest.raises(MissingLevels):
             estimands(bad)
 

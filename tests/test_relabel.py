@@ -183,7 +183,7 @@ class TestConfounderEffects:
         both the treatment and the latent state."""
         m = unbiased_proxy_model(K, seed=9)
         labeled = relabel_unbiased(identified(m, K), RelabelRule("mean", "unbiased"))
-        y = labeled.base.y_given_wx.target.level_values()
+        y = labeled.base.y_space.level_values()
         for w in range(K):
             for x1 in (0, 1):
                 t = confounder_effects(labeled, x1, w)
@@ -195,7 +195,7 @@ class TestConfounderEffects:
         m = unbiased_proxy_model(K, seed=10, figure="fig5a")
         model = identified(m, K, design="auxiliary")
         labeled = relabel_unbiased(model, RelabelRule("mean", "unbiased"))
-        y = labeled.base.y_given_wx.target.level_values()
+        y = labeled.base.y_space.level_values()
         for w in range(K):
             for x1 in (0, 1):
                 t = confounder_effects(labeled, x1, w)
@@ -205,10 +205,10 @@ class TestConfounderEffects:
     def test_zero_mass_latent_state_rejected(self):
         m = unbiased_proxy_model(2, seed=10, figure="fig5a")
         model = identified(m, 2, design="auxiliary")
-        vwx = np.array(model.vwx_joint.values)
-        vwx[:, 1, :] = 0.0
-        starved = replace(model, vwx_joint=ProbTensor.build(model.vwx_joint.axes,
-                                                            vwx / vwx.sum()))
+        wx = np.array(model.wx_joint.values)
+        wx[1] = 0.0
+        starved = replace(model, wx_joint=ProbTensor.build(model.wx_joint.axes,
+                                                           wx / wx.sum()))
         with pytest.raises(ZeroConditioningCell):
             confounder_effects(starved, 1, 1)
 
