@@ -13,11 +13,11 @@ from .pipelines import (EstimandReport, LatentOutcomeModel, estimands,
                         identify_auxiliary_proxy, identify_cond_treatment_proxy,
                         identify_outcome_proxy, identify_treatment_proxy,
                         potential_joint)
-from .prob import MarkovKernel, ProbTensor, VarSpace, condition, marginalize, restrict
+from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize, restrict
 from .relabel import (LabeledLatentModel, RelabelRule, compute_alpha,
                       confounder_effects, relabel_monotone, relabel_unbiased)
 from .scm import (NodeSpec, Npsem, arm_label, check_counterfactual_ci,
                   counterfactual_joint, effects, observable_joint, observed_joint)
-from .spectral import HsFactors, HsOptions, hs_decompose, match_permutation
+from .spectral import HsFactors, HsOptions, hs_decompose
 
 __version__ = "0.1.0"

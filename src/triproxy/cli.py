@@ -35,8 +35,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import POINT_TOL, bounds_auxiliary_proxy, bounds_outcome_proxy
-from .errors import (GoldenMismatch, IdentificationRefused, MissingLevels, MissingRole,
-                     NonBinaryTreatment, TriproxyError, UnknownNode, ValidationError)
+from .errors import (EnumerationTooLarge, GoldenMismatch, IdentificationRefused,
+                     MissingLevels, MissingRole, NonBinaryTreatment, TriproxyError,
+                     UnknownNode, ValidationError)
 from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
 from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandReport,
                         estimands, identify_auxiliary_proxy, identify_cond_treatment_proxy,
@@ -44,10 +45,9 @@ from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandR
 from .prob import MASS_TOL, ProbTensor
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
-from .spectral import (AMBIGUITY_TOL, EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL,
-                       HsOptions)
+from .spectral import EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL, HsOptions
 
-REPORT_FORMAT = 1
+REPORT_FORMAT = 2
 
 PIPELINES = {
     "outcome": (identify_outcome_proxy, ("Y", "Z", "V", "X")),
@@ -64,7 +64,6 @@ TOLERANCES = {
     "eigen_gap_tol": EIGEN_GAP_TOL,
     "imag_tol": IMAG_TOL,
     "neg_tol": NEG_TOL,
-    "ambiguity_tol": AMBIGUITY_TOL,
     "cond_guard": COND_GUARD,
     "projection_tol": PROJECTION_TOL,
     "assembly_mass_tol": ASSEMBLY_MASS_TOL,
@@ -208,7 +207,9 @@ def _taus(text: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     m = _load_model(args.model)
-    _write(args.out, _report(args, "simulate", observed_joint(m).to_dict()))
+    with _invalid("", EnumerationTooLarge):
+        joint = observed_joint(m)
+    _write(args.out, _report(args, "simulate", joint.to_dict()))
     return 0
 
 
@@ -219,7 +220,7 @@ ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cat
 
 def _cmd_oracle(args) -> int:
     m = _load_model(args.model)
-    with _invalid("", (MissingRole, UnknownNode)):
+    with _invalid("", (MissingRole, UnknownNode, EnumerationTooLarge)):
         eff = effects(m, treatment=args.treatment, outcome=args.outcome)
     result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
     _write(args.out, _report(args, "oracle", result))

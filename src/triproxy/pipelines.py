@@ -3,21 +3,24 @@
 Each ``identify_*`` function consumes an exact observed joint distribution
 (a :class:`~triproxy.prob.ProbTensor` with conventional axis names) and a
 latent cardinality, runs the spectral factorization of
-:mod:`triproxy.spectral` on the appropriate conditional slice, aligns every
-stratum to one shared latent ordering, and assembles a
-:class:`LatentOutcomeModel` holding the arm laws
+:mod:`triproxy.spectral` once, on the appropriate conditional slice, and
+assembles a :class:`LatentOutcomeModel` holding the arm laws
 ``f(Y(x1) = y, W = w, X = x)`` and the latent/treatment joint ``f(w, x)``.
 From those every downstream quantity — potential-outcome laws, ATE/ATT/ATU,
 quantile effects, and the distribution of the stratum effect β(W) — is a
 finite sum, computed by :func:`estimands`.
 
 The designs differ in which variable is the third proxy, and share two
-stages: the outcome and conditional-treatment designs run one
-reference-stratum stage (factorize in the most probable stratum, transfer
-``f(z | w)`` to the others), and the treatment and auxiliary designs run one
-deconvolution of an observed joint through ``f(z | w)``.  They differ again
-only where the arm laws are assembled: the auxiliary design integrates the
-extra proxy V within each latent stratum and factual treatment.
+stages.  The outcome, conditional-treatment and auxiliary designs run one
+reference-stratum stage: factorize in the most probable stratum, transfer
+``f(z | w)`` to the others and solve each stratum's ``f(w | v)`` through it.
+Every stratum is expressed in the reference stratum's latent labels, so no
+pipeline matches labels across strata.  The outcome and
+conditional-treatment designs then solve each stratum's signal kernel; the
+treatment and auxiliary designs run one deconvolution of an observed joint
+through ``f(z | w)``.  They differ again only where the arm laws are
+assembled: the auxiliary design integrates the extra proxy V within each
+latent stratum and factual treatment.
 
 The latent ordering inside every assembled model is canonical (latent
 states sorted lexicographically by their ``f(z | w)`` column), so reports
@@ -40,7 +43,7 @@ from .errors import (
     ZeroConditioningCell,
 )
 from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize
-from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose, match_permutation
+from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose
 
 COND_GUARD = 1e8
 PROJECTION_TOL = 1e-4
@@ -180,7 +183,8 @@ DISTINCTNESS_BY_DESIGN = {
     "treatment": "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns",
     "cond-treatment": ("HS Assumption 4 / Assumption 6: distinct treatment-kernel "
                        "columns within outcome strata"),
-    "auxiliary": "HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns",
+    "auxiliary": ("HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
+                  "in the reference treatment stratum"),
 }
 
 
@@ -200,13 +204,16 @@ def _diag_entry(f: HsFactors) -> dict:
 
 def _reference_stratum(joint: ProbTensor, k: int, opts: HsOptions | None,
                        strata: str, signal: str, design: str):
-    """Factorize the (Z, signal, V) law in the most probable level of
-    ``strata``, carry the shared proxy kernel f(z | w) to every other level,
-    and solve that level's f(w | v) and f(signal | w) by linear solves.
+    """The latent stage shared by the outcome, conditional-treatment and
+    auxiliary designs.  Factorize the (Z, signal, V) law in the most probable
+    level of ``strata`` only, carry its proxy kernel f(z | w) to every other
+    level, and solve that level's f(w | v) through it by one linear solve.
+    Only the reference level needs distinct signal columns; every other level
+    needs a well-conditioned solve.
 
-    Returns ``(z_given_w, signal_given_w, w_strata_joint, projection
-    distance, diagnostics)``; ``signal_given_w`` has shape
-    ``(|signal|, k, |strata|)`` and ``w_strata_joint`` is f(w, strata).
+    Returns ``(factors, w_given_v, vws, projection distance, diagnostics)``:
+    the reference level's factors, whose ``z_given_w`` is the shared kernel;
+    f(w | v, s) of shape ``(k, |V|, |strata|)``; and f(v, w, s).
     """
     f_s = marginalize(joint, set(joint.names) - {strata}).values
     s_ref = int(np.argmax(f_s))
@@ -215,37 +222,48 @@ def _reference_stratum(joint: ProbTensor, k: int, opts: HsOptions | None,
     fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), {strata: s_ref}),
                        _hs_options(opts, k, design))
     diag[f"hs_{strata.lower()}{s_ref}"] = _diag_entry(fac)
-    z_given_w = fac.z_given_w
-    k_card = z_given_w.shape[1]
-    signal_given_w = np.empty((joint.axis(signal).cardinality, k_card, f_s.size))
-    w_given_v = np.empty((k_card, joint.axis("V").cardinality, f_s.size))
-    signal_given_w[:, :, s_ref] = fac.c_given_w
+    w_given_v = np.empty(fac.w_given_v.shape + (f_s.size,))
     w_given_v[:, :, s_ref] = fac.w_given_v
     proj = 0.0
-
     for s in range(f_s.size):
         if s == s_ref:
             continue
         where = f"{strata}={s}"
         z_given_v = _slice_joint(joint, ("Z", "V"), {strata: s})
-        sol, _ = _solve(z_given_w, z_given_v / z_given_v.sum(axis=0, keepdims=True),
+        sol, _ = _solve(fac.z_given_w, z_given_v / z_given_v.sum(axis=0, keepdims=True),
                         f"shared proxy kernel ({where})")
         w_given_v[:, :, s], d = _project_columns(sol, f"latent posterior ({where})")
         proj = max(proj, d)
-        # trilinear stage: per signal level, the (z, v) slice is linear in
-        # the K unknown latent weights
-        design_mat = (z_given_w[:, None, :] * w_given_v[:, :, s].T).reshape(-1, k_card)
+
+    # stochastic columns of f(w | v, s) keep this joint on the simplex
+    f_vs = marginalize(joint, set(joint.names) - {"V", strata}).reorder(("V", strata)).values
+    vws = np.einsum("wvs,vs->vws", w_given_v, f_vs)
+    return fac, w_given_v, vws, proj, diag
+
+
+def _signal_given_w(joint: ProbTensor, strata: str, signal: str, fac: HsFactors,
+                    w_given_v: np.ndarray, s_ref: int) -> tuple[np.ndarray, float]:
+    """f(signal | w, s) of shape ``(|signal|, k, |strata|)``: the reference
+    level's from its factorization, every other level's by the trilinear
+    solve (per signal level, the (z, v) slice is linear in the k unknown
+    latent weights).  Returns it with the projection distance."""
+    z_given_w = fac.z_given_w
+    k, _, n_s = w_given_v.shape
+    signal_given_w = np.empty((joint.axis(signal).cardinality, k, n_s))
+    signal_given_w[:, :, s_ref] = fac.c_given_w
+    proj = 0.0
+    for s in range(n_s):
+        if s == s_ref:
+            continue
+        where = f"{strata}={s}"
+        design_mat = (z_given_w[:, None, :] * w_given_v[:, :, s].T).reshape(-1, k)
         czv = _slice_joint(joint, (signal, "Z", "V"), {strata: s})
         czv = czv / czv.sum(axis=(0, 1), keepdims=True)      # condition on v
         sol, _ = _solve(design_mat, czv.reshape(czv.shape[0], -1).T,
                         f"signal design matrix ({where})")
         signal_given_w[:, :, s], d = _project_columns(sol.T, f"signal kernel ({where})")
         proj = max(proj, d)
-
-    # stochastic columns of f(w | v, s) keep this joint on the simplex
-    f_vs = marginalize(joint, set(joint.names) - {"V", strata}).reorder(("V", strata)).values
-    w_strata = np.einsum("wvs,vs->ws", w_given_v, f_vs)
-    return z_given_w, signal_given_w, w_strata, proj, diag
+    return signal_given_w, proj
 
 
 def _latent_model(joint: ProbTensor, design: str, y_given: np.ndarray,
@@ -276,13 +294,14 @@ def _latent_model(joint: ProbTensor, design: str, y_given: np.ndarray,
 
 def identify_outcome_proxy(joint: ProbTensor, k: int,
                            opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Outcome-proxy design: factorize within a reference treatment stratum,
-    carry the shared proxy kernel to the other strata by linear solves."""
+    """Outcome-proxy design: the reference-stratum stage over treatment
+    strata, then each stratum's outcome kernel by the trilinear solve."""
     _require_axes(joint, ("Y", "Z", "V", "X"))
-    z_given_w, y_given_wx, wx, proj, diag = _reference_stratum(
-        joint, k, opts, "X", "Y", "outcome")
-    diag["projection_distance"] = proj
-    return _latent_model(joint, "outcome", y_given_wx, wx, z_given_w, diag)
+    fac, w_given_vx, vwx, proj, diag = _reference_stratum(joint, k, opts, "X", "Y", "outcome")
+    y_given_wx, signal_proj = _signal_given_w(joint, "X", "Y", fac, w_given_vx,
+                                              diag["reference_stratum"])
+    diag["projection_distance"] = max(proj, signal_proj)
+    return _latent_model(joint, "outcome", y_given_wx, vwx.sum(axis=0), fac.z_given_w, diag)
 
 
 def identify_treatment_proxy(joint: ProbTensor, k: int,
@@ -302,49 +321,33 @@ def identify_treatment_proxy(joint: ProbTensor, k: int,
 
 def identify_cond_treatment_proxy(joint: ProbTensor, k: int,
                                   opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Conditional-treatment design: factorize within a reference outcome
-    stratum, align the remaining outcome strata through the shared proxy
-    kernel, and reassemble the (y, x, w) joint."""
+    """Conditional-treatment design: the reference-stratum stage over outcome
+    strata, each stratum's treatment kernel by the trilinear solve, and the
+    (y, x, w) joint reassembled."""
     _require_axes(joint, ("X", "Z", "V", "Y"))
-    z_given_w, x_given_wy, wy, proj, diag = _reference_stratum(
+    fac, w_given_vy, vwy, proj, diag = _reference_stratum(
         joint, k, opts, "Y", "X", "cond-treatment")
-    diag["projection_distance"] = proj
-    yxw = np.einsum("xwy,wy->yxw", x_given_wy, wy)
+    x_given_wy, signal_proj = _signal_given_w(joint, "Y", "X", fac, w_given_vy,
+                                              diag["reference_stratum"])
+    diag["projection_distance"] = max(proj, signal_proj)
+    yxw = np.einsum("xwy,wy->yxw", x_given_wy, vwy.sum(axis=0))
     return _latent_model(joint, "cond-treatment", _normalize_slices(yxw.transpose(0, 2, 1)),
-                         yxw.sum(axis=0).T, z_given_w, diag)
+                         yxw.sum(axis=0).T, fac.z_given_w, diag)
 
 
 def identify_auxiliary_proxy(joint: ProbTensor, k: int,
                              opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Auxiliary-proxy design: per-treatment-stratum factorization with an
-    extra signal variable C, per-(y, v, x) deconvolution, and the V-integrated
-    potential-outcome display."""
+    """Auxiliary-proxy design: the reference-stratum stage over treatment
+    strata with C as the signal, per-(y, v, x) deconvolution, and the
+    V-integrated potential-outcome display."""
     _require_axes(joint, ("Y", "C", "Z", "V", "X"))
-    f_x = marginalize(joint, set(joint.names) - {"X"}).values
-    x_ref = int(np.argmax(f_x))
-    diag: dict = {"design": "auxiliary", "reference_stratum": x_ref}
-
-    hs_opts = _hs_options(opts, k, "auxiliary")
-    factors = [hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}), hs_opts)
-               for x in range(f_x.size)]
-    for x, fac in enumerate(factors):
-        diag[f"hs_x{x}"] = _diag_entry(fac)
-    z_given_w = factors[x_ref].z_given_w
-
-    # align every stratum's latent ordering to the reference proxy kernel;
-    # the stochastic columns of f(w | v, x) keep f(v, w, x) on the simplex
-    w_given_vx = np.stack([fac.w_given_v[match_permutation(z_given_w, fac.z_given_w)]
-                           for fac in factors], axis=2)
-    f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
-    vwx = np.einsum("wvx,vx->vwx", w_given_vx, f_vx)        # f(v, w, x)
-
-    ywvx, proj, cond = _deconvolve(z_given_w, _slice_joint(joint, ("Y", "Z", "V", "X"), {}),
-                                   "outcome/latent joint")
-    diag["projection_distance"] = proj
+    fac, _, vwx, proj, diag = _reference_stratum(joint, k, opts, "X", "C", "auxiliary")
+    ywvx, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, ("Y", "Z", "V", "X"), {}),
+                                  "outcome/latent joint")
+    diag["projection_distance"] = max(proj, neg)
     diag["solve_condition"] = cond
-
     return _latent_model(joint, "auxiliary", _normalize_slices(ywvx),
-                         ywvx.sum(axis=2).sum(axis=0), z_given_w, diag, vwx)
+                         ywvx.sum(axis=2).sum(axis=0), fac.z_given_w, diag, vwx)
 
 
 # ---------------------------------------------------------------------------

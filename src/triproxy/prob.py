@@ -232,28 +232,6 @@ def marginalize(t: ProbTensor, drop) -> ProbTensor:
     return ProbTensor(keep, values)
 
 
-def condition(t: ProbTensor, on) -> MarkovKernel:
-    """Form ``f_{A|B} = f_{AB} / f_B`` where A is the single remaining axis."""
-    on = set(on)
-    unknown = on - set(t.names)
-    if unknown:
-        raise UnknownAxis(f"cannot condition on {sorted(unknown)}; axes are {t.names}")
-    remaining = [a for a in t.axes if a.name not in on]
-    if len(remaining) != 1:
-        raise AxisMismatch(
-            f"conditioning must leave exactly one target axis, got {[a.name for a in remaining]}"
-        )
-    target = remaining[0]
-    given = tuple(a for a in t.axes if a.name in on)
-    arr = t.reorder((target.name,) + tuple(g.name for g in given)).values
-    marg = arr.sum(axis=0)
-    bad = np.argwhere(marg <= 0)
-    if bad.size:
-        cell = {g.name: int(i) for g, i in zip(given, bad[0])}
-        raise ZeroConditioningCell(f"conditioning cell {cell} has zero probability")
-    return MarkovKernel(target, given, arr / marg)
-
-
 def restrict(t: ProbTensor, assignments: dict, renormalize: bool = True) -> ProbTensor:
     """Fix axes to level indices; optionally renormalize to the conditional."""
     for name in assignments:

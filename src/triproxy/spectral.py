@@ -197,6 +197,11 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
     return HsFactors(z_given_w, c_given_w, w_given_v, v_marg, diag)
 
 
+# ---------------------------------------------------------------------------
+# latent-label matching: no pipeline calls it, since every stratum is
+# expressed in the reference stratum's labels; the benchmark still does
+
+
 def _min_assignment(cost: list[list[float]]) -> list[int]:
     """Column of each row in a minimum-cost perfect matching of a square
     matrix: Kuhn-Munkres with potentials (shortest augmenting paths, O(k^3)).

@@ -18,8 +18,8 @@ from triproxy.cli import main
 from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  rank_invariant_bounds_model,
                                  unbiased_proxy_model)
-from triproxy.prob import ProbTensor
-from triproxy.scm import Npsem, effects, observed_joint
+from triproxy.prob import ProbTensor, VarSpace
+from triproxy.scm import NodeSpec, Npsem, effects, observed_joint
 
 #: oracle report key -> field of ``scm.effects``
 ORACLE_REPORT = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cate",
@@ -35,6 +35,21 @@ def _load_script(name: str):
 
 
 make_goldens = _load_script("make_goldens")
+
+
+def _space(name: str, card: int) -> VarSpace:
+    return VarSpace(name, card, tuple(float(v) for v in range(card)))
+
+
+#: eight independent 10-level nodes: an observed joint of 10^8 cells
+HUGE_JOINT_MODEL = Npsem(tuple(
+    NodeSpec(_space(f"N{i}", 10), (), np.arange(10), np.full(10, 0.1)) for i in range(8)))
+#: a 1000-level outcome: a cross-world joint f(Y(0), Y(1), W, X) of 2 * 10^7 cells
+HUGE_ORACLE_MODEL = Npsem((
+    NodeSpec(_space("W", 10), (), np.arange(10), np.full(10, 0.1)),
+    NodeSpec(_space("X", 2), ("W",), np.tile([0, 1], (10, 1)), np.array([0.7, 0.3])),
+    NodeSpec(_space("Y", 1000), ("X", "W"), np.arange(40).reshape(2, 10, 2),
+             np.array([0.6, 0.4]))), ("W",))
 
 
 def run(capsys, *argv):
@@ -136,6 +151,15 @@ class TestIdentify:
         truth = effects(m)
         assert abs(est["ate"] - truth["ate"]) < 1e-8
         assert abs(est["att"] - truth["att"]) < 1e-8
+
+    def test_report_lists_only_the_tolerances_in_use(self, capsys, fig2a_files):
+        _, _, joint = fig2a_files
+        code, out, _ = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
+                           "--joint", joint)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["report_format"] == 2
+        assert "ambiguity_tol" not in rep["tolerances"]
 
     def test_report_bytes_deterministic(self, tmp_path, capsys, fig2a_files):
         _, _, joint = fig2a_files
@@ -329,11 +353,16 @@ class TestExitCodesAndDiagnostics:
         (["classify", "--graph", "{graph}"], "graph lacks a node for core role 'W'"),
         (["dag-check", "--graph", "{graph}", "--proposition", "1"],
          "graph lacks a node for role"),
+        (["simulate", "--model", "{huge_joint}"],
+         "would hold 100000000 cells, over the 10000000 guard"),
+        (["oracle", "--model", "{huge_oracle}"],
+         "would hold 20000000 cells, over the 10000000 guard"),
     ], ids=["relabel-tau-abc", "relabel-tau-0", "relabel-tau-1.5", "latent-dim-negative",
             "latent-dim-0", "identify-seed-negative", "relabel-seed-negative",
             "bounds-seed-negative", "report-in-missing-dir", "csv-in-missing-dir",
             "bounds-latent-dim-9", "bounds-auxiliary-without-c", "treatment-joint-with-c",
-            "classify-graph-without-w", "dag-check-graph-without-w"])
+            "classify-graph-without-w", "dag-check-graph-without-w",
+            "simulate-oversized-model", "oracle-oversized-model"])
     def test_bad_input_exit_2(self, tmp_path, capsys, fig2a_files, argv, reason):
         _, _, joint = fig2a_files
         aux_joint = tmp_path / "aux-joint.json"
@@ -343,6 +372,9 @@ class TestExitCodesAndDiagnostics:
         graph.write_text(json.dumps({"nodes": ["Y", "X", "Z"], "edges": [["X", "Y"]]}))
         paths = {"joint": joint, "aux_joint": aux_joint, "graph": graph,
                  "missing": tmp_path / "no-such-dir" / "out"}
+        for name, model in (("huge_joint", HUGE_JOINT_MODEL), ("huge_oracle", HUGE_ORACLE_MODEL)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(model.to_dict()))
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         diag = json.loads(err)
@@ -374,8 +406,9 @@ class TestExitCodesAndDiagnostics:
         assert "Assumption" in diag["assumption"]
 
     def test_single_latent_state_refused_with_diagnostic(self, tmp_path, capsys):
-        # a one-state fit of a two-state auxiliary joint: each stratum's
-        # single column is matched to the reference, then the fit is refused
+        # a one-state fit of a two-state auxiliary joint: the latent posterior
+        # solved in the other treatment stratum is off the simplex, and the
+        # fit is refused with a JSON diagnostic
         path = tmp_path / "joint.json"
         path.write_text(json.dumps(observed_joint(figure_model("fig5a", 2, seed=0)).to_dict()))
         code, _, err = run(capsys, "identify", "--design", "auxiliary",

@@ -12,13 +12,19 @@ from triproxy.generators import (_SCREENS, FIGURE_DESIGNS, MAX_TRIES, FixtureDia
                                  _separated_blocks, designed_npsem, figure_diagnostics,
                                  standard_spaces)
 from triproxy.graphs import FIGURES
-from triproxy.prob import ProbTensor, condition, marginalize, restrict
+from triproxy.prob import ProbTensor, marginalize, restrict
 from triproxy.scm import observable_joint
 
 
 def _kernel(t: ProbTensor, target: str, given: tuple[str, ...]) -> np.ndarray:
+    """f(target | given) = f(target, given) / f(given), with the given axes in
+    the order of ``t``; a given cell without mass is refused."""
     t = marginalize(t, set(t.names) - {target} - set(given))
-    return condition(t, set(given)).values
+    arr = t.reorder((target,) + tuple(n for n in t.names if n != target)).values
+    marg = arr.sum(axis=0)
+    if np.any(marg <= 0):
+        raise ZeroConditioningCell(f"a cell of {given} has zero probability")
+    return arr / marg
 
 
 def _sv_ratio(mat: np.ndarray, k: int) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_cdf_match
+from triproxy import pipelines
 from triproxy.errors import (EigenGapExhausted, MissingLevels,
                              NonBinaryTreatment, RankDeficient, TriproxyError,
                              UnknownAxis, ZeroConditioningCell)
@@ -22,7 +23,7 @@ from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
                                 _slice_joint)
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import effects, observed_joint
-from triproxy.spectral import canonical_order
+from triproxy.spectral import canonical_order, hs_decompose
 
 PIPELINES = {
     "outcome": identify_outcome_proxy,
@@ -132,6 +133,17 @@ class TestStructuralIdentities:
         m = figure_model("fig4a", K=2, seed=3)
         model = identify_cond_treatment_proxy(observed_joint(m), 2)
         assert model.diagnostics["stages"] == m["Y"].space.cardinality
+
+    def test_auxiliary_factorizes_only_the_reference_stratum(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hs_decompose(*args)
+
+        monkeypatch.setattr(pipelines, "hs_decompose", counted)
+        identify_auxiliary_proxy(observed_joint(figure_model("fig5a", K=2, seed=4)), 2)
+        assert len(calls) == 1
 
     def test_potential_joint_mass_and_margin(self):
         m = figure_model("fig5a", K=2, seed=4)
@@ -260,6 +272,38 @@ class TestFailureModes:
         with pytest.raises(EigenGapExhausted) as ei:
             identify_treatment_proxy(observed_joint(m), K)
         assert DISTINCTNESS_BY_DESIGN["treatment"] in str(ei.value)
+
+    @pytest.mark.parametrize("collapsed", ["other", "reference"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_auxiliary_needs_distinct_signal_only_in_reference_stratum(self, seed, collapsed):
+        """f(c | w, x) equal across W in one treatment level: the auxiliary
+        design still identifies when that level is not the reference one,
+        and refuses by name when it is."""
+        K = 2
+        dag, spaces = FIGURES["fig5a"], standard_spaces(K)
+        c_given_wx = np.random.default_rng(1000 + seed).dirichlet(
+            np.ones(3), size=(K, 2)).transpose(2, 0, 1)        # (|C|, W, X)
+        # C's kernel is not drawn from the seed's stream, so f(x) does not
+        # depend on it
+        joint = observed_joint(random_npsem(dag, spaces, seed, latent=("W",),
+                                            kernels={"C": c_given_wx}))
+        x_ref = int(np.argmax(marginalize(joint, set(joint.names) - {"X"}).values))
+        level = x_ref if collapsed == "reference" else 1 - x_ref
+        c_given_wx[:, :, level] = c_given_wx[:, :1, level]
+        m = random_npsem(dag, spaces, seed, latent=("W",), kernels={"C": c_given_wx})
+        if collapsed == "reference":
+            with pytest.raises(EigenGapExhausted) as ei:
+                identify_auxiliary_proxy(observed_joint(m), K)
+            assert DISTINCTNESS_BY_DESIGN["auxiliary"] in str(ei.value)
+            return
+        rep = estimands(identify_auxiliary_proxy(observed_joint(m), K))
+        truth = effects(m)
+        z = m["Z"]
+        perm = canonical_order(_decoded(z.table, z.noise_pmf, z.space.cardinality))
+        assert abs(rep.ate - truth["ate"]) < 1e-9
+        np.testing.assert_allclose(rep.pot_y, truth["pot_y"], atol=1e-9)
+        np.testing.assert_allclose(rep.beta, truth["cate"][perm], atol=1e-9)
+        assert abs(rep.var_beta - (truth["cate"] - truth["ate"]) ** 2 @ truth["w"]) < 1e-9
 
     @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
     @pytest.mark.parametrize("K", [2, 3])

@@ -1,4 +1,4 @@
-"""Tensor algebra: construction, marginalization, conditioning, products."""
+"""Tensor algebra: construction, marginalization, restriction, serialization."""
 
 import json
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from triproxy.errors import (InvalidDistribution, UnknownAxis,
                              ZeroConditioningCell)
 from triproxy.prob import (MASS_TOL, MarkovKernel, ProbTensor, VarSpace,
-                           condition, marginalize, restrict)
+                           marginalize, restrict)
 
 A = VarSpace("A", 2, (0.0, 1.0))
 B = VarSpace("B", 3, (0.0, 1.0, 2.0))
@@ -83,19 +83,6 @@ class TestOperations:
         with pytest.raises(UnknownAxis):
             marginalize(uniform(A), {"Q"})
 
-    def test_condition_roundtrip(self, rng):
-        t = random_tensor(rng, A, B)
-        k = condition(t, {"B"})
-        back = k.values * marginalize(t, {"A"}).values      # f(a | b) f(b)
-        np.testing.assert_allclose(back, t.values, atol=1e-14)
-
-    def test_condition_zero_cell(self):
-        vals = np.array([[0.5, 0.0], [0.5, 0.0]])
-        t = ProbTensor.build((A, C), vals)
-        with pytest.raises(ZeroConditioningCell) as e:
-            condition(t, {"C"})
-        assert "C" in str(e.value)
-
     def test_restrict_renormalizes(self, rng):
         t = random_tensor(rng, A, B)
         r = restrict(t, {"B": 1})
@@ -152,15 +139,3 @@ def test_mass_conserved_under_all_ops(t, data):
     perm = data.draw(st.permutations(t.names))
     r = t.reorder(tuple(perm))
     assert abs(r.values.sum() - 1.0) <= MASS_TOL
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31))
-def test_condition_then_product_conserves_mass(seed):
-    rng = np.random.default_rng(seed)
-    axes = (VarSpace("P", 3), VarSpace("Q", 3))
-    vals = rng.dirichlet(np.ones(9)).reshape(3, 3) + 1e-3
-    t = ProbTensor.build(axes, vals / vals.sum())
-    k = condition(t, {"Q"})
-    back = k.values * marginalize(t, {"P"}).values       # f(p | q) f(q)
-    assert abs(back.sum() - 1.0) <= MASS_TOL
