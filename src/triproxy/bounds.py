@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
-from .pipelines import _deconvolve, _hs_options, _require_axes, _slice_joint
+from .pipelines import _deconvolve, _require_axes, _slice_joint
 from .prob import MASS_TOL, ProbTensor, marginalize
 from .spectral import HsOptions, hs_decompose
 
@@ -69,18 +69,17 @@ def _stratum_means(y_given_w: np.ndarray, w_mass: np.ndarray,
     return y_levels @ y_given_w[:, keep]
 
 
-def bounds_outcome_proxy(joint: ProbTensor, k: int,
-                         opts: HsOptions | None = None) -> BoundsReport:
+def bounds_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
     """Sharp bounds from per-arm factorizations of a (Y, Z, V, X)
     joint; no cross-arm latent alignment is attempted."""
     _require_axes(joint, ("Y", "Z", "V", "X"))
     y_levels = _check_binary_numeric(joint)
-    opts = _hs_options(opts, k)
 
     diag: dict = {"design": "bounds-outcome"}
     extremes = {}
     for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", "Y", "V"), {"X": x}), opts)
+        fac = hs_decompose(_slice_joint(joint, ("Z", "Y", "V"), {"X": x}),
+                           HsOptions(latent_dim=k, seed=seed))
         w_mass = fac.wv_joint.sum(axis=1)
         w_mass = w_mass / w_mass.sum()
         means = _stratum_means(fac.c_given_w, w_mass, y_levels)
@@ -99,13 +98,11 @@ def bounds_outcome_proxy(joint: ProbTensor, k: int,
         diagnostics=diag)
 
 
-def bounds_auxiliary_proxy(joint: ProbTensor, k: int,
-                           opts: HsOptions | None = None) -> BoundsReport:
+def bounds_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
     """Per-``v`` rank-invariance bounds from per-arm factorizations with an
     auxiliary signal C, averaged into ATT/ATU intervals."""
     _require_axes(joint, ("Y", "C", "Z", "V", "X"))
     y_levels = _check_binary_numeric(joint)
-    opts = _hs_options(opts, k)
     n_v = joint.axis("V").cardinality
 
     f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
@@ -118,7 +115,8 @@ def bounds_auxiliary_proxy(joint: ProbTensor, k: int,
     mins = np.empty((n_v, 2))
     maxs = np.empty((n_v, 2))
     for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}), opts)
+        fac = hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}),
+                           HsOptions(latent_dim=k, seed=seed))
         diag[f"arm{x}"] = {"eigen_gap": fac.diagnostics.eigen_gap,
                            "singular_ratio": fac.diagnostics.singular_ratio}
         ywv, _, _ = _deconvolve(fac.z_given_w,

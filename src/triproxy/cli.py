@@ -45,7 +45,7 @@ from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandR
 from .prob import MASS_TOL, ProbTensor
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
-from .spectral import EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL, HsOptions
+from .spectral import EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL
 
 REPORT_FORMAT = 2
 
@@ -136,15 +136,10 @@ def _load_tensor(path: str) -> ProbTensor:
         return ProbTensor.from_dict(d)
 
 
-def _round(x) -> float:
-    # canonical float formatting: full precision, JSON-stable
-    return float(x)
-
-
 def _estimand_result(rep: EstimandReport) -> dict:
     return {
         "y_levels": list(rep.y_levels),
-        "pot_y": [[_round(v) for v in row] for row in rep.pot_y.tolist()],
+        "pot_y": [[float(v) for v in row] for row in rep.pot_y.tolist()],
         "pot_y_given_x": [[[float(v) for v in c] for c in r]
                           for r in rep.pot_y_given_x.tolist()],
         "ate": rep.ate, "att": rep.att, "atu": rep.atu,
@@ -189,7 +184,7 @@ def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
 
 def _identify(joint: ProbTensor, design: str, k: int, seed: int):
     order = _check_joint(joint, design, k)
-    model = PIPELINES[design][0](joint.reorder(order), k, HsOptions(latent_dim=k, seed=seed))
+    model = PIPELINES[design][0](joint.reorder(order), k, seed=seed)
     return estimands(model), model
 
 
@@ -262,8 +257,7 @@ def _cmd_bounds(args) -> int:
     joint = _load_tensor(args.joint)
     _check_joint(joint, args.design, args.latent_dim)
     fn = bounds_outcome_proxy if args.design == "outcome" else bounds_auxiliary_proxy
-    rep = fn(joint, args.latent_dim, HsOptions(latent_dim=args.latent_dim,
-                                               seed=args.seed))
+    rep = fn(joint, args.latent_dim, seed=args.seed)
     result = {"design": args.design, "s_lower": rep.s_lower, "s_upper": rep.s_upper,
               "att_interval": list(rep.att_interval),
               "atu_interval": list(rep.atu_interval),
@@ -316,11 +310,11 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # builtin end-to-end fixtures
 
-FIXTURES = ("fig1a-early-late-tests", "fig1d-auxiliary", "fig1b-double-only")
-
 FIXTURE_DESIGN = {"fig1a-early-late-tests": "outcome",
                   "fig1d-auxiliary": "auxiliary",
                   "fig1b-double-only": None}
+
+FIXTURES = tuple(FIXTURE_DESIGN)
 
 
 def _fixture_payload(name: str) -> dict:
@@ -338,8 +332,7 @@ def run_fixture(name: str) -> dict:
     joint = observed_joint(m)
     designs = sorted(classify_designs(m.graph()))
     design = FIXTURE_DESIGN[name]
-    triple = [d for d in designs
-              if d in ("outcome", "treatment", "cond-treatment", "auxiliary")]
+    triple = [d for d in designs if d in PIPELINES]
     result: dict = {"fixture": name, "designs": designs}
     if design is None:
         if triple:

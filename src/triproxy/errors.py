@@ -97,7 +97,10 @@ class AmbiguousMatch(TriproxyError):
 # --- pipelines ------------------------------------------------------------
 
 class SolveIllConditioned(TriproxyError):
-    assumption = "Assumption 2: stratum-wise completeness"
+    """The shared proxy kernel f(z | w) is numerically singular: completeness
+    fails."""
+
+    assumption = "HS Assumption 3: completeness"
 
 
 class NonStochasticSolution(TriproxyError):

@@ -1,26 +1,33 @@
-"""Two-stage identification pipelines and treatment-effect estimands.
+"""Identification pipelines and treatment-effect estimands.
 
 Each ``identify_*`` function consumes an exact observed joint distribution
 (a :class:`~triproxy.prob.ProbTensor` with conventional axis names) and a
-latent cardinality, runs the spectral factorization of
-:mod:`triproxy.spectral` once, on the appropriate conditional slice, and
-assembles a :class:`LatentOutcomeModel` holding the arm laws
-``f(Y(x1) = y, W = w, X = x)`` and the latent/treatment joint ``f(w, x)``.
-From those every downstream quantity — potential-outcome laws, ATE/ATT/ATU,
-quantile effects, and the distribution of the stratum effect β(W) — is a
-finite sum, computed by :func:`estimands`.
+latent cardinality, and assembles a :class:`LatentOutcomeModel` holding the
+arm laws ``f(Y(x1) = y, W = w, X = x)`` and the latent/treatment joint
+``f(w, x)``.  From those every downstream quantity — potential-outcome laws,
+ATE/ATT/ATU, quantile effects, and the distribution of the stratum effect
+β(W) — is a finite sum, computed by :func:`estimands`.
 
-The designs differ in which variable is the third proxy, and share two
-stages.  The outcome, conditional-treatment and auxiliary designs run one
-reference-stratum stage: factorize in the most probable stratum, transfer
-``f(z | w)`` to the others and solve each stratum's ``f(w | v)`` through it.
-Every stratum is expressed in the reference stratum's latent labels, so no
-pipeline matches labels across strata.  The outcome and
-conditional-treatment designs then solve each stratum's signal kernel; the
-treatment and auxiliary designs run one deconvolution of an observed joint
-through ``f(z | w)``.  They differ again only where the arm laws are
-assembled: the auxiliary design integrates the extra proxy V within each
-latent stratum and factual treatment.
+The designs differ only in which variable is the third proxy (the outcome,
+the treatment, the treatment within outcome strata, or an auxiliary C), and
+they all run the same three steps:
+
+1. *Factorize once.*  :func:`~triproxy.spectral.hs_decompose` splits the
+   (Z, signal, V) law in the most probable level of the design's stratum
+   axis; the treatment design has no stratum axis and uses the whole joint.
+   Only that level needs distinct signal columns.  The factorization fixes
+   the proxy kernel ``f(z | w)`` shared by every stratum.
+2. *Deconvolve once.*  Each design's proposition gives Z ⊥ (Y, X) | W, and
+   Z ⊥ (Y, V, X) | W for the auxiliary design, so
+   ``f(y, z, x) = Σ_w f(z | w) f(y, w, x)``: one linear solve through
+   ``f(z | w)`` recovers the latent joint of every stratum at once.  No
+   stratum is solved on its own, and no labels are matched across strata.
+3. *Assemble* the arm laws: each arm integrates ``f(y | w, v, x1)`` over
+   ``f(v, w, x)`` within each latent state and factual treatment.  A design
+   without V is one V level.
+
+Positivity is required: a latent cell with mass in one treatment arm and
+none in another has no identified outcome law there, and is refused.
 
 The latent ordering inside every assembled model is canonical (latent
 states sorted lexicographically by their ``f(z | w)`` column), so reports
@@ -43,12 +50,12 @@ from .errors import (
     ZeroConditioningCell,
 )
 from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize
-from .spectral import HsFactors, HsOptions, canonical_order, hs_decompose
+from .spectral import (COMPLETENESS_LABEL, HsFactors, HsOptions, canonical_order,
+                       hs_decompose)
 
 COND_GUARD = 1e8
 PROJECTION_TOL = 1e-4
 ASSEMBLY_MASS_TOL = 1e-8    # mass of the assembled f(y, x) may be off by this
-STRATUM_COMPLETENESS_LABEL = "stratum-wise completeness of the proxy system"
 
 
 def _latent_space(k: int) -> VarSpace:
@@ -96,37 +103,29 @@ class LatentOutcomeModel:
 # shared stages
 
 
+#: design -> (stratum axis or None, signal, second-stage axes)
+DESIGNS = {
+    "outcome": ("X", "Y", ("Y", "Z", "X")),
+    "treatment": (None, "X", ("Y", "Z", "X")),
+    "cond-treatment": ("Y", "X", ("Y", "Z", "X")),
+    "auxiliary": ("X", "C", ("Y", "Z", "V", "X")),
+}
+
+DISTINCTNESS_BY_DESIGN = {
+    "outcome": ("HS Assumption 4 / Assumption 3: distinct outcome-kernel columns "
+                "in the reference treatment stratum"),
+    "treatment": "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns",
+    "cond-treatment": ("HS Assumption 4 / Assumption 6: distinct treatment-kernel "
+                       "columns in the reference outcome stratum"),
+    "auxiliary": ("HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
+                  "in the reference treatment stratum"),
+}
+
+
 def _require_axes(joint: ProbTensor, names: tuple[str, ...]) -> None:
     missing = set(names) - set(joint.names)
     if missing:
         raise UnknownAxis(f"joint is missing axes {sorted(missing)}")
-
-
-def _solve(design: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Least-squares solution of ``design @ sol = rhs`` and the design's
-    condition number, from one SVD.  The guard keeps every singular value far
-    above lstsq's cutoff, so this is the solution lstsq returns."""
-    u, sv, vh = np.linalg.svd(design, full_matrices=False)
-    cond = np.inf if sv[-1] <= 0 else float(sv[0] / sv[-1])
-    if cond > COND_GUARD:
-        raise SolveIllConditioned(
-            f"{what} has condition number {cond:.3e} above {COND_GUARD:.0e}",
-            assumption=STRATUM_COMPLETENESS_LABEL)
-    return vh.T @ ((u.T @ rhs) / sv[:, None]), cond
-
-
-def _project_columns(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Project column-stochastic candidates onto the simplex (clip + renorm)."""
-    clipped = np.clip(mat, 0.0, None)
-    sums = clipped.sum(axis=0, keepdims=True)
-    if np.any(sums <= 0):
-        raise NonStochasticSolution(f"{what} has an all-nonpositive column")
-    projected = clipped / sums
-    dist = float(np.abs(projected - mat).max())
-    if dist > PROJECTION_TOL:
-        raise NonStochasticSolution(
-            f"{what} is {dist:.3e} away from the stochastic simplex")
-    return projected, dist
 
 
 def _deconvolve(z_given_w: np.ndarray, arr: np.ndarray,
@@ -134,14 +133,22 @@ def _deconvolve(z_given_w: np.ndarray, arr: np.ndarray,
     """Latent joint ``out`` with ``arr[a, z, ...] = sum_w f(z | w) out[a, w, ...]``
     (axis 1 of ``arr`` is the proxy Z), round-off negatives clipped.
 
-    Returns ``(out, projection distance, solve condition number)``.  An
-    exact joint that factors through the latent states gives a solution with
-    no negative entries and unit mass; one with entries below
-    ``-PROJECTION_TOL``, or whose clipped mass is off by more than the
-    tensor layer's ``MASS_TOL``, is refused.
+    Returns ``(out, projection distance, condition number of f(z | w))``.
+    The least-squares solve takes one SVD of ``f(z | w)``; the condition
+    guard keeps every singular value far above lstsq's cutoff, so this is
+    the solution lstsq returns.  An exact joint that factors through the
+    latent states gives a solution with no negative entries and unit mass;
+    one with entries below ``-PROJECTION_TOL``, or whose clipped mass is off
+    by more than the tensor layer's ``MASS_TOL``, is refused.
     """
+    u, sv, vh = np.linalg.svd(z_given_w, full_matrices=False)
+    cond = np.inf if sv[-1] <= 0 else float(sv[0] / sv[-1])
+    if cond > COND_GUARD:
+        raise SolveIllConditioned(
+            f"shared proxy kernel f(z | w) has condition number {cond:.3e} "
+            f"above {COND_GUARD:.0e}", assumption=COMPLETENESS_LABEL)
     zs = np.moveaxis(arr, 1, 0)
-    sol, cond = _solve(z_given_w, zs.reshape(zs.shape[0], -1), "shared proxy kernel")
+    sol = vh.T @ ((u.T @ zs.reshape(zs.shape[0], -1)) / sv[:, None])
     out = np.moveaxis(sol.reshape((-1,) + zs.shape[1:]), 0, 1)
     neg = float(-min(out.min(), 0.0))
     if neg > PROJECTION_TOL:
@@ -178,23 +185,6 @@ def _slice_joint(joint: ProbTensor, axes: tuple[str, ...], fix: dict) -> np.ndar
     return values.transpose([kept.index(a) for a in axes])
 
 
-DISTINCTNESS_BY_DESIGN = {
-    "outcome": "HS Assumption 4 / Assumption 3: distinct outcome-kernel columns",
-    "treatment": "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns",
-    "cond-treatment": ("HS Assumption 4 / Assumption 6: distinct treatment-kernel "
-                       "columns within outcome strata"),
-    "auxiliary": ("HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
-                  "in the reference treatment stratum"),
-}
-
-
-def _hs_options(opts: HsOptions | None, k: int, design: str | None = None) -> HsOptions:
-    """``opts`` (defaults when None) at latent dimension ``k``, naming the
-    distinctness assumption of ``design`` when one is given."""
-    label = {} if design is None else {"distinctness_label": DISTINCTNESS_BY_DESIGN[design]}
-    return replace(opts or HsOptions(latent_dim=k), latent_dim=k, **label)
-
-
 def _diag_entry(f: HsFactors) -> dict:
     d = f.diagnostics
     return {"singular_ratio": d.singular_ratio, "eigen_gap": d.eigen_gap,
@@ -202,152 +192,86 @@ def _diag_entry(f: HsFactors) -> dict:
             "clipped_mass": d.clipped_mass}
 
 
-def _reference_stratum(joint: ProbTensor, k: int, opts: HsOptions | None,
-                       strata: str, signal: str, design: str):
-    """The latent stage shared by the outcome, conditional-treatment and
-    auxiliary designs.  Factorize the (Z, signal, V) law in the most probable
-    level of ``strata`` only, carry its proxy kernel f(z | w) to every other
-    level, and solve that level's f(w | v) through it by one linear solve.
-    Only the reference level needs distinct signal columns; every other level
-    needs a well-conditioned solve.
-
-    Returns ``(factors, w_given_v, vws, projection distance, diagnostics)``:
-    the reference level's factors, whose ``z_given_w`` is the shared kernel;
-    f(w | v, s) of shape ``(k, |V|, |strata|)``; and f(v, w, s).
-    """
-    f_s = marginalize(joint, set(joint.names) - {strata}).values
-    s_ref = int(np.argmax(f_s))
-    diag: dict = {"design": design, "reference_stratum": s_ref, "stages": f_s.size}
-
-    fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), {strata: s_ref}),
-                       _hs_options(opts, k, design))
-    diag[f"hs_{strata.lower()}{s_ref}"] = _diag_entry(fac)
-    w_given_v = np.empty(fac.w_given_v.shape + (f_s.size,))
-    w_given_v[:, :, s_ref] = fac.w_given_v
-    proj = 0.0
-    for s in range(f_s.size):
-        if s == s_ref:
-            continue
-        where = f"{strata}={s}"
-        z_given_v = _slice_joint(joint, ("Z", "V"), {strata: s})
-        sol, _ = _solve(fac.z_given_w, z_given_v / z_given_v.sum(axis=0, keepdims=True),
-                        f"shared proxy kernel ({where})")
-        w_given_v[:, :, s], d = _project_columns(sol, f"latent posterior ({where})")
-        proj = max(proj, d)
-
-    # stochastic columns of f(w | v, s) keep this joint on the simplex
-    f_vs = marginalize(joint, set(joint.names) - {"V", strata}).reorder(("V", strata)).values
-    vws = np.einsum("wvs,vs->vws", w_given_v, f_vs)
-    return fac, w_given_v, vws, proj, diag
+def _require_positivity(cell_x: ProbTensor) -> None:
+    """Refuse a latent cell that has mass in one treatment arm (last axis)
+    but none in another: its outcome law in that arm is not identified."""
+    empty = cell_x.values <= MASS_TOL
+    bad = np.argwhere(empty.any(axis=-1) & ~empty.all(axis=-1))
+    if bad.size:
+        cell = tuple(int(i) for i in bad[0])
+        x = int(np.argmax(empty[cell]))
+        names = ", ".join(f"{a.name}={i}" for a, i in zip(cell_x.axes, cell))
+        raise ZeroConditioningCell(
+            f"latent cell ({names}) has mass {cell_x.values[cell + (x,)]:.3e} <= "
+            f"{MASS_TOL} at X={x} but not in every treatment arm (positivity)")
 
 
-def _signal_given_w(joint: ProbTensor, strata: str, signal: str, fac: HsFactors,
-                    w_given_v: np.ndarray, s_ref: int) -> tuple[np.ndarray, float]:
-    """f(signal | w, s) of shape ``(|signal|, k, |strata|)``: the reference
-    level's from its factorization, every other level's by the trilinear
-    solve (per signal level, the (z, v) slice is linear in the k unknown
-    latent weights).  Returns it with the projection distance."""
-    z_given_w = fac.z_given_w
-    k, _, n_s = w_given_v.shape
-    signal_given_w = np.empty((joint.axis(signal).cardinality, k, n_s))
-    signal_given_w[:, :, s_ref] = fac.c_given_w
-    proj = 0.0
-    for s in range(n_s):
-        if s == s_ref:
-            continue
-        where = f"{strata}={s}"
-        design_mat = (z_given_w[:, None, :] * w_given_v[:, :, s].T).reshape(-1, k)
-        czv = _slice_joint(joint, (signal, "Z", "V"), {strata: s})
-        czv = czv / czv.sum(axis=(0, 1), keepdims=True)      # condition on v
-        sol, _ = _solve(design_mat, czv.reshape(czv.shape[0], -1).T,
-                        f"signal design matrix ({where})")
-        signal_given_w[:, :, s], d = _project_columns(sol.T, f"signal kernel ({where})")
-        proj = max(proj, d)
-    return signal_given_w, proj
-
-
-def _latent_model(joint: ProbTensor, design: str, y_given: np.ndarray,
-                  wx: np.ndarray, z_given_w: np.ndarray, diag: dict,
-                  vwx: np.ndarray | None = None) -> LatentOutcomeModel:
-    """Validate the recovered laws and assemble the arm laws.  ``y_given``
-    is f(y | w, x), or for the auxiliary design f(y | w, v, x), which is
-    integrated over ``vwx`` = f(v, w, x) within each latent stratum and
-    factual treatment."""
-    w, x, y = _latent_space(z_given_w.shape[1]), joint.axis("X"), joint.axis("Y")
-    wx_joint = ProbTensor.build((w, x), wx)
-    if design == "auxiliary":
-        v = joint.axis("V")
-        laws = np.einsum("ywvt,vwx->tywx", MarkovKernel.build(y, (w, v, x), y_given).values,
-                         ProbTensor.build((v, w, x), vwx).values)
-    else:
-        laws = np.einsum("ywt,wx->tywx", MarkovKernel.build(y, (w, x), y_given).values,
-                         wx_joint.values)
+def _latent_model(joint: ProbTensor, design: str, latent: np.ndarray,
+                  z_given_w: np.ndarray, diag: dict) -> LatentOutcomeModel:
+    """Validate the deconvolved latent joint and assemble the arm laws.
+    ``latent`` is f(y, w, x), or f(y, w, v, x) for the auxiliary design; a
+    design without V is one V level, and each arm integrates f(y | w, v, x1)
+    over f(v, w, x) within each latent state and factual treatment."""
+    y, x = joint.axis("Y"), joint.axis("X")
+    cell = (_latent_space(z_given_w.shape[1]),) + tuple(    # (W,) or (W, V)
+        joint.axis(n) for n in DESIGNS[design][2][2:-1])
+    cell_x = ProbTensor.build(cell + (x,), latent.sum(axis=0))
+    _require_positivity(cell_x)
+    y_given = MarkovKernel.build(y, cell + (x,), _normalize_slices(latent)).values
+    wvx = cell_x.values.reshape(cell[0].cardinality, -1, x.cardinality)
+    laws = np.einsum("ywvt,wvx->tywx", y_given.reshape((y.cardinality,) + wvx.shape), wvx)
     return LatentOutcomeModel(
-        arm_laws=laws, y_space=y, wx_joint=wx_joint,
-        z_given_w=MarkovKernel.build(joint.axis("Z"), (w,), z_given_w),
+        arm_laws=laws, y_space=y, wx_joint=ProbTensor((cell[0], x), wvx.sum(axis=1)),
+        z_given_w=MarkovKernel.build(joint.axis("Z"), cell[:1], z_given_w),
         design=design, diagnostics=diag)
+
+
+def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcomeModel:
+    """Factorize once, in the reference stratum; deconvolve once, through
+    the shared f(z | w); assemble."""
+    strata, signal, axes = DESIGNS[design]
+    _require_axes(joint, ("Z", signal, "V") + axes)
+    fix = {}
+    if strata is not None:
+        f_s = marginalize(joint, set(joint.names) - {strata}).values
+        fix = {strata: int(np.argmax(f_s))}
+    fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), fix),
+                       HsOptions(latent_dim=k, seed=seed,
+                                 distinctness_label=DISTINCTNESS_BY_DESIGN[design]))
+    latent, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, axes, {}),
+                                    "latent joint")
+    diag = {"design": design, "reference_stratum": fix, "hs": _diag_entry(fac),
+            "projection_distance": neg, "solve_condition": cond}
+    return _latent_model(joint, design, latent, fac.z_given_w, diag)
 
 
 # ---------------------------------------------------------------------------
 # the four pipelines
 
 
-def identify_outcome_proxy(joint: ProbTensor, k: int,
-                           opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Outcome-proxy design: the reference-stratum stage over treatment
-    strata, then each stratum's outcome kernel by the trilinear solve."""
-    _require_axes(joint, ("Y", "Z", "V", "X"))
-    fac, w_given_vx, vwx, proj, diag = _reference_stratum(joint, k, opts, "X", "Y", "outcome")
-    y_given_wx, signal_proj = _signal_given_w(joint, "X", "Y", fac, w_given_vx,
-                                              diag["reference_stratum"])
-    diag["projection_distance"] = max(proj, signal_proj)
-    return _latent_model(joint, "outcome", y_given_wx, vwx.sum(axis=0), fac.z_given_w, diag)
+def identify_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+    """Outcome-proxy design: the outcome is the signal, factorized in the
+    reference treatment stratum."""
+    return _identify(joint, k, seed, "outcome")
 
 
-def identify_treatment_proxy(joint: ProbTensor, k: int,
-                             opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Treatment-proxy design: one global factorization with the treatment as
-    the signal, then per-(y, x) deconvolution of the outcome law."""
-    _require_axes(joint, ("Y", "Z", "X", "V"))
-    fac = hs_decompose(_slice_joint(joint, ("Z", "X", "V"), {}),
-                       _hs_options(opts, k, "treatment"))
-    ywx, proj, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, ("Y", "Z", "X"), {}),
-                                  "outcome/latent/treatment joint")
-    diag = {"design": "treatment", "hs": _diag_entry(fac),
-            "projection_distance": proj, "solve_condition": cond}
-    return _latent_model(joint, "treatment", _normalize_slices(ywx), ywx.sum(axis=0),
-                         fac.z_given_w, diag)
+def identify_treatment_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+    """Treatment-proxy design: the treatment is the signal, factorized on the
+    whole joint."""
+    return _identify(joint, k, seed, "treatment")
 
 
 def identify_cond_treatment_proxy(joint: ProbTensor, k: int,
-                                  opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Conditional-treatment design: the reference-stratum stage over outcome
-    strata, each stratum's treatment kernel by the trilinear solve, and the
-    (y, x, w) joint reassembled."""
-    _require_axes(joint, ("X", "Z", "V", "Y"))
-    fac, w_given_vy, vwy, proj, diag = _reference_stratum(
-        joint, k, opts, "Y", "X", "cond-treatment")
-    x_given_wy, signal_proj = _signal_given_w(joint, "Y", "X", fac, w_given_vy,
-                                              diag["reference_stratum"])
-    diag["projection_distance"] = max(proj, signal_proj)
-    yxw = np.einsum("xwy,wy->yxw", x_given_wy, vwy.sum(axis=0))
-    return _latent_model(joint, "cond-treatment", _normalize_slices(yxw.transpose(0, 2, 1)),
-                         yxw.sum(axis=0).T, fac.z_given_w, diag)
+                                  seed: int = 0) -> LatentOutcomeModel:
+    """Conditional-treatment design: the treatment is the signal, factorized
+    in the reference outcome stratum."""
+    return _identify(joint, k, seed, "cond-treatment")
 
 
-def identify_auxiliary_proxy(joint: ProbTensor, k: int,
-                             opts: HsOptions | None = None) -> LatentOutcomeModel:
-    """Auxiliary-proxy design: the reference-stratum stage over treatment
-    strata with C as the signal, per-(y, v, x) deconvolution, and the
-    V-integrated potential-outcome display."""
-    _require_axes(joint, ("Y", "C", "Z", "V", "X"))
-    fac, _, vwx, proj, diag = _reference_stratum(joint, k, opts, "X", "C", "auxiliary")
-    ywvx, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, ("Y", "Z", "V", "X"), {}),
-                                  "outcome/latent joint")
-    diag["projection_distance"] = max(proj, neg)
-    diag["solve_condition"] = cond
-    return _latent_model(joint, "auxiliary", _normalize_slices(ywvx),
-                         ywvx.sum(axis=2).sum(axis=0), fac.z_given_w, diag, vwx)
+def identify_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+    """Auxiliary-proxy design: C is the signal, factorized in the reference
+    treatment stratum, and V is integrated into the arm laws."""
+    return _identify(joint, k, seed, "auxiliary")
 
 
 # ---------------------------------------------------------------------------

@@ -129,21 +129,20 @@ class TestStructuralIdentities:
         assert sorted(perm) == [0, 1]
         np.testing.assert_allclose(got, x_given_w[:, perm], atol=1e-7)
 
-    def test_cond_treatment_runs_one_stage_per_outcome_level(self):
-        m = figure_model("fig4a", K=2, seed=3)
-        model = identify_cond_treatment_proxy(observed_joint(m), 2)
-        assert model.diagnostics["stages"] == m["Y"].space.cardinality
-
-    def test_auxiliary_factorizes_only_the_reference_stratum(self, monkeypatch):
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    def test_every_design_factorizes_and_deconvolves_once(self, figure, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return hs_decompose(*args)
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(pipelines, "hs_decompose", counted)
-        identify_auxiliary_proxy(observed_joint(figure_model("fig5a", K=2, seed=4)), 2)
-        assert len(calls) == 1
+        monkeypatch.setattr(pipelines, "hs_decompose", counted(hs_decompose))
+        monkeypatch.setattr(pipelines, "_deconvolve", counted(pipelines._deconvolve))
+        run_pipeline(figure_model(figure, K=2, seed=4), 2)
+        assert sorted(calls) == ["_deconvolve", "hs_decompose"]
 
     def test_potential_joint_mass_and_margin(self):
         m = figure_model("fig5a", K=2, seed=4)
@@ -275,28 +274,34 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("collapsed", ["other", "reference"])
     @pytest.mark.parametrize("seed", range(20))
-    def test_auxiliary_needs_distinct_signal_only_in_reference_stratum(self, seed, collapsed):
-        """f(c | w, x) equal across W in one treatment level: the auxiliary
-        design still identifies when that level is not the reference one,
-        and refuses by name when it is."""
+    @pytest.mark.parametrize("figure, signal", [("fig5a", "C"), ("fig2a", "Y")])
+    def test_auxiliary_needs_distinct_signal_only_in_reference_stratum(
+            self, figure, signal, seed, collapsed):
+        """The signal's kernel equal across W in one treatment level: the
+        auxiliary (signal C) and outcome (signal Y) designs still identify
+        when that level is not the reference one, and refuse by name when
+        it is."""
         K = 2
-        dag, spaces = FIGURES["fig5a"], standard_spaces(K)
-        c_given_wx = np.random.default_rng(1000 + seed).dirichlet(
-            np.ones(3), size=(K, 2)).transpose(2, 0, 1)        # (|C|, W, X)
-        # C's kernel is not drawn from the seed's stream, so f(x) does not
-        # depend on it
+        dag, spaces = FIGURES[figure], standard_spaces(K)
+        kernel = np.random.default_rng(1000 + seed).dirichlet(
+            np.ones(3), size=(K, 2)).transpose(2, 0, 1)        # (|signal|, W, X)
+        dag_order = [0] + [1 + ("W", "X").index(p) for p in dag.parents(signal)]
+        # an injected kernel is not drawn from the seed's stream, and the
+        # signal is not an ancestor of X, so f(x) does not depend on it
         joint = observed_joint(random_npsem(dag, spaces, seed, latent=("W",),
-                                            kernels={"C": c_given_wx}))
+                                            kernels={signal: kernel.transpose(dag_order)}))
         x_ref = int(np.argmax(marginalize(joint, set(joint.names) - {"X"}).values))
         level = x_ref if collapsed == "reference" else 1 - x_ref
-        c_given_wx[:, :, level] = c_given_wx[:, :1, level]
-        m = random_npsem(dag, spaces, seed, latent=("W",), kernels={"C": c_given_wx})
+        kernel[:, :, level] = kernel[:, :1, level]
+        m = random_npsem(dag, spaces, seed, latent=("W",),
+                         kernels={signal: kernel.transpose(dag_order)})
+        identify = PIPELINES[FIGURE_DESIGNS[figure]]
         if collapsed == "reference":
             with pytest.raises(EigenGapExhausted) as ei:
-                identify_auxiliary_proxy(observed_joint(m), K)
-            assert DISTINCTNESS_BY_DESIGN["auxiliary"] in str(ei.value)
+                identify(observed_joint(m), K)
+            assert DISTINCTNESS_BY_DESIGN[FIGURE_DESIGNS[figure]] in str(ei.value)
             return
-        rep = estimands(identify_auxiliary_proxy(observed_joint(m), K))
+        rep = estimands(identify(observed_joint(m), K))
         truth = effects(m)
         z = m["Z"]
         perm = canonical_order(_decoded(z.table, z.noise_pmf, z.space.cardinality))
@@ -304,6 +309,24 @@ class TestFailureModes:
         np.testing.assert_allclose(rep.pot_y, truth["pot_y"], atol=1e-9)
         np.testing.assert_allclose(rep.beta, truth["cate"][perm], atol=1e-9)
         assert abs(rep.var_beta - (truth["cate"] - truth["ate"]) ** 2 @ truth["w"]) < 1e-9
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
+    def test_treatment_arm_without_mass_in_a_latent_state_is_refused(self, figure):
+        """f(X = 1 | W = 0) = 0 leaves f(y | w, x = 1) unidentified in that
+        state, so every design refuses rather than filling it in."""
+        K = 2
+        dag, spaces = FIGURES[figure], standard_spaces(K)
+        parents = dag.parents("X")
+        for seed in range(5):
+            treated = np.random.default_rng(500 + seed).uniform(
+                0.2, 0.8, size=tuple(spaces[p].cardinality for p in parents))
+            treated[tuple(0 if p == "W" else slice(None) for p in parents)] = 0.0
+            m = random_npsem(dag, spaces, seed, latent=("W",),
+                             kernels={"X": np.stack([1 - treated, treated])})
+            with pytest.raises(ZeroConditioningCell) as ei:
+                run_pipeline(m, K)
+            assert ei.value.assumption and ei.value.assumption in str(ei.value)
+            assert "positivity" in str(ei.value)
 
     @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
     @pytest.mark.parametrize("K", [2, 3])
