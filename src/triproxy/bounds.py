@@ -16,6 +16,14 @@ degenerate interval signals point identification.  The auxiliary variant
 conditions everything on an extra observed proxy ``V`` and averages the
 per-``v`` intervals with the treated (untreated) law of ``V``.
 
+Both variants run their design's identification stage (see
+:data:`~triproxy.pipelines.DESIGNS`) within each arm, and never align the
+arms: :func:`~triproxy.spectral.hs_decompose` on (Z, signal, V) given
+X = x, then one deconvolution of the arm's second-stage law through that
+arm's own ``f(z | w)``.  A latent dimension the arm's joint does not
+factor through leaves negative or missing mass there and is refused.  The
+outcome variant is one ``V`` level.
+
 Extremes are taken only over latent states carrying real mass — zero-mass
 spectral artifacts must not widen the bounds.
 
@@ -31,12 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
-from .pipelines import _deconvolve, _require_axes, _slice_joint
+from .pipelines import DESIGNS, _deconvolve, _require_axes, _slice_joint
 from .prob import MASS_TOL, ProbTensor, marginalize
 from .spectral import HsOptions, hs_decompose
 
 POINT_TOL = 1e-7
-SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,76 +67,44 @@ def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
     return y.level_values()
 
 
-def _stratum_means(y_given_w: np.ndarray, w_mass: np.ndarray,
-                   y_levels: np.ndarray) -> np.ndarray:
-    """Mean outcome per latent stratum, restricted to supported strata."""
-    keep = w_mass > SUPPORT_TOL
-    if not np.any(keep):
-        raise ZeroConditioningCell("every latent stratum is mass-free")
-    return y_levels @ y_given_w[:, keep]
-
-
-def bounds_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
-    """Sharp bounds from per-arm factorizations of a (Y, Z, V, X)
-    joint; no cross-arm latent alignment is attempted."""
-    _require_axes(joint, ("Y", "Z", "V", "X"))
+def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
+    """Per-arm identification stage of ``design``, then per-``v`` intervals
+    from the extremes of the supported stratum means, averaged over V."""
+    _, signal, axes = DESIGNS[design]
+    _require_axes(joint, ("Z", signal, "V") + axes)
     y_levels = _check_binary_numeric(joint)
+    cells = axes[2:]                                     # (X,) or (V, X)
 
-    diag: dict = {"design": "bounds-outcome"}
-    extremes = {}
-    for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", "Y", "V"), {"X": x}),
-                           HsOptions(latent_dim=k, seed=seed))
-        w_mass = fac.wv_joint.sum(axis=1)
-        w_mass = w_mass / w_mass.sum()
-        means = _stratum_means(fac.c_given_w, w_mass, y_levels)
-        extremes[x] = (float(means.min()), float(means.max()))
-        diag[f"arm{x}"] = {"eigen_gap": fac.diagnostics.eigen_gap,
-                           "singular_ratio": fac.diagnostics.singular_ratio,
-                           "stratum_means": sorted(means.tolist())}
-
-    s_lower = extremes[1][0] - extremes[0][0]
-    s_upper = extremes[1][1] - extremes[0][1]
-    interval = (min(s_lower, s_upper), max(s_lower, s_upper))
-    return BoundsReport(
-        s_lower=interval[0], s_upper=interval[1],
-        att_interval=interval, atu_interval=interval,
-        point_identified=abs(interval[1] - interval[0]) <= POINT_TOL,
-        diagnostics=diag)
-
-
-def bounds_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
-    """Per-``v`` rank-invariance bounds from per-arm factorizations with an
-    auxiliary signal C, averaged into ATT/ATU intervals."""
-    _require_axes(joint, ("Y", "C", "Z", "V", "X"))
-    y_levels = _check_binary_numeric(joint)
-    n_v = joint.axis("V").cardinality
-
-    f_vx = marginalize(joint, set(joint.names) - {"V", "X"}).reorder(("V", "X")).values
+    f_vx = marginalize(joint, set(joint.names) - set(cells)).reorder(cells).values
+    f_vx = f_vx.reshape(-1, 2)
     if f_vx.min() <= MASS_TOL:
-        v, x = np.unravel_index(int(np.argmin(f_vx)), f_vx.shape)
-        raise ZeroConditioningCell(f"cell (V={v}, X={x}) has no mass")
+        cell = np.unravel_index(int(np.argmin(f_vx)), f_vx.shape)[-len(cells):]
+        names = ", ".join(f"{a}={i}" for a, i in zip(cells, cell))
+        raise ZeroConditioningCell(f"cell ({names}) has no mass")
     v_given_x = f_vx / f_vx.sum(axis=0, keepdims=True)
 
-    diag: dict = {"design": "bounds-auxiliary"}
-    mins = np.empty((n_v, 2))
-    maxs = np.empty((n_v, 2))
+    diag: dict = {"design": f"bounds-{design}"}
+    mins = np.empty(f_vx.shape)
+    maxs = np.empty(f_vx.shape)
     for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", "C", "V"), {"X": x}),
+        fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), {"X": x}),
                            HsOptions(latent_dim=k, seed=seed))
-        diag[f"arm{x}"] = {"eigen_gap": fac.diagnostics.eigen_gap,
-                           "singular_ratio": fac.diagnostics.singular_ratio}
-        ywv, _, _ = _deconvolve(fac.z_given_w,
-                                _slice_joint(joint, ("Y", "Z", "V"), {"X": x}),
-                                f"outcome/latent joint (X={x})")
-        for v in range(n_v):
-            wv = ywv[:, :, v].sum(axis=0)                    # latent mass within v
+        ywv, _, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, axes[:-1], {"X": x}),
+                                   f"outcome/latent joint (X={x})")
+        ywv = ywv.reshape(ywv.shape[:2] + (-1,))         # one V level without V
+        stratum_means = []
+        for v in range(f_vx.shape[0]):
+            wv = ywv[:, :, v].sum(axis=0)                # latent mass within v
             total = wv.sum()
-            if total <= SUPPORT_TOL:
+            if total <= MASS_TOL:
                 raise ZeroConditioningCell(f"cell (V={v}, X={x}) lost all mass")
-            keep = wv / total > SUPPORT_TOL
+            keep = wv / total > MASS_TOL
             means = y_levels @ (ywv[:, keep, v] / wv[keep])
             mins[v, x], maxs[v, x] = float(means.min()), float(means.max())
+            stratum_means.append(sorted(means.tolist()))
+        diag[f"arm{x}"] = {"eigen_gap": fac.diagnostics.eigen_gap,
+                           "singular_ratio": fac.diagnostics.singular_ratio,
+                           "solve_condition": cond, "stratum_means": stratum_means}
 
     per_v_lower = mins[:, 1] - mins[:, 0]
     per_v_upper = maxs[:, 1] - maxs[:, 0]
@@ -138,10 +113,22 @@ def bounds_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsRe
     att = (float(lo @ v_given_x[:, 1]), float(hi @ v_given_x[:, 1]))
     atu = (float(lo @ v_given_x[:, 0]), float(hi @ v_given_x[:, 0]))
     v_marg = f_vx.sum(axis=1)
-    s_lower, s_upper = float(lo @ v_marg), float(hi @ v_marg)
+    per_v = "V" in cells
     return BoundsReport(
-        s_lower=s_lower, s_upper=s_upper,
+        s_lower=float(lo @ v_marg), s_upper=float(hi @ v_marg),
         att_interval=att, atu_interval=atu,
         point_identified=float(np.abs(hi - lo).max()) <= POINT_TOL,
-        per_v_lower=lo, per_v_upper=hi, diagnostics=diag)
+        per_v_lower=lo if per_v else None, per_v_upper=hi if per_v else None,
+        diagnostics=diag)
 
+
+def bounds_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
+    """Sharp bounds from per-arm identification of a (Y, Z, V, X) joint,
+    the outcome being the signal; no cross-arm latent alignment."""
+    return _bounds(joint, k, seed, "outcome")
+
+
+def bounds_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
+    """Per-``v`` rank-invariance bounds from per-arm identification with an
+    auxiliary signal C, averaged into ATT/ATU intervals."""
+    return _bounds(joint, k, seed, "auxiliary")

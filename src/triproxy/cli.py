@@ -47,7 +47,7 @@ from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
 from .spectral import EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL
 
-REPORT_FORMAT = 2
+REPORT_FORMAT = 3
 
 PIPELINES = {
     "outcome": (identify_outcome_proxy, ("Y", "Z", "V", "X")),
@@ -95,7 +95,8 @@ def _report(args, verb: str, result: dict) -> dict:
 
 
 @contextmanager
-def _invalid(what: str, errors=(TriproxyError, KeyError, TypeError, ValueError)):
+def _invalid(what: str,
+             errors=(TriproxyError, KeyError, TypeError, ValueError, OverflowError)):
     """Re-raise ``errors`` as a validation problem, prefixed by ``what``."""
     try:
         yield
@@ -117,7 +118,7 @@ def _write(path: str | None, report: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with _invalid(f"cannot read {path}: ", (OSError, ValueError)), \
+    with _invalid(f"cannot read {path}: ", (OSError, ValueError, RecursionError)), \
             open(path, encoding="utf-8") as fh:
         return json.load(fh)
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidDistribution, ZeroConditioningCell
 from .graphs import FIGURES, Dag
+from .pipelines import DESIGNS
 from .prob import VarSpace, marginalize
 from .scm import NodeSpec, Npsem, effects, observable_joint
 
@@ -273,36 +274,27 @@ class FixtureDiagnostics:
                 and self.stratum_mass >= mass_min and self.cate_gap >= cate_min)
 
 
-#: per design: (stratum axis or None, signal, axes whose per-stratum
-#: marginals must keep mass)
-_SCREENS: dict[str, tuple[str | None, str, tuple[str, ...]]] = {
-    "outcome": ("X", "Y", ("W",)),
-    "bounds-outcome": ("X", "Y", ("W",)),
-    "treatment": (None, "X", ("W",)),
-    "cond-treatment": ("Y", "X", ("W",)),
-    "auxiliary": ("X", "C", ("V", "W")),
-    "bounds-auxiliary": ("X", "C", ("V", "W")),
-}
-
-
 def figure_diagnostics(m: Npsem, figure: str, K: int,
                        with_cate: bool = True) -> FixtureDiagnostics:
     """Rank, column-gap and mass screens of a figure model's intended
     design, then the CATE gap from the cross-world oracle.
 
-    Within each stratum (each level of the stratum axis, or the whole joint)
-    the Z|W kernel and the W-V matrix must have rank K, the signal's
-    columns given W must differ, and the W (and V) marginals must keep
-    mass; so must the stratum axis itself.  The observable joint is summed
-    once down to (stratum, W, Z, V, signal), so each family of per-stratum
-    matrices is one stacked array, screened by one batched SVD or one
-    pairwise column comparison.  A stratum, or a W cell within one, without
-    mass raises :class:`~triproxy.errors.ZeroConditioningCell`.  The oracle
-    runs only when these screens pass at :meth:`FixtureDiagnostics.passes`'s
+    The stratum axis and signal are those of the design's entry in
+    :data:`~triproxy.pipelines.DESIGNS` (a bounds design uses its point
+    design's).  Within each stratum (each level of the stratum axis, or the
+    whole joint) the Z|W kernel and the W-V matrix must have rank K, the
+    signal's columns given W must differ, and the W marginal must keep
+    mass, as must V's when V is a second-stage axis; so must the stratum
+    axis itself.  The observable joint is summed once down to (stratum, W,
+    Z, V, signal), so each family of per-stratum matrices is one stacked
+    array, screened by one batched SVD or one pairwise column comparison.
+    A stratum, or a W cell within one, without mass raises
+    :class:`~triproxy.errors.ZeroConditioningCell`.  The oracle runs only
+    when these screens pass at :meth:`FixtureDiagnostics.passes`'s
     thresholds, since a draw failing them is refused whatever its CATE gap;
     ``cate_gap`` is NaN then, and infinite when ``with_cate`` is false.
     """
-    axis, signal, mass_axes = _SCREENS[FIGURE_DESIGNS[figure]]
+    axis, signal, second = DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
     joint = observable_joint(m)
     order = ((axis,) if axis else ()) + ("W", "Z", "V", signal)
     t = marginalize(joint, set(joint.names) - set(order)).reorder(order).values
@@ -325,9 +317,9 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
         pairs = np.abs(cols[:, :, None] - cols[:, None]).max(axis=3)
         upper = np.triu_indices(w.shape[1], 1)
         gap = float(pairs[:, upper[0], upper[1]].min())
-    for a in mass_axes:
-        marginal = w if a == "W" else t.sum(axis=(1, 2, 4))
-        mass = min(mass, float((marginal / strata[:, None]).min()))
+    mass = min(mass, float((w / strata[:, None]).min()))
+    if "V" in second:
+        mass = min(mass, float((t.sum(axis=(1, 2, 4)) / strata[:, None]).min()))
 
     cate_gap = np.inf
     if with_cate:

@@ -26,8 +26,9 @@ they all run the same three steps:
    ``f(v, w, x)`` within each latent state and factual treatment.  A design
    without V is one V level.
 
-Positivity is required: a latent cell with mass in one treatment arm and
-none in another has no identified outcome law there, and is refused.
+Positivity is required: a latent cell whose treatment law ``f(x | cell)``
+has mass in one arm and none in another has no identified outcome law
+there, and is refused.
 
 The latent ordering inside every assembled model is canonical (latent
 states sorted lexicographically by their ``f(z | w)`` column), so reports
@@ -193,17 +194,21 @@ def _diag_entry(f: HsFactors) -> dict:
 
 
 def _require_positivity(cell_x: ProbTensor) -> None:
-    """Refuse a latent cell that has mass in one treatment arm (last axis)
-    but none in another: its outcome law in that arm is not identified."""
-    empty = cell_x.values <= MASS_TOL
+    """Refuse a latent cell whose treatment law f(x | cell) (the last axis)
+    has mass in one arm but none in another: its outcome law in that arm is
+    not identified.  The test is on the conditional law, so a cell split
+    over many V levels is not refused for its small joint mass."""
+    cell_mass = cell_x.values.sum(axis=-1, keepdims=True)
+    empty = cell_x.values <= MASS_TOL * cell_mass
     bad = np.argwhere(empty.any(axis=-1) & ~empty.all(axis=-1))
     if bad.size:
         cell = tuple(int(i) for i in bad[0])
         x = int(np.argmax(empty[cell]))
         names = ", ".join(f"{a.name}={i}" for a, i in zip(cell_x.axes, cell))
         raise ZeroConditioningCell(
-            f"latent cell ({names}) has mass {cell_x.values[cell + (x,)]:.3e} <= "
-            f"{MASS_TOL} at X={x} but not in every treatment arm (positivity)")
+            f"latent cell ({names}) has conditional mass f(X={x} | cell) = "
+            f"{cell_x.values[cell + (x,)] / cell_mass[cell][0]:.3e} <= {MASS_TOL} "
+            "but not in every treatment arm (positivity)")
 
 
 def _latent_model(joint: ProbTensor, design: str, latent: np.ndarray,

@@ -15,7 +15,6 @@ Tolerances:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,16 @@ from .errors import (
 
 MASS_TOL = 1e-10
 NEG_TOL = 1e-12
+
+
+def _count(d: dict, key: str) -> int:
+    """The count ``d[key]`` of a parsed file: a float, a bool or a count
+    below one is refused, not truncated or inferred."""
+    value = d[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise InvalidDistribution(f"{key} {value!r} is not a positive integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,9 @@ class VarSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarSpace":
-        return cls(d["name"], int(d["cardinality"]),
+        if not isinstance(d["name"], str):
+            raise InvalidDistribution(f"variable name {d['name']!r} is not a string")
+        return cls(d["name"], _count(d, "cardinality"),
                    tuple(d["levels"]) if d.get("levels") is not None else None)
 
 
@@ -161,13 +172,6 @@ class ProbTensor:
         shape = tuple(a.cardinality for a in axes)
         values = np.asarray(d["values"], dtype=float).reshape(shape, order="C")
         return cls.build(axes, values)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "ProbTensor":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .errors import (
     UnknownNode,
 )
 from .graphs import Dag
-from .prob import ProbTensor, VarSpace, marginalize
+from .prob import ProbTensor, VarSpace, _count, marginalize
 
 ENUMERATION_GUARD = 10 ** 7
 
@@ -156,8 +156,12 @@ class Npsem:
         for nd in d["nodes"]:
             space = VarSpace.from_dict(nd)
             spaces[space.name] = space
-            shape = tuple(spaces[p].cardinality for p in nd["parents"]) + (int(nd["noise_card"]),)
-            table = np.asarray(nd["table"], dtype=np.int64).reshape(shape, order="C")
+            shape = tuple(spaces[p].cardinality for p in nd["parents"]) + (
+                _count(nd, "noise_card"),)
+            table = np.asarray(nd["table"])
+            if table.dtype.kind not in "iu":
+                raise InvalidDistribution(f"{space.name}: table entries are not integers")
+            table = table.astype(np.int64).reshape(shape, order="C")
             specs.append(NodeSpec(space, tuple(nd["parents"]), table,
                                   np.asarray(nd["noise_pmf"], dtype=float)))
         return cls(tuple(specs), tuple(d.get("latent", ())))

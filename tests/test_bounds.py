@@ -6,11 +6,34 @@ import pytest
 
 from conftest import check_rank_invariance
 from triproxy.bounds import BoundsReport, bounds_auxiliary_proxy, bounds_outcome_proxy
-from triproxy.errors import (MissingLevels, NonBinaryTreatment,
+from triproxy.errors import (MissingLevels, NonBinaryTreatment, TriproxyError,
                              ZeroConditioningCell)
 from triproxy.generators import rank_invariant_bounds_model
 from triproxy.prob import ProbTensor, VarSpace, marginalize
 from triproxy.scm import effects, observed_joint
+
+
+@pytest.mark.parametrize("figure", ["fig6a", "fig6b", "fig6c", "fig7a", "fig7b"])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_interval_covers_all_oracle_effects(figure, K, seed):
+    """At the true latent dimension the intervals cover the oracle; one
+    state fewer, and an arm's joint does not factor: it is refused."""
+    auxiliary = figure.startswith("fig7")
+    bounds = bounds_auxiliary_proxy if auxiliary else bounds_outcome_proxy
+    m = rank_invariant_bounds_model(K, seed=seed, figure=figure)
+    assert check_rank_invariance(m, given="V" if auxiliary else None)  # the premise
+    joint = observed_joint(m)
+    rep = bounds(joint, K)
+    truth = effects(m)
+    checks = [(rep.att_interval, truth["att"]), (rep.atu_interval, truth["atu"])]
+    if not auxiliary:            # fig7's s interval is a V-average, not a CATE bound
+        checks += [((rep.s_lower, rep.s_upper), c) for c in truth["cate"]]
+    for (lo, hi), val in checks:
+        assert lo - 1e-7 <= val <= hi + 1e-7
+    with pytest.raises(TriproxyError) as ei:
+        bounds(joint, K - 1)
+    assert ei.value.assumption
 
 
 class TestOutcomeBounds:
@@ -21,18 +44,6 @@ class TestOutcomeBounds:
         assert abs(rep.s_lower - 0.1) < 1e-7
         assert abs(rep.s_upper - 0.3) < 1e-7
         assert not rep.point_identified
-
-    @pytest.mark.parametrize("figure", ["fig6a", "fig6b", "fig6c"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_interval_covers_all_oracle_effects(self, figure, seed):
-        K = 2
-        m = rank_invariant_bounds_model(K, seed=seed, figure=figure)
-        assert check_rank_invariance(m)  # premise of the bounds
-        rep = bounds_outcome_proxy(observed_joint(m), K)
-        truth = effects(m)
-        lo, hi = rep.s_lower - 1e-7, rep.s_upper + 1e-7
-        for val in (truth["att"], truth["atu"], *truth["cate"]):
-            assert lo <= val <= hi
 
     def test_constant_cate_collapses_to_point(self):
         m = rank_invariant_bounds_model(3, seed=2, figure="fig6a",

@@ -52,6 +52,16 @@ HUGE_ORACLE_MODEL = Npsem((
              np.array([0.6, 0.4]))), ("W",))
 
 
+def _literal(text: str, put):
+    """A file edit that writes the JSON number ``text`` where ``put(d, value)``
+    puts a value: ``1e400`` reads back as infinity, but ``json.dumps`` would
+    write that as ``Infinity``."""
+    def edit(d):
+        put(d, "@literal@")
+        return json.dumps(d).replace('"@literal@"', text)
+    return edit
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -158,7 +168,7 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 2
+        assert rep["report_format"] == 3
         assert "ambiguity_tol" not in rep["tolerances"]
 
     def test_report_bytes_deterministic(self, tmp_path, capsys, fig2a_files):
@@ -289,13 +299,28 @@ class TestExitCodesAndDiagnostics:
         (lambda d: d["nodes"][0]["table"].__setitem__(0, 99), "table values out of range"),
         (lambda d: d["nodes"][0]["noise_pmf"].__setitem__(0, float("nan")),
          "noise pmf not a distribution"),
-    ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf"])
+        (_literal("1e400", lambda d, v: d["nodes"][0].update(cardinality=v)),
+         "cardinality inf is not a positive integer"),
+        (_literal("1e400", lambda d, v: d["nodes"][0].update(noise_card=v)),
+         "noise_card inf is not a positive integer"),
+        (lambda d: d["nodes"][0]["table"].__setitem__(0, 10 ** 30),
+         "table entries are not integers"),
+        (lambda d: d["nodes"][0].update(cardinality=2.7),
+         "cardinality 2.7 is not a positive integer"),
+        (lambda d: d["nodes"][0].update(noise_card=2.5),
+         "noise_card 2.5 is not a positive integer"),
+        (lambda d: d["nodes"][0]["table"].__setitem__(0, 1.9),
+         "table entries are not integers"),
+        (lambda d: d["nodes"][0].update(noise_card=-1), "noise_card -1 is not a positive"),
+    ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf", "cardinality-1e400",
+            "noise-card-1e400", "table-entry-1e30", "cardinality-2.7", "noise-card-2.5",
+            "table-entry-1.9", "noise-card-negative"])
     def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
         m, _, _ = fig2a_files
         d = m.to_dict()
-        edit(d)
+        text = edit(d) or json.dumps(d)
         path = tmp_path / "bad-model.json"
-        path.write_text(json.dumps(d))
+        path.write_text(text)
         code, _, err = run(capsys, "simulate", "--model", str(path), "--seed", "0")
         assert code == 2
         diag = json.loads(err)
@@ -308,15 +333,20 @@ class TestExitCodesAndDiagnostics:
          "levels for cardinality 99"),
         ("classify", lambda d: d["edges"].append(["Y", "W"]), "directed cycle"),
         ("classify", lambda d: d["edges"].append(["Q", "Y"]), "undeclared node"),
-    ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node"])
+        ("identify", lambda d: d["axes"][0].update(cardinality=2.7),
+         "cardinality 2.7 is not a positive integer"),
+        ("identify", lambda d: "[" * 100000, "maximum recursion depth"),
+        ("identify", lambda d: d["axes"][0].update(name=5), "name 5 is not a string"),
+    ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node",
+            "cardinality-2.7", "deeply-nested", "numeric-axis-name"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
         from triproxy.graphs import FIGURES
         m, _, _ = fig2a_files
         d = (observed_joint(m) if verb == "identify" else FIGURES["fig2a"]).to_dict()
-        edit(d)
+        text = edit(d) or json.dumps(d)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(d))
+        path.write_text(text)
         argv = (["identify", "--joint", str(path), "--design", "outcome",
                  "--latent-dim", "2"] if verb == "identify"
                 else ["classify", "--graph", str(path)])
@@ -426,6 +456,15 @@ class TestLatentDimBelowTruth:
         path.write_text(json.dumps(observed_joint(figure_model(figure, 3, seed=0)).to_dict()))
         code, _, err = run(capsys, "identify", "--design", FIGURE_DESIGNS[figure],
                            "--latent-dim", "2", "--joint", str(path))
+        assert code == 3
+        assert json.loads(err)["assumption"]
+
+    def test_bounds_exit_3_names_assumption(self, tmp_path, capsys):
+        m = rank_invariant_bounds_model(2, seed=0, figure="fig6a", constant_cate=True)
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(observed_joint(m).to_dict()))
+        code, _, err = run(capsys, "bounds", "--design", "outcome", "--latent-dim", "1",
+                           "--joint", str(path))
         assert code == 3
         assert json.loads(err)["assumption"]
 

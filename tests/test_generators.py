@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from triproxy.errors import InvalidDistribution, ZeroConditioningCell
-from triproxy.generators import (_SCREENS, FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics,
-                                 _derive, _mean_spread_kernel, _pmfs_with_means,
+from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics, _derive,
+                                 _mean_spread_kernel, _pmfs_with_means,
                                  _separated_blocks, designed_npsem, figure_diagnostics,
                                  standard_spaces)
 from triproxy.graphs import FIGURES
@@ -43,9 +43,21 @@ def _col_gap(mat: np.ndarray) -> float:
     return float(min(gaps))
 
 
+#: per design: (stratum axis or None, signal, axes whose per-stratum
+#: marginals must keep mass)
+SCREENS = {
+    "outcome": ("X", "Y", ("W",)),
+    "bounds-outcome": ("X", "Y", ("W",)),
+    "treatment": (None, "X", ("W",)),
+    "cond-treatment": ("Y", "X", ("W",)),
+    "auxiliary": ("X", "C", ("V", "W")),
+    "bounds-auxiliary": ("X", "C", ("V", "W")),
+}
+
+
 def reference_screens(m, figure: str, K: int) -> FixtureDiagnostics:
     """The screens one stratum at a time, through the tensor operations."""
-    axis, signal, mass_axes = _SCREENS[FIGURE_DESIGNS[figure]]
+    axis, signal, mass_axes = SCREENS[FIGURE_DESIGNS[figure]]
     joint = observable_joint(m)
     sv, gap, mass = np.inf, np.inf, np.inf
     if axis is None:

@@ -310,19 +310,29 @@ class TestFailureModes:
         np.testing.assert_allclose(rep.beta, truth["cate"][perm], atol=1e-9)
         assert abs(rep.var_beta - (truth["cate"] - truth["ate"]) ** 2 @ truth["w"]) < 1e-9
 
-    @pytest.mark.parametrize("figure", ["fig2a", "fig3a", "fig4a", "fig5a"])
-    def test_treatment_arm_without_mass_in_a_latent_state_is_refused(self, figure):
+    @pytest.mark.parametrize("figure,treated_w0", [
+        *(pytest.param(f, t, id=f + suffix) for t, suffix in ((0.0, ""), (1e-9, "-1e-9"))
+          for f in ("fig2a", "fig3a", "fig4a", "fig5a"))])
+    def test_treatment_arm_without_mass_in_a_latent_state_is_refused(self, figure,
+                                                                     treated_w0):
         """f(X = 1 | W = 0) = 0 leaves f(y | w, x = 1) unidentified in that
-        state, so every design refuses rather than filling it in."""
+        state, so every design refuses rather than filling it in.  At 1e-9
+        the arm law is still there, split over the V levels in the auxiliary
+        design, and every design identifies it."""
         K = 2
         dag, spaces = FIGURES[figure], standard_spaces(K)
         parents = dag.parents("X")
         for seed in range(5):
             treated = np.random.default_rng(500 + seed).uniform(
                 0.2, 0.8, size=tuple(spaces[p].cardinality for p in parents))
-            treated[tuple(0 if p == "W" else slice(None) for p in parents)] = 0.0
+            treated[tuple(0 if p == "W" else slice(None) for p in parents)] = treated_w0
             m = random_npsem(dag, spaces, seed, latent=("W",),
                              kernels={"X": np.stack([1 - treated, treated])})
+            if treated_w0:
+                rep, truth = estimands(run_pipeline(m, K)), effects(m)
+                assert abs(rep.ate - truth["ate"]) < 1e-6, f"seed {seed}"
+                np.testing.assert_allclose(rep.pot_y, truth["pot_y"], atol=1e-6)
+                continue
             with pytest.raises(ZeroConditioningCell) as ei:
                 run_pipeline(m, K)
             assert ei.value.assumption and ei.value.assumption in str(ei.value)

@@ -98,7 +98,7 @@ class TestOperations:
 class TestSerialization:
     def test_json_roundtrip(self, rng):
         t = random_tensor(rng, A, B)
-        back = ProbTensor.from_json(t.to_json())
+        back = ProbTensor.from_dict(json.loads(json.dumps(t.to_dict())))
         assert back.axes == t.axes
         # build() renormalizes, which may shave the last ulp
         np.testing.assert_allclose(back.values, t.values, rtol=0, atol=1e-15)
@@ -107,13 +107,11 @@ class TestSerialization:
     def test_non_finite_json_rejected(self, literal):
         text = '{"axes": [{"name": "A", "cardinality": 2}], "values": [%s, 1.0]}' % literal
         with pytest.raises(InvalidDistribution):
-            ProbTensor.from_json(text)
-        with pytest.raises(InvalidDistribution):
             ProbTensor.from_dict(json.loads(text))
 
     def test_row_major_flattening(self):
         t = ProbTensor.build((A, C), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert json.loads(t.to_json())["values"] == [0.1, 0.2, 0.3, 0.4]
+        assert json.loads(json.dumps(t.to_dict()))["values"] == [0.1, 0.2, 0.3, 0.4]
 
 
 @st.composite
