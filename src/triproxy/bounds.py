@@ -40,10 +40,9 @@ import numpy as np
 
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
 from .pipelines import DESIGNS, _deconvolve, _require_axes, _slice_joint
-from .prob import MASS_TOL, ProbTensor, marginalize
+from .prob import ProbTensor, marginalize
 from .spectral import HsOptions, hs_decompose
-
-POINT_TOL = 1e-7
+from .tolerances import MASS_TOL, POINT_IDENTIFIED_TOL
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
     return BoundsReport(
         s_lower=float(lo @ v_marg), s_upper=float(hi @ v_marg),
         att_interval=att, atu_interval=atu,
-        point_identified=float(np.abs(hi - lo).max()) <= POINT_TOL,
+        point_identified=float(np.abs(hi - lo).max()) <= POINT_IDENTIFIED_TOL,
         per_v_lower=lo if per_v else None, per_v_upper=hi if per_v else None,
         diagnostics=diag)
 

@@ -16,7 +16,8 @@ Exit codes: 0 success, 2 validation problem (bad files, bad flags,
 unsatisfied preconditions), 3 identification failure.  Identification
 failures print a machine-readable JSON diagnostic to stderr naming the
 violated assumption.  Reports embed the tool version, a hash of the
-resolved configuration, and every numerical tolerance used, and are
+resolved configuration, and every numerical tolerance used (each constant
+of :mod:`triproxy.tolerances`, under its lower-cased name), and are
 serialized canonically so equal runs produce byte-identical files.
 """
 
@@ -33,21 +34,21 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
-from .bounds import POINT_TOL, bounds_auxiliary_proxy, bounds_outcome_proxy
+from . import __version__, tolerances
+from .bounds import bounds_auxiliary_proxy, bounds_outcome_proxy
 from .errors import (EnumerationTooLarge, GoldenMismatch, IdentificationRefused,
                      MissingLevels, MissingRole, NonBinaryTreatment, TriproxyError,
                      UnknownNode, ValidationError)
 from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
-from .pipelines import (ASSEMBLY_MASS_TOL, COND_GUARD, PROJECTION_TOL, EstimandReport,
-                        estimands, identify_auxiliary_proxy, identify_cond_treatment_proxy,
-                        identify_outcome_proxy, identify_treatment_proxy)
-from .prob import MASS_TOL, ProbTensor
+from .pipelines import (EstimandReport, estimands, identify_auxiliary_proxy,
+                        identify_cond_treatment_proxy, identify_outcome_proxy,
+                        identify_treatment_proxy)
+from .prob import ProbTensor
 from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
-from .spectral import EIGEN_GAP_TOL, IMAG_TOL, NEG_TOL, RANK_TOL
+from .tolerances import GOLDEN_TOL
 
-REPORT_FORMAT = 3
+REPORT_FORMAT = 4
 
 PIPELINES = {
     "outcome": (identify_outcome_proxy, ("Y", "Z", "V", "X")),
@@ -56,20 +57,8 @@ PIPELINES = {
     "auxiliary": (identify_auxiliary_proxy, ("Y", "C", "Z", "V", "X")),
 }
 
-GOLDEN_TOL = 1e-9
-
-TOLERANCES = {
-    "mass_tol": MASS_TOL,
-    "rank_tol": RANK_TOL,
-    "eigen_gap_tol": EIGEN_GAP_TOL,
-    "imag_tol": IMAG_TOL,
-    "neg_tol": NEG_TOL,
-    "cond_guard": COND_GUARD,
-    "projection_tol": PROJECTION_TOL,
-    "assembly_mass_tol": ASSEMBLY_MASS_TOL,
-    "point_identified_tol": POINT_TOL,
-    "golden_tol": GOLDEN_TOL,
-}
+TOLERANCES = {name.lower(): value for name, value in vars(tolerances).items()
+              if name.isupper()}
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +338,23 @@ def run_fixture(name: str) -> dict:
     return result
 
 
-def compare_golden(fresh: dict, golden: dict, tol: float = GOLDEN_TOL,
-                   path: str = "") -> list[str]:
+def compare_golden(fresh: dict, golden: dict, path: str = "") -> list[str]:
     diffs: list[str] = []
     if isinstance(golden, dict) and isinstance(fresh, dict):
         for key in sorted(set(golden) | set(fresh)):
             if key not in golden or key not in fresh:
                 diffs.append(f"{path}/{key}: present on one side only")
                 continue
-            diffs.extend(compare_golden(fresh[key], golden[key], tol,
-                                        f"{path}/{key}"))
+            diffs.extend(compare_golden(fresh[key], golden[key], f"{path}/{key}"))
     elif isinstance(golden, list) and isinstance(fresh, list):
         if len(golden) != len(fresh):
             diffs.append(f"{path}: length {len(fresh)} != {len(golden)}")
         else:
             for i, (f, g) in enumerate(zip(fresh, golden)):
-                diffs.extend(compare_golden(f, g, tol, f"{path}[{i}]"))
+                diffs.extend(compare_golden(f, g, f"{path}[{i}]"))
     elif isinstance(golden, (int, float)) and isinstance(fresh, (int, float)) \
             and not isinstance(golden, bool) and not isinstance(fresh, bool):
-        if abs(float(fresh) - float(golden)) > tol:
+        if abs(float(fresh) - float(golden)) > GOLDEN_TOL:
             diffs.append(f"{path}: {fresh!r} != {golden!r}")
     elif fresh != golden:
         diffs.append(f"{path}: {fresh!r} != {golden!r}")

@@ -35,6 +35,7 @@ from .graphs import FIGURES, Dag
 from .pipelines import DESIGNS
 from .prob import VarSpace, marginalize
 from .scm import NodeSpec, Npsem, effects, observable_joint
+from .tolerances import MASS_TOL
 
 MAX_TRIES = 100
 
@@ -72,7 +73,7 @@ def encode_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     card = kernel.shape[0]
     cols = kernel.reshape(card, -1)
-    if cols.min() < 0 or np.abs(cols.sum(axis=0) - 1.0).max() > 1e-10:
+    if cols.min() < 0 or np.abs(cols.sum(axis=0) - 1.0).max() > MASS_TOL:
         raise InvalidDistribution("kernel columns must be pmfs")
     cums = np.cumsum(cols, axis=0)
     cums[-1, :] = 1.0
@@ -269,9 +270,9 @@ class FixtureDiagnostics:
     stratum_mass: float
     cate_gap: float
 
-    def passes(self, sv_min=0.06, gap_min=0.08, mass_min=0.04, cate_min=1e-3) -> bool:
-        return (self.sv_ratio >= sv_min and self.column_gap >= gap_min
-                and self.stratum_mass >= mass_min and self.cate_gap >= cate_min)
+    def passes(self, cate_min=1e-3) -> bool:
+        return (self.sv_ratio >= 0.06 and self.column_gap >= 0.08
+                and self.stratum_mass >= 0.04 and self.cate_gap >= cate_min)
 
 
 def figure_diagnostics(m: Npsem, figure: str, K: int,

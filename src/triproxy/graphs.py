@@ -21,6 +21,14 @@ from dataclasses import dataclass, field
 from .errors import CyclicGraph, InvalidDistribution, MissingRole, UnknownNode
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    """The list of names ``value`` of a parsed file; a string, which would
+    split into its characters, or a non-string entry is refused."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidDistribution(f"{what} {value!r} is not a list of names")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Dag:
     nodes: tuple[str, ...]
@@ -88,7 +96,8 @@ class Dag:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dag":
-        return cls(tuple(d["nodes"]), tuple((a, b) for a, b in d["edges"]))
+        return cls(_names(d["nodes"], "nodes"),
+                   tuple(_names(e, "edge") for e in d["edges"]))
 
 
 @dataclass(frozen=True)

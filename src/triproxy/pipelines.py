@@ -50,13 +50,11 @@ from .errors import (
     UnknownAxis,
     ZeroConditioningCell,
 )
-from .prob import MASS_TOL, MarkovKernel, ProbTensor, VarSpace, marginalize
+from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize
 from .spectral import (COMPLETENESS_LABEL, HsFactors, HsOptions, canonical_order,
                        hs_decompose)
-
-COND_GUARD = 1e8
-PROJECTION_TOL = 1e-4
-ASSEMBLY_MASS_TOL = 1e-8    # mass of the assembled f(y, x) may be off by this
+from .tolerances import (ASSEMBLY_MASS_TOL, ATOM_TOL, COND_GUARD, MASS_TOL, PROJECTION_TOL,
+                         QUANTILE_TOL)
 
 
 def _latent_space(k: int) -> VarSpace:
@@ -140,7 +138,7 @@ def _deconvolve(z_given_w: np.ndarray, arr: np.ndarray,
     the solution lstsq returns.  An exact joint that factors through the
     latent states gives a solution with no negative entries and unit mass;
     one with entries below ``-PROJECTION_TOL``, or whose clipped mass is off
-    by more than the tensor layer's ``MASS_TOL``, is refused.
+    by more than ``MASS_TOL``, is refused.
     """
     u, sv, vh = np.linalg.svd(z_given_w, full_matrices=False)
     cond = np.inf if sv[-1] <= 0 else float(sv[0] / sv[-1])
@@ -285,9 +283,9 @@ def identify_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> Latent
 
 def _left_quantile_index(pmf: np.ndarray, taus):
     """Index of the left ``taus``-quantile of ``pmf``; a CDF value within
-    1e-12 of tau reaches it."""
+    ``QUANTILE_TOL`` of tau reaches it."""
     cdf = np.cumsum(pmf)
-    at = np.asarray(taus, dtype=float) - 1e-12
+    at = np.asarray(taus, dtype=float) - QUANTILE_TOL
     return np.minimum(np.searchsorted(cdf, at, side="left"), pmf.size - 1)
 
 
@@ -362,7 +360,7 @@ def estimands(m: LatentOutcomeModel,
 
     order = np.argsort(beta, kind="stable")
     sorted_beta = beta[order]
-    keep = np.concatenate([[True], np.diff(sorted_beta) > 1e-12])
+    keep = np.concatenate([[True], np.diff(sorted_beta) > ATOM_TOL])
     atoms = sorted_beta[keep]
     group = np.cumsum(keep) - 1
     masses = np.zeros(atoms.size)

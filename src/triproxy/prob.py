@@ -4,12 +4,12 @@ All distributions are dense float64 arrays over named categorical axes.
 Values are immutable after construction; every operation returns a new
 object, so everything here is safe to share across threads.
 
-Tolerances:
+Tolerances (both from :mod:`triproxy.tolerances`):
 
 * every entry must be finite (NaN and infinities are rejected);
 * total mass of a joint must be within ``MASS_TOL`` of one;
-* negative round-off entries in ``(-NEG_TOL, 0)`` are clipped and the
-  array renormalized; anything more negative raises
+* negative round-off entries in ``(-INPUT_NEG_TOL, 0)`` are clipped and
+  the array renormalized; anything more negative raises
   :class:`~triproxy.errors.InvalidDistribution`.
 """
 
@@ -25,9 +25,7 @@ from .errors import (
     UnknownAxis,
     ZeroConditioningCell,
 )
-
-MASS_TOL = 1e-10
-NEG_TOL = 1e-12
+from .tolerances import INPUT_NEG_TOL, MASS_TOL
 
 
 def _count(d: dict, key: str) -> int:
@@ -87,9 +85,9 @@ def _clean(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InvalidDistribution(f"{what}: non-finite entries")
     worst = float(values.min()) if values.size else 0.0
-    if worst < -NEG_TOL:
+    if worst < -INPUT_NEG_TOL:
         raise InvalidDistribution(
-            f"{what}: entry {worst:.3e} below -{NEG_TOL:.0e}"
+            f"{what}: entry {worst:.3e} below -{INPUT_NEG_TOL:.0e}"
         )
     return np.clip(values, 0.0, None)
 

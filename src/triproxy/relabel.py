@@ -31,6 +31,7 @@ import numpy as np
 from .errors import AlphaCollision, MissingLevels, TauOutOfRange, ZeroConditioningCell
 from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
 from .prob import MarkovKernel, ProbTensor, VarSpace
+from .tolerances import LABEL_TOL
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,11 @@ def compute_alpha(z_given_w: MarkovKernel, rule: RelabelRule) -> np.ndarray:
     return alpha
 
 
-def _check_collisions(alpha2d: np.ndarray, tol: float = 1e-9) -> None:
+def _check_collisions(alpha2d: np.ndarray) -> None:
     k = alpha2d.shape[0]
     for i in range(k):
         for j in range(i + 1, k):
-            if np.abs(alpha2d[i] - alpha2d[j]).max() < tol:
+            if np.abs(alpha2d[i] - alpha2d[j]).max() < LABEL_TOL:
                 raise AlphaCollision(
                     f"latent states {i} and {j} have indistinguishable proxy "
                     f"locations {alpha2d[i].tolist()}")
@@ -140,7 +141,7 @@ class LabeledLatentModel:
         """Unbiased rule: effect in the stratum whose true value is ``w_value``."""
         alpha2d = self.alpha.reshape(self.alpha.shape[0], -1)
         hits = np.where(np.abs(alpha2d - np.atleast_1d(w_value)).max(axis=1)
-                        < 1e-9)[0]
+                        < LABEL_TOL)[0]
         if hits.size != 1:
             raise AlphaCollision(f"no unique latent state labeled {w_value}")
         return float(self.beta()[hits[0]])
@@ -181,7 +182,7 @@ def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule,
     alpha2d = alpha.reshape(alpha.shape[0], -1)
     for c in range(alpha2d.shape[1]):
         s = np.sort(alpha2d[:, c])
-        if np.any(np.diff(s) < 1e-9):
+        if np.any(np.diff(s) < LABEL_TOL):
             raise AlphaCollision(
                 f"coordinate {c} alpha values are not strictly separated")
     labeled = LabeledLatentModel(m, rule, alpha, diagnostics={"mode": "monotone"})

@@ -13,9 +13,10 @@ draw is what the counterfactual independence statements in the proposition
 battery are about.
 
 The cost is the sum of the kernel sizes plus the intermediate joints.
-``ENUMERATION_GUARD`` bounds the cells of the requested joint and of every
-kernel, noise sum and intermediate joint; an oversized request raises
-:class:`~triproxy.errors.EnumerationTooLarge` before any array is allocated.
+``ENUMERATION_GUARD`` (from :mod:`triproxy.tolerances`) bounds the cells of
+the requested joint and of every kernel, noise sum and intermediate joint;
+an oversized request raises :class:`~triproxy.errors.EnumerationTooLarge`
+before any array is allocated.
 All but the arithmetic depends only on the structure (node names, parents
 and cardinalities, worlds and outputs), so it is planned once per structure
 and kept in a cache of at most ``PLAN_CACHE_SIZE`` plans that every model
@@ -48,10 +49,9 @@ from .errors import (
     NonBinaryTreatment,
     UnknownNode,
 )
-from .graphs import Dag
+from .graphs import Dag, _names
 from .prob import ProbTensor, VarSpace, _count, marginalize
-
-ENUMERATION_GUARD = 10 ** 7
+from .tolerances import ATOM_TOL, CI_TOL, ENUMERATION_GUARD, MASS_TOL
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class NodeSpec:
         pmf = np.asarray(self.noise_pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size < 1:
             raise InvalidDistribution(f"{self.space.name}: bad noise pmf")
-        if not np.isfinite(pmf).all() or abs(pmf.sum() - 1.0) > 1e-10 or pmf.min() < 0:
+        if not np.isfinite(pmf).all() or abs(pmf.sum() - 1.0) > MASS_TOL or pmf.min() < 0:
             raise InvalidDistribution(f"{self.space.name}: noise pmf not a distribution")
         if table.shape[-1] != pmf.size:
             raise InvalidDistribution(f"{self.space.name}: table/noise shape mismatch")
@@ -156,15 +156,16 @@ class Npsem:
         for nd in d["nodes"]:
             space = VarSpace.from_dict(nd)
             spaces[space.name] = space
-            shape = tuple(spaces[p].cardinality for p in nd["parents"]) + (
+            parents = _names(nd["parents"], f"{space.name} parents")
+            shape = tuple(spaces[p].cardinality for p in parents) + (
                 _count(nd, "noise_card"),)
             table = np.asarray(nd["table"])
             if table.dtype.kind not in "iu":
                 raise InvalidDistribution(f"{space.name}: table entries are not integers")
             table = table.astype(np.int64).reshape(shape, order="C")
-            specs.append(NodeSpec(space, tuple(nd["parents"]), table,
+            specs.append(NodeSpec(space, parents, table,
                                   np.asarray(nd["noise_pmf"], dtype=float)))
-        return cls(tuple(specs), tuple(d.get("latent", ())))
+        return cls(tuple(specs), _names(d.get("latent", []), "latent"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +378,8 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
     request.  The summary holds ``ate``, ``att`` and ``atu``; ``pot_y``, the
     law of ``Y(x)`` in column ``x``; ``cate``, ``E[Y(1) - Y(0) | W = w]`` per
     latent state, and ``w``, the latent law; and the CDF of that stratum
-    effect as its sorted distinct values ``beta_atoms`` (values within 1e-12
-    are one atom) with the cumulative masses ``beta_cdf``.
+    effect as its sorted distinct values ``beta_atoms`` (values within
+    ``ATOM_TOL`` are one atom) with the cumulative masses ``beta_cdf``.
     """
     if len(m.latent) != 1:
         raise MissingRole("effect summaries need exactly one latent node; the model "
@@ -400,7 +401,7 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
     atu, att = y @ (y1.sum(axis=1) - y0.sum(axis=1)) / fx
     cate = y @ (y1.sum(axis=2) - y0.sum(axis=2)) / w
     order = np.argsort(cate, kind="stable")
-    atom = np.concatenate([[True], np.diff(cate[order]) > 1e-12])
+    atom = np.concatenate([[True], np.diff(cate[order]) > ATOM_TOL])
     return {"ate": float(y @ (pot_y[:, 1] - pot_y[:, 0])),
             "att": float(att), "atu": float(atu),
             "pot_y": pot_y, "cate": cate, "w": w,
@@ -411,7 +412,7 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
 _CF_NAME = re.compile(r"^([A-Za-z_]\w*)\(([\w,]+)\)$")
 
 
-def _independent(t: ProbTensor, left, right, given, tol: float) -> bool:
+def _independent(t: ProbTensor, left, right, given) -> bool:
     """Exact factorization test: f(l,r,g)·f(g) == f(l,g)·f(r,g) cellwise."""
     keep = tuple(left) + tuple(right) + tuple(given)
     j = marginalize(t, set(t.names) - set(keep)).reorder(keep)
@@ -425,11 +426,10 @@ def _independent(t: ProbTensor, left, right, given, tol: float) -> bool:
     frg = a.sum(axis=0)
     lhs = a * fg[np.newaxis, np.newaxis, :]
     rhs = flg[:, np.newaxis, :] * frg[np.newaxis, :, :]
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - rhs)) <= CI_TOL)
 
 
-def check_counterfactual_ci(m: Npsem, left_template: str, right, given=(),
-                            tol: float = 1e-10) -> bool:
+def check_counterfactual_ci(m: Npsem, left_template: str, right, given=()) -> bool:
     """Check a counterfactual independence like ``Y(x) ⊥ (X,V) | W``.
 
     ``left_template`` uses lower-case letters for the intervened nodes,
@@ -447,6 +447,6 @@ def check_counterfactual_ci(m: Npsem, left_template: str, right, given=(),
     arms = itertools.product(*[range(m[n].space.cardinality) for n in intervene_on])
     for arm in arms:
         name = arm_label(outcome, arm)
-        if not _independent(joint, (name,), right, given, tol):
+        if not _independent(joint, (name,), right, given):
             return False
     return True

@@ -32,16 +32,13 @@ from .errors import (
     RankDeficient,
     ZeroConditioningCell,
 )
-from .prob import MASS_TOL, ProbTensor
+from .prob import ProbTensor
+from .tolerances import (COLUMN_MASS_TOL, EIGEN_GAP_TOL, IMAG_TOL, KERNEL_NEG_TOL, MASS_TOL,
+                         MAX_RETRIES, RANK_TOL)
 
 COMPLETENESS_LABEL = "HS Assumption 3 / Assumption 2: completeness of the proxy kernels"
 DISTINCTNESS_LABEL = "HS Assumption 4: distinct signal-kernel columns"
 
-RANK_TOL = 1e-7        # least singular-value ratio of the (z, v) margin at rank k
-EIGEN_GAP_TOL = 1e-6   # least gap between transfer-matrix eigenvalues
-IMAG_TOL = 1e-7        # largest imaginary part of an accepted eigenvalue
-NEG_TOL = 1e-6         # most negative entry clipped from a recovered kernel
-MAX_RETRIES = 8        # random reweightings tried before refusing
 AMBIGUITY_TOL = 1e-6   # least cost margin of a unique latent-label matching
 
 
@@ -88,7 +85,7 @@ def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
 
 def _clip_stochastic(mat: np.ndarray, axis: int, what: str) -> tuple[np.ndarray, float]:
     worst = float(-min(mat.min(), 0.0))
-    if worst > NEG_TOL:
+    if worst > KERNEL_NEG_TOL:
         raise NegativeMass(f"{what} has entries as low as {-worst:.3e}")
     out = np.clip(mat, 0.0, None)
     sums = out.sum(axis=axis, keepdims=True)
@@ -166,7 +163,7 @@ def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
 
     z_cols = u @ eigvecs
     col_sums = z_cols.sum(axis=0)
-    if np.any(np.abs(col_sums) < 1e-12):
+    if np.any(np.abs(col_sums) < COLUMN_MASS_TOL):
         raise RankDeficient("recovered proxy columns are mass-free",
                             assumption=COMPLETENESS_LABEL)
     z_cols = z_cols / col_sums

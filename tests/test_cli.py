@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import triproxy
+from triproxy import tolerances
 from triproxy.cli import main
 from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  rank_invariant_bounds_model,
@@ -168,7 +169,12 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 3
+        assert rep["report_format"] == 4
+        registry = {name.lower(): value for name, value in vars(tolerances).items()
+                    if name.isupper()}
+        assert rep["tolerances"] == registry
+        assert rep["tolerances"]["input_neg_tol"] == 1e-12
+        assert rep["tolerances"]["kernel_neg_tol"] == 1e-6
         assert "ambiguity_tol" not in rep["tolerances"]
 
     def test_report_bytes_deterministic(self, tmp_path, capsys, fig2a_files):
@@ -312,9 +318,12 @@ class TestExitCodesAndDiagnostics:
         (lambda d: d["nodes"][0]["table"].__setitem__(0, 1.9),
          "table entries are not integers"),
         (lambda d: d["nodes"][0].update(noise_card=-1), "noise_card -1 is not a positive"),
+        (lambda d: d["nodes"][1].update(parents="W"),
+         "Z parents 'W' is not a list of names"),
+        (lambda d: d.update(latent="W"), "latent 'W' is not a list of names"),
     ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf", "cardinality-1e400",
             "noise-card-1e400", "table-entry-1e30", "cardinality-2.7", "noise-card-2.5",
-            "table-entry-1.9", "noise-card-negative"])
+            "table-entry-1.9", "noise-card-negative", "parents-string", "latent-string"])
     def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
         m, _, _ = fig2a_files
         d = m.to_dict()
@@ -337,8 +346,13 @@ class TestExitCodesAndDiagnostics:
          "cardinality 2.7 is not a positive integer"),
         ("identify", lambda d: "[" * 100000, "maximum recursion depth"),
         ("identify", lambda d: d["axes"][0].update(name=5), "name 5 is not a string"),
+        ("classify", lambda d: d.update(nodes="".join(d["nodes"])),
+         "nodes 'YXWVZ' is not a list of names"),
+        ("classify", lambda d: d.update(edges=["".join(e) for e in d["edges"]]),
+         "edge 'XY' is not a list of names"),
     ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node",
-            "cardinality-2.7", "deeply-nested", "numeric-axis-name"])
+            "cardinality-2.7", "deeply-nested", "numeric-axis-name", "nodes-string",
+            "edges-strings"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
         from triproxy.graphs import FIGURES
@@ -469,10 +483,15 @@ class TestLatentDimBelowTruth:
         assert json.loads(err)["assumption"]
 
 
+def readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block under the README heading ``section``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {section}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands() -> list[list[str]]:
     """The command lines of the README's ``## Command line`` block."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
@@ -489,6 +508,15 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
         code = main(argv[1:])
         err = capsys.readouterr().err
         assert code == 0, f"{shlex.join(argv)}: {err}"
+
+
+def test_readme_quick_example_runs(capsys):
+    """The README's Python example prints the exact effects of its model."""
+    exec(readme_block("Quick example", "python"), {})
+    ate, att, *_ = capsys.readouterr().out.split()
+    truth = effects(figure_model("fig2a", K=2, seed=0))
+    assert abs(float(ate) - truth["ate"]) < 1e-12
+    assert abs(float(att) - truth["att"]) < 1e-12
 
 
 def test_cli_import_loads_no_scipy():
