@@ -129,16 +129,15 @@ def _load_tensor(path: str) -> ProbTensor:
 def _estimand_result(rep: EstimandReport) -> dict:
     return {
         "y_levels": list(rep.y_levels),
-        "pot_y": [[float(v) for v in row] for row in rep.pot_y.tolist()],
-        "pot_y_given_x": [[[float(v) for v in c] for c in r]
-                          for r in rep.pot_y_given_x.tolist()],
+        "pot_y": rep.pot_y.tolist(),
+        "pot_y_given_x": rep.pot_y_given_x.tolist(),
         "ate": rep.ate, "att": rep.att, "atu": rep.atu,
         "qte_taus": list(rep.qte_taus), "qte": rep.qte.tolist(),
         "beta": rep.beta.tolist(),
         "w_marginal": rep.w_marginal.tolist(),
         "beta_atoms": rep.beta_atoms.tolist(),
         "beta_cdf": rep.beta_cdf.tolist(),
-        "beta_cdf_given_x": [list(r) for r in rep.beta_cdf_given_x.tolist()],
+        "beta_cdf_given_x": rep.beta_cdf_given_x.tolist(),
         "var_beta": rep.var_beta,
     }
 
@@ -304,12 +303,10 @@ FIXTURE_DESIGN = {"fig1a-early-late-tests": "outcome",
                   "fig1d-auxiliary": "auxiliary",
                   "fig1b-double-only": None}
 
-FIXTURES = tuple(FIXTURE_DESIGN)
-
 
 def _fixture_payload(name: str) -> dict:
-    if name not in FIXTURES:
-        raise ValidationError(f"no builtin fixture {name!r}; have {list(FIXTURES)}")
+    if name not in FIXTURE_DESIGN:
+        raise ValidationError(f"no builtin fixture {name!r}; have {list(FIXTURE_DESIGN)}")
     ref = resources.files("triproxy").joinpath(f"fixtures/{name}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -454,16 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except (ValidationError, MissingLevels, NonBinaryTreatment) as e:
-        diag = {"error": type(e).__name__, "message": str(e),
-                "assumption": e.assumption}
-        sys.stderr.write(_canonical_json(diag) + "\n")
-        return 2
     except TriproxyError as e:
         diag = {"error": type(e).__name__, "message": str(e),
                 "assumption": e.assumption}
         sys.stderr.write(_canonical_json(diag) + "\n")
-        return 3
+        return 2 if isinstance(e, (ValidationError, MissingLevels, NonBinaryTreatment)) else 3
 
 
 if __name__ == "__main__":

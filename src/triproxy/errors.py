@@ -36,10 +36,6 @@ class UnknownAxis(TriproxyError):
     pass
 
 
-class AxisMismatch(TriproxyError):
-    pass
-
-
 class ZeroConditioningCell(TriproxyError):
     """A conditioning cell carries (numerically) zero probability."""
 

@@ -11,14 +11,16 @@ Two construction routes:
   configuration's CDF breakpoints, so the encoded model reproduces the
   kernel exactly.
 
-Draws failing the rank / distinguishability / stratum-mass diagnostics of
-the intended design are discarded and redrawn (bounded retry loop), so
-every fixture this module hands out is numerically well-posed for its
-pipeline.  The diagnostics screen every stratum of a draw in one batched
-pass over the observable joint, and the redraws on one graph share its
-topological order and the exact oracle's elimination plan.  Kernels take
-their random draws in the order of a column-by-column loop, so a seed
-always gives the same model.
+Every figure variable has a cardinality fixed by the latent dimension K
+(:func:`standard_spaces`).  All three generators share one screened draw
+loop: a draw failing the rank / distinguishability / stratum-mass
+diagnostics of the intended design is discarded and redrawn from the next
+attempt's seed, at most ``MAX_TRIES`` times, so every fixture this module
+hands out is numerically well-posed for its pipeline.  The diagnostics
+screen every stratum of a draw in one batched pass over the observable
+joint, and the redraws on one graph share its topological order and the
+exact oracle's elimination plan.  Kernels take their random draws in the
+order of a column-by-column loop, so a seed always gives the same model.
 """
 
 from __future__ import annotations
@@ -128,17 +130,11 @@ def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
 # spaces and figure designs
 
 
-def standard_spaces(K: int, y_card: int = 3, proxy_card: int | None = None,
-                    c_card: int = 3) -> dict[str, VarSpace]:
-    proxy_card = proxy_card or K + 1
-    return {
-        "W": VarSpace("W", K, tuple(float(i) for i in range(K))),
-        "X": VarSpace("X", 2, (0.0, 1.0)),
-        "Y": VarSpace("Y", y_card, tuple(float(i) for i in range(y_card))),
-        "Z": VarSpace("Z", proxy_card, tuple(float(i) for i in range(proxy_card))),
-        "V": VarSpace("V", proxy_card, tuple(float(i) for i in range(proxy_card))),
-        "C": VarSpace("C", c_card, tuple(float(i) for i in range(c_card))),
-    }
+def standard_spaces(K: int) -> dict[str, VarSpace]:
+    """The figure variables, with levels 0, 1, ...: |W| = K, |X| = 2,
+    |Y| = |C| = 3 and |Z| = |V| = K + 1."""
+    cards = {"W": K, "X": 2, "Y": 3, "Z": K + 1, "V": K + 1, "C": 3}
+    return {n: VarSpace(n, c, tuple(float(i) for i in range(c))) for n, c in cards.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +266,9 @@ class FixtureDiagnostics:
     stratum_mass: float
     cate_gap: float
 
-    def passes(self, cate_min=1e-3) -> bool:
+    def passes(self) -> bool:
         return (self.sv_ratio >= 0.06 and self.column_gap >= 0.08
-                and self.stratum_mass >= 0.04 and self.cate_gap >= cate_min)
+                and self.stratum_mass >= 0.04 and self.cate_gap >= 1e-3)
 
 
 def figure_diagnostics(m: Npsem, figure: str, K: int,
@@ -332,22 +328,28 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     return FixtureDiagnostics(sv, gap, mass, cate_gap)
 
 
-def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True,
-                 max_tries: int = MAX_TRIES) -> Npsem:
+def _screened_draw(draw, figure: str, K: int, what: str,
+                   with_cate: bool = True) -> Npsem:
+    """The first of ``draw(0)``, ``draw(1)``, ... up to ``MAX_TRIES`` draws
+    whose diagnostics pass."""
+    for attempt in range(MAX_TRIES):
+        m = draw(attempt)
+        if figure_diagnostics(m, figure, K, with_cate=with_cate).passes():
+            return m
+    raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
+
+
+def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True) -> Npsem:
     """Seeded random model on a builtin figure graph, redrawn until the
     intended design's diagnostics pass."""
     if figure not in FIGURE_DESIGNS:
         raise InvalidDistribution(f"no generator for figure {figure!r}")
     dag = FIGURES[figure]
     spaces = standard_spaces(K)
-    for attempt in range(max_tries):
-        m = designed_npsem(dag, spaces, seed=_derive(figure, K, seed, attempt),
-                           latent=("W",))
-        if figure_diagnostics(m, figure, K, with_cate=with_cate_gap).passes(
-                cate_min=1e-3 if with_cate_gap else 0.0):
-            return m
-    raise InvalidDistribution(f"no well-posed draw for {figure} K={K} seed={seed} "
-                              f"in {max_tries} tries")
+    return _screened_draw(
+        lambda attempt: designed_npsem(dag, spaces, seed=_derive(figure, K, seed, attempt),
+                                       latent=("W",)),
+        figure, K, f"draw for {figure} K={K} seed={seed}", with_cate=with_cate_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +382,7 @@ def _pmfs_with_means(levels: np.ndarray, means: np.ndarray,
 
 
 def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
-                         monotone_map=None, max_tries: int = MAX_TRIES) -> Npsem:
+                         monotone_map=None) -> Npsem:
     """Figure model whose Z proxy is conditionally mean-unbiased for W.
 
     ``monotone_map`` (per-state target means) switches to the strictly
@@ -395,22 +397,21 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
         else w_levels
     if targets.min() <= z_levels.min() or targets.max() >= z_levels.max():
         raise InvalidDistribution("target means must lie inside the Z level range")
-    for attempt in range(max_tries):
+
+    def draw(attempt: int) -> Npsem:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ub"))
         z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(
             np.ones(z_levels.size), size=targets.size))
-        m = designed_npsem(dag, spaces,
-                           seed=_derive(figure, K, seed, attempt, "rest"),
-                           latent=("W",), kernels={"Z": z_kernel})
-        if figure_diagnostics(m, figure, K).passes():
-            return m
-    raise InvalidDistribution(f"no well-posed unbiased-proxy draw in {max_tries} tries")
+        return designed_npsem(dag, spaces,
+                              seed=_derive(figure, K, seed, attempt, "rest"),
+                              latent=("W",), kernels={"Z": z_kernel})
+
+    return _screened_draw(draw, figure, K, "unbiased-proxy draw")
 
 
 def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
                                 constant_cate: bool = False,
-                                cate_values=None,
-                                max_tries: int = MAX_TRIES) -> Npsem:
+                                cate_values=None) -> Npsem:
     """Bounds-design model with monotone (or constant) CATE built in.
 
     The outcome table is driven by per-(w, x) target means with
@@ -422,7 +423,8 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     spaces = standard_spaces(K)
     y_levels = spaces["Y"].level_values()
     auxiliary = figure.startswith("fig7")
-    for attempt in range(max_tries):
+
+    def draw(attempt: int) -> Npsem:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))
         lo, hi = y_levels.min() + 0.15, y_levels.max() - 0.15
 
@@ -454,12 +456,11 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
         actual = dag_mod.parents("Y")
         perm = tuple(y_parents.index(p) + 1 for p in actual)
         y_kernel = np.transpose(y_kernel, (0,) + perm)
-        m = designed_npsem(dag_mod, spaces,
-                           seed=_derive(figure, K, seed, attempt, "rest"),
-                           latent=("W",), kernels={"Y": y_kernel})
-        if figure_diagnostics(m, figure, K, with_cate=False).passes(cate_min=0.0):
-            return m
-    raise InvalidDistribution(f"no well-posed rank-invariant draw in {max_tries} tries")
+        return designed_npsem(dag_mod, spaces,
+                              seed=_derive(figure, K, seed, attempt, "rest"),
+                              latent=("W",), kernels={"Y": y_kernel})
+
+    return _screened_draw(draw, figure, K, "rank-invariant draw", with_cate=False)
 
 
 def _with_outcome_parents(dag: Dag, parents: tuple[str, ...]) -> Dag:

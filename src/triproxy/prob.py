@@ -9,7 +9,7 @@ Tolerances (both from :mod:`triproxy.tolerances`):
 * every entry must be finite (NaN and infinities are rejected);
 * total mass of a joint must be within ``MASS_TOL`` of one;
 * negative round-off entries in ``(-INPUT_NEG_TOL, 0)`` are clipped and
-  the array renormalized; anything more negative raises
+  the array rescaled to unit mass; anything more negative raises
   :class:`~triproxy.errors.InvalidDistribution`.
 """
 
@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AxisMismatch,
-    InvalidDistribution,
-    UnknownAxis,
-    ZeroConditioningCell,
-)
+from .errors import InvalidDistribution, UnknownAxis, ZeroConditioningCell
 from .tolerances import INPUT_NEG_TOL, MASS_TOL
 
 
@@ -124,7 +119,7 @@ class ProbTensor:
 
     @classmethod
     def build(cls, axes, values) -> "ProbTensor":
-        """Validate, clip benign negative round-off, renormalize."""
+        """Validate, clip benign negative round-off, rescale to unit mass."""
         values = np.asarray(values, dtype=float)
         values = _clean(values, "ProbTensor")
         mass = values.sum()
@@ -205,13 +200,6 @@ class MarkovKernel:
             raise InvalidDistribution(f"kernel slice mass off by {worst:.3e}")
         return cls(target, tuple(given), values / sums)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """2-d view for a single conditioning variable."""
-        if len(self.given) != 1:
-            raise AxisMismatch("matrix view needs exactly one conditioning axis")
-        return self.values
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -234,8 +222,8 @@ def marginalize(t: ProbTensor, drop) -> ProbTensor:
     return ProbTensor(keep, values)
 
 
-def restrict(t: ProbTensor, assignments: dict, renormalize: bool = True) -> ProbTensor:
-    """Fix axes to level indices; optionally renormalize to the conditional."""
+def restrict(t: ProbTensor, assignments: dict) -> ProbTensor:
+    """Fix axes to level indices: the conditional law of the other axes."""
     for name in assignments:
         t.axis(name)  # raises UnknownAxis
     indexer = tuple(
@@ -243,11 +231,10 @@ def restrict(t: ProbTensor, assignments: dict, renormalize: bool = True) -> Prob
     )
     keep = tuple(a for a in t.axes if a.name not in assignments)
     values = t.values[indexer]
-    if renormalize:
-        mass = values.sum()
-        if mass <= 0:
-            raise ZeroConditioningCell(f"stratum {assignments} has zero probability")
-        values = values / mass
+    mass = values.sum()
+    if mass <= 0:
+        raise ZeroConditioningCell(f"stratum {assignments} has zero probability")
+    values = values / mass
     if not keep:
         keep = (VarSpace("_unit", 1),)
         values = np.asarray(values).reshape((1,))

@@ -13,9 +13,9 @@ resolved in two regimes:
   of the latent distribution transfer: the state at quantile ``tau`` of the
   recovered alpha law is the state at quantile ``tau`` of the true law.
 
-Multi-coordinate latent states use product coding: the flat state index
-enumerates a coordinate grid in C order, and ``Z`` carries one block of
-levels per coordinate, so alpha is computed blockwise.
+Either way each latent state gets one scalar label, the location of its
+proxy column; a latent state is one categorical index, never a
+product-coded grid.
 
 A monotone-decreasing garbling is indistinguishable from an increasing one
 given data alone; labels then come out order-reversed.  This is a
@@ -40,7 +40,6 @@ class RelabelRule:
 
     functional: str = "mean"        # "mean" | "median"
     mode: str = "unbiased"          # "unbiased" | "monotone"
-    coordinates: tuple[int, ...] | None = None  # product coding of W, if any
 
     def __post_init__(self):
         if self.functional not in ("mean", "median"):
@@ -56,52 +55,21 @@ def _location(levels: np.ndarray, pmf: np.ndarray, functional: str) -> float:
 
 
 def compute_alpha(z_given_w: MarkovKernel, rule: RelabelRule) -> np.ndarray:
-    """Per-latent-state location of the proxy law, per coordinate.
-
-    Returns shape ``(k,)`` for scalar latent states and ``(k, n_coords)``
-    for product-coded ones.
-    """
+    """Per-latent-state location of the proxy law, shape ``(k,)``; two
+    states closer than ``LABEL_TOL`` raise :class:`AlphaCollision`."""
     z = z_given_w.target
     if z.levels is None:
         raise MissingLevels(f"proxy {z.name!r} carries no numeric levels")
     levels = z.level_values()
-    cols = z_given_w.matrix
-    k = cols.shape[1]
-
-    if rule.coordinates is None:
-        alpha = np.array([_location(levels, cols[:, w], rule.functional)
-                          for w in range(k)])
-        _check_collisions(alpha.reshape(-1, 1))
-        return alpha
-
-    coords = tuple(rule.coordinates)
-    if int(np.prod(coords)) != k:
-        raise AlphaCollision(
-            f"coordinate structure {coords} does not code {k} latent states")
-    if levels.size % len(coords) != 0:
-        raise MissingLevels("proxy levels do not split into coordinate blocks")
-    block = levels.size // len(coords)
-    alpha = np.empty((k, len(coords)))
-    for w in range(k):
-        for c in range(len(coords)):
-            sl = slice(c * block, (c + 1) * block)
-            pmf = cols[sl, w]
-            mass = pmf.sum()
-            if mass <= 0:
-                raise MissingLevels(f"coordinate block {c} of state {w} is empty")
-            alpha[w, c] = _location(levels[sl], pmf / mass, rule.functional)
-    _check_collisions(alpha)
+    cols = z_given_w.values
+    alpha = np.array([_location(levels, cols[:, w], rule.functional)
+                      for w in range(cols.shape[1])])
+    close = np.argwhere(np.triu(np.abs(alpha[:, None] - alpha) < LABEL_TOL, 1))
+    if close.size:
+        i, j = close[0]
+        raise AlphaCollision(f"latent states {i} and {j} have indistinguishable proxy "
+                             f"locations {[float(alpha[i])]}")
     return alpha
-
-
-def _check_collisions(alpha2d: np.ndarray) -> None:
-    k = alpha2d.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.abs(alpha2d[i] - alpha2d[j]).max() < LABEL_TOL:
-                raise AlphaCollision(
-                    f"latent states {i} and {j} have indistinguishable proxy "
-                    f"locations {alpha2d[i].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +91,11 @@ class LabeledLatentModel:
     def w_marginal(self) -> np.ndarray:
         return self.base.wx_joint.values.sum(axis=1)
 
-    def state_at(self, tau: float, coordinate: int = 0) -> int:
+    def state_at(self, tau: float) -> int:
         """Flat latent index at quantile rank ``tau`` of the labeled law."""
         if not 0.0 < tau <= 1.0:
             raise TauOutOfRange(f"quantile rank {tau} outside (0, 1]")
-        alpha2d = self.alpha.reshape(self.alpha.shape[0], -1)
-        order = np.argsort(alpha2d[:, coordinate], kind="stable")
+        order = np.argsort(self.alpha, kind="stable")
         idx = _left_quantile_index(self.w_marginal[order], tau)
         return int(order[idx])
 
@@ -139,15 +106,13 @@ class LabeledLatentModel:
 
     def beta_at_value(self, w_value: float) -> float:
         """Unbiased rule: effect in the stratum whose true value is ``w_value``."""
-        alpha2d = self.alpha.reshape(self.alpha.shape[0], -1)
-        hits = np.where(np.abs(alpha2d - np.atleast_1d(w_value)).max(axis=1)
-                        < LABEL_TOL)[0]
+        hits = np.where(np.abs(self.alpha - w_value) < LABEL_TOL)[0]
         if hits.size != 1:
             raise AlphaCollision(f"no unique latent state labeled {w_value}")
         return float(self.beta()[hits[0]])
 
-    def beta_at_quantile(self, tau: float, coordinate: int = 0) -> float:
-        return float(self.beta()[self.state_at(tau, coordinate)])
+    def beta_at_quantile(self, tau: float) -> float:
+        return float(self.beta()[self.state_at(tau)])
 
 
 def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentModel:
@@ -155,16 +120,14 @@ def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
     if rule.mode != "unbiased":
         raise ValueError("rule.mode must be 'unbiased'")
     alpha = compute_alpha(m.z_given_w, rule)
-    alpha2d = alpha.reshape(alpha.shape[0], -1)
-    order = np.lexsort(alpha2d.T[::-1])
+    order = np.argsort(alpha, kind="stable")
     base = m.permuted(order)
     sorted_alpha = alpha[order]
-    if alpha.ndim == 1:
-        w_old, x = base.wx_joint.axes
-        w = VarSpace(w_old.name, w_old.cardinality, tuple(float(a) for a in sorted_alpha))
-        base = replace(base, wx_joint=ProbTensor((w, x), base.wx_joint.values),
-                       z_given_w=MarkovKernel(base.z_given_w.target, (w,),
-                                              base.z_given_w.values))
+    w_old, x = base.wx_joint.axes
+    w = VarSpace(w_old.name, w_old.cardinality, tuple(float(a) for a in sorted_alpha))
+    base = replace(base, wx_joint=ProbTensor((w, x), base.wx_joint.values),
+                   z_given_w=MarkovKernel(base.z_given_w.target, (w,),
+                                          base.z_given_w.values))
     return LabeledLatentModel(base, rule, sorted_alpha, diagnostics={"mode": "unbiased"})
 
 
@@ -172,19 +135,13 @@ def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule,
                      taus: tuple[float, ...] = (0.25, 0.5, 0.75)) -> LabeledLatentModel:
     """Expose quantile-rank addressing of the latent states.
 
-    Alpha values are sorted per coordinate (strictness enforced); each
-    requested ``tau`` resolves to a latent state through the left-continuous
-    quantile function of the recovered latent marginal.
+    Each requested ``tau`` resolves to a latent state through the
+    left-continuous quantile function of the recovered latent marginal,
+    ordered by alpha (whose values :func:`compute_alpha` keeps apart).
     """
     if rule.mode != "monotone":
         raise ValueError("rule.mode must be 'monotone'")
     alpha = compute_alpha(m.z_given_w, rule)
-    alpha2d = alpha.reshape(alpha.shape[0], -1)
-    for c in range(alpha2d.shape[1]):
-        s = np.sort(alpha2d[:, c])
-        if np.any(np.diff(s) < LABEL_TOL):
-            raise AlphaCollision(
-                f"coordinate {c} alpha values are not strictly separated")
     labeled = LabeledLatentModel(m, rule, alpha, diagnostics={"mode": "monotone"})
     # resolve the grid eagerly so TauOutOfRange surfaces here
     labeled.diagnostics["tau_states"] = {

@@ -116,15 +116,11 @@ class Npsem:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "latent", tuple(self.latent))
 
-    @staticmethod
-    def node(name: str, nodes) -> NodeSpec:
-        for n in nodes:
+    def __getitem__(self, name: str) -> NodeSpec:
+        for n in self.nodes:
             if n.space.name == name:
                 return n
         raise UnknownNode(f"unknown node {name!r}")
-
-    def __getitem__(self, name: str) -> NodeSpec:
-        return self.node(name, self.nodes)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -32,7 +32,6 @@ from .errors import (
     RankDeficient,
     ZeroConditioningCell,
 )
-from .prob import ProbTensor
 from .tolerances import (COLUMN_MASS_TOL, EIGEN_GAP_TOL, IMAG_TOL, KERNEL_NEG_TOL, MASS_TOL,
                          MAX_RETRIES, RANK_TOL)
 
@@ -94,17 +93,17 @@ def _clip_stochastic(mat: np.ndarray, axis: int, what: str) -> tuple[np.ndarray,
     return out / sums, worst
 
 
-def hs_decompose(joint: ProbTensor | np.ndarray, opts: HsOptions) -> HsFactors:
-    """Recover the latent factorization of a (z, c, v) joint array.
+def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
+    """Recover the latent factorization of a (z, c, v) joint, given as a
+    plain three-axis ndarray.
 
     Axes are positional: axis 0 is the left proxy, axis 1 the signal whose
     latent-conditional law is extracted, axis 2 the right proxy.
     """
-    f = joint.values if isinstance(joint, ProbTensor) else np.asarray(joint, dtype=float)
     # normalize memory layout: BLAS/einsum results can differ in the last bit
     # between strided views of the same values, which would break the
     # bit-reproducibility contract of the reports
-    f = np.ascontiguousarray(f, dtype=float)
+    f = np.ascontiguousarray(joint, dtype=float)
     if f.ndim != 3:
         raise ValueError("hs_decompose expects a three-axis joint")
     k = opts.latent_dim

@@ -55,30 +55,6 @@ class TestAlpha:
         with pytest.raises(MissingLevels):
             compute_alpha(kern, RelabelRule("mean", "unbiased"))
 
-    def test_product_coding_blockwise(self):
-        # two binary coordinates; Z carries one block of two levels each
-        z = VarSpace("Z", 4, (0.0, 1.0, 0.0, 1.0))
-        w = VarSpace("W", 4, None)
-        cols = np.empty((4, 4))
-        block = {0: (0.8, 0.2), 1: (0.2, 0.8)}   # per-coordinate pmf, mean 0.2 / 0.8
-        for a in (0, 1):
-            for b in (0, 1):
-                state = a * 2 + b      # C-order grid
-                cols[0:2, state] = np.multiply(0.5, block[a])
-                cols[2:4, state] = np.multiply(0.5, block[b])
-        kern = MarkovKernel.build(z, (w,), cols)
-        alpha = compute_alpha(kern, RelabelRule("mean", "unbiased",
-                                                coordinates=(2, 2)))
-        np.testing.assert_allclose(alpha, [[0.2, 0.2], [0.2, 0.8],
-                                           [0.8, 0.2], [0.8, 0.8]])
-
-    def test_product_coding_shape_mismatch(self):
-        z = VarSpace("Z", 4, (0.0, 1.0, 2.0, 3.0))
-        w = VarSpace("W", 3, None)
-        kern = MarkovKernel.build(z, (w,), np.full((4, 3), 0.25))
-        with pytest.raises(AlphaCollision):
-            compute_alpha(kern, RelabelRule("mean", "unbiased", coordinates=(2, 2)))
-
 
 class TestUnbiased:
     @pytest.mark.parametrize("K", [2, 3])

@@ -67,17 +67,6 @@ class TestRoundTrip:
         assert np.array_equal(a.c_given_w, b.c_given_w)
         assert np.array_equal(a.w_given_v, b.w_given_v)
 
-    def test_probtensor_input_accepted(self):
-        from triproxy.prob import ProbTensor, VarSpace
-        rng = np.random.default_rng(4)
-        z, c, w_given_v, v = random_factors(rng, 3, 3, 3, 2)
-        f = forward(z, c, w_given_v, v)
-        t = ProbTensor.build((VarSpace("Z", 3), VarSpace("C", 3), VarSpace("V", 3)), f)
-        fac = hs_decompose(t, HsOptions(latent_dim=2))
-        np.testing.assert_allclose(
-            forward(fac.z_given_w, fac.c_given_w, fac.w_given_v, fac.v_marginal),
-            f, atol=1e-8)
-
 
 class TestFailureModes:
     def test_rank_deficient_product_proxy(self):
