@@ -48,7 +48,7 @@ from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
 from .tolerances import GOLDEN_TOL
 
-REPORT_FORMAT = 4
+REPORT_FORMAT = 5
 
 PIPELINES = {
     "outcome": (identify_outcome_proxy, ("Y", "Z", "V", "X")),
@@ -290,7 +290,7 @@ def _cmd_dag_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args)
-    with _invalid("", MissingRole):
+    with _invalid("", (MissingRole, EnumerationTooLarge)):
         designs = sorted(classify_designs(g))
     _write(args.report, _report(args, "classify", {"designs": designs}))
     return 0

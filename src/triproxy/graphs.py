@@ -15,10 +15,13 @@ claim counterfactual conclusions as verified-by-simulation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import CyclicGraph, InvalidDistribution, MissingRole, UnknownNode
+from .errors import (CyclicGraph, EnumerationTooLarge, InvalidDistribution, MissingRole,
+                     UnknownNode)
+from .tolerances import ROLE_ASSIGNMENT_GUARD
 
 
 def _names(value, what: str) -> tuple[str, ...]:
@@ -401,12 +404,19 @@ def classify_designs(g: Dag) -> frozenset:
     """Designs whose graphical prerequisites hold under some proxy-role assignment.
 
     The core nodes Y, X, W must be present; the remaining nodes are tried in
-    every injective assignment to the proxy roles each design requires.
+    every injective assignment to the proxy roles each design requires.  A
+    graph with more than ``ROLE_ASSIGNMENT_GUARD`` assignments of three roles
+    raises :class:`~triproxy.errors.EnumerationTooLarge` before any is tried.
     """
     for r in ("Y", "X", "W"):
         if r not in g.nodes:
             raise MissingRole(f"graph lacks a node for core role {r!r}")
     candidates = [n for n in g.nodes if n not in ("Y", "X", "W")]
+    count = math.perm(len(candidates), 3)
+    if count > ROLE_ASSIGNMENT_GUARD:
+        raise EnumerationTooLarge(
+            f"{len(candidates)} candidate proxies give {count} assignments of 3 proxy "
+            f"roles, over the {ROLE_ASSIGNMENT_GUARD} guard")
     found = set()
     for design, (proxy_roles, prop, labels) in _DESIGNS.items():
         needed = [c for c in PROPOSITIONS[prop]

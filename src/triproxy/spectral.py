@@ -32,8 +32,8 @@ from .errors import (
     RankDeficient,
     ZeroConditioningCell,
 )
-from .tolerances import (COLUMN_MASS_TOL, EIGEN_GAP_TOL, IMAG_TOL, KERNEL_NEG_TOL, MASS_TOL,
-                         MAX_RETRIES, RANK_TOL)
+from .tolerances import (CANONICAL_DIGITS, COLUMN_MASS_TOL, EIGEN_GAP_TOL, IMAG_TOL,
+                         KERNEL_NEG_TOL, MASS_TOL, MAX_RETRIES, RANK_TOL)
 
 COMPLETENESS_LABEL = "HS Assumption 3 / Assumption 2: completeness of the proxy kernels"
 DISTINCTNESS_LABEL = "HS Assumption 4: distinct signal-kernel columns"
@@ -78,8 +78,9 @@ class HsFactors:
 
 def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
     """Permutation sorting latent states lexicographically by proxy column,
-    rounded to 12 digits so that round-off cannot order tied entries."""
-    return np.lexsort(np.round(z_given_w, 12)[::-1])
+    rounded to ``CANONICAL_DIGITS`` decimals so that round-off cannot order
+    tied entries."""
+    return np.lexsort(np.round(z_given_w, CANONICAL_DIGITS)[::-1])
 
 
 def _clip_stochastic(mat: np.ndarray, axis: int, what: str) -> tuple[np.ndarray, float]:

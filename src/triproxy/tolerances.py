@@ -22,5 +22,7 @@ ATOM_TOL = 1e-12              # stratum effects closer than this are one atom
 LABEL_TOL = 1e-9              # least separation of two latent-state labels
 POINT_IDENTIFIED_TOL = 1e-7   # widest bounds interval reported as a point
 ENUMERATION_GUARD = 10 ** 7   # most cells of any oracle joint, kernel or noise sum
+ROLE_ASSIGNMENT_GUARD = 8000  # most assignments of 3 proxy roles that classify tries
+CANONICAL_DIGITS = 12         # decimals of f(z | w) that fix the canonical latent order
 CI_TOL = 1e-10                # largest cell gap of an exact counterfactual independence
 GOLDEN_TOL = 1e-9             # largest gap of an end-to-end report to its golden

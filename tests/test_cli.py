@@ -169,7 +169,7 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 4
+        assert rep["report_format"] == 5
         registry = {name.lower(): value for name, value in vars(tolerances).items()
                     if name.isupper()}
         assert rep["tolerances"] == registry
@@ -517,6 +517,24 @@ def test_readme_quick_example_runs(capsys):
     truth = effects(figure_model("fig2a", K=2, seed=0))
     assert abs(float(ate) - truth["ate"]) < 1e-12
     assert abs(float(att) - truth["att"]) < 1e-12
+
+
+def test_classify_refuses_too_many_role_assignments_at_once(tmp_path):
+    """60 children of Y give 60 * 59 * 58 assignments of three proxy roles;
+    trying them all took about 46 s, so classify must refuse up front."""
+    nodes = ["Y", "X", "W"] + [f"P{i}" for i in range(60)]
+    edges = [["X", "Y"], ["W", "X"], ["W", "Y"]] + [["Y", n] for n in nodes[3:]]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    src = str(Path(triproxy.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "triproxy.cli", "classify", "--graph",
+                          str(graph)], capture_output=True, text=True, timeout=5,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    diag = json.loads(out.stderr)
+    assert diag["error"] == "ValidationError"
+    assert f"205320 assignments of 3 proxy roles, over the " \
+           f"{tolerances.ROLE_ASSIGNMENT_GUARD} guard" in diag["message"]
 
 
 def test_cli_import_loads_no_scipy():

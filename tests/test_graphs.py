@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triproxy.errors import CyclicGraph, MissingRole, UnknownNode
+from triproxy import graphs
+from triproxy.errors import CyclicGraph, EnumerationTooLarge, MissingRole, UnknownNode
 from triproxy.graphs import (FIGURES, PROPOSITION5_GIVEN_V,
                              PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES,
                              PROPOSITIONS, CiQuery, Dag, check_proposition,
@@ -204,3 +205,18 @@ def test_classify_requires_core_nodes():
     g = Dag(("A", "B"), (("A", "B"),))
     with pytest.raises(MissingRole):
         classify_designs(g)
+
+
+def outcome_fan(n: int) -> Dag:
+    """W -> X -> Y <- W with ``n`` children of Y: no design fits, so
+    classification tries every proxy-role assignment."""
+    proxies = tuple(f"P{i}" for i in range(n))
+    return Dag(("Y", "X", "W") + proxies,
+               (("X", "Y"), ("W", "X"), ("W", "Y")) + tuple(("Y", p) for p in proxies))
+
+
+def test_classify_guards_the_role_assignments(monkeypatch):
+    monkeypatch.setattr(graphs, "ROLE_ASSIGNMENT_GUARD", 24)
+    assert classify_designs(outcome_fan(4)) == frozenset()       # 4 * 3 * 2 = 24
+    with pytest.raises(EnumerationTooLarge, match="60 assignments.*over the 24 guard"):
+        classify_designs(outcome_fan(5))

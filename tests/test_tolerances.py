@@ -37,6 +37,31 @@ def _small_floats(path: Path):
                 yield name, node.value, node.lineno
 
 
+def _literal_digits(source: str):
+    """(line, value) of every integer literal passed as the digit count of a
+    ``round`` or ``np.round`` call in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "round"
+                or getattr(node.func, "attr", None) == "round")):
+            continue
+        digits = node.args[1:2] + [k.value for k in node.keywords
+                                   if k.arg in ("ndigits", "decimals")]
+        for arg in digits:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
+                yield node.lineno, arg.value
+
+
+def test_no_rounding_digits_outside_the_registry():
+    hits = [f"{path.name}:{line} {value!r}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "tolerances.py"
+            for line, value in _literal_digits(path.read_text(encoding="utf-8"))]
+    assert hits == []
+    # the scan does see such a literal, in every call form
+    probe = "round(x, 3)\nnp.round(a, 12)\nnp.round(a, decimals=9)\nround(x)\n"
+    assert sorted(_literal_digits(probe)) == [(1, 3), (2, 12), (3, 9)]
+
+
 def test_no_threshold_outside_the_registry():
     hits = [f"{path.name}:{line} {value!r}"
             for path in sorted(SRC.glob("*.py")) if path.name != "tolerances.py"
