@@ -17,7 +17,7 @@ conditions everything on an extra observed proxy ``V`` and averages the
 per-``v`` intervals with the treated (untreated) law of ``V``.
 
 Both variants run their design's identification stage (see
-:data:`~triproxy.pipelines.DESIGNS`) within each arm, and never align the
+:data:`~triproxy.graphs.DESIGNS`) within each arm, and never align the
 arms: :func:`~triproxy.spectral.hs_decompose` on (Z, signal, V) given
 X = x, then one deconvolution of the arm's second-stage law through that
 arm's own ``f(z | w)``.  A latent dimension the arm's joint does not
@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
-from .pipelines import DESIGNS, _deconvolve, _require_axes, _slice_joint
+from .graphs import DESIGNS
+from .pipelines import _deconvolve, _require_axes, _slice_joint
 from .prob import ProbTensor, marginalize
 from .spectral import HsOptions, hs_decompose
 from .tolerances import MASS_TOL, POINT_IDENTIFIED_TOL
@@ -69,10 +70,10 @@ def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
 def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
     """Per-arm identification stage of ``design``, then per-``v`` intervals
     from the extremes of the supported stratum means, averaged over V."""
-    _, signal, axes = DESIGNS[design]
-    _require_axes(joint, ("Z", signal, "V") + axes)
+    d = DESIGNS[design]
+    _require_axes(joint, d.axes)
     y_levels = _check_binary_numeric(joint)
-    cells = axes[2:]                                     # (X,) or (V, X)
+    cells = d.second_stage[2:]                           # (X,) or (V, X)
 
     f_vx = marginalize(joint, set(joint.names) - set(cells)).reorder(cells).values
     f_vx = f_vx.reshape(-1, 2)
@@ -86,9 +87,10 @@ def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
     mins = np.empty(f_vx.shape)
     maxs = np.empty(f_vx.shape)
     for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), {"X": x}),
+        fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), {"X": x}),
                            HsOptions(latent_dim=k, seed=seed))
-        ywv, _, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, axes[:-1], {"X": x}),
+        ywv, _, cond = _deconvolve(fac.z_given_w,
+                                   _slice_joint(joint, d.second_stage[:-1], {"X": x}),
                                    f"outcome/latent joint (X={x})")
         ywv = ywv.reshape(ywv.shape[:2] + (-1,))         # one V level without V
         stratum_means = []

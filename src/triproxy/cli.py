@@ -39,7 +39,7 @@ from .bounds import bounds_auxiliary_proxy, bounds_outcome_proxy
 from .errors import (EnumerationTooLarge, GoldenMismatch, IdentificationRefused,
                      MissingLevels, MissingRole, NonBinaryTreatment, TriproxyError,
                      UnknownNode, ValidationError)
-from .graphs import FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
+from .graphs import DESIGNS, FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
 from .pipelines import (EstimandReport, estimands, identify_auxiliary_proxy,
                         identify_cond_treatment_proxy, identify_outcome_proxy,
                         identify_treatment_proxy)
@@ -50,12 +50,11 @@ from .tolerances import GOLDEN_TOL
 
 REPORT_FORMAT = 5
 
-PIPELINES = {
-    "outcome": (identify_outcome_proxy, ("Y", "Z", "V", "X")),
-    "treatment": (identify_treatment_proxy, ("Y", "Z", "V", "X")),
-    "cond-treatment": (identify_cond_treatment_proxy, ("Y", "Z", "V", "X")),
-    "auxiliary": (identify_auxiliary_proxy, ("Y", "C", "Z", "V", "X")),
-}
+#: design -> (pipeline, the joint's axes in the order it reads them)
+PIPELINES = {name: (fn, DESIGNS[name].axes) for name, fn in (
+    ("outcome", identify_outcome_proxy), ("treatment", identify_treatment_proxy),
+    ("cond-treatment", identify_cond_treatment_proxy),
+    ("auxiliary", identify_auxiliary_proxy))}
 
 TOLERANCES = {name.lower(): value for name, value in vars(tolerances).items()
               if name.isupper()}
@@ -158,7 +157,7 @@ def _write_csv(path: str, rep: EstimandReport) -> None:
 def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
     """The axis order of ``design``, once ``joint`` has exactly its axes and
     proxies with at least ``k`` levels."""
-    order = PIPELINES[design][1]
+    order = DESIGNS[design].axes
     if sorted(order) != sorted(joint.names):
         raise ValidationError(f"the {design} design needs exactly the axes "
                               f"{sorted(order)}; the joint has {sorted(joint.names)}")

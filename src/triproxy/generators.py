@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDistribution, ZeroConditioningCell
-from .graphs import FIGURES, Dag
-from .pipelines import DESIGNS
+from .graphs import DESIGNS, FIGURES, Dag
 from .prob import VarSpace, marginalize
 from .scm import NodeSpec, Npsem, effects, observable_joint
 from .tolerances import MASS_TOL
@@ -277,7 +276,7 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     design, then the CATE gap from the cross-world oracle.
 
     The stratum axis and signal are those of the design's entry in
-    :data:`~triproxy.pipelines.DESIGNS` (a bounds design uses its point
+    :data:`~triproxy.graphs.DESIGNS` (a bounds design uses its point
     design's).  Within each stratum (each level of the stratum axis, or the
     whole joint) the Z|W kernel and the W-V matrix must have rank K, the
     signal's columns given W must differ, and the W marginal must keep
@@ -291,18 +290,18 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     thresholds, since a draw failing them is refused whatever its CATE gap;
     ``cate_gap`` is NaN then, and infinite when ``with_cate`` is false.
     """
-    axis, signal, second = DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
+    d = DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
     joint = observable_joint(m)
-    order = ((axis,) if axis else ()) + ("W", "Z", "V", signal)
+    order = ((d.stratum,) if d.stratum else ()) + ("W", "Z", "V", d.signal)
     t = marginalize(joint, set(joint.names) - set(order)).reorder(order).values
     t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
     w = t.sum(axis=(2, 3, 4))                            # (stratum, W)
     empty = np.argwhere(w <= 0)
     if empty.size:
         raise ZeroConditioningCell(f"W = {empty[0, 1]} has zero probability in "
-                                   f"stratum {empty[0, 0]} of {axis or 'the joint'}")
+                                   f"stratum {empty[0, 0]} of {d.stratum or 'the joint'}")
     strata = w.sum(axis=1)
-    mass = np.inf if axis is None else float(strata.min())
+    mass = np.inf if d.stratum is None else float(strata.min())
     sv = np.inf                    # of f(Z|W) and f(W, V); ratios ignore stratum mass
     for mats in (t.sum(axis=(3, 4)) / w[:, :, None], t.sum(axis=(2, 4))):
         vals = np.linalg.svd(mats, compute_uv=False)
@@ -315,7 +314,7 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
         upper = np.triu_indices(w.shape[1], 1)
         gap = float(pairs[:, upper[0], upper[1]].min())
     mass = min(mass, float((w / strata[:, None]).min()))
-    if "V" in second:
+    if "V" in d.second_stage:
         mass = min(mass, float((t.sum(axis=(1, 2, 4)) / strata[:, None]).min()))
 
     cate_gap = np.inf

@@ -324,6 +324,54 @@ PROPOSITION_FIGURES: dict[int, tuple[str, ...]] = {
 PROPOSITION5_UNCONDITIONAL = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b")
 PROPOSITION5_GIVEN_V = ("fig3c", "fig6a", "fig6b", "fig6c")
 
+_CORE_ROLES = ("Y", "X", "W")
+
+
+@dataclass(frozen=True)
+class Design:
+    """One design: the proposition that certifies it and, for a design the
+    pipelines run, its identification stage (a graph-only design has none)."""
+
+    name: str
+    proposition: int
+    labels: tuple[str, ...] | None = None  # conclusions needed; None: all observational
+    axes: tuple[str, ...] = ()      # the joint's axes, in the order the CLI reorders to
+    stratum: str | None = None      # factorized in its most probable level; None: whole joint
+    signal: str | None = None       # the third proxy: (Z, signal, V) is factorized
+    second_stage: tuple[str, ...] = ()  # deconvolved through the shared f(z | w)
+    distinctness: str | None = None     # the assumption the signal's columns must meet
+
+    def needed(self) -> tuple[Conclusion, ...]:
+        return tuple(c for c in PROPOSITIONS[self.proposition]
+                     if (c.label in self.labels if self.labels else c.kind == "observational"))
+
+    def proxy_roles(self) -> tuple[str, ...]:
+        """The names the needed conclusions use besides Y, X and W, as Z, V, C."""
+        names = {n for c in self.needed() for n in (*c.left, *c.right, *c.given, *c.intervene)}
+        return tuple(sorted(names - set(_CORE_ROLES), reverse=True))
+
+
+#: every design by name.  The double proxy needs conclusions ii. and iii.
+#: of the outcome-proxy proposition plus its counterfactual conclusion iv.;
+#: the rank-invariance designs are what ``bounds`` computes with the stage
+#: of the outcome or the auxiliary design.
+DESIGNS: dict[str, Design] = {d.name: d for d in (
+    Design("outcome", 1, None, ("Y", "Z", "V", "X"), "X", "Y", ("Y", "Z", "X"),
+           "HS Assumption 4 / Assumption 3: distinct outcome-kernel columns "
+           "in the reference treatment stratum"),
+    Design("treatment", 2, None, ("Y", "Z", "V", "X"), None, "X", ("Y", "Z", "X"),
+           "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns"),
+    Design("cond-treatment", 3, None, ("Y", "Z", "V", "X"), "Y", "X", ("Y", "Z", "X"),
+           "HS Assumption 4 / Assumption 6: distinct treatment-kernel "
+           "columns in the reference outcome stratum"),
+    Design("auxiliary", 4, None, ("Y", "C", "Z", "V", "X"), "X", "C", ("Y", "Z", "V", "X"),
+           "HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
+           "in the reference treatment stratum"),
+    Design("outcome-rank-invariance", 6),
+    Design("auxiliary-rank-invariance", 7),
+    Design("double-proxy", 1, ("ii", "iii", "iv")),
+)}
+
 
 @dataclass(frozen=True)
 class ConclusionReport:
@@ -385,20 +433,6 @@ def check_proposition(g: Dag, prop_id: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # design classification
 
-#: design -> (proxy roles it fills from non-core nodes, proposition, labels
-#: of the conclusions it needs; None for all observational ones).  The
-#: double proxy needs conclusions ii. and iii. of the outcome-proxy
-#: proposition plus its counterfactual conclusion iv.
-_DESIGNS: dict[str, tuple[tuple[str, ...], int, tuple[str, ...] | None]] = {
-    "outcome": (("Z", "V"), 1, None),
-    "treatment": (("Z", "V"), 2, None),
-    "cond-treatment": (("Z", "V"), 3, None),
-    "auxiliary": (("Z", "V", "C"), 4, None),
-    "outcome-rank-invariance": (("Z", "V"), 6, None),
-    "auxiliary-rank-invariance": (("Z", "V", "C"), 7, None),
-    "double-proxy": (("Z", "V"), 1, ("ii", "iii", "iv")),
-}
-
 
 def classify_designs(g: Dag) -> frozenset:
     """Designs whose graphical prerequisites hold under some proxy-role assignment.
@@ -408,22 +442,21 @@ def classify_designs(g: Dag) -> frozenset:
     graph with more than ``ROLE_ASSIGNMENT_GUARD`` assignments of three roles
     raises :class:`~triproxy.errors.EnumerationTooLarge` before any is tried.
     """
-    for r in ("Y", "X", "W"):
+    for r in _CORE_ROLES:
         if r not in g.nodes:
             raise MissingRole(f"graph lacks a node for core role {r!r}")
-    candidates = [n for n in g.nodes if n not in ("Y", "X", "W")]
+    candidates = [n for n in g.nodes if n not in _CORE_ROLES]
     count = math.perm(len(candidates), 3)
     if count > ROLE_ASSIGNMENT_GUARD:
         raise EnumerationTooLarge(
             f"{len(candidates)} candidate proxies give {count} assignments of 3 proxy "
             f"roles, over the {ROLE_ASSIGNMENT_GUARD} guard")
     found = set()
-    for design, (proxy_roles, prop, labels) in _DESIGNS.items():
-        needed = [c for c in PROPOSITIONS[prop]
-                  if (c.label in labels if labels else c.kind == "observational")]
+    for d in DESIGNS.values():
+        needed, proxy_roles = d.needed(), d.proxy_roles()
         for combo in itertools.permutations(candidates, len(proxy_roles)):
-            roles = {"Y": "Y", "X": "X", "W": "W", **dict(zip(proxy_roles, combo))}
+            roles = {r: r for r in _CORE_ROLES} | dict(zip(proxy_roles, combo))
             if all(_holds(g, c, roles) for c in needed):
-                found.add(design)
+                found.add(d.name)
                 break
     return frozenset(found)

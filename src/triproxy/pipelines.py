@@ -8,9 +8,9 @@ arm laws ``f(Y(x1) = y, W = w, X = x)`` and the latent/treatment joint
 ATE/ATT/ATU, quantile effects, and the distribution of the stratum effect
 β(W) — is a finite sum, computed by :func:`estimands`.
 
-The designs differ only in which variable is the third proxy (the outcome,
-the treatment, the treatment within outcome strata, or an auxiliary C), and
-they all run the same three steps:
+The designs of :data:`~triproxy.graphs.DESIGNS` differ only in which
+variable is the third proxy (the outcome, the treatment, the treatment
+within outcome strata, or an auxiliary C), and run the same three steps:
 
 1. *Factorize once.*  :func:`~triproxy.spectral.hs_decompose` splits the
    (Z, signal, V) law in the most probable level of the design's stratum
@@ -50,15 +50,11 @@ from .errors import (
     UnknownAxis,
     ZeroConditioningCell,
 )
+from .graphs import DESIGNS
 from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize
-from .spectral import (COMPLETENESS_LABEL, HsFactors, HsOptions, canonical_order,
-                       hs_decompose)
+from .spectral import COMPLETENESS_LABEL, HsOptions, canonical_order, hs_decompose
 from .tolerances import (ASSEMBLY_MASS_TOL, ATOM_TOL, COND_GUARD, MASS_TOL, PROJECTION_TOL,
                          QUANTILE_TOL)
-
-
-def _latent_space(k: int) -> VarSpace:
-    return VarSpace("W", k, tuple(float(i) for i in range(k)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class LatentOutcomeModel:
     y_space: VarSpace                   # the outcome Y
     wx_joint: ProbTensor                # f(w, x) over (W, X)
     z_given_w: MarkovKernel             # shared proxy kernel f(z | w)
-    design: str = "outcome"
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -100,25 +95,6 @@ class LatentOutcomeModel:
 
 # ---------------------------------------------------------------------------
 # shared stages
-
-
-#: design -> (stratum axis or None, signal, second-stage axes)
-DESIGNS = {
-    "outcome": ("X", "Y", ("Y", "Z", "X")),
-    "treatment": (None, "X", ("Y", "Z", "X")),
-    "cond-treatment": ("Y", "X", ("Y", "Z", "X")),
-    "auxiliary": ("X", "C", ("Y", "Z", "V", "X")),
-}
-
-DISTINCTNESS_BY_DESIGN = {
-    "outcome": ("HS Assumption 4 / Assumption 3: distinct outcome-kernel columns "
-                "in the reference treatment stratum"),
-    "treatment": "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns",
-    "cond-treatment": ("HS Assumption 4 / Assumption 6: distinct treatment-kernel "
-                       "columns in the reference outcome stratum"),
-    "auxiliary": ("HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
-                  "in the reference treatment stratum"),
-}
 
 
 def _require_axes(joint: ProbTensor, names: tuple[str, ...]) -> None:
@@ -184,13 +160,6 @@ def _slice_joint(joint: ProbTensor, axes: tuple[str, ...], fix: dict) -> np.ndar
     return values.transpose([kept.index(a) for a in axes])
 
 
-def _diag_entry(f: HsFactors) -> dict:
-    d = f.diagnostics
-    return {"singular_ratio": d.singular_ratio, "eigen_gap": d.eigen_gap,
-            "max_imag": d.max_imag, "lstsq_residual": d.lstsq_residual,
-            "clipped_mass": d.clipped_mass}
-
-
 def _require_positivity(cell_x: ProbTensor) -> None:
     """Refuse a latent cell whose treatment law f(x | cell) (the last axis)
     has mass in one arm but none in another: its outcome law in that arm is
@@ -209,43 +178,39 @@ def _require_positivity(cell_x: ProbTensor) -> None:
             "but not in every treatment arm (positivity)")
 
 
-def _latent_model(joint: ProbTensor, design: str, latent: np.ndarray,
-                  z_given_w: np.ndarray, diag: dict) -> LatentOutcomeModel:
-    """Validate the deconvolved latent joint and assemble the arm laws.
-    ``latent`` is f(y, w, x), or f(y, w, v, x) for the auxiliary design; a
-    design without V is one V level, and each arm integrates f(y | w, v, x1)
-    over f(v, w, x) within each latent state and factual treatment."""
+def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcomeModel:
+    """Factorize once, in the reference stratum; deconvolve once, through
+    the shared f(z | w), to f(y, w, x), or f(y, w, v, x) for the auxiliary
+    design; assemble: each arm integrates f(y | w, v, x1) over f(v, w, x)
+    within each latent state and factual treatment (a design without V is
+    one V level)."""
+    d = DESIGNS[design]
+    _require_axes(joint, d.axes)
+    fix = {}
+    if d.stratum is not None:
+        f_s = marginalize(joint, set(joint.names) - {d.stratum}).values
+        fix = {d.stratum: int(np.argmax(f_s))}
+    fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), fix),
+                       HsOptions(latent_dim=k, seed=seed, distinctness_label=d.distinctness))
+    latent, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, d.second_stage, {}),
+                                    "latent joint")
     y, x = joint.axis("Y"), joint.axis("X")
-    cell = (_latent_space(z_given_w.shape[1]),) + tuple(    # (W,) or (W, V)
-        joint.axis(n) for n in DESIGNS[design][2][2:-1])
+    cell = (VarSpace("W", k, tuple(map(float, range(k)))),) + tuple(   # (W,) or (W, V)
+        joint.axis(n) for n in d.second_stage[2:-1])
     cell_x = ProbTensor.build(cell + (x,), latent.sum(axis=0))
     _require_positivity(cell_x)
     y_given = MarkovKernel.build(y, cell + (x,), _normalize_slices(latent)).values
-    wvx = cell_x.values.reshape(cell[0].cardinality, -1, x.cardinality)
+    wvx = cell_x.values.reshape(k, -1, x.cardinality)
     laws = np.einsum("ywvt,wvx->tywx", y_given.reshape((y.cardinality,) + wvx.shape), wvx)
+    h = fac.diagnostics
     return LatentOutcomeModel(
         arm_laws=laws, y_space=y, wx_joint=ProbTensor((cell[0], x), wvx.sum(axis=1)),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), cell[:1], z_given_w),
-        design=design, diagnostics=diag)
-
-
-def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcomeModel:
-    """Factorize once, in the reference stratum; deconvolve once, through
-    the shared f(z | w); assemble."""
-    strata, signal, axes = DESIGNS[design]
-    _require_axes(joint, ("Z", signal, "V") + axes)
-    fix = {}
-    if strata is not None:
-        f_s = marginalize(joint, set(joint.names) - {strata}).values
-        fix = {strata: int(np.argmax(f_s))}
-    fac = hs_decompose(_slice_joint(joint, ("Z", signal, "V"), fix),
-                       HsOptions(latent_dim=k, seed=seed,
-                                 distinctness_label=DISTINCTNESS_BY_DESIGN[design]))
-    latent, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, axes, {}),
-                                    "latent joint")
-    diag = {"design": design, "reference_stratum": fix, "hs": _diag_entry(fac),
-            "projection_distance": neg, "solve_condition": cond}
-    return _latent_model(joint, design, latent, fac.z_given_w, diag)
+        z_given_w=MarkovKernel.build(joint.axis("Z"), cell[:1], fac.z_given_w),
+        diagnostics={"design": design, "reference_stratum": fix,
+                     "hs": {"singular_ratio": h.singular_ratio, "eigen_gap": h.eigen_gap,
+                            "max_imag": h.max_imag, "lstsq_residual": h.lstsq_residual,
+                            "clipped_mass": h.clipped_mass},
+                     "projection_distance": neg, "solve_condition": cond})
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from triproxy.errors import (EigenGapExhausted, RankDeficient,
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  figure_model, rank_invariant_bounds_model,
                                  unbiased_proxy_model)
-from triproxy.graphs import (FIGURES, PROPOSITION5_GIVEN_V,
+from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITION5_GIVEN_V,
                              PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES,
                              check_proposition, classify_designs)
-from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, estimands,
-                                identify_auxiliary_proxy,
+from triproxy.pipelines import (estimands, identify_auxiliary_proxy,
                                 identify_cond_treatment_proxy,
                                 identify_outcome_proxy,
                                 identify_treatment_proxy)
@@ -337,7 +336,7 @@ def test_criterion_7_failure_modes():
                      latent=("W",), kernels={"X": x_given_w})
     with pytest.raises(EigenGapExhausted) as ei:
         identify_treatment_proxy(observed_joint(m), 2)
-    assert DISTINCTNESS_BY_DESIGN["treatment"] in str(ei.value)
+    assert DESIGNS["treatment"].distinctness in str(ei.value)
 
     # zero-probability stratum
     rng = np.random.default_rng(73)

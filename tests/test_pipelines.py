@@ -14,9 +14,8 @@ from triproxy.errors import (EigenGapExhausted, MissingLevels,
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
                                  separated_kernel, standard_spaces)
-from triproxy.graphs import FIGURES
-from triproxy.pipelines import (DISTINCTNESS_BY_DESIGN, LatentOutcomeModel,
-                                estimands, identify_auxiliary_proxy,
+from triproxy.graphs import DESIGNS, FIGURES
+from triproxy.pipelines import (LatentOutcomeModel, estimands, identify_auxiliary_proxy,
                                 identify_cond_treatment_proxy,
                                 identify_outcome_proxy,
                                 identify_treatment_proxy, potential_joint,
@@ -270,7 +269,7 @@ class TestFailureModes:
                          kernels={"X": x_given_w})
         with pytest.raises(EigenGapExhausted) as ei:
             identify_treatment_proxy(observed_joint(m), K)
-        assert DISTINCTNESS_BY_DESIGN["treatment"] in str(ei.value)
+        assert DESIGNS["treatment"].distinctness in str(ei.value)
 
     @pytest.mark.parametrize("collapsed", ["other", "reference"])
     @pytest.mark.parametrize("seed", range(20))
@@ -299,7 +298,7 @@ class TestFailureModes:
         if collapsed == "reference":
             with pytest.raises(EigenGapExhausted) as ei:
                 identify(observed_joint(m), K)
-            assert DISTINCTNESS_BY_DESIGN[FIGURE_DESIGNS[figure]] in str(ei.value)
+            assert DESIGNS[FIGURE_DESIGNS[figure]].distinctness in str(ei.value)
             return
         rep = estimands(identify(observed_joint(m), K))
         truth = effects(m)
