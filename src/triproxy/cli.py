@@ -16,9 +16,10 @@ Exit codes: 0 success, 2 validation problem (bad files, bad flags,
 unsatisfied preconditions), 3 identification failure.  Identification
 failures print a machine-readable JSON diagnostic to stderr naming the
 violated assumption.  Reports embed the tool version, a hash of the
-resolved configuration, and every numerical tolerance used (each constant
-of :mod:`triproxy.tolerances`, under its lower-cased name), and are
-serialized canonically so equal runs produce byte-identical files.
+resolved configuration, the sha256 of each input file by its flag, and
+every numerical tolerance used (each constant of :mod:`triproxy.tolerances`,
+under its lower-cased name), and are serialized canonically so equal runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
 from .tolerances import GOLDEN_TOL
 
-REPORT_FORMAT = 5
+REPORT_FORMAT = 6
 
 #: design -> (pipeline, the joint's axes in the order it reads them)
 PIPELINES = {name: (fn, DESIGNS[name].axes) for name, fn in (
@@ -75,11 +76,11 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(_canonical_json(cfg).encode()).hexdigest()[:16]
 
 
-def _report(args, verb: str, result: dict) -> dict:
+def _report(args, verb: str, result: dict, inputs: dict) -> dict:
     return {"tool": "triproxy", "version": __version__,
             "report_format": REPORT_FORMAT, "verb": verb,
-            "config_hash": _config_hash(args), "tolerances": TOLERANCES,
-            "result": result}
+            "config_hash": _config_hash(args), "inputs": inputs,
+            "tolerances": TOLERANCES, "result": result}
 
 
 @contextmanager
@@ -105,24 +106,28 @@ def _write(path: str | None, report: dict) -> None:
     _write_text(path, _canonical_json(report) + "\n")
 
 
-def _load_json(path: str) -> dict:
-    with _invalid(f"cannot read {path}: ", (OSError, ValueError, RecursionError)), \
-            open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str, flag: str) -> tuple[dict, dict]:
+    """The parsed file, read once, and ``{flag: sha256 of its bytes}``.  The
+    bytes are decoded as a UTF-8 text file is, newlines included."""
+    with _invalid(f"cannot read {path}: ", (OSError, ValueError, RecursionError)):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return (json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")),
+                {flag: hashlib.sha256(data).hexdigest()})
 
 
-def _load_model(path: str) -> Npsem:
-    d = _load_json(path)
+def _load_model(path: str) -> tuple[Npsem, dict]:
+    d, inputs = _load_json(path, "--model")
     with _invalid(f"bad model file {path}: "):
-        return Npsem.from_dict(d)
+        return Npsem.from_dict(d), inputs
 
 
-def _load_tensor(path: str) -> ProbTensor:
-    d = _load_json(path)
+def _load_tensor(path: str) -> tuple[ProbTensor, dict]:
+    d, inputs = _load_json(path, "--joint")
     if isinstance(d, dict) and d.get("verb") == "simulate":   # a simulate report
         d = d.get("result")
     with _invalid(f"bad tensor file {path}: "):
-        return ProbTensor.from_dict(d)
+        return ProbTensor.from_dict(d), inputs
 
 
 def _estimand_result(rep: EstimandReport) -> dict:
@@ -189,10 +194,10 @@ def _taus(text: str) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    m = _load_model(args.model)
+    m, inputs = _load_model(args.model)
     with _invalid("", EnumerationTooLarge):
         joint = observed_joint(m)
-    _write(args.out, _report(args, "simulate", joint.to_dict()))
+    _write(args.out, _report(args, "simulate", joint.to_dict(), inputs))
     return 0
 
 
@@ -202,20 +207,20 @@ ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cat
 
 
 def _cmd_oracle(args) -> int:
-    m = _load_model(args.model)
+    m, inputs = _load_model(args.model)
     with _invalid("", (MissingRole, UnknownNode, EnumerationTooLarge)):
         eff = effects(m, treatment=args.treatment, outcome=args.outcome)
     result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
-    _write(args.out, _report(args, "oracle", result))
+    _write(args.out, _report(args, "oracle", result, inputs))
     return 0
 
 
 def _cmd_identify(args) -> int:
-    joint = _load_tensor(args.joint)
+    joint, inputs = _load_tensor(args.joint)
     rep, model = _identify(joint, args.design, args.latent_dim, args.seed)
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
-    _write(args.report, _report(args, "identify", result))
+    _write(args.report, _report(args, "identify", result, inputs))
     if args.csv:
         _write_csv(args.csv, rep)
     return 0
@@ -223,7 +228,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_relabel(args) -> int:
     taus = _taus(args.tau)
-    joint = _load_tensor(args.joint)
+    joint, inputs = _load_tensor(args.joint)
     _, model = _identify(joint, args.design, args.latent_dim, args.seed)
     functional, mode = args.rule.rsplit("-", 1)
     rule = RelabelRule(functional=functional, mode=mode)
@@ -237,12 +242,12 @@ def _cmd_relabel(args) -> int:
         lab = relabel_monotone(model, rule, taus)
         result = {"mode": mode, "alpha": lab.alpha.tolist(),
                   "beta_by_tau": {repr(t): lab.beta_at_quantile(t) for t in taus}}
-    _write(args.report, _report(args, "relabel", result))
+    _write(args.report, _report(args, "relabel", result, inputs))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    joint = _load_tensor(args.joint)
+    joint, inputs = _load_tensor(args.joint)
     _check_joint(joint, args.design, args.latent_dim)
     fn = bounds_outcome_proxy if args.design == "outcome" else bounds_auxiliary_proxy
     rep = fn(joint, args.latent_dim, seed=args.seed)
@@ -254,24 +259,24 @@ def _cmd_bounds(args) -> int:
     if rep.per_v_lower is not None:
         result["per_v_lower"] = rep.per_v_lower.tolist()
         result["per_v_upper"] = rep.per_v_upper.tolist()
-    _write(args.report, _report(args, "bounds", result))
+    _write(args.report, _report(args, "bounds", result, inputs))
     return 0
 
 
-def _load_graph(args) -> Dag:
+def _load_graph(args) -> tuple[Dag, dict]:
     if args.figure:
         if args.figure not in FIGURES:
             raise ValidationError(f"no builtin figure {args.figure!r}")
-        return FIGURES[args.figure]
+        return FIGURES[args.figure], {}
     if not args.graph:
         raise ValidationError("provide --graph FILE or --figure NAME")
-    d = _load_json(args.graph)
+    d, inputs = _load_json(args.graph, "--graph")
     with _invalid("bad graph file: "):
-        return Dag.from_dict(d)
+        return Dag.from_dict(d), inputs
 
 
 def _cmd_dag_check(args) -> int:
-    g = _load_graph(args)
+    g, inputs = _load_graph(args)
     if args.proposition not in PROPOSITIONS:
         raise ValidationError(f"no proposition {args.proposition}; have "
                               f"{sorted(PROPOSITIONS)}")
@@ -283,15 +288,15 @@ def _cmd_dag_check(args) -> int:
                   {"label": c.label, "kind": c.kind, "statement": c.statement,
                    "certified": c.certified, "graphical_hint": c.graphical_hint}
                   for c in rep.conclusions]}
-    _write(args.report, _report(args, "dag-check", result))
+    _write(args.report, _report(args, "dag-check", result, inputs))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    g = _load_graph(args)
+    g, inputs = _load_graph(args)
     with _invalid("", (MissingRole, EnumerationTooLarge)):
         designs = sorted(classify_designs(g))
-    _write(args.report, _report(args, "classify", {"designs": designs}))
+    _write(args.report, _report(args, "classify", {"designs": designs}, inputs))
     return 0
 
 
@@ -363,7 +368,7 @@ def _cmd_end_to_end(args) -> int:
     diffs = compare_golden(result, payload["golden"])
     if diffs:
         raise GoldenMismatch("golden mismatch: " + "; ".join(diffs[:20]))
-    _write(args.report, _report(args, "end-to-end", result))
+    _write(args.report, _report(args, "end-to-end", result, {}))
     return 0
 
 

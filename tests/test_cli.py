@@ -2,6 +2,7 @@
 byte-determinism of reports, and the golden end-to-end fixtures."""
 
 import csv
+import hashlib
 import json
 import os
 import shlex
@@ -19,6 +20,7 @@ from triproxy.cli import main
 from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  rank_invariant_bounds_model,
                                  unbiased_proxy_model)
+from triproxy.graphs import FIGURES
 from triproxy.prob import ProbTensor, VarSpace
 from triproxy.scm import NodeSpec, Npsem, effects, observed_joint
 
@@ -169,7 +171,7 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 5
+        assert rep["report_format"] == 6
         registry = {name.lower(): value for name, value in vars(tolerances).items()
                     if name.isupper()}
         assert rep["tolerances"] == registry
@@ -189,6 +191,49 @@ class TestIdentify:
         # the report path itself must not shape the report content
         assert json.loads(r1.read_text())["config_hash"] == \
             json.loads(r2.read_text())["config_hash"]
+
+    def test_inputs_hash_the_file_bytes_not_its_path(self, capsys, fig2a_files):
+        """The same --joint path rewritten with other bytes between two runs:
+        the input hashes differ, the configuration hash does not."""
+        _, _, joint = fig2a_files
+        reports = []
+        for seed in (11, 12):
+            m = figure_model("fig2a", 2, seed=seed)
+            Path(joint).write_text(json.dumps(observed_joint(m).to_dict()))
+            code, out, _ = run(capsys, "identify", "--design", "outcome",
+                               "--latent-dim", "2", "--joint", joint)
+            assert code == 0
+            reports.append(json.loads(out))
+        first, second = reports
+        assert first["config_hash"] == second["config_hash"]
+        assert first["inputs"] != second["inputs"]
+        assert second["inputs"] == {
+            "--joint": hashlib.sha256(Path(joint).read_bytes()).hexdigest()}
+
+    def test_every_report_names_the_files_it_read(self, tmp_path, capsys, fig2a_files):
+        _, model, joint = fig2a_files
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(FIGURES["fig2a"].to_dict()))
+
+        def sha(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        identify = ("--design", "outcome", "--latent-dim", "2", "--joint", joint)
+        cases = [
+            (("simulate", "--model", model), {"--model": sha(model)}),
+            (("oracle", "--model", model), {"--model": sha(model)}),
+            (("identify",) + identify, {"--joint": sha(joint)}),
+            (("relabel",) + identify + ("--rule", "mean-unbiased"), {"--joint": sha(joint)}),
+            (("dag-check", "--graph", str(graph), "--proposition", "1"),
+             {"--graph": sha(graph)}),
+            (("classify", "--graph", str(graph)), {"--graph": sha(graph)}),
+            (("classify", "--figure", "fig2a"), {}),
+            (("end-to-end", "--fixture", "fig1a-early-late-tests"), {}),
+        ]
+        for argv, inputs in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert json.loads(out)["inputs"] == inputs, argv
 
     def test_csv_is_rfc4180(self, tmp_path, capsys, fig2a_files):
         _, _, joint = fig2a_files
@@ -247,7 +292,6 @@ class TestGraphVerbs:
         assert _result(out)["designs"] == ["double-proxy"]
 
     def test_classify_graph_file(self, tmp_path, capsys):
-        from triproxy.graphs import FIGURES
         path = tmp_path / "g.json"
         path.write_text(json.dumps(FIGURES["fig1a"].to_dict()))
         code, out, _ = run(capsys, "classify", "--graph", str(path))
@@ -355,7 +399,6 @@ class TestExitCodesAndDiagnostics:
             "edges-strings"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
-        from triproxy.graphs import FIGURES
         m, _, _ = fig2a_files
         d = (observed_joint(m) if verb == "identify" else FIGURES["fig2a"]).to_dict()
         text = edit(d) or json.dumps(d)

@@ -5,7 +5,11 @@ independent oracle: separation in the moralized ancestral graph (the
 classical equivalent criterion), implemented from scratch here.
 """
 
+import argparse
+import ast
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import strategies as st
 
 from triproxy import graphs
 from triproxy.errors import CyclicGraph, EnumerationTooLarge, MissingRole, UnknownNode
-from triproxy.graphs import (FIGURES, PROPOSITION5_GIVEN_V,
+from triproxy.cli import build_parser
+from triproxy.generators import FIGURE_DESIGNS
+from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITION5_GIVEN_V,
                              PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES,
                              PROPOSITIONS, CiQuery, Dag, check_proposition,
                              classify_designs, counterfactual_d_separated,
@@ -172,6 +178,65 @@ def test_fig1c_fails_double_but_not_triple():
     designs = classify_designs(FIGURES["fig1c"])
     assert "double-proxy" not in designs
     assert "cond-treatment" in designs
+
+
+def test_design_registry_is_the_one_list_of_designs():
+    """Every design the CLI, the generators and the classifier name is a
+    record of ``DESIGNS``, each staged record reads the axes of its stage,
+    and the proxy roles come out of the conclusions each design needs."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for verb in ("identify", "relabel", "bounds"):
+        design = next(a for a in sub.choices[verb]._actions if a.dest == "design")
+        assert set(design.choices) <= set(DESIGNS), verb
+    assert {d.removeprefix("bounds-") for d in FIGURE_DESIGNS.values()} <= set(DESIGNS)
+    assert set().union(*map(classify_designs, FIGURES.values())) == set(DESIGNS)
+    for name, d in DESIGNS.items():
+        assert d.name == name
+        if d.axes:
+            assert set(d.axes) == {"Z", d.signal, "V"} | set(d.second_stage), name
+    assert {name: d.proxy_roles() for name, d in DESIGNS.items()} == {
+        "outcome": ("Z", "V"), "treatment": ("Z", "V"), "cond-treatment": ("Z", "V"),
+        "auxiliary": ("Z", "V", "C"), "outcome-rank-invariance": ("Z", "V"),
+        "auxiliary-rank-invariance": ("Z", "V", "C"), "double-proxy": ("Z", "V")}
+
+
+#: the modules of the design registry, which a verb can import without numpy
+NUMPY_FREE = ("graphs.py", "errors.py", "tolerances.py")
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """The modules ``source`` imports that are neither in the standard
+    library nor among ``NUMPY_FREE`` (a relative import is written '.name')."""
+    own = {name.removesuffix(".py") for name in NUMPY_FREE}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(0, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.level, node.module or a.name) for a in node.names]
+        else:
+            continue
+        for level, name in names:
+            parts = ["triproxy"] * bool(level) + name.split(".")
+            if parts[0] == "triproxy":
+                if len(parts) > 1 and parts[1] in own:
+                    continue
+            elif parts[0] in sys.stdlib_module_names:
+                continue
+            out.append("." * level + name)
+    return out
+
+
+def test_design_registry_imports_no_numpy():
+    src = Path(graphs.__file__).parent
+    assert {name: _foreign_imports((src / name).read_text(encoding="utf-8"))
+            for name in NUMPY_FREE} == {name: [] for name in NUMPY_FREE}
+    # the scan does see a foreign import, in every form
+    probe = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+             "from .errors import X\nfrom .prob import Y\nfrom . import pipelines\n"
+             "from triproxy.tolerances import Z\nimport triproxy.scm\n")
+    assert _foreign_imports(probe) == ["numpy", ".prob", ".pipelines", "triproxy.scm"]
 
 
 @pytest.mark.parametrize("prop,figure", [
