@@ -16,11 +16,12 @@ Every figure variable has a cardinality fixed by the latent dimension K
 loop: a draw failing the rank / distinguishability / stratum-mass
 diagnostics of the intended design is discarded and redrawn from the next
 attempt's seed, at most ``MAX_TRIES`` times, so every fixture this module
-hands out is numerically well-posed for its pipeline.  The diagnostics
-screen every stratum of a draw in one batched pass over the observable
-joint, and the redraws on one graph share its topological order and the
-exact oracle's elimination plan.  Kernels take their random draws in the
-order of a column-by-column loop, so a seed always gives the same model.
+hands out is numerically well-posed for its pipeline.  A draw is its
+kernels, one per node; the diagnostics screen every stratum of it in one
+batched pass over the product of those kernels, its factual joint, and
+only the draw that passes is encoded into a model, for the oracle's CATE
+gap and to be handed out.  Kernels take their random draws in the order
+of a column-by-column loop, so a seed always gives the same model.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidDistribution, ZeroConditioningCell
 from .graphs import DESIGNS, FIGURES, Dag
-from .prob import VarSpace, marginalize
-from .scm import NodeSpec, Npsem, effects, observable_joint
+from .prob import ProbTensor, VarSpace, marginalize
+from .scm import NodeSpec, Npsem, _check_cells, effects, observable_joint
 from .tolerances import MASS_TOL
 
 MAX_TRIES = 100
@@ -187,19 +188,85 @@ def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
     """Continuous outcome kernel whose conditional means are stratified
     across the separated parent, so latent-state effects never tie.  Per
     block of the separated parent the draws are one permutation, then per
-    column one uniform and one Dirichlet draw."""
+    column one uniform and one flat Dirichlet draw.  Both are taken as
+    ``Generator.uniform`` and ``Generator.dirichlet`` take them: a scaled
+    ``random()``, and standard exponentials times the reciprocal of their
+    sequential sum."""
     k_sep = parent_cards[sep_axis]
     others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
     lo, hi = levels.min() + 0.25, levels.max() - 0.25
-    offsets, spread, qs = [], [], []
+    offsets, spread, exps = [], [], []
     for _ in range(math.prod(others)):
         offsets.append(rng.permutation(k_sep))
         for _ in range(k_sep):
-            spread.append(rng.uniform(0.15, 0.85))
-            qs.append(rng.dirichlet(np.ones(levels.size)))
+            spread.append(0.15 + (0.85 - 0.15) * rng.random())
+            exps.append(rng.standard_exponential(levels.size))
+    exps = np.array(exps)
+    qs = exps * (1.0 / exps.cumsum(axis=1)[:, -1:])
     means = lo + (np.concatenate(offsets) + spread) * (hi - lo) / k_sep
-    cols = _pmfs_with_means(levels, means, np.array(qs))
+    cols = _pmfs_with_means(levels, means, qs)
     return np.moveaxis(cols.reshape((levels.size,) + others + (k_sep,)), -1, sep_axis + 1)
+
+
+#: a drawn model before encoding: per node in topological order, its space,
+#: its parents and its kernel ``f(node | parents)`` of shape ``(card, *parent_cards)``
+Kernels = tuple[tuple[VarSpace, tuple[str, ...], np.ndarray], ...]
+
+
+def _designed_kernels(dag: Dag, spaces: dict[str, VarSpace], seed: int,
+                      kernels: dict[str, np.ndarray] | None = None) -> Kernels:
+    """The kernels :func:`designed_npsem` encodes, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    kernels = kernels or {}
+    out = []
+    for name in dag.topological_order():
+        space = spaces[name]
+        parents = dag.parents(name)
+        parent_cards = tuple(spaces[p].cardinality for p in parents)
+        if name in kernels:
+            kern = np.asarray(kernels[name], dtype=float)
+            if kern.shape != (space.cardinality,) + parent_cards:
+                raise InvalidDistribution(f"kernel for {name} has shape {kern.shape}")
+        elif not parents:
+            kern = rng.dirichlet(np.full(space.cardinality, 4.0))
+        else:
+            sep_axis = parents.index("W") if "W" in parents else 0
+            if name == "Y" and set(parents) == {"X", "W"}:
+                kern = _mean_spread_kernel(rng, np.asarray(space.levels),
+                                           parent_cards, sep_axis)
+            elif name == "Y":
+                kern = separated_kernel(rng, space.cardinality, parent_cards,
+                                        sep_axis, grains=12)
+            else:
+                grains = 8 if space.cardinality >= 4 else max(6, parent_cards[sep_axis] + 2)
+                kern = separated_kernel(rng, space.cardinality, parent_cards,
+                                        sep_axis, grains)
+        out.append((space, parents, kern))
+    return tuple(out)
+
+
+def _encode(nodes: Kernels, latent) -> Npsem:
+    """The model with the drawn kernels: a root's pmf is its noise, every
+    other node goes through the exact :func:`encode_kernel`."""
+    return Npsem(tuple(
+        node_from_kernel(space, parents, kern) if parents else
+        NodeSpec(space, (), np.arange(space.cardinality, dtype=np.int64), kern)
+        for space, parents, kern in nodes), tuple(latent))
+
+
+def _kernel_joint(nodes: Kernels) -> ProbTensor:
+    """Factual joint of every node, the product of the drawn kernels in
+    topological order: :func:`~triproxy.scm.observable_joint` of the
+    encoded model up to round-off, under the same cell guard and the same
+    validation of the result."""
+    joint_spaces = tuple(space for space, _, _ in nodes)
+    _check_cells(math.prod(s.cardinality for s in joint_spaces), "the factual joint")
+    axis = {s.name: i for i, s in enumerate(joint_spaces)}
+    operands = []
+    for space, parents, kern in nodes:
+        operands += [kern, [axis[space.name]] + [axis[p] for p in parents]]
+    return ProbTensor.build(joint_spaces,
+                            np.einsum(*operands, list(range(len(joint_spaces)))))
 
 
 def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
@@ -209,39 +276,10 @@ def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
 
     Every non-root node separates strongly across its latent-side parent,
     keeping proxy kernels complete and signal columns distinct with high
-    probability; nodes listed in ``kernels`` are encoded exactly instead.
+    probability; nodes listed in ``kernels`` take that kernel instead.
+    Every kernel is encoded exactly.
     """
-    rng = np.random.default_rng(seed)
-    kernels = kernels or {}
-    specs = []
-    for name in dag.topological_order():
-        space = spaces[name]
-        parents = dag.parents(name)
-        parent_cards = tuple(spaces[p].cardinality for p in parents)
-        if name in kernels:
-            kern = np.asarray(kernels[name], dtype=float)
-            if kern.shape != (space.cardinality,) + parent_cards:
-                raise InvalidDistribution(f"kernel for {name} has shape {kern.shape}")
-            specs.append(node_from_kernel(space, parents, kern))
-            continue
-        if not parents:
-            pmf = rng.dirichlet(np.full(space.cardinality, 4.0))
-            specs.append(NodeSpec(space, (), np.arange(space.cardinality,
-                                                       dtype=np.int64), pmf))
-            continue
-        sep_axis = parents.index("W") if "W" in parents else 0
-        if name == "Y" and set(parents) == {"X", "W"}:
-            kern = _mean_spread_kernel(rng, np.asarray(space.levels),
-                                       parent_cards, sep_axis)
-        elif name == "Y":
-            kern = separated_kernel(rng, space.cardinality, parent_cards,
-                                    sep_axis, grains=12)
-        else:
-            grains = 8 if space.cardinality >= 4 else max(6, parent_cards[sep_axis] + 2)
-            kern = separated_kernel(rng, space.cardinality, parent_cards,
-                                    sep_axis, grains)
-        specs.append(node_from_kernel(space, parents, kern))
-    return Npsem(tuple(specs), tuple(latent))
+    return _encode(_designed_kernels(dag, spaces, seed, kernels), latent)
 
 
 FIGURE_DESIGNS: dict[str, str] = {
@@ -270,10 +308,9 @@ class FixtureDiagnostics:
                 and self.stratum_mass >= 0.04 and self.cate_gap >= 1e-3)
 
 
-def figure_diagnostics(m: Npsem, figure: str, K: int,
-                       with_cate: bool = True) -> FixtureDiagnostics:
+def _screens(joint: ProbTensor, figure: str, K: int) -> FixtureDiagnostics:
     """Rank, column-gap and mass screens of a figure model's intended
-    design, then the CATE gap from the cross-world oracle.
+    design on its factual ``joint``; ``cate_gap`` is infinite.
 
     The stratum axis and signal are those of the design's entry in
     :data:`~triproxy.graphs.DESIGNS` (a bounds design uses its point
@@ -281,17 +318,13 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     whole joint) the Z|W kernel and the W-V matrix must have rank K, the
     signal's columns given W must differ, and the W marginal must keep
     mass, as must V's when V is a second-stage axis; so must the stratum
-    axis itself.  The observable joint is summed once down to (stratum, W,
-    Z, V, signal), so each family of per-stratum matrices is one stacked
-    array, screened by one batched SVD or one pairwise column comparison.
-    A stratum, or a W cell within one, without mass raises
-    :class:`~triproxy.errors.ZeroConditioningCell`.  The oracle runs only
-    when these screens pass at :meth:`FixtureDiagnostics.passes`'s
-    thresholds, since a draw failing them is refused whatever its CATE gap;
-    ``cate_gap`` is NaN then, and infinite when ``with_cate`` is false.
+    axis itself.  The joint is summed once down to (stratum, W, Z, V,
+    signal), so each family of per-stratum matrices is one stacked array,
+    screened by one batched SVD or one pairwise column comparison.  A
+    stratum, or a W cell within one, without mass raises
+    :class:`~triproxy.errors.ZeroConditioningCell`.
     """
     d = DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
-    joint = observable_joint(m)
     order = ((d.stratum,) if d.stratum else ()) + ("W", "Z", "V", d.signal)
     t = marginalize(joint, set(joint.names) - set(order)).reorder(order).values
     t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
@@ -316,24 +349,47 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     mass = min(mass, float((w / strata[:, None]).min()))
     if "V" in d.second_stage:
         mass = min(mass, float((t.sum(axis=(1, 2, 4)) / strata[:, None]).min()))
+    return FixtureDiagnostics(sv, gap, mass, np.inf)
 
-    cate_gap = np.inf
-    if with_cate:
-        cate_gap = np.nan
-        if FixtureDiagnostics(sv, gap, mass, np.inf).passes():
-            cate = effects(m)["cate"]
-            cate_gap = float(min((abs(a - b) for i, a in enumerate(cate)
-                                  for b in cate[i + 1:]), default=np.inf))
-    return FixtureDiagnostics(sv, gap, mass, cate_gap)
+
+def _with_cate_gap(screens: FixtureDiagnostics, m: Npsem) -> FixtureDiagnostics:
+    """``screens`` with the least gap between two latent states' CATEs from
+    the cross-world oracle, or a NaN gap when the screens fail, since such a
+    draw is refused whatever its CATE gap."""
+    if not screens.passes():
+        return replace(screens, cate_gap=np.nan)
+    cate = effects(m)["cate"]
+    return replace(screens, cate_gap=float(min(
+        (abs(a - b) for i, a in enumerate(cate) for b in cate[i + 1:]), default=np.inf)))
+
+
+def figure_diagnostics(m: Npsem, figure: str, K: int,
+                       with_cate: bool = True) -> FixtureDiagnostics:
+    """The screens of :func:`_screens` on ``m``'s observable joint, then the
+    CATE gap from the cross-world oracle.  The oracle runs only when the
+    screens pass at :meth:`FixtureDiagnostics.passes`'s thresholds;
+    ``cate_gap`` is NaN otherwise, and infinite when ``with_cate`` is false.
+    """
+    screens = _screens(observable_joint(m), figure, K)
+    return _with_cate_gap(screens, m) if with_cate else screens
 
 
 def _screened_draw(draw, figure: str, K: int, what: str,
                    with_cate: bool = True) -> Npsem:
-    """The first of ``draw(0)``, ``draw(1)``, ... up to ``MAX_TRIES`` draws
-    whose diagnostics pass."""
+    """The model of the first of ``draw(0)``, ``draw(1)``, ... up to
+    ``MAX_TRIES`` drawn kernels whose diagnostics pass.
+
+    A draw is screened on the product of its kernels, and only a draw that
+    passes the screens is encoded, for the oracle's CATE gap and to be
+    handed out.
+    """
     for attempt in range(MAX_TRIES):
-        m = draw(attempt)
-        if figure_diagnostics(m, figure, K, with_cate=with_cate).passes():
+        nodes = draw(attempt)
+        screens = _screens(_kernel_joint(nodes), figure, K)
+        if not screens.passes():
+            continue
+        m = _encode(nodes, ("W",))
+        if not with_cate or _with_cate_gap(screens, m).passes():
             return m
     raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
 
@@ -346,8 +402,7 @@ def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True) -> 
     dag = FIGURES[figure]
     spaces = standard_spaces(K)
     return _screened_draw(
-        lambda attempt: designed_npsem(dag, spaces, seed=_derive(figure, K, seed, attempt),
-                                       latent=("W",)),
+        lambda attempt: _designed_kernels(dag, spaces, seed=_derive(figure, K, seed, attempt)),
         figure, K, f"draw for {figure} K={K} seed={seed}", with_cate=with_cate_gap)
 
 
@@ -397,13 +452,12 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
     if targets.min() <= z_levels.min() or targets.max() >= z_levels.max():
         raise InvalidDistribution("target means must lie inside the Z level range")
 
-    def draw(attempt: int) -> Npsem:
+    def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ub"))
         z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(
             np.ones(z_levels.size), size=targets.size))
-        return designed_npsem(dag, spaces,
-                              seed=_derive(figure, K, seed, attempt, "rest"),
-                              latent=("W",), kernels={"Z": z_kernel})
+        return _designed_kernels(dag, spaces, seed=_derive(figure, K, seed, attempt, "rest"),
+                                 kernels={"Z": z_kernel})
 
     return _screened_draw(draw, figure, K, "unbiased-proxy draw")
 
@@ -423,7 +477,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     y_levels = spaces["Y"].level_values()
     auxiliary = figure.startswith("fig7")
 
-    def draw(attempt: int) -> Npsem:
+    def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))
         lo, hi = y_levels.min() + 0.15, y_levels.max() - 0.15
 
@@ -455,9 +509,9 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
         actual = dag_mod.parents("Y")
         perm = tuple(y_parents.index(p) + 1 for p in actual)
         y_kernel = np.transpose(y_kernel, (0,) + perm)
-        return designed_npsem(dag_mod, spaces,
-                              seed=_derive(figure, K, seed, attempt, "rest"),
-                              latent=("W",), kernels={"Y": y_kernel})
+        return _designed_kernels(dag_mod, spaces,
+                                 seed=_derive(figure, K, seed, attempt, "rest"),
+                                 kernels={"Y": y_kernel})
 
     return _screened_draw(draw, figure, K, "rank-invariant draw", with_cate=False)
 

@@ -90,7 +90,11 @@ class LatentOutcomeModel:
                                    self.z_given_w.values[:, perm]))
 
     def canonicalized(self) -> "LatentOutcomeModel":
-        return self.permuted(canonical_order(self.z_given_w.values))
+        """The model in canonical latent order; itself when already in it."""
+        perm = canonical_order(self.z_given_w.values)
+        if (perm == np.arange(perm.size)).all():
+            return self
+        return self.permuted(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
-"""Generators against the loops they replaced: the batched
-:func:`figure_diagnostics` against the per-stratum loop over restricted
-tensors, and the stacked exact-mean pmfs against the scalar construction,
-random stream included."""
+"""Generators against the loops they replaced: the batched screens, on the
+observable joint and on the product of the drawn kernels, against the
+per-stratum loop over restricted tensors; that product against the exact
+oracle's joint; and the stacked exact-mean pmfs against the scalar
+construction, random stream included."""
 
 import numpy as np
 import pytest
 
-from triproxy.errors import InvalidDistribution, ZeroConditioningCell
+from triproxy.errors import EnumerationTooLarge, InvalidDistribution, ZeroConditioningCell
 from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics, _derive,
-                                 _mean_spread_kernel, _pmfs_with_means,
+                                 _designed_kernels, _kernel_joint, _mean_spread_kernel,
+                                 _pmfs_with_means, _screened_draw, _screens,
                                  _separated_blocks, designed_npsem, figure_diagnostics,
                                  standard_spaces)
 from triproxy.graphs import FIGURES
-from triproxy.prob import ProbTensor, marginalize, restrict
+from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import observable_joint
+from triproxy.tolerances import ENUMERATION_GUARD
 
 
 def _kernel(t: ProbTensor, target: str, given: tuple[str, ...]) -> np.ndarray:
@@ -74,24 +77,43 @@ def reference_screens(m, figure: str, K: int) -> FixtureDiagnostics:
     return FixtureDiagnostics(sv, gap, mass, np.inf)
 
 
+def draws_up_to_acceptance(figure: str, K: int):
+    """``(kernels, encoded model)`` of every draw that ``figure_model`` makes
+    at seed 0, up to the first one the screens accept."""
+    dag, spaces = FIGURES[figure], standard_spaces(K)
+    for attempt in range(MAX_TRIES):
+        seed = _derive(figure, K, 0, attempt)
+        m = designed_npsem(dag, spaces, seed=seed)
+        yield _designed_kernels(dag, spaces, seed=seed), m
+        if figure_diagnostics(m, figure, K, with_cate=False).passes():
+            return
+    pytest.fail(f"no accepted draw for {figure} K={K}")
+
+
 @pytest.mark.parametrize("K", [2, 3, 4])
 @pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
 def test_batched_screens_match_the_per_stratum_loop(figure, K):
-    # every draw up to the first one the screens accept, as figure_model draws
-    for attempt in range(MAX_TRIES):
-        m = designed_npsem(FIGURES[figure], standard_spaces(K),
-                           seed=_derive(figure, K, 0, attempt))
-        got = figure_diagnostics(m, figure, K, with_cate=False)
+    for kernels, m in draws_up_to_acceptance(figure, K):
         want = reference_screens(m, figure, K)
-        np.testing.assert_allclose([got.sv_ratio, got.column_gap, got.stratum_mass],
-                                   [want.sv_ratio, want.column_gap, want.stratum_mass],
-                                   rtol=0, atol=1e-12)
-        assert got.cate_gap == np.inf
-        assert got.passes() == want.passes()
-        if got.passes():
-            break
-    else:
-        pytest.fail(f"no accepted draw for {figure} K={K}")
+        for got in (figure_diagnostics(m, figure, K, with_cate=False),
+                    _screens(_kernel_joint(kernels), figure, K)):
+            np.testing.assert_allclose([got.sv_ratio, got.column_gap, got.stratum_mass],
+                                       [want.sv_ratio, want.column_gap, want.stratum_mass],
+                                       rtol=0, atol=1e-12)
+            assert got.cate_gap == np.inf
+            assert got.passes() == want.passes()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
+def test_kernel_product_is_the_observable_joint(figure, K):
+    # the screened draws see the joint the encoded model hands out
+    for kernels, m in draws_up_to_acceptance(figure, K):
+        product, joint = _kernel_joint(kernels), observable_joint(m)
+        assert product.names == joint.names
+        np.testing.assert_allclose(product.values, joint.values, rtol=0, atol=1e-15)
+        assert (_screens(product, figure, K).passes()
+                == figure_diagnostics(m, figure, K, with_cate=False).passes())
 
 
 @pytest.mark.parametrize("x1_iff_w0", [False, True], ids=["empty-stratum", "empty-w-cell"])
@@ -107,6 +129,22 @@ def test_zero_mass_raises(x1_iff_w0):
     for screens in (figure_diagnostics, reference_screens):
         with pytest.raises(ZeroConditioningCell):
             screens(m, "fig2a", 2)
+    kernels = _designed_kernels(dag, spaces, seed=0, kernels={"X": kern})
+    with pytest.raises(ZeroConditioningCell):
+        _screened_draw(lambda attempt: kernels, "fig2a", 2, "draw")
+
+
+def test_oversized_joint_raises_from_both_paths():
+    dag, spaces = FIGURES["fig2a"], standard_spaces(2)
+    card = 1000                   # |W X Y Z V| = 12 * card**2 cells
+    assert 12 * card ** 2 > ENUMERATION_GUARD
+    spaces.update({n: VarSpace(n, card) for n in ("Z", "V")})
+    flat = {n: np.full((card, 2), 1.0 / card) for n in ("Z", "V")}
+    with pytest.raises(EnumerationTooLarge):
+        observable_joint(designed_npsem(dag, spaces, seed=0, kernels=flat))
+    kernels = _designed_kernels(dag, spaces, seed=0, kernels=flat)
+    with pytest.raises(EnumerationTooLarge):
+        _screened_draw(lambda attempt: kernels, "fig2a", 2, "draw")
 
 
 def _pmf_with_mean(levels: np.ndarray, mean: float,

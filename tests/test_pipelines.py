@@ -166,6 +166,15 @@ class TestInvariances:
                     assert np.array_equal(canonical_order(z), np.arange(K)), \
                         (figure, K, seed)
 
+    def test_canonicalized_returns_a_canonical_model_itself(self):
+        model = identify_outcome_proxy(observed_joint(figure_model("fig2a", K=3, seed=15)), 3)
+        assert model.canonicalized() is model
+        back = model.permuted(np.array([2, 0, 1])).canonicalized()
+        for got, want in ((back.arm_laws, model.arm_laws),
+                          (back.wx_joint.values, model.wx_joint.values),
+                          (back.z_given_w.values, model.z_given_w.values)):
+            assert got.tobytes() == want.tobytes()
+
     def test_ulp_perturbed_tied_joint_keeps_state_effects(self):
         joint = observed_joint(figure_model("fig5b", K=2, seed=5))
         z = identify_auxiliary_proxy(joint, 2).z_given_w.values
