@@ -16,8 +16,8 @@ from .pipelines import (EstimandReport, LatentOutcomeModel, estimands,
 from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize, restrict
 from .relabel import (LabeledLatentModel, RelabelRule, compute_alpha,
                       confounder_effects, relabel_monotone, relabel_unbiased)
-from .scm import (NodeSpec, Npsem, arm_label, check_counterfactual_ci,
-                  counterfactual_joint, effects, observable_joint, observed_joint)
+from .scm import (NodeSpec, Npsem, arm_label, check_conclusion, counterfactual_joint,
+                  effects, observable_joint, observed_joint)
 from .spectral import HsFactors, HsOptions, hs_decompose
 
 __version__ = "0.1.0"

@@ -239,7 +239,7 @@ def _cmd_relabel(args) -> int:
                   "beta_by_label": dict(zip(map(repr, lab.alpha.tolist()),
                                             lab.beta().tolist()))}
     else:
-        lab = relabel_monotone(model, rule, taus)
+        lab = relabel_monotone(model, rule)
         result = {"mode": mode, "alpha": lab.alpha.tolist(),
                   "beta_by_tau": {repr(t): lab.beta_at_quantile(t) for t in taus}}
     _write(args.report, _report(args, "relabel", result, inputs))
@@ -264,12 +264,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _load_graph(args) -> tuple[Dag, dict]:
-    if args.figure:
+    """The builtin ``--figure`` or the ``--graph`` file; the parser takes
+    exactly one of them."""
+    if args.figure is not None:
         if args.figure not in FIGURES:
             raise ValidationError(f"no builtin figure {args.figure!r}")
         return FIGURES[args.figure], {}
-    if not args.graph:
-        raise ValidationError("provide --graph FILE or --figure NAME")
     d, inputs = _load_json(args.graph, "--graph")
     with _invalid("bad graph file: "):
         return Dag.from_dict(d), inputs
@@ -376,6 +376,12 @@ def _cmd_end_to_end(args) -> int:
 # entry point
 
 
+def _graph_source(verb: argparse.ArgumentParser) -> None:
+    source = verb.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--figure")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="triproxy", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -424,15 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(func=_cmd_bounds)
 
     dag = sub.add_parser("dag-check", help="certify proposition conclusions")
-    dag.add_argument("--graph", default=None)
-    dag.add_argument("--figure", default=None)
+    _graph_source(dag)
     dag.add_argument("--proposition", type=int, required=True)
     dag.add_argument("--report", default="-")
     dag.set_defaults(func=_cmd_dag_check)
 
     cls = sub.add_parser("classify", help="list certified designs")
-    cls.add_argument("--graph", default=None)
-    cls.add_argument("--figure", default=None)
+    _graph_source(cls)
     cls.add_argument("--report", default="-")
     cls.set_defaults(func=_cmd_classify)
 

@@ -270,16 +270,15 @@ def _kernel_joint(nodes: Kernels) -> ProbTensor:
 
 
 def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
-                   latent=("W",),
                    kernels: dict[str, np.ndarray] | None = None) -> Npsem:
     """Random model whose kernels are built for well-posed identification.
 
     Every non-root node separates strongly across its latent-side parent,
     keeping proxy kernels complete and signal columns distinct with high
     probability; nodes listed in ``kernels`` take that kernel instead.
-    Every kernel is encoded exactly.
+    Every kernel is encoded exactly, and ``W`` is the latent node.
     """
-    return _encode(_designed_kernels(dag, spaces, seed, kernels), latent)
+    return _encode(_designed_kernels(dag, spaces, seed, kernels), ("W",))
 
 
 FIGURE_DESIGNS: dict[str, str] = {

@@ -7,8 +7,8 @@ conditioning set.
 
 Counterfactual independence statements (those about potential outcomes)
 are handled two ways: a twin-network construction gives a *graphical*
-certificate, while :mod:`triproxy.scm` checks the same statement
-numerically on simulated structural models.  Proposition reports only
+certificate, while :func:`triproxy.scm.check_conclusion` tests the same
+record exactly on structural models.  Proposition reports only
 claim counterfactual conclusions as verified-by-simulation.
 """
 
@@ -269,6 +269,14 @@ class Conclusion:
     def query(self) -> CiQuery:
         return CiQuery(frozenset(self.left), frozenset(self.right), frozenset(self.given))
 
+    def __str__(self):
+        """The statement ``dag-check`` reports: ``V ⊥ X,Z | W``, or
+        ``Y(x) ⊥ X,V | W`` with the intervened nodes in lower case."""
+        if self.kind == "observational":
+            return str(self.query())
+        return (f"{self.left[0]}({','.join(n.lower() for n in self.intervene)}) ⊥ "
+                f"{','.join(self.right)} | {','.join(self.given) or '∅'}")
+
 
 def _obs(label, left, right, given=()):
     return Conclusion(label, "observational", tuple(left), tuple(right), tuple(given))
@@ -421,12 +429,8 @@ def check_proposition(g: Dag, prop_id: int) -> CheckReport:
     reports = []
     for c in PROPOSITIONS[prop_id]:
         ok = _holds(g, c, roles)
-        if c.kind == "observational":
-            reports.append(ConclusionReport(c.label, c.kind, str(c.query()), ok, ok))
-        else:
-            stmt = f"{c.left[0]}({','.join(n.lower() for n in c.intervene)}) ⊥ " \
-                   f"{','.join(c.right)} | {','.join(c.given) or '∅'}"
-            reports.append(ConclusionReport(c.label, c.kind, stmt, None, ok))
+        reports.append(ConclusionReport(c.label, c.kind, str(c),
+                                        ok if c.kind == "observational" else None, ok))
     return CheckReport(prop_id, tuple(reports))
 
 

@@ -288,19 +288,17 @@ class EstimandReport:
     qte: np.ndarray                # per-tau quantile treatment effects
     beta: np.ndarray               # per-latent-state effect, canonical order
     w_marginal: np.ndarray
-    w_given_x: np.ndarray          # shape (k, n_x)
     beta_atoms: np.ndarray         # sorted distinct effect values
     beta_cdf: np.ndarray           # F_{beta(W)} at the atoms
     beta_cdf_given_x: np.ndarray   # shape (n_atoms, n_x)
     var_beta: float
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-DEFAULT_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+#: the quantile ranks of the reported quantile treatment effects
+QTE_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def estimands(m: LatentOutcomeModel,
-              taus: tuple[float, ...] = DEFAULT_TAUS) -> EstimandReport:
+def estimands(m: LatentOutcomeModel) -> EstimandReport:
     m = m.canonicalized()
     y_space = m.y_space
     if y_space.levels is None:
@@ -315,7 +313,6 @@ def estimands(m: LatentOutcomeModel,
     w_x = m.wx_joint.values
     f_x = w_x.sum(axis=0)
     w_marg = w_x.sum(axis=1)
-    w_given_x = w_x / f_x
 
     pot_y_given_x = laws.sum(axis=2).transpose(1, 0, 2) / f_x   # (|Y|, x1, x2)
     pot_y = laws.sum(axis=(2, 3)).T                          # (|Y|, x1)
@@ -324,7 +321,7 @@ def estimands(m: LatentOutcomeModel,
     att = float(y_levels @ (pot_y_given_x[:, 1, 1] - pot_y_given_x[:, 0, 1]))
     atu = float(y_levels @ (pot_y_given_x[:, 1, 0] - pot_y_given_x[:, 0, 0]))
 
-    q = [y_levels[_left_quantile_index(pot_y[:, x], taus)] for x in (0, 1)]
+    q = [y_levels[_left_quantile_index(pot_y[:, x], QTE_TAUS)] for x in (0, 1)]
     qte = q[1] - q[0]
 
     order = np.argsort(beta, kind="stable")
@@ -335,7 +332,7 @@ def estimands(m: LatentOutcomeModel,
     masses = np.zeros(atoms.size)
     np.add.at(masses, group, w_marg[order])
     masses_x = np.zeros((atoms.size, n_x))
-    np.add.at(masses_x, group, w_given_x[order])
+    np.add.at(masses_x, group, (w_x / f_x)[order])
     beta_cdf = np.cumsum(masses)
     beta_cdf_given_x = np.cumsum(masses_x, axis=0)
     var_beta = float((beta - ate) ** 2 @ w_marg)
@@ -344,7 +341,7 @@ def estimands(m: LatentOutcomeModel,
         y_levels=tuple(float(v) for v in y_levels),
         pot_y_given_x=pot_y_given_x, pot_y=pot_y,
         ate=ate, att=att, atu=atu,
-        qte_taus=tuple(taus), qte=qte,
-        beta=beta, w_marginal=w_marg, w_given_x=w_given_x,
+        qte_taus=QTE_TAUS, qte=qte,
+        beta=beta, w_marginal=w_marg,
         beta_atoms=atoms, beta_cdf=beta_cdf, beta_cdf_given_x=beta_cdf_given_x,
-        var_beta=var_beta, diagnostics=dict(m.diagnostics))
+        var_beta=var_beta)

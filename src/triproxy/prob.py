@@ -215,11 +215,7 @@ def marginalize(t: ProbTensor, drop) -> ProbTensor:
         return t
     idx = tuple(i for i, a in enumerate(t.axes) if a.name in drop)
     keep = tuple(a for a in t.axes if a.name not in drop)
-    values = t.values.sum(axis=idx)
-    if not keep:
-        keep = (VarSpace("_unit", 1),)
-        values = values.reshape((1,))
-    return ProbTensor(keep, values)
+    return ProbTensor(keep, t.values.sum(axis=idx))
 
 
 def restrict(t: ProbTensor, assignments: dict) -> ProbTensor:
@@ -234,8 +230,4 @@ def restrict(t: ProbTensor, assignments: dict) -> ProbTensor:
     mass = values.sum()
     if mass <= 0:
         raise ZeroConditioningCell(f"stratum {assignments} has zero probability")
-    values = values / mass
-    if not keep:
-        keep = (VarSpace("_unit", 1),)
-        values = np.asarray(values).reshape((1,))
-    return ProbTensor(keep, values)
+    return ProbTensor(keep, values / mass)

@@ -24,7 +24,7 @@ documented limitation of the monotone regime, not a detectable error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,7 @@ class LabeledLatentModel:
     """
 
     base: LatentOutcomeModel
-    rule: RelabelRule
     alpha: np.ndarray
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def w_marginal(self) -> np.ndarray:
@@ -128,25 +126,20 @@ def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
     base = replace(base, wx_joint=ProbTensor((w, x), base.wx_joint.values),
                    z_given_w=MarkovKernel(base.z_given_w.target, (w,),
                                           base.z_given_w.values))
-    return LabeledLatentModel(base, rule, sorted_alpha, diagnostics={"mode": "unbiased"})
+    return LabeledLatentModel(base, sorted_alpha)
 
 
-def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule,
-                     taus: tuple[float, ...] = (0.25, 0.5, 0.75)) -> LabeledLatentModel:
+def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentModel:
     """Expose quantile-rank addressing of the latent states.
 
-    Each requested ``tau`` resolves to a latent state through the
-    left-continuous quantile function of the recovered latent marginal,
-    ordered by alpha (whose values :func:`compute_alpha` keeps apart).
+    :meth:`LabeledLatentModel.state_at` resolves a quantile rank ``tau`` to
+    a latent state through the left-continuous quantile function of the
+    recovered latent marginal, ordered by alpha (whose values
+    :func:`compute_alpha` keeps apart).
     """
     if rule.mode != "monotone":
         raise ValueError("rule.mode must be 'monotone'")
-    alpha = compute_alpha(m.z_given_w, rule)
-    labeled = LabeledLatentModel(m, rule, alpha, diagnostics={"mode": "monotone"})
-    # resolve the grid eagerly so TauOutOfRange surfaces here
-    labeled.diagnostics["tau_states"] = {
-        float(t): labeled.state_at(t) for t in taus}
-    return labeled
+    return LabeledLatentModel(m, compute_alpha(m.z_given_w, rule))
 
 
 def confounder_effects(m: LatentOutcomeModel | LabeledLatentModel,

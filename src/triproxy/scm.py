@@ -37,7 +37,6 @@ memoized cross-world joint that keeps the latent node and the treatment.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,7 @@ from .errors import (
     NonBinaryTreatment,
     UnknownNode,
 )
-from .graphs import Dag, _names
+from .graphs import Conclusion, Dag, _names
 from .prob import ProbTensor, VarSpace, _count, marginalize
 from .tolerances import ATOM_TOL, CI_TOL, ENUMERATION_GUARD, MASS_TOL
 
@@ -405,9 +404,6 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
             "beta_cdf": np.cumsum(np.add.reduceat(w[order], np.flatnonzero(atom)))}
 
 
-_CF_NAME = re.compile(r"^([A-Za-z_]\w*)\(([\w,]+)\)$")
-
-
 def _independent(t: ProbTensor, left, right, given) -> bool:
     """Exact factorization test: f(l,r,g)·f(g) == f(l,g)·f(r,g) cellwise."""
     keep = tuple(left) + tuple(right) + tuple(given)
@@ -425,24 +421,16 @@ def _independent(t: ProbTensor, left, right, given) -> bool:
     return bool(np.max(np.abs(lhs - rhs)) <= CI_TOL)
 
 
-def check_counterfactual_ci(m: Npsem, left_template: str, right, given=()) -> bool:
-    """Check a counterfactual independence like ``Y(x) ⊥ (X,V) | W``.
-
-    ``left_template`` uses lower-case letters for the intervened nodes,
-    e.g. ``"Y(x)"`` or ``"Y(x,w)"``; the statement is verified for every
-    intervention arm on the exact cross-world joint.
-    """
-    match = _CF_NAME.match(left_template.replace(" ", ""))
-    if not match:
-        raise InvalidDistribution(f"bad counterfactual template {left_template!r}")
-    outcome = match.group(1)
-    intervene_on = tuple(s.upper() for s in match.group(2).split(","))
-    right, given = tuple(right), tuple(given)
-    keep = tuple(dict.fromkeys(right + given))
-    joint = counterfactual_joint(m, intervene_on, outcome=outcome, keep=keep)
-    arms = itertools.product(*[range(m[n].space.cardinality) for n in intervene_on])
-    for arm in arms:
-        name = arm_label(outcome, arm)
-        if not _independent(joint, (name,), right, given):
-            return False
-    return True
+def check_conclusion(m: Npsem, c: Conclusion) -> bool:
+    """Exact test of one conclusion of :data:`~triproxy.graphs.PROPOSITIONS`
+    on the model: an observational one on :func:`observable_joint`, a
+    counterfactual one such as ``Y(x) ⊥ X,V | W`` in every intervention
+    arm of the cross-world joint."""
+    if c.kind == "observational":
+        return _independent(observable_joint(m), c.left, c.right, c.given)
+    (outcome,) = c.left
+    joint = counterfactual_joint(m, c.intervene, outcome=outcome,
+                                 keep=tuple(dict.fromkeys(c.right + c.given)))
+    arms = itertools.product(*[range(m[n].space.cardinality) for n in c.intervene])
+    return all(_independent(joint, (arm_label(outcome, arm),), c.right, c.given)
+               for arm in arms)

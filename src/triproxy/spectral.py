@@ -3,7 +3,8 @@
 Given an exact three-way array ``f[z, c, v]`` that factorizes through a
 discrete latent state ``w`` of known cardinality as
 
-    f[z, c, v] = sum_w  z_given_w[z, w] * c_given_w[c, w] * wv_joint[w, v],
+    f[z, c, v] = sum_w  z_given_w[z, w] * c_given_w[c, w]
+                        * w_given_v[w, v] * v_marginal[v],
 
 :func:`hs_decompose` recovers the three factors up to a joint permutation of
 the latent states.  The construction follows the classical eigendecomposition
@@ -55,7 +56,6 @@ class HsDiagnostics:
     singular_ratio: float
     eigen_gap: float
     max_imag: float
-    max_offdiag: float
     lstsq_residual: float
     clipped_mass: float
     retries_used: int
@@ -70,10 +70,6 @@ class HsFactors:
     w_given_v: np.ndarray  # (k, |V|) column-stochastic
     v_marginal: np.ndarray  # (|V|,)
     diagnostics: HsDiagnostics = field(compare=False)
-
-    @property
-    def wv_joint(self) -> np.ndarray:
-        return self.w_given_v * self.v_marginal
 
 
 def canonical_order(z_given_w: np.ndarray) -> np.ndarray:
@@ -158,7 +154,6 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
 
     e_inv = np.linalg.inv(eigvecs)
     slices = np.einsum("ij,cjl,lm->cim", e_inv, compressed @ b_inv, eigvecs)
-    offdiag = float(np.abs(slices - slices * np.eye(k)).max())
     c_given_w = np.diagonal(slices, axis1=1, axis2=2).copy()  # (nc, k)
 
     z_cols = u @ eigvecs
@@ -189,7 +184,7 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
 
     diag = HsDiagnostics(
         singular_ratio=float(sv[k - 1] / sv[0]), eigen_gap=gap, max_imag=imag,
-        max_offdiag=offdiag, lstsq_residual=residual, clipped_mass=clipped,
+        lstsq_residual=residual, clipped_mass=clipped,
         retries_used=retries + 1)
     return HsFactors(z_given_w, c_given_w, w_given_v, v_marg, diag)
 

@@ -23,7 +23,7 @@ from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  unbiased_proxy_model)
 from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITION5_GIVEN_V,
                              PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES,
-                             check_proposition, classify_designs)
+                             PROPOSITIONS, check_proposition, classify_designs)
 from triproxy.pipelines import (estimands, identify_auxiliary_proxy,
                                 identify_cond_treatment_proxy,
                                 identify_outcome_proxy,
@@ -31,8 +31,8 @@ from triproxy.pipelines import (estimands, identify_auxiliary_proxy,
 from triproxy.prob import marginalize
 from triproxy.relabel import (RelabelRule, confounder_effects,
                               relabel_monotone, relabel_unbiased)
-from triproxy.scm import (arm_label, check_counterfactual_ci,
-                          counterfactual_joint, effects, observed_joint)
+from triproxy.scm import (arm_label, check_conclusion, counterfactual_joint, effects,
+                          observed_joint)
 from triproxy.spectral import HsOptions, hs_decompose, match_permutation
 
 PIPELINES = {
@@ -134,19 +134,8 @@ def test_criterion_2_pipelines_vs_oracle():
 # ---------------------------------------------------------------------------
 # 3. proposition battery
 
-#: counterfactual conclusion per figure family: (template, right, given)
-_CF_BY_FAMILY = {
-    "fig2": ("Y(x)", ("X", "V"), ("W",)),
-    "fig3": ("Y(x)", ("X", "Z"), ("W",)),
-    "fig4": ("Y(x)", ("X",), ("W",)),
-    "fig5": ("Y(x)", ("X",), ("W", "V")),
-    "fig6": ("Y(x)", ("X", "V"), ("W",)),
-    "fig7": ("Y(x)", ("X",), ("W", "V")),
-}
-
-
 @criterion(3, "proposition battery: d-separation certificates exact; "
-              "counterfactual conclusions confirmed on 30 seeds per graph")
+              "every conclusion confirmed exactly on 30 seeds per graph")
 def test_criterion_3_proposition_battery():
     # observational conclusions certify on exactly the intended graphs
     for prop, figures in PROPOSITION_FIGURES.items():
@@ -158,17 +147,23 @@ def test_criterion_3_proposition_battery():
     assert "double-proxy" not in classify_designs(FIGURES["fig1c"])
     assert "double-proxy" in classify_designs(FIGURES["fig1b"])
 
-    # counterfactual conclusions hold on the exact cross-world joint
-    figures = sorted({f for figs in PROPOSITION_FIGURES.values() for f in figs})
-    for figure in figures:
-        template, right, given = _CF_BY_FAMILY[figure[:4]]
+    # every conclusion of a figure's propositions holds on its exact joints;
+    # Proposition 5's two conclusions each apply to their own figures
+    i, ii = PROPOSITIONS[5]
+    conclusions: dict[str, list] = {}
+    for prop, figures in PROPOSITION_FIGURES.items():
+        for figure in figures:
+            if prop != 5:
+                conclusions.setdefault(figure, []).extend(PROPOSITIONS[prop])
+    for figure in PROPOSITION5_UNCONDITIONAL:
+        conclusions[figure].append(i)
+    for figure in PROPOSITION5_GIVEN_V:
+        conclusions[figure].append(ii)
+    for figure, needed in sorted(conclusions.items()):
         for seed in range(30):
             m = figure_model(figure, K=2, seed=3000 + seed, with_cate_gap=False)
-            assert check_counterfactual_ci(m, template, right, given)
-            if figure in PROPOSITION5_UNCONDITIONAL:
-                assert check_counterfactual_ci(m, "Y(x,w)", ("X", "W"), ())
-            if figure in PROPOSITION5_GIVEN_V:
-                assert check_counterfactual_ci(m, "Y(x,w)", ("X", "W"), ("V",))
+            for c in needed:
+                assert check_conclusion(m, c), (figure, seed, str(c))
 
 
 # ---------------------------------------------------------------------------

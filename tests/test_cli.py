@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import triproxy
-from triproxy import tolerances
+from triproxy import cli, tolerances
 from triproxy.cli import main
 from triproxy.generators import (FIGURE_DESIGNS, figure_model,
                                  rank_invariant_bounds_model,
@@ -276,6 +276,21 @@ class TestIdentify:
         assert abs(res["s_upper"] - 0.3) < 1e-7
         assert res["point_identified"] is False
 
+    def test_bounds_auxiliary_verb(self, tmp_path, capsys):
+        m = rank_invariant_bounds_model(2, seed=1, figure="fig7a")
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(observed_joint(m).to_dict()))
+        code, out, err = run(capsys, "bounds", "--design", "auxiliary",
+                             "--latent-dim", "2", "--joint", str(joint))
+        assert code == 0, err
+        res = _result(out)
+        n_v = m["V"].space.cardinality
+        assert len(res["per_v_lower"]) == len(res["per_v_upper"]) == n_v
+        truth = effects(m)
+        for key in ("att", "atu"):
+            lo, hi = res[f"{key}_interval"]
+            assert lo - 1e-7 <= truth[key] <= hi + 1e-7, key
+
 
 class TestGraphVerbs:
     def test_dag_check(self, capsys):
@@ -324,6 +339,18 @@ class TestEndToEnd:
         diag = json.loads(err)
         assert diag["error"] == "IdentificationRefused"
         assert diag["assumption"]
+
+    def test_tampered_golden_is_a_mismatch(self, capsys, monkeypatch):
+        payload = cli._fixture_payload("fig1a-early-late-tests")
+        payload["golden"]["estimands"]["ate"] += 1e-6
+        del payload["golden"]["estimands"]["var_beta"]
+        monkeypatch.setattr(cli, "_fixture_payload", lambda name: payload)
+        code, out, err = run(capsys, "end-to-end", "--fixture", "fig1a-early-late-tests")
+        assert code == 3 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "GoldenMismatch"
+        assert "/estimands/ate: " in diag["message"]
+        assert "/estimands/var_beta: present on one side only" in diag["message"]
 
     def test_unknown_fixture_is_validation_error(self, capsys):
         code, _, err = run(capsys, "end-to-end", "--fixture", "nope")
@@ -444,12 +471,25 @@ class TestExitCodesAndDiagnostics:
          "would hold 100000000 cells, over the 10000000 guard"),
         (["oracle", "--model", "{huge_oracle}"],
          "would hold 20000000 cells, over the 10000000 guard"),
+        (["classify", "--figure", "nope"], "no builtin figure 'nope'"),
+        (["dag-check", "--figure", "fig2a", "--proposition", "99"],
+         "no proposition 99; have [1, 2, 3, 4, 5, 6, 7]"),
+        # refused by the argument parser, which writes its usage, not JSON
+        (["classify", "--figure", "fig1b", "--graph", "/nonexistent.json"],
+         "usage: argument --graph: not allowed with argument --figure"),
+        (["dag-check", "--figure", "fig2a", "--graph", "{graph}", "--proposition", "1"],
+         "usage: argument --graph: not allowed with argument --figure"),
+        (["classify"], "usage: one of the arguments --graph --figure is required"),
+        (["dag-check", "--proposition", "1"],
+         "usage: one of the arguments --graph --figure is required"),
     ], ids=["relabel-tau-abc", "relabel-tau-0", "relabel-tau-1.5", "latent-dim-negative",
             "latent-dim-0", "identify-seed-negative", "relabel-seed-negative",
             "bounds-seed-negative", "report-in-missing-dir", "csv-in-missing-dir",
             "bounds-latent-dim-9", "bounds-auxiliary-without-c", "treatment-joint-with-c",
             "classify-graph-without-w", "dag-check-graph-without-w",
-            "simulate-oversized-model", "oracle-oversized-model"])
+            "simulate-oversized-model", "oracle-oversized-model", "classify-unknown-figure",
+            "dag-check-unknown-proposition", "classify-figure-and-graph",
+            "dag-check-figure-and-graph", "classify-no-graph", "dag-check-no-graph"])
     def test_bad_input_exit_2(self, tmp_path, capsys, fig2a_files, argv, reason):
         _, _, joint = fig2a_files
         aux_joint = tmp_path / "aux-joint.json"
@@ -464,6 +504,9 @@ class TestExitCodesAndDiagnostics:
             paths[name].write_text(json.dumps(model.to_dict()))
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
+        if reason.startswith("usage: "):
+            assert err.startswith("usage: ") and reason[len("usage: "):] in err
+            return
         diag = json.loads(err)
         assert diag["error"] == "ValidationError"
         assert reason in diag["message"]

@@ -9,20 +9,21 @@ import pytest
 from conftest import assert_cdf_match
 from triproxy import pipelines
 from triproxy.errors import (EigenGapExhausted, MissingLevels,
-                             NonBinaryTreatment, RankDeficient, TriproxyError,
-                             UnknownAxis, ZeroConditioningCell)
+                             NonBinaryTreatment, RankDeficient, SolveIllConditioned,
+                             TriproxyError, UnknownAxis, ZeroConditioningCell)
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
                                  separated_kernel, standard_spaces)
 from triproxy.graphs import DESIGNS, FIGURES
-from triproxy.pipelines import (LatentOutcomeModel, estimands, identify_auxiliary_proxy,
+from triproxy.pipelines import (QTE_TAUS, LatentOutcomeModel, estimands,
+                                identify_auxiliary_proxy,
                                 identify_cond_treatment_proxy,
                                 identify_outcome_proxy,
                                 identify_treatment_proxy, potential_joint,
-                                _slice_joint)
+                                _deconvolve, _left_quantile_index, _slice_joint)
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import effects, observed_joint
-from triproxy.spectral import canonical_order, hs_decompose
+from triproxy.spectral import COMPLETENESS_LABEL, canonical_order, hs_decompose
 
 PIPELINES = {
     "outcome": identify_outcome_proxy,
@@ -356,6 +357,14 @@ class TestFailureModes:
                 run_pipeline(m, K - 1)
             assert ei.value.assumption, f"seed {seed}: {ei.value!r}"
 
+    def test_ill_conditioned_proxy_kernel_refused(self):
+        # two nearly equal columns of f(z | w): condition number 2e9
+        z_given_w = np.array([[1.0, 1.0 - 1e-9], [0.0, 1e-9]])
+        with pytest.raises(SolveIllConditioned) as ei:
+            _deconvolve(z_given_w, np.full((1, 2, 1), 0.5), "latent joint")
+        assert ei.value.assumption == COMPLETENESS_LABEL
+        assert "condition number 2.000e+09 above 1e+08" in str(ei.value)
+
     def test_missing_axis(self):
         m = figure_model("fig2a", K=2, seed=1)
         joint = observed_joint(m)
@@ -472,16 +481,21 @@ class TestStackedEqualsTensorOps:
     def test_qte_matches_the_per_tau_search(self, figure):
         model = run_pipeline(figure_model(figure, K=2, seed=1), 2)
         y = np.arange(3.0)
-        cdf = np.cumsum(estimands(model).pot_y, axis=0).ravel()
+        rep = estimands(model)
+        want = np.array([_left_quantile(y, rep.pot_y[:, 1], t)
+                         - _left_quantile(y, rep.pot_y[:, 0], t) for t in QTE_TAUS])
+        assert rep.qte_taus == QTE_TAUS
+        assert rep.qte.tobytes() == want.tobytes()
         # taus on, just inside and just outside 1e-12 of every CDF value
+        cdf = np.cumsum(rep.pot_y, axis=0).ravel()
         taus = tuple(float(c + d) for c in cdf
                      for d in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12))
         taus += (0.0, 0.5, 1.0, 1.5)
-        rep = estimands(model, taus)
-        want = np.array([_left_quantile(y, rep.pot_y[:, 1], t)
-                         - _left_quantile(y, rep.pot_y[:, 0], t) for t in taus])
-        assert rep.qte.tobytes() == want.tobytes()
-        assert estimands(model, ()).qte.shape == (0,)
+        for x in (0, 1):
+            got = y[_left_quantile_index(rep.pot_y[:, x], taus)]
+            want = np.array([_left_quantile(y, rep.pot_y[:, x], t) for t in taus])
+            assert got.tobytes() == want.tobytes()
+        assert _left_quantile_index(rep.pot_y[:, 0], ()).shape == (0,)
 
     def test_slice_joint_matches_restrict_marginalize_reorder(self):
         joint = observed_joint(figure_model("fig5a", K=3, seed=0))

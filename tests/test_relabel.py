@@ -139,11 +139,6 @@ class TestMonotone:
         with pytest.raises(TauOutOfRange):
             labeled.state_at(1.2)
 
-    def test_eager_tau_resolution(self):
-        m = unbiased_proxy_model(2, seed=8)
-        labeled = relabel_monotone(identified(m, 2), RelabelRule("mean", "monotone"))
-        assert set(labeled.diagnostics["tau_states"]) == {0.25, 0.5, 0.75}
-
     def test_mode_mismatch_rejected(self):
         m = unbiased_proxy_model(2, seed=8)
         with pytest.raises(ValueError):

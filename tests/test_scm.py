@@ -10,12 +10,11 @@ import pytest
 from triproxy.errors import (EnumerationTooLarge, InvalidDistribution, MissingRole,
                              NonBinaryTreatment, UnknownNode)
 from triproxy.generators import figure_model, random_npsem, standard_spaces
-from triproxy.graphs import FIGURES
+from triproxy.graphs import FIGURES, PROPOSITIONS, Conclusion
 from triproxy import scm
 from triproxy.prob import VarSpace, marginalize
-from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label,
-                          check_counterfactual_ci, counterfactual_joint, effects,
-                          observable_joint, observed_joint)
+from triproxy.scm import (ENUMERATION_GUARD, NodeSpec, Npsem, arm_label, check_conclusion,
+                          counterfactual_joint, effects, observable_joint, observed_joint)
 
 
 def brute_force_joint(m: Npsem) -> np.ndarray:
@@ -310,18 +309,23 @@ class TestCounterfactuals:
             np.testing.assert_allclose(arm.values, truth.values, atol=1e-14)
 
     def test_counterfactual_ci_true_on_certified_graph(self):
-        # fig2a satisfies Y(x) ⊥ (X,V) | W structurally
+        # fig2a satisfies Y(x) ⊥ (X,V) | W structurally (Proposition 1 iv.)
         m = figure_model("fig2a", K=2, seed=5)
-        assert check_counterfactual_ci(m, "Y(x)", ("X", "V"), ("W",))
+        (iv,) = [c for c in PROPOSITIONS[1] if c.label == "iv"]
+        assert str(iv) == "Y(x) ⊥ X,V | W"
+        assert check_conclusion(m, iv)
 
     def test_counterfactual_ci_false_with_open_backdoor(self):
         # unconditionally, Y(x) and X are confounded through W
         m = figure_model("fig2a", K=2, seed=5)
-        assert not check_counterfactual_ci(m, "Y(x)", ("X",), ())
+        assert not check_conclusion(
+            m, Conclusion("iv", "counterfactual", ("Y",), ("X",), (), ("X",)))
 
-    def test_bad_template(self):
-        with pytest.raises(InvalidDistribution):
-            check_counterfactual_ci(small_model(), "Y[x]", ("X",))
+    def test_observational_conclusion_false_on_an_open_path(self):
+        # fig2a has V -> X, so Proposition 2 i. (V ⊥ X,Z | W) fails there
+        m = figure_model("fig2a", K=2, seed=5)
+        (i,) = [c for c in PROPOSITIONS[2] if c.label == "i"]
+        assert not check_conclusion(m, i)
 
     def test_unknown_intervention_node(self):
         with pytest.raises(UnknownNode):
