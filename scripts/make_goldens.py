@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from triproxy.cli import run_fixture
+from triproxy.errors import IdentificationRefused
 from triproxy.generators import figure_model, random_npsem, standard_spaces
 from triproxy.graphs import FIGURES
 
@@ -28,7 +29,7 @@ def build_model(spec):
     if fig == "fig1b":
         # no identification design exists here; any well-formed model will do
         return random_npsem(FIGURES[fig], standard_spaces(spec["latent_dim"]),
-                            seed=spec["seed"], latent=("W",))
+                            seed=spec["seed"])
     return figure_model(fig, K=spec["latent_dim"], seed=spec["seed"])
 
 
@@ -36,14 +37,12 @@ def main():
     OUT.mkdir(exist_ok=True)
     for name, spec in SPECS.items():
         payload = {"name": name, "latent_dim": spec["latent_dim"],
-                   "seed": spec["seed"], "model": build_model(spec).to_dict(),
-                   "golden": None}
-        path = OUT / f"{name}.json"
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        if name == "fig1b-double-only":
+                   "seed": spec["seed"], "model": build_model(spec).to_dict()}
+        try:
+            payload["golden"] = run_fixture(payload)
+        except IdentificationRefused:
             payload["golden"] = {"fixture": name, "refused": True}
-        else:
-            payload["golden"] = run_fixture(name)
+        path = OUT / f"{name}.json"
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         print("wrote", path.name)
 

@@ -13,9 +13,9 @@ Verbs::
                 against a stored golden report
 
 Exit codes: 0 success, 2 validation problem (bad files, bad flags,
-unsatisfied preconditions), 3 identification failure.  Identification
-failures print a machine-readable JSON diagnostic to stderr naming the
-violated assumption.  Reports embed the tool version, a hash of the
+unsatisfied preconditions), 3 identification failure.  Both failures print
+one machine-readable JSON diagnostic to stderr: the class of the error
+raised, its message and the violated assumption, if any.  Reports embed the tool version, a hash of the
 resolved configuration, the sha256 of each input file by its flag, and
 every numerical tolerance used (each constant of :mod:`triproxy.tolerances`,
 under its lower-cased name), and are serialized canonically so equal runs
@@ -41,7 +41,7 @@ from .errors import (EnumerationTooLarge, GoldenMismatch, IdentificationRefused,
                      MissingLevels, MissingRole, NonBinaryTreatment, TriproxyError,
                      UnknownNode, ValidationError)
 from .graphs import DESIGNS, FIGURES, PROPOSITIONS, Dag, check_proposition, classify_designs
-from .pipelines import (EstimandReport, estimands, identify_auxiliary_proxy,
+from .pipelines import (QTE_TAUS, EstimandReport, estimands, identify_auxiliary_proxy,
                         identify_cond_treatment_proxy, identify_outcome_proxy,
                         identify_treatment_proxy)
 from .prob import ProbTensor
@@ -136,7 +136,7 @@ def _estimand_result(rep: EstimandReport) -> dict:
         "pot_y": rep.pot_y.tolist(),
         "pot_y_given_x": rep.pot_y_given_x.tolist(),
         "ate": rep.ate, "att": rep.att, "atu": rep.atu,
-        "qte_taus": list(rep.qte_taus), "qte": rep.qte.tolist(),
+        "qte_taus": list(QTE_TAUS), "qte": rep.qte.tolist(),
         "beta": rep.beta.tolist(),
         "w_marginal": rep.w_marginal.tolist(),
         "beta_atoms": rep.beta_atoms.tolist(),
@@ -151,7 +151,7 @@ def _write_csv(path: str, rep: EstimandReport) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(["table", "key", "value", "value_x0", "value_x1"])
-    for t, q in zip(rep.qte_taus, rep.qte):
+    for t, q in zip(QTE_TAUS, rep.qte):
         w.writerow(["qte", repr(float(t)), repr(float(q)), "", ""])
     for a, c, (c0, c1) in zip(rep.beta_atoms, rep.beta_cdf, rep.beta_cdf_given_x):
         w.writerow(["beta_cdf", repr(float(a)), repr(float(c)),
@@ -195,8 +195,7 @@ def _taus(text: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     m, inputs = _load_model(args.model)
-    with _invalid("", EnumerationTooLarge):
-        joint = observed_joint(m)
+    joint = observed_joint(m)
     _write(args.out, _report(args, "simulate", joint.to_dict(), inputs))
     return 0
 
@@ -208,8 +207,7 @@ ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cat
 
 def _cmd_oracle(args) -> int:
     m, inputs = _load_model(args.model)
-    with _invalid("", (MissingRole, UnknownNode, EnumerationTooLarge)):
-        eff = effects(m, treatment=args.treatment, outcome=args.outcome)
+    eff = effects(m, treatment=args.treatment, outcome=args.outcome)
     result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
     _write(args.out, _report(args, "oracle", result, inputs))
     return 0
@@ -280,8 +278,7 @@ def _cmd_dag_check(args) -> int:
     if args.proposition not in PROPOSITIONS:
         raise ValidationError(f"no proposition {args.proposition}; have "
                               f"{sorted(PROPOSITIONS)}")
-    with _invalid("", MissingRole):
-        rep = check_proposition(g, args.proposition)
+    rep = check_proposition(g, args.proposition)
     result = {"proposition": rep.proposition,
               "all_observational_certified": rep.all_observational_certified,
               "conclusions": [
@@ -294,8 +291,7 @@ def _cmd_dag_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     g, inputs = _load_graph(args)
-    with _invalid("", (MissingRole, EnumerationTooLarge)):
-        designs = sorted(classify_designs(g))
+    designs = sorted(classify_designs(g))
     _write(args.report, _report(args, "classify", {"designs": designs}, inputs))
     return 0
 
@@ -303,40 +299,34 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # builtin end-to-end fixtures
 
-FIXTURE_DESIGN = {"fig1a-early-late-tests": "outcome",
-                  "fig1d-auxiliary": "auxiliary",
-                  "fig1b-double-only": None}
-
-
 def _fixture_payload(name: str) -> dict:
-    if name not in FIXTURE_DESIGN:
-        raise ValidationError(f"no builtin fixture {name!r}; have {list(FIXTURE_DESIGN)}")
-    ref = resources.files("triproxy").joinpath(f"fixtures/{name}.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    """The builtin fixture ``name``: one of the files in ``fixtures/``."""
+    fixtures = resources.files("triproxy").joinpath("fixtures")
+    names = sorted(f.name.removesuffix(".json") for f in fixtures.iterdir()
+                   if f.name.endswith(".json"))
+    if name not in names:
+        raise ValidationError(f"no builtin fixture {name!r}; have {names}")
+    return json.loads(fixtures.joinpath(f"{name}.json").read_text(encoding="utf-8"))
 
 
-def run_fixture(name: str) -> dict:
-    """simulate -> classify -> identify on a builtin fixture; returns the
-    fresh report (golden comparison happens in the caller)."""
-    payload = _fixture_payload(name)
+def run_fixture(payload: dict) -> dict:
+    """simulate -> classify -> identify on a builtin fixture's payload, with
+    the pipeline design its graph certifies; returns the fresh report
+    (golden comparison happens in the caller)."""
+    name = payload["name"]
     m = Npsem.from_dict(payload["model"])
-    joint = observed_joint(m)
     designs = sorted(classify_designs(m.graph()))
-    design = FIXTURE_DESIGN[name]
     triple = [d for d in designs if d in PIPELINES]
-    result: dict = {"fixture": name, "designs": designs}
-    if design is None:
-        if triple:
-            raise GoldenMismatch(f"fixture {name} unexpectedly supports {triple}")
+    if not triple:
         raise IdentificationRefused(
             f"graph of fixture {name!r} certifies no identification design "
             f"(designs found: {designs or 'none'})",
             assumption="graphical prerequisites: no certified design")
-    k = payload["latent_dim"]
-    rep, _ = _identify(joint, design, k, seed=payload.get("seed", 0))
-    result["design"] = design
-    result["estimands"] = _estimand_result(rep)
-    return result
+    design = triple[0]   # each fixture's graph certifies one pipeline design
+    rep, _ = _identify(observed_joint(m), design, payload["latent_dim"],
+                       seed=payload.get("seed", 0))
+    return {"fixture": name, "designs": designs, "design": design,
+            "estimands": _estimand_result(rep)}
 
 
 def compare_golden(fresh: dict, golden: dict, path: str = "") -> list[str]:
@@ -364,7 +354,7 @@ def compare_golden(fresh: dict, golden: dict, path: str = "") -> list[str]:
 
 def _cmd_end_to_end(args) -> int:
     payload = _fixture_payload(args.fixture)
-    result = run_fixture(args.fixture)
+    result = run_fixture(payload)
     diffs = compare_golden(result, payload["golden"])
     if diffs:
         raise GoldenMismatch("golden mismatch: " + "; ".join(diffs[:20]))
@@ -382,9 +372,18 @@ def _graph_source(verb: argparse.ArgumentParser) -> None:
     source.add_argument("--figure")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise :class:`ValidationError`, so
+    that they reach the one JSON diagnostic of :func:`main`; the verbs'
+    parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="triproxy", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="triproxy", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
 
     sim = sub.add_parser("simulate", help="observed joint from a model file")
@@ -448,22 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "latent_dim", 1) < 1:
             raise ValidationError(f"--latent-dim must be at least 1, got {args.latent_dim}")
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
+    except SystemExit:   # only --help, once printed: the parser raises its refusals
+        return 0
     except TriproxyError as e:
         diag = {"error": type(e).__name__, "message": str(e),
                 "assumption": e.assumption}
         sys.stderr.write(_canonical_json(diag) + "\n")
-        return 2 if isinstance(e, (ValidationError, MissingLevels, NonBinaryTreatment)) else 3
+        invalid = (ValidationError, MissingLevels, NonBinaryTreatment, MissingRole,
+                   UnknownNode, EnumerationTooLarge)
+        return 2 if isinstance(e, invalid) else 3
 
 
 if __name__ == "__main__":

@@ -98,9 +98,10 @@ def node_from_kernel(space: VarSpace, parents, kernel: np.ndarray) -> NodeSpec:
 
 
 def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
-                 latent=(), kernels: dict[str, np.ndarray] | None = None,
+                 kernels: dict[str, np.ndarray] | None = None,
                  noise_cards: dict[str, int] | None = None) -> Npsem:
-    """Random model on ``dag``; nodes listed in ``kernels`` are encoded exactly."""
+    """Random model on ``dag``, whose latent node is ``W``; nodes listed in
+    ``kernels`` are encoded exactly."""
     rng = np.random.default_rng(seed)
     kernels = kernels or {}
     noise_cards = noise_cards or {}
@@ -123,7 +124,7 @@ def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
             pmf = rng.dirichlet(np.ones(nc))
             table = random_onto_table(rng, parent_cards, space.cardinality, nc)
             specs.append(NodeSpec(space, parents, table, pmf))
-    return Npsem(tuple(specs), tuple(latent))
+    return Npsem(tuple(specs), ("W",))
 
 
 # ---------------------------------------------------------------------------

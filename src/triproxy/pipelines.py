@@ -284,8 +284,7 @@ class EstimandReport:
     ate: float
     att: float
     atu: float
-    qte_taus: tuple[float, ...]
-    qte: np.ndarray                # per-tau quantile treatment effects
+    qte: np.ndarray                # quantile treatment effects at QTE_TAUS
     beta: np.ndarray               # per-latent-state effect, canonical order
     w_marginal: np.ndarray
     beta_atoms: np.ndarray         # sorted distinct effect values
@@ -341,7 +340,7 @@ def estimands(m: LatentOutcomeModel) -> EstimandReport:
         y_levels=tuple(float(v) for v in y_levels),
         pot_y_given_x=pot_y_given_x, pot_y=pot_y,
         ate=ate, att=att, atu=atu,
-        qte_taus=QTE_TAUS, qte=qte,
+        qte=qte,
         beta=beta, w_marginal=w_marg,
         beta_atoms=atoms, beta_cdf=beta_cdf, beta_cdf_given_x=beta_cdf_given_x,
         var_beta=var_beta)

@@ -21,6 +21,8 @@ on permuted inputs return bitwise-identical factors.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +31,13 @@ from .errors import (
     AmbiguousMatch,
     ComplexResidual,
     EigenGapExhausted,
+    EnumerationTooLarge,
     NegativeMass,
     RankDeficient,
     ZeroConditioningCell,
 )
-from .tolerances import (CANONICAL_DIGITS, COLUMN_MASS_TOL, EIGEN_GAP_TOL, IMAG_TOL,
-                         KERNEL_NEG_TOL, MASS_TOL, MAX_RETRIES, RANK_TOL)
+from .tolerances import (CANONICAL_DIGITS, COLUMN_MASS_TOL, EIGEN_GAP_TOL, ENUMERATION_GUARD,
+                         IMAG_TOL, KERNEL_NEG_TOL, MASS_TOL, MAX_RETRIES, RANK_TOL)
 
 COMPLETENESS_LABEL = "HS Assumption 3 / Assumption 2: completeness of the proxy kernels"
 DISTINCTNESS_LABEL = "HS Assumption 4: distinct signal-kernel columns"
@@ -194,76 +197,27 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
 # expressed in the reference stratum's labels; the benchmark still does
 
 
-def _min_assignment(cost: list[list[float]]) -> list[int]:
-    """Column of each row in a minimum-cost perfect matching of a square
-    matrix: Kuhn-Munkres with potentials (shortest augmenting paths, O(k^3)).
-    The lists are 1-based; index 0 is the virtual column from which each
-    row's augmenting path starts."""
-    k = len(cost)
-    inf = float("inf")
-    u = [0.0] * (k + 1)
-    v = [0.0] * (k + 1)
-    row_of = [0] * (k + 1)  # row_of[j]: 1-based row matched to column j
-    way = [0] * (k + 1)
-    for i in range(1, k + 1):
-        row_of[0] = i
-        j0 = 0
-        minv = [inf] * (k + 1)
-        used = [False] * (k + 1)
-        while row_of[j0]:
-            used[j0] = True
-            i0 = row_of[j0]
-            row, ui = cost[i0 - 1], u[i0]
-            delta, j1 = inf, 0
-            for j in range(1, k + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(k + 1):
-                if used[j]:
-                    u[row_of[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            row_of[j0] = row_of[j1]
-            j0 = j1
-    cols = [0] * k
-    for j in range(1, k + 1):
-        cols[row_of[j] - 1] = j - 1
-    return cols
-
-
 def match_permutation(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """Permutation ``p`` minimizing total L1 gap of ``candidate[:, p]`` to
-    ``reference``; raises :class:`AmbiguousMatch` when the optimum is not
-    clearly unique."""
+    ``reference``, found by trying all k! relabelings of the k columns;
+    raises :class:`AmbiguousMatch` when the optimum is not clearly unique,
+    and :class:`EnumerationTooLarge` when k! * k exceeds
+    ``ENUMERATION_GUARD``."""
     if reference.shape != candidate.shape:
         raise AmbiguousMatch("column sets have different shapes")
     cost = np.abs(reference[:, :, None] - candidate[:, None, :]).sum(axis=0)
     if not np.isfinite(cost).all():
         raise ValueError("column sets contain non-finite entries")
-    rows = np.arange(cost.shape[0])
-    table = cost.tolist()
-    cols = _min_assignment(table)
-    best = float(cost[rows, cols].sum())
-    # uniqueness: forbidding any chosen edge must strictly raise the optimum;
-    # an edge costing more than every full matching is forbidden, and a
-    # re-solve that still takes it has no alternative matching
-    forbidden = float(cost.sum()) + 1.0
-    for i, j in enumerate(cols):
-        table[i][j] = forbidden
-        alt_cols = _min_assignment(table)
-        table[i][j] = float(cost[i, j])
-        if alt_cols[i] == j:
-            continue
-        alt = float(cost[rows, alt_cols].sum())
-        if alt - best < AMBIGUITY_TOL:
-            raise AmbiguousMatch(
-                f"two column matchings differ by only {alt - best:.3e}")
-    return np.asarray(cols, dtype=np.int64)
+    k = cost.shape[0]
+    terms = math.factorial(k) * k
+    if terms > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(
+            f"matching {k} columns would sum {terms} costs, over the "
+            f"{ENUMERATION_GUARD} guard")
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    totals = cost[np.arange(k), perms].sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    margin = totals[order[1]] - totals[order[0]] if k > 1 else np.inf
+    if margin < AMBIGUITY_TOL:
+        raise AmbiguousMatch(f"two column matchings differ by only {margin:.3e}")
+    return perms[order[0]]

@@ -310,8 +310,7 @@ def test_criterion_7_failure_modes():
     # rank-deficient f(Z | W): the proxy carries no signal about the state
     rng = np.random.default_rng(70)
     z_kernel = np.repeat(rng.dirichlet(np.ones(3))[:, None], 2, axis=1)
-    m = random_npsem(FIGURES["fig2a"], standard_spaces(2), seed=70,
-                     latent=("W",), kernels={"Z": z_kernel})
+    m = random_npsem(FIGURES["fig2a"], standard_spaces(2), seed=70, kernels={"Z": z_kernel})
     with pytest.raises(RankDeficient) as ei:
         identify_outcome_proxy(observed_joint(m), 2)
     assert ei.value.assumption and "completeness" in str(ei.value)
@@ -328,7 +327,7 @@ def test_criterion_7_failure_modes():
     # the treatment design names its own distinctness assumption
     x_given_w = np.array([[0.6, 0.6], [0.4, 0.4]])
     m = random_npsem(FIGURES["fig3a"], standard_spaces(2), seed=72,
-                     latent=("W",), kernels={"X": x_given_w})
+                     kernels={"X": x_given_w})
     with pytest.raises(EigenGapExhausted) as ei:
         identify_treatment_proxy(observed_joint(m), 2)
     assert DESIGNS["treatment"].distinctness in str(ei.value)

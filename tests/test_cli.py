@@ -352,17 +352,33 @@ class TestEndToEnd:
         assert "/estimands/ate: " in diag["message"]
         assert "/estimands/var_beta: present on one side only" in diag["message"]
 
-    def test_unknown_fixture_is_validation_error(self, capsys):
-        code, _, err = run(capsys, "end-to-end", "--fixture", "nope")
+    @pytest.mark.parametrize("fixture", ["nope", "../fixtures/fig1a-early-late-tests",
+                                         "fig1a-early-late-tests.json"])
+    def test_unknown_fixture_is_validation_error(self, capsys, fixture):
+        code, _, err = run(capsys, "end-to-end", "--fixture", fixture)
         assert code == 2
-        assert json.loads(err)["error"] == "ValidationError"
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert diag["message"] == (
+            f"no builtin fixture {fixture!r}; have ['fig1a-early-late-tests', "
+            f"'fig1b-double-only', 'fig1d-auxiliary']")
 
 
 class TestExitCodesAndDiagnostics:
     def test_bad_flags_exit_2(self, capsys):
-        assert main(["identify", "--design", "nonsense", "--latent-dim", "2",
-                     "--joint", "x.json"]) == 2
-        capsys.readouterr()
+        code, out, err = run(capsys, "identify", "--design", "nonsense", "--latent-dim", "2",
+                             "--joint", "x.json")
+        assert code == 2 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert diag["message"].startswith("triproxy identify: argument --design: invalid choice")
+
+    @pytest.mark.parametrize("argv,usage", [(["--help"], "usage: triproxy "),
+                                            (["identify", "--help"], "usage: triproxy identify ")])
+    def test_help_exits_0_with_nothing_on_stderr(self, capsys, argv, usage):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith(usage)
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "identify", "--design", "outcome",
@@ -445,43 +461,46 @@ class TestExitCodesAndDiagnostics:
                 "--rule", "mean-monotone"]
     _BOUNDS = ["bounds", "--design", "outcome", "--latent-dim", "2", "--joint", "{joint}"]
 
-    @pytest.mark.parametrize("argv,reason", [
-        (_RELABEL + ["--tau", "abc"], "bad --tau 'abc'"),
-        (_RELABEL + ["--tau", "0"], "quantile rank must lie in (0, 1]"),
-        (_RELABEL + ["--tau", "1.5"], "quantile rank must lie in (0, 1]"),
-        (_IDENTIFY[:3] + ["--latent-dim", "-1", "--joint", "{joint}"],
+    @pytest.mark.parametrize("argv,error,reason", [
+        (_RELABEL + ["--tau", "abc"], "ValidationError", "bad --tau 'abc'"),
+        (_RELABEL + ["--tau", "0"], "ValidationError", "quantile rank must lie in (0, 1]"),
+        (_RELABEL + ["--tau", "1.5"], "ValidationError", "quantile rank must lie in (0, 1]"),
+        (_IDENTIFY[:3] + ["--latent-dim", "-1", "--joint", "{joint}"], "ValidationError",
          "--latent-dim must be at least 1"),
-        (_IDENTIFY[:3] + ["--latent-dim", "0", "--joint", "{joint}"],
+        (_IDENTIFY[:3] + ["--latent-dim", "0", "--joint", "{joint}"], "ValidationError",
          "--latent-dim must be at least 1"),
-        (_IDENTIFY + ["--seed", "-1"], "--seed must be non-negative"),
-        (_RELABEL + ["--seed", "-1"], "--seed must be non-negative"),
-        (_BOUNDS + ["--seed", "-1"], "--seed must be non-negative"),
-        (_IDENTIFY + ["--report", "{missing}"], "cannot write"),
-        (_IDENTIFY + ["--csv", "{missing}"], "cannot write"),
-        (_BOUNDS[:3] + ["--latent-dim", "9", "--joint", "{joint}"],
+        (_IDENTIFY + ["--seed", "-1"], "ValidationError", "--seed must be non-negative"),
+        (_RELABEL + ["--seed", "-1"], "ValidationError", "--seed must be non-negative"),
+        (_BOUNDS + ["--seed", "-1"], "ValidationError", "--seed must be non-negative"),
+        (_IDENTIFY + ["--report", "{missing}"], "ValidationError", "cannot write"),
+        (_IDENTIFY + ["--csv", "{missing}"], "ValidationError", "cannot write"),
+        (_BOUNDS[:3] + ["--latent-dim", "9", "--joint", "{joint}"], "ValidationError",
          "latent dimension 9 exceeds"),
         (["bounds", "--design", "auxiliary", "--latent-dim", "2", "--joint", "{joint}"],
-         "the auxiliary design needs exactly the axes"),
+         "ValidationError", "the auxiliary design needs exactly the axes"),
         (["identify", "--design", "treatment", "--latent-dim", "2", "--joint", "{aux_joint}"],
-         "the treatment design needs exactly the axes"),
-        (["classify", "--graph", "{graph}"], "graph lacks a node for core role 'W'"),
-        (["dag-check", "--graph", "{graph}", "--proposition", "1"],
+         "ValidationError", "the treatment design needs exactly the axes"),
+        (["classify", "--graph", "{graph}"], "MissingRole",
+         "graph lacks a node for core role 'W'"),
+        (["dag-check", "--graph", "{graph}", "--proposition", "1"], "MissingRole",
          "graph lacks a node for role"),
-        (["simulate", "--model", "{huge_joint}"],
+        (["simulate", "--model", "{huge_joint}"], "EnumerationTooLarge",
          "would hold 100000000 cells, over the 10000000 guard"),
-        (["oracle", "--model", "{huge_oracle}"],
+        (["oracle", "--model", "{huge_oracle}"], "EnumerationTooLarge",
          "would hold 20000000 cells, over the 10000000 guard"),
-        (["classify", "--figure", "nope"], "no builtin figure 'nope'"),
-        (["dag-check", "--figure", "fig2a", "--proposition", "99"],
+        (["classify", "--figure", "nope"], "ValidationError", "no builtin figure 'nope'"),
+        (["dag-check", "--figure", "fig2a", "--proposition", "99"], "ValidationError",
          "no proposition 99; have [1, 2, 3, 4, 5, 6, 7]"),
-        # refused by the argument parser, which writes its usage, not JSON
-        (["classify", "--figure", "fig1b", "--graph", "/nonexistent.json"],
-         "usage: argument --graph: not allowed with argument --figure"),
+        # refused by the argument parser, through the same JSON diagnostic
+        (["classify", "--figure", "fig1b", "--graph", "/nonexistent.json"], "ValidationError",
+         "triproxy classify: argument --graph: not allowed with argument --figure"),
         (["dag-check", "--figure", "fig2a", "--graph", "{graph}", "--proposition", "1"],
-         "usage: argument --graph: not allowed with argument --figure"),
-        (["classify"], "usage: one of the arguments --graph --figure is required"),
-        (["dag-check", "--proposition", "1"],
-         "usage: one of the arguments --graph --figure is required"),
+         "ValidationError",
+         "triproxy dag-check: argument --graph: not allowed with argument --figure"),
+        (["classify"], "ValidationError",
+         "triproxy classify: one of the arguments --graph --figure is required"),
+        (["dag-check", "--proposition", "1"], "ValidationError",
+         "triproxy dag-check: one of the arguments --graph --figure is required"),
     ], ids=["relabel-tau-abc", "relabel-tau-0", "relabel-tau-1.5", "latent-dim-negative",
             "latent-dim-0", "identify-seed-negative", "relabel-seed-negative",
             "bounds-seed-negative", "report-in-missing-dir", "csv-in-missing-dir",
@@ -490,7 +509,7 @@ class TestExitCodesAndDiagnostics:
             "simulate-oversized-model", "oracle-oversized-model", "classify-unknown-figure",
             "dag-check-unknown-proposition", "classify-figure-and-graph",
             "dag-check-figure-and-graph", "classify-no-graph", "dag-check-no-graph"])
-    def test_bad_input_exit_2(self, tmp_path, capsys, fig2a_files, argv, reason):
+    def test_bad_input_exit_2(self, tmp_path, capsys, fig2a_files, argv, error, reason):
         _, _, joint = fig2a_files
         aux_joint = tmp_path / "aux-joint.json"
         aux_joint.write_text(json.dumps(
@@ -504,11 +523,8 @@ class TestExitCodesAndDiagnostics:
             paths[name].write_text(json.dumps(model.to_dict()))
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
-        if reason.startswith("usage: "):
-            assert err.startswith("usage: ") and reason[len("usage: "):] in err
-            return
         diag = json.loads(err)
-        assert diag["error"] == "ValidationError"
+        assert diag["error"] == error
         assert reason in diag["message"]
 
     def test_latent_dim_too_large_exit_2(self, capsys, fig2a_files):
@@ -618,7 +634,7 @@ def test_classify_refuses_too_many_role_assignments_at_once(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 2
     diag = json.loads(out.stderr)
-    assert diag["error"] == "ValidationError"
+    assert diag["error"] == "EnumerationTooLarge"
     assert f"205320 assignments of 3 proxy roles, over the " \
            f"{tolerances.ROLE_ASSIGNMENT_GUARD} guard" in diag["message"]
 

@@ -69,7 +69,7 @@ def small_model(seed=0) -> Npsem:
     spaces = {"W": VarSpace("W", 2), "X": VarSpace("X", 2),
               "Y": VarSpace("Y", 2), "Z": VarSpace("Z", 2),
               "V": VarSpace("V", 2)}
-    return random_npsem(dag, spaces, seed=seed, latent=("W",))
+    return random_npsem(dag, spaces, seed=seed)
 
 
 class TestEnumeration:
@@ -132,7 +132,7 @@ class TestPlanCache:
 
     def test_models_on_one_dag_share_one_plan(self):
         dag, spaces = FIGURES["fig2a"], standard_spaces(2)
-        models = [random_npsem(dag, spaces, seed=s, latent=("W",), noise_cards={"Y": nc})
+        models = [random_npsem(dag, spaces, seed=s, noise_cards={"Y": nc})
                   for s, nc in ((0, 4), (1, 9))]
         assert models[0]["Y"].noise_card != models[1]["Y"].noise_card
         scm._PLANS.clear()
@@ -195,7 +195,7 @@ class TestFactorizedOracle:
 
     @pytest.mark.parametrize("fig,K,arms,keep", list(_cross_check_cases()))
     def test_matches_enumeration(self, fig, K, arms, keep):
-        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K, latent=("W",))
+        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K)
         joint = counterfactual_joint(m, arms, keep=keep)
         want = brute_force_counterfactual(m, arms, keep=keep)
         assert joint.values.shape == want.shape
@@ -203,7 +203,7 @@ class TestFactorizedOracle:
 
     @pytest.mark.parametrize("fig", sorted(FIGURES))
     def test_observable_matches_enumeration(self, fig):
-        m = random_npsem(FIGURES[fig], standard_spaces(3), seed=3, latent=("W",))
+        m = random_npsem(FIGURES[fig], standard_spaces(3), seed=3)
         # with no intervention there is one arm, Y(), equal to the factual Y
         want = brute_force_counterfactual(m, (), keep=m.names).sum(axis=0)
         np.testing.assert_allclose(observable_joint(m).values, want, rtol=0, atol=1e-13)
@@ -256,7 +256,7 @@ class TestEffects:
     @pytest.mark.parametrize("fig", sorted(FIGURES))
     @pytest.mark.parametrize("K", [2, 3])
     def test_matches_enumeration(self, fig, K):
-        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K, latent=("W",))
+        m = random_npsem(FIGURES[fig], standard_spaces(K), seed=K)
         got, want = effects(m), enumerated_effects(m)
         assert set(got) == set(want)
         for key in want:
@@ -264,7 +264,7 @@ class TestEffects:
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
 
     def test_reads_the_one_memoized_joint(self):
-        m = random_npsem(FIGURES["fig2a"], standard_spaces(2), seed=4, latent=("W",))
+        m = random_npsem(FIGURES["fig2a"], standard_spaces(2), seed=4)
         effects(m)
         assert list(m._joints.values()) == [counterfactual_joint(m, ("X",), keep=("W", "X"))]
 
@@ -275,7 +275,7 @@ class TestEffects:
                 effects(Npsem(m.nodes, latent))
 
     def test_needs_a_binary_treatment(self):
-        m = random_npsem(FIGURES["fig2a"], standard_spaces(3), seed=0, latent=("W",))
+        m = random_npsem(FIGURES["fig2a"], standard_spaces(3), seed=0)
         with pytest.raises(NonBinaryTreatment):
             effects(m, treatment="Z")
 

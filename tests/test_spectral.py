@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triproxy.errors import (AmbiguousMatch, EigenGapExhausted, NegativeMass,
-                             RankDeficient, ZeroConditioningCell)
+from triproxy.errors import (AmbiguousMatch, EigenGapExhausted, EnumerationTooLarge,
+                             NegativeMass, RankDeficient, ZeroConditioningCell)
 from triproxy.spectral import (COMPLETENESS_LABEL, DISTINCTNESS_LABEL,
                                HsOptions, canonical_order, hs_decompose,
                                match_permutation)
@@ -142,6 +142,24 @@ class TestMatchPermutation:
     def test_single_column(self):
         ref = np.array([[0.3], [0.7]])
         np.testing.assert_array_equal(match_permutation(ref, ref[::-1]), [0])
+
+    def test_nine_columns_are_searched(self):
+        rng = np.random.default_rng(8)
+        ref = rng.dirichlet(np.ones(11), size=9).T
+        p = rng.permutation(9)
+        np.testing.assert_array_equal(ref[:, p][:, match_permutation(ref, ref[:, p])], ref)
+
+    def test_ten_columns_refused_before_any_relabeling(self, monkeypatch):
+        """10! * 10 summed costs exceed ENUMERATION_GUARD: the search is
+        refused before a single permutation is built."""
+        def build(*args):
+            raise AssertionError("a permutation was built")
+        rng = np.random.default_rng(9)
+        ref = rng.dirichlet(np.ones(12), size=10).T
+        monkeypatch.setattr(itertools, "permutations", build)
+        with pytest.raises(EnumerationTooLarge,
+                           match="36288000 costs, over the 10000000 guard"):
+            match_permutation(ref, ref[:, ::-1])
 
 
 def candidate_columns(rng, ref, kind):
