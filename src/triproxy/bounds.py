@@ -67,7 +67,7 @@ def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
     return y.level_values()
 
 
-def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
+def _bounds(joint: ProbTensor, k: int, design: str) -> BoundsReport:
     """Per-arm identification stage of ``design``, then per-``v`` intervals
     from the extremes of the supported stratum means, averaged over V."""
     d = DESIGNS[design]
@@ -88,7 +88,7 @@ def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
     maxs = np.empty(f_vx.shape)
     for x in (0, 1):
         fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), {"X": x}),
-                           HsOptions(latent_dim=k, seed=seed))
+                           HsOptions(latent_dim=k))
         ywv, _, cond = _deconvolve(fac.z_given_w,
                                    _slice_joint(joint, d.second_stage[:-1], {"X": x}),
                                    f"outcome/latent joint (X={x})")
@@ -123,13 +123,13 @@ def _bounds(joint: ProbTensor, k: int, seed: int, design: str) -> BoundsReport:
         diagnostics=diag)
 
 
-def bounds_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
+def bounds_outcome_proxy(joint: ProbTensor, k: int) -> BoundsReport:
     """Sharp bounds from per-arm identification of a (Y, Z, V, X) joint,
     the outcome being the signal; no cross-arm latent alignment."""
-    return _bounds(joint, k, seed, "outcome")
+    return _bounds(joint, k, "outcome")
 
 
-def bounds_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> BoundsReport:
+def bounds_auxiliary_proxy(joint: ProbTensor, k: int) -> BoundsReport:
     """Per-``v`` rank-invariance bounds from per-arm identification with an
     auxiliary signal C, averaged into ATT/ATU intervals."""
-    return _bounds(joint, k, seed, "auxiliary")
+    return _bounds(joint, k, "auxiliary")

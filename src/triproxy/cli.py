@@ -175,9 +175,9 @@ def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
     return order
 
 
-def _identify(joint: ProbTensor, design: str, k: int, seed: int):
+def _identify(joint: ProbTensor, design: str, k: int):
     order = _check_joint(joint, design, k)
-    model = PIPELINES[design][0](joint.reorder(order), k, seed=seed)
+    model = PIPELINES[design][0](joint.reorder(order), k)
     return estimands(model), model
 
 
@@ -215,7 +215,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_identify(args) -> int:
     joint, inputs = _load_tensor(args.joint)
-    rep, model = _identify(joint, args.design, args.latent_dim, args.seed)
+    rep, model = _identify(joint, args.design, args.latent_dim)
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
     _write(args.report, _report(args, "identify", result, inputs))
@@ -227,7 +227,7 @@ def _cmd_identify(args) -> int:
 def _cmd_relabel(args) -> int:
     taus = _taus(args.tau)
     joint, inputs = _load_tensor(args.joint)
-    _, model = _identify(joint, args.design, args.latent_dim, args.seed)
+    _, model = _identify(joint, args.design, args.latent_dim)
     functional, mode = args.rule.rsplit("-", 1)
     rule = RelabelRule(functional=functional, mode=mode)
     if mode == "unbiased":
@@ -248,7 +248,7 @@ def _cmd_bounds(args) -> int:
     joint, inputs = _load_tensor(args.joint)
     _check_joint(joint, args.design, args.latent_dim)
     fn = bounds_outcome_proxy if args.design == "outcome" else bounds_auxiliary_proxy
-    rep = fn(joint, args.latent_dim, seed=args.seed)
+    rep = fn(joint, args.latent_dim)
     result = {"design": args.design, "s_lower": rep.s_lower, "s_upper": rep.s_upper,
               "att_interval": list(rep.att_interval),
               "atu_interval": list(rep.atu_interval),
@@ -323,8 +323,7 @@ def run_fixture(payload: dict) -> dict:
             f"(designs found: {designs or 'none'})",
             assumption="graphical prerequisites: no certified design")
     design = triple[0]   # each fixture's graph certifies one pipeline design
-    rep, _ = _identify(observed_joint(m), design, payload["latent_dim"],
-                       seed=payload.get("seed", 0))
+    rep, _ = _identify(observed_joint(m), design, payload["latent_dim"])
     return {"fixture": name, "designs": designs, "design": design,
             "estimands": _estimand_result(rep)}
 
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     ide.add_argument("--design", required=True, choices=sorted(PIPELINES))
     ide.add_argument("--latent-dim", type=int, required=True)
     ide.add_argument("--joint", required=True)
-    ide.add_argument("--seed", type=int, default=0)
     ide.add_argument("--report", default="-")
     ide.add_argument("--csv", default=None)
     ide.set_defaults(func=_cmd_identify)
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--rule", required=True,
                      choices=("mean-unbiased", "median-unbiased", "mean-monotone"))
     rel.add_argument("--tau", default="0.25,0.5,0.75")
-    rel.add_argument("--seed", type=int, default=0)
     rel.add_argument("--report", default="-")
     rel.set_defaults(func=_cmd_relabel)
 
@@ -424,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--design", required=True, choices=("outcome", "auxiliary"))
     bnd.add_argument("--latent-dim", type=int, required=True)
     bnd.add_argument("--joint", required=True)
-    bnd.add_argument("--seed", type=int, default=0)
     bnd.add_argument("--report", default="-")
     bnd.set_defaults(func=_cmd_bounds)
 
@@ -451,8 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "latent_dim", 1) < 1:
             raise ValidationError(f"--latent-dim must be at least 1, got {args.latent_dim}")
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except SystemExit:   # only --help, once printed: the parser raises its refusals
         return 0

@@ -182,7 +182,7 @@ def _require_positivity(cell_x: ProbTensor) -> None:
             "but not in every treatment arm (positivity)")
 
 
-def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcomeModel:
+def _identify(joint: ProbTensor, k: int, design: str) -> LatentOutcomeModel:
     """Factorize once, in the reference stratum; deconvolve once, through
     the shared f(z | w), to f(y, w, x), or f(y, w, v, x) for the auxiliary
     design; assemble: each arm integrates f(y | w, v, x1) over f(v, w, x)
@@ -195,7 +195,7 @@ def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcom
         f_s = marginalize(joint, set(joint.names) - {d.stratum}).values
         fix = {d.stratum: int(np.argmax(f_s))}
     fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), fix),
-                       HsOptions(latent_dim=k, seed=seed, distinctness_label=d.distinctness))
+                       HsOptions(latent_dim=k, distinctness_label=d.distinctness))
     latent, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, d.second_stage, {}),
                                     "latent joint")
     y, x = joint.axis("Y"), joint.axis("X")
@@ -221,29 +221,28 @@ def _identify(joint: ProbTensor, k: int, seed: int, design: str) -> LatentOutcom
 # the four pipelines
 
 
-def identify_outcome_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+def identify_outcome_proxy(joint: ProbTensor, k: int) -> LatentOutcomeModel:
     """Outcome-proxy design: the outcome is the signal, factorized in the
     reference treatment stratum."""
-    return _identify(joint, k, seed, "outcome")
+    return _identify(joint, k, "outcome")
 
 
-def identify_treatment_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+def identify_treatment_proxy(joint: ProbTensor, k: int) -> LatentOutcomeModel:
     """Treatment-proxy design: the treatment is the signal, factorized on the
     whole joint."""
-    return _identify(joint, k, seed, "treatment")
+    return _identify(joint, k, "treatment")
 
 
-def identify_cond_treatment_proxy(joint: ProbTensor, k: int,
-                                  seed: int = 0) -> LatentOutcomeModel:
+def identify_cond_treatment_proxy(joint: ProbTensor, k: int) -> LatentOutcomeModel:
     """Conditional-treatment design: the treatment is the signal, factorized
     in the reference outcome stratum."""
-    return _identify(joint, k, seed, "cond-treatment")
+    return _identify(joint, k, "cond-treatment")
 
 
-def identify_auxiliary_proxy(joint: ProbTensor, k: int, seed: int = 0) -> LatentOutcomeModel:
+def identify_auxiliary_proxy(joint: ProbTensor, k: int) -> LatentOutcomeModel:
     """Auxiliary-proxy design: C is the signal, factorized in the reference
     treatment stratum, and V is integrated into the arm laws."""
-    return _identify(joint, k, seed, "auxiliary")
+    return _identify(joint, k, "auxiliary")
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ discrete latent state ``w`` of known cardinality as
 :func:`hs_decompose` recovers the three factors up to a joint permutation of
 the latent states.  The construction follows the classical eigendecomposition
 argument: a rank-``k`` truncated SVD of the ``(z, v)`` margin compresses the
-problem to ``k`` dimensions, random convex combinations over the ``c`` axis
+problem to ``k`` dimensions, convex combinations over the ``c`` axis
 produce a diagonalizable transfer matrix whose eigenvector basis separates
 the latent states, and the remaining factors drop out of diagonal extraction
-and column normalization.
+and column normalization.  Any generic combination separates the states, so
+the combination weights are Dirichlet draws from one fixed stream,
+``np.random.default_rng(0)`` created anew in each call: the factors depend
+on the joint and the latent dimension alone.
 
 The permutation ambiguity is resolved canonically: latent states are sorted
 by the lexicographic order of their ``z_given_w`` columns, so repeated runs
@@ -50,7 +53,6 @@ class HsOptions:
     """Per-call settings of :func:`hs_decompose`."""
 
     latent_dim: int
-    seed: int = 0
     distinctness_label: str = DISTINCTNESS_LABEL
 
 
@@ -98,7 +100,9 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
     plain three-axis ndarray.
 
     Axes are positional: axis 0 is the left proxy, axis 1 the signal whose
-    latent-conditional law is extracted, axis 2 the right proxy.
+    latent-conditional law is extracted, axis 2 the right proxy.  Up to
+    ``MAX_RETRIES`` reweightings of the signal axis are drawn from a fresh
+    ``np.random.default_rng(0)``, so equal inputs give bitwise-equal factors.
     """
     # normalize memory layout: BLAS/einsum results can differ in the last bit
     # between strided views of the same values, which would break the
@@ -126,7 +130,7 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
     b_inv = np.linalg.inv(b)
     compressed = np.einsum("zi,zcv,vj->cij", u, f, r)  # (nc, k, k)
 
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(0)
     best_gap, best_imag = -np.inf, np.inf
     eigvecs = None
     gap = imag = np.nan
