@@ -9,7 +9,8 @@ Counterfactual independence statements (those about potential outcomes)
 are handled two ways: a twin-network construction gives a *graphical*
 certificate, while :func:`triproxy.scm.check_conclusion` tests the same
 record exactly on structural models.  Proposition reports only
-claim counterfactual conclusions as verified-by-simulation.
+claim counterfactual conclusions as verified-by-simulation; design
+classification requires the graphical certificate.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ class Design:
 
     name: str
     proposition: int
-    labels: tuple[str, ...] | None = None  # conclusions needed; None: all observational
+    labels: tuple[str, ...] | None = None  # conclusions needed; None: all of them
     axes: tuple[str, ...] = ()      # the joint's axes, in the order the CLI reorders to
     stratum: str | None = None      # factorized in its most probable level; None: whole joint
     signal: str | None = None       # the third proxy: (Z, signal, V) is factorized
@@ -351,7 +352,7 @@ class Design:
 
     def needed(self) -> tuple[Conclusion, ...]:
         return tuple(c for c in PROPOSITIONS[self.proposition]
-                     if (c.label in self.labels if self.labels else c.kind == "observational"))
+                     if self.labels is None or c.label in self.labels)
 
     def proxy_roles(self) -> tuple[str, ...]:
         """The names the needed conclusions use besides Y, X and W, as Z, V, C."""
@@ -442,7 +443,9 @@ def classify_designs(g: Dag) -> frozenset:
     """Designs whose graphical prerequisites hold under some proxy-role assignment.
 
     The core nodes Y, X, W must be present; the remaining nodes are tried in
-    every injective assignment to the proxy roles each design requires.  A
+    every injective assignment to the proxy roles each design requires, and
+    an assignment certifies the design when every conclusion it needs holds:
+    by d-separation, or by the twin network for a counterfactual one.  A
     graph with more than ``ROLE_ASSIGNMENT_GUARD`` assignments of three roles
     raises :class:`~triproxy.errors.EnumerationTooLarge` before any is tried.
     """

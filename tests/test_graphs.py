@@ -180,6 +180,16 @@ def test_fig1c_fails_double_but_not_triple():
     assert "cond-treatment" in designs
 
 
+def test_counterfactual_conclusions_gate_certification():
+    """fig1d without C -> Y passes the observational conclusions of
+    Proposition 1 only with C in V's role, where V -> X and V -> Y break its
+    conclusion iv, Y(x) ⊥ X,V | W: the outcome designs are not certified."""
+    g = FIGURES["fig1d"]
+    edited = Dag(g.nodes, tuple(e for e in g.edges if e != ("C", "Y")))
+    assert not counterfactual_d_separated(edited, "Y", {"X"}, {"X", "C"}, {"W"})
+    assert classify_designs(edited) == {"auxiliary", "auxiliary-rank-invariance"}
+
+
 def test_design_registry_is_the_one_list_of_designs():
     """Every design the CLI, the generators and the classifier name is a
     record of ``DESIGNS``, each staged record reads the axes of its stage,
