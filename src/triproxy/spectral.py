@@ -13,9 +13,8 @@ problem to ``k`` dimensions, convex combinations over the ``c`` axis
 produce a diagonalizable transfer matrix whose eigenvector basis separates
 the latent states, and the remaining factors drop out of diagonal extraction
 and column normalization.  Any generic combination separates the states, so
-the combination weights are Dirichlet draws from one fixed stream,
-``np.random.default_rng(0)`` created anew in each call: the factors depend
-on the joint and the latent dimension alone.
+the weights come from one fixed random stream: the factors depend on the
+joint and the latent dimension alone.
 
 The permutation ambiguity is resolved canonically: latent states are sorted
 by the lexicographic order of their ``z_given_w`` columns, so repeated runs

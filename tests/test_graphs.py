@@ -182,8 +182,9 @@ def test_fig1c_fails_double_but_not_triple():
 
 def test_counterfactual_conclusions_gate_certification():
     """fig1d without C -> Y passes the observational conclusions of
-    Proposition 1 only with C in V's role, where V -> X and V -> Y break its
-    conclusion iv, Y(x) ⊥ X,V | W: the outcome designs are not certified."""
+    Proposition 1 only with C in V's role; the node V, a cause of X and Y in
+    no role, then breaks its conclusion iv, Y(x) ⊥ X,C | W, so the outcome
+    designs are not certified."""
     g = FIGURES["fig1d"]
     edited = Dag(g.nodes, tuple(e for e in g.edges if e != ("C", "Y")))
     assert not counterfactual_d_separated(edited, "Y", {"X"}, {"X", "C"}, {"W"})
