@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingLevels, NonBinaryTreatment, ZeroConditioningCell
+from .errors import NonBinaryTreatment, ZeroConditioningCell
 from .graphs import DESIGNS
 from .pipelines import _deconvolve, _require_axes, _slice_joint
 from .prob import ProbTensor, marginalize
@@ -61,10 +61,7 @@ class BoundsReport:
 def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
     if joint.axis("X").cardinality != 2:
         raise NonBinaryTreatment("rank-invariance bounds need a binary treatment")
-    y = joint.axis("Y")
-    if y.levels is None:
-        raise MissingLevels(f"outcome {y.name!r} carries no numeric levels")
-    return y.level_values()
+    return joint.axis("Y").level_values()
 
 
 def _bounds(joint: ProbTensor, k: int, design: str) -> BoundsReport:

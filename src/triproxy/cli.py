@@ -49,7 +49,7 @@ from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
 from .tolerances import GOLDEN_TOL
 
-REPORT_FORMAT = 6
+REPORT_FORMAT = 7
 
 #: design -> (pipeline, the joint's axes in the order it reads them)
 PIPELINES = {name: (fn, DESIGNS[name].axes) for name, fn in (
@@ -207,7 +207,7 @@ ORACLE_FIELDS = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cat
 
 def _cmd_oracle(args) -> int:
     m, inputs = _load_model(args.model)
-    eff = effects(m, treatment=args.treatment, outcome=args.outcome)
+    eff = effects(m)
     result = {key: np.asarray(eff[field]).tolist() for key, field in ORACLE_FIELDS.items()}
     _write(args.out, _report(args, "oracle", result, inputs))
     return 0
@@ -394,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact counterfactual effect summaries")
     orc.add_argument("--model", required=True)
-    orc.add_argument("--treatment", default="X")
-    orc.add_argument("--outcome", default="Y")
     orc.add_argument("--out", default="-")
     orc.set_defaults(func=_cmd_oracle)
 

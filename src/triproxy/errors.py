@@ -76,10 +76,6 @@ class EigenGapExhausted(TriproxyError):
     assumption = "HS Assumption 4: distinguishability"
 
 
-class ComplexResidual(TriproxyError):
-    pass
-
-
 class NegativeMass(TriproxyError):
     """A recovered latent-indexed kernel has entries below the tolerance."""
 

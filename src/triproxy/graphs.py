@@ -15,6 +15,7 @@ classification requires the graphical certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -37,9 +38,10 @@ def _names(value, what: str) -> tuple[str, ...]:
 class Dag:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    # each node's parents in edge order, and a topological order, both
-    # fixed by the frozen nodes and edges
+    # each node's parents and children in edge order, and a topological
+    # order, all fixed by the frozen nodes and edges
     _parents: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
     _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,7 +58,7 @@ class Dag:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         parents = {n: tuple(a for a, b in edges if b == n) for n in nodes}
-        children = {n: [b for a, b in edges if a == n] for n in nodes}
+        children = {n: tuple(b for a, b in edges if a == n) for n in nodes}
         indeg = {n: len(parents[n]) for n in nodes}
         queue = deque(n for n in nodes if indeg[n] == 0)
         order = []
@@ -70,6 +72,7 @@ class Dag:
         if len(order) != len(nodes):
             raise CyclicGraph("graph has a directed cycle")
         object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_order", tuple(order))
 
     def parents(self, node: str) -> tuple[str, ...]:
@@ -78,9 +81,9 @@ class Dag:
         return self._parents[node]
 
     def children(self, node: str) -> tuple[str, ...]:
-        if node not in self.nodes:
+        if node not in self._children:
             raise UnknownNode(f"unknown node {node!r}")
-        return tuple(b for a, b in self.edges if a == node)
+        return self._children[node]
 
     def topological_order(self) -> tuple[str, ...]:
         return self._order
@@ -200,7 +203,11 @@ def twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
 def counterfactual_d_separated(g: Dag, outcome: str, intervene_on,
                                right, given) -> bool:
     """Graphical check of ``outcome(x) ⊥ right | given`` via a twin network."""
-    twin, copy = twin_network(g, intervene_on)
+    return _twin_d_separated(*twin_network(g, intervene_on), outcome, right, given)
+
+
+def _twin_d_separated(twin: Dag, copy: dict, outcome: str, right, given) -> bool:
+    """The check of :func:`counterfactual_d_separated` on a built twin network."""
     cf = copy.get(outcome, outcome)
     if cf == outcome:
         # outcome unaffected by the intervention: plain d-separation,
@@ -401,16 +408,17 @@ class CheckReport:
         return all(c.certified for c in self.conclusions if c.kind == "observational")
 
 
-def _holds(g: Dag, c: Conclusion, roles: dict[str, str]) -> bool:
+def _holds(g: Dag, c: Conclusion, roles: dict[str, str], twin) -> bool:
     """d-separation of an observational conclusion, or the twin-network
-    check of a counterfactual one, with the roles mapped to nodes of ``g``."""
+    check of a counterfactual one, with the roles mapped to nodes of ``g``;
+    ``twin`` builds the twin network of ``g`` for a set of intervened nodes."""
     def mapped(names):
         return frozenset(roles[n] for n in names)
 
     if c.kind == "observational":
         return d_separated(g, CiQuery(mapped(c.left), mapped(c.right), mapped(c.given)))
-    return counterfactual_d_separated(g, roles[c.left[0]], mapped(c.intervene),
-                                      mapped(c.right), mapped(c.given))
+    return _twin_d_separated(*twin(mapped(c.intervene)), roles[c.left[0]],
+                             mapped(c.right), mapped(c.given))
 
 
 def check_proposition(g: Dag, prop_id: int) -> CheckReport:
@@ -426,10 +434,11 @@ def check_proposition(g: Dag, prop_id: int) -> CheckReport:
             if r not in g.nodes:
                 raise MissingRole(f"graph lacks a node for role {r!r}")
     roles = {n: n for n in g.nodes}
+    twin = functools.partial(twin_network, g)
 
     reports = []
     for c in PROPOSITIONS[prop_id]:
-        ok = _holds(g, c, roles)
+        ok = _holds(g, c, roles, twin)
         reports.append(ConclusionReport(c.label, c.kind, str(c),
                                         ok if c.kind == "observational" else None, ok))
     return CheckReport(prop_id, tuple(reports))
@@ -445,9 +454,10 @@ def classify_designs(g: Dag) -> frozenset:
     The core nodes Y, X, W must be present; the remaining nodes are tried in
     every injective assignment to the proxy roles each design requires, and
     an assignment certifies the design when every conclusion it needs holds:
-    by d-separation, or by the twin network for a counterfactual one.  A
-    graph with more than ``ROLE_ASSIGNMENT_GUARD`` assignments of three roles
-    raises :class:`~triproxy.errors.EnumerationTooLarge` before any is tried.
+    by d-separation, or by the twin network for a counterfactual one, built
+    once per intervened set.  A graph with more than ``ROLE_ASSIGNMENT_GUARD``
+    assignments of three roles raises
+    :class:`~triproxy.errors.EnumerationTooLarge` before any is tried.
     """
     for r in _CORE_ROLES:
         if r not in g.nodes:
@@ -458,12 +468,13 @@ def classify_designs(g: Dag) -> frozenset:
         raise EnumerationTooLarge(
             f"{len(candidates)} candidate proxies give {count} assignments of 3 proxy "
             f"roles, over the {ROLE_ASSIGNMENT_GUARD} guard")
+    twin = functools.cache(functools.partial(twin_network, g))
     found = set()
     for d in DESIGNS.values():
         needed, proxy_roles = d.needed(), d.proxy_roles()
         for combo in itertools.permutations(candidates, len(proxy_roles)):
             roles = {r: r for r in _CORE_ROLES} | dict(zip(proxy_roles, combo))
-            if all(_holds(g, c, roles) for c in needed):
+            if all(_holds(g, c, roles, twin) for c in needed):
                 found.add(d.name)
                 break
     return frozenset(found)

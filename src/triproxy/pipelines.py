@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    MissingLevels,
     NonBinaryTreatment,
     NonStochasticSolution,
     SolveIllConditioned,
@@ -212,8 +211,7 @@ def _identify(joint: ProbTensor, k: int, design: str) -> LatentOutcomeModel:
         z_given_w=MarkovKernel.build(joint.axis("Z"), cell[:1], fac.z_given_w),
         diagnostics={"design": design, "reference_stratum": fix,
                      "hs": {"singular_ratio": h.singular_ratio, "eigen_gap": h.eigen_gap,
-                            "max_imag": h.max_imag, "lstsq_residual": h.lstsq_residual,
-                            "clipped_mass": h.clipped_mass},
+                            "lstsq_residual": h.lstsq_residual, "clipped_mass": h.clipped_mass},
                      "projection_distance": neg, "solve_condition": cond})
 
 
@@ -298,10 +296,7 @@ QTE_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 def estimands(m: LatentOutcomeModel) -> EstimandReport:
     m = m.canonicalized()
-    y_space = m.y_space
-    if y_space.levels is None:
-        raise MissingLevels(f"outcome {y_space.name!r} carries no numeric levels")
-    y_levels = y_space.level_values()
+    y_levels = m.y_space.level_values()
     n_x = m.wx_joint.values.shape[1]
     if n_x != 2:
         raise NonBinaryTreatment(f"effect summaries need a binary treatment, "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDistribution, UnknownAxis, ZeroConditioningCell
+from .errors import InvalidDistribution, MissingLevels, UnknownAxis, ZeroConditioningCell
 from .tolerances import INPUT_NEG_TOL, MASS_TOL
 
 
@@ -57,8 +57,6 @@ class VarSpace:
     def level_values(self) -> np.ndarray:
         """Numeric level values; raises if the variable carries none."""
         if self.levels is None:
-            from .errors import MissingLevels
-
             raise MissingLevels(f"variable {self.name!r} has no numeric levels")
         return np.asarray(self.levels, dtype=float)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlphaCollision, MissingLevels, TauOutOfRange, ZeroConditioningCell
+from .errors import AlphaCollision, TauOutOfRange, ZeroConditioningCell
 from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
 from .prob import MarkovKernel, ProbTensor, VarSpace
 from .tolerances import LABEL_TOL
@@ -57,10 +57,7 @@ def _location(levels: np.ndarray, pmf: np.ndarray, functional: str) -> float:
 def compute_alpha(z_given_w: MarkovKernel, rule: RelabelRule) -> np.ndarray:
     """Per-latent-state location of the proxy law, shape ``(k,)``; two
     states closer than ``LABEL_TOL`` raise :class:`AlphaCollision`."""
-    z = z_given_w.target
-    if z.levels is None:
-        raise MissingLevels(f"proxy {z.name!r} carries no numeric levels")
-    levels = z.level_values()
+    levels = z_given_w.target.level_values()
     cols = z_given_w.values
     alpha = np.array([_location(levels, cols[:, w], rule.functional)
                       for w in range(cols.shape[1])])

@@ -365,8 +365,9 @@ def counterfactual_joint(m: Npsem, intervene_on, outcome: str = "Y",
     return _exact_joint(m, worlds, outputs, spaces)
 
 
-def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
-    """Exact effects of a binary treatment, all from one cross-world joint.
+def effects(m: Npsem) -> dict:
+    """Exact effects of the binary treatment ``X`` on the outcome ``Y``, all
+    from one cross-world joint.
 
     The joint keeps the model's one latent node ``W`` and the treatment next
     to both arms, so every effect reference of a model is one memoized
@@ -380,15 +381,15 @@ def effects(m: Npsem, treatment: str = "X", outcome: str = "Y") -> dict:
         raise MissingRole("effect summaries need exactly one latent node; the model "
                           f"declares {list(m.latent) or 'none'}")
     (latent,) = m.latent
-    if latent in (treatment, outcome):
+    if latent in ("X", "Y"):
         raise MissingRole(f"the treatment and the outcome must be observed; {latent!r} "
                           "is the model's latent node")
-    if m[treatment].space.cardinality != 2:
+    if m["X"].space.cardinality != 2:
         raise NonBinaryTreatment("effect summaries need a binary treatment")
-    y = m[outcome].space.level_values()
-    joint = counterfactual_joint(m, (treatment,), outcome=outcome, keep=(latent, treatment))
-    arms = tuple(arm_label(outcome, (x,)) for x in (0, 1))
-    v = joint.reorder(arms + (latent, treatment)).values
+    y = m["Y"].space.level_values()
+    joint = counterfactual_joint(m, ("X",), keep=(latent, "X"))
+    arms = tuple(arm_label("Y", (x,)) for x in (0, 1))
+    v = joint.reorder(arms + (latent, "X")).values
     y0, y1 = v.sum(axis=1), v.sum(axis=0)              # (Y(x), W, X)
     wx = y0.sum(axis=0)
     w, fx = wx.sum(axis=1), wx.sum(axis=0)

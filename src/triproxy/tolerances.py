@@ -10,7 +10,6 @@ MASS_TOL = 1e-10              # mass of a law may be off by this; less counts as
 INPUT_NEG_TOL = 1e-12         # most negative input-law entry clipped to zero
 RANK_TOL = 1e-7               # least singular-value ratio of the (z, v) margin at rank k
 EIGEN_GAP_TOL = 1e-6          # least gap between transfer-matrix eigenvalues
-IMAG_TOL = 1e-7               # largest imaginary part of an accepted eigenvalue
 MAX_RETRIES = 8               # random reweightings tried before refusing
 COLUMN_MASS_TOL = 1e-12       # least |mass| of a recovered proxy column
 KERNEL_NEG_TOL = 1e-6         # most negative entry clipped from a recovered kernel

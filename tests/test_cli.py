@@ -140,18 +140,33 @@ class TestSimulateOracle:
         assert code == 2
         assert "latent" in json.loads(err)["message"]
 
-    def test_oracle_refuses_an_unknown_treatment(self, capsys, fig2a_files):
-        _, model, _ = fig2a_files
-        code, _, err = run(capsys, "oracle", "--model", model, "--treatment", "Q")
+    def test_oracle_refuses_a_model_without_a_treatment_node(self, tmp_path, capsys,
+                                                             fig2a_files):
+        m, _, _ = fig2a_files
+        path = tmp_path / "no-x.json"
+        path.write_text(json.dumps(m.to_dict()).replace('"X"', '"Q"'))
+        code, _, err = run(capsys, "oracle", "--model", str(path))
         assert code == 2
-        assert "'Q'" in json.loads(err)["message"]
+        diag = json.loads(err)
+        assert diag["error"] == "UnknownNode"
+        assert "'X'" in diag["message"]
 
-    @pytest.mark.parametrize("flag", ["--treatment", "--outcome"])
-    def test_oracle_refuses_the_latent_node_as_a_role(self, capsys, fig2a_files, flag):
-        _, model, _ = fig2a_files
-        code, _, err = run(capsys, "oracle", "--model", model, flag, "W")
+    @pytest.mark.parametrize("role", ["X", "Y"])
+    def test_oracle_refuses_the_latent_node_as_a_role(self, tmp_path, capsys, fig2a_files,
+                                                      role):
+        # swap the names of the latent node W and the role node
+        m, _, _ = fig2a_files
+        text = json.dumps(m.to_dict())
+        swapped = (text.replace('"W"', '"@"').replace(f'"{role}"', '"W"')
+                   .replace('"@"', f'"{role}"'))
+        assert Npsem.from_dict(json.loads(swapped)).latent == (role,)
+        path = tmp_path / "latent-role.json"
+        path.write_text(swapped)
+        code, _, err = run(capsys, "oracle", "--model", str(path))
         assert code == 2
-        assert "latent node" in json.loads(err)["message"]
+        diag = json.loads(err)
+        assert diag["error"] == "MissingRole"
+        assert "latent node" in diag["message"]
 
 
 class TestIdentify:
@@ -171,7 +186,7 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 6
+        assert rep["report_format"] == 7
         registry = {name.lower(): value for name, value in vars(tolerances).items()
                     if name.isupper()}
         assert rep["tolerances"] == registry
@@ -358,6 +373,8 @@ class TestEndToEnd:
         payload = cli._fixture_payload("fig1a-early-late-tests")
         payload["golden"]["estimands"]["ate"] += 1e-6
         del payload["golden"]["estimands"]["var_beta"]
+        payload["golden"]["estimands"]["qte"].pop()
+        payload["golden"]["design"] = "treatment"
         monkeypatch.setattr(cli, "_fixture_payload", lambda name: payload)
         code, out, err = run(capsys, "end-to-end", "--fixture", "fig1a-early-late-tests")
         assert code == 3 and out == ""
@@ -365,6 +382,8 @@ class TestEndToEnd:
         assert diag["error"] == "GoldenMismatch"
         assert "/estimands/ate: " in diag["message"]
         assert "/estimands/var_beta: present on one side only" in diag["message"]
+        assert "/estimands/qte: length 9 != 8" in diag["message"]
+        assert "/design: 'outcome' != 'treatment'" in diag["message"]
 
     @pytest.mark.parametrize("fixture", ["nope", "../fixtures/fig1a-early-late-tests",
                                          "fig1a-early-late-tests.json"])

@@ -137,6 +137,12 @@ class TestTwinNetwork:
         assert counterfactual_d_separated(g, "Y", ("X",), {"X", "V"}, {"W"})
         # without conditioning on W the backdoor is open
         assert not counterfactual_d_separated(g, "Y", ("X",), {"X"}, set())
+        # without X -> Y the outcome has no intervened copy: plain d-separation,
+        # the outcome itself dropped from the right-hand side
+        g = Dag(g.nodes, tuple(e for e in g.edges if e != ("X", "Y")))
+        for right, given in (({"Y", "X", "V"}, {"W"}), ({"X"}, set()), ({"Z"}, set())):
+            assert counterfactual_d_separated(g, "Y", ("X",), right, given) == d_separated(
+                g, CiQuery(frozenset({"Y"}), frozenset(right - {"Y"}), frozenset(given)))
 
 
 EXPECTED_DESIGNS = {
@@ -189,6 +195,24 @@ def test_counterfactual_conclusions_gate_certification():
     edited = Dag(g.nodes, tuple(e for e in g.edges if e != ("C", "Y")))
     assert not counterfactual_d_separated(edited, "Y", {"X"}, {"X", "C"}, {"W"})
     assert classify_designs(edited) == {"auxiliary", "auxiliary-rank-invariance"}
+
+
+def test_classify_builds_one_twin_network_per_intervened_set(monkeypatch):
+    calls = []
+    build = graphs.twin_network
+
+    def counted(g, intervene_on):
+        calls.append(frozenset(intervene_on))
+        return build(g, intervene_on)
+
+    monkeypatch.setattr(graphs, "twin_network", counted)
+    for name, g in FIGURES.items():
+        calls.clear()
+        assert classify_designs(g) == EXPECTED_DESIGNS[name]
+        assert len(calls) == len(set(calls)), name
+    calls.clear()
+    classify_designs(FIGURES["fig1d"])
+    assert calls == [frozenset({"X"})]
 
 
 def test_design_registry_is_the_one_list_of_designs():

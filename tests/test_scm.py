@@ -275,9 +275,11 @@ class TestEffects:
                 effects(Npsem(m.nodes, latent))
 
     def test_needs_a_binary_treatment(self):
-        m = random_npsem(FIGURES["fig2a"], standard_spaces(3), seed=0)
+        spaces = standard_spaces(3)
+        spaces["X"] = VarSpace("X", 3)
+        m = random_npsem(FIGURES["fig2a"], spaces, seed=0)
         with pytest.raises(NonBinaryTreatment):
-            effects(m, treatment="Z")
+            effects(m)
 
 
 class TestCounterfactuals:

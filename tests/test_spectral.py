@@ -30,6 +30,24 @@ def forward(z, c, w_given_v, v):
     return np.einsum("zw,cw,wv,v->zcv", z, c, w_given_v, v)
 
 
+def identical_signal_columns():
+    """c_given_w has equal columns: every transfer matrix is a multiple of
+    the identity, so no reweighting can separate the latent states."""
+    rng = np.random.default_rng(1)
+    z, _, w_given_v, v = random_factors(rng, 4, 3, 4, 2)
+    c = np.tile(rng.dirichlet(np.ones(3))[:, None], (1, 2))
+    return forward(z, c, w_given_v, v)
+
+
+def complex_transfer_eigenvalues():
+    """f[:, c, :] = B (I/2 +- 0.2 J) with J a quarter turn: every
+    reweighting's transfer matrix is similar to I/2 + 0.2 (xi_0 - xi_1) J,
+    whose eigenvalues are a conjugate pair with one real part."""
+    b = np.array([[0.3, 0.2], [0.2, 0.3]])
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return np.stack([b @ (0.5 * np.eye(2) + s * 0.2 * j) for s in (1, -1)], axis=1)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -81,14 +99,11 @@ class TestFailureModes:
         with pytest.raises(RankDeficient):
             hs_decompose(np.full((2, 3, 2), 1 / 12), HsOptions(latent_dim=3))
 
-    def test_eigen_gap_exhausted_on_identical_signal_columns(self):
-        # c_given_w has equal columns: every transfer matrix is a multiple of
-        # the identity, so no reweighting can separate the latent states
-        rng = np.random.default_rng(1)
-        z, _, w_given_v, v = random_factors(rng, 4, 3, 4, 2)
-        c = np.tile(rng.dirichlet(np.ones(3))[:, None], (1, 2))
+    @pytest.mark.parametrize("make", [identical_signal_columns, complex_transfer_eigenvalues],
+                             ids=["identical-signal-columns", "complex-transfer-eigenvalues"])
+    def test_eigen_gap_exhausted(self, make):
         with pytest.raises(EigenGapExhausted) as ei:
-            hs_decompose(forward(z, c, w_given_v, v), HsOptions(latent_dim=2))
+            hs_decompose(make(), HsOptions(latent_dim=2))
         assert DISTINCTNESS_LABEL in str(ei.value)
 
     def test_zero_conditioning_cell(self):
@@ -212,3 +227,15 @@ def test_property_roundtrip_residual(seed, k):
     np.testing.assert_allclose(
         forward(fac.z_given_w, fac.c_given_w, fac.w_given_v, fac.v_marginal),
         f, atol=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 7))
+def test_complex_eigenvalues_leave_no_real_part_gap(seed, n):
+    """A real matrix's complex eigenvalues come in conjugate pairs with one
+    real part, so the eigen-gap test refuses every reweighting that has any:
+    no separate test of imaginary parts is needed."""
+    t = np.random.default_rng(seed).normal(size=(n, n))
+    vals, _ = np.linalg.eig(t)
+    if np.any(vals.imag != 0):
+        assert np.diff(np.sort(vals.real)).min() == 0.0
