@@ -16,25 +16,31 @@ Every figure variable has a cardinality fixed by the latent dimension K
 loop: a draw failing the rank / distinguishability / stratum-mass
 diagnostics of the intended design is discarded and redrawn from the next
 attempt's seed, at most ``MAX_TRIES`` times, so every fixture this module
-hands out is numerically well-posed for its pipeline.  A draw is its
-kernels, one per node; the diagnostics screen every stratum of it in one
-batched pass over the product of those kernels, its factual joint, and
-only the draw that passes is encoded into a model, for the oracle's CATE
-gap and to be handed out.  Kernels take their random draws in the order
-of a column-by-column loop, so a seed always gives the same model.
+hands out is numerically well-posed for its pipeline.  A generator works
+out what depends on the graph alone once per call: each node's parents,
+their cardinalities and how its kernel is drawn (:func:`_kernel_plan`), so
+a redraw only draws.  A draw is its kernels, one per node.  The diagnostics
+read one margin of the kernels' product, its factual joint, over (stratum,
+W, Z, V, signal), summed straight from the kernels by one ``einsum``, and
+screen every stratum of it in one batched pass; only the draw that passes
+is encoded into a model, for the oracle's CATE gap and to be handed out.
+Kernels take their random draws, scalar by scalar, in the order of a
+column-by-column loop, collect them in Python lists and make one array per
+kernel, so a seed always gives the same model.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import InvalidDistribution, ZeroConditioningCell
-from .graphs import DESIGNS, FIGURES, Dag
+from .graphs import DESIGNS, FIGURES, Dag, Design
 from .prob import ProbTensor, VarSpace, marginalize
 from .scm import NodeSpec, Npsem, _check_cells, effects, observable_joint
 from .tolerances import MASS_TOL
@@ -133,22 +139,18 @@ def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
 
 def standard_spaces(K: int) -> dict[str, VarSpace]:
     """The figure variables, with levels 0, 1, ...: |W| = K, |X| = 2,
-    |Y| = |C| = 3 and |Z| = |V| = K + 1."""
+    |Y| = |C| = 3 and |Z| = |V| = K + 1.  The dict is the caller's own."""
+    return dict(_standard_spaces(K))
+
+
+@lru_cache(maxsize=16)
+def _standard_spaces(K: int) -> tuple[tuple[str, VarSpace], ...]:
     cards = {"W": K, "X": 2, "Y": 3, "Z": K + 1, "V": K + 1, "C": 3}
-    return {n: VarSpace(n, c, tuple(float(i) for i in range(c))) for n, c in cards.items()}
+    return tuple((n, VarSpace(n, c, tuple(float(i) for i in range(c)))) for n, c in cards.items())
 
 
 # ---------------------------------------------------------------------------
 # well-separated kernels for figure models
-
-def _separated_blocks(kernel: np.ndarray, sep_axis: int):
-    """Views ``(level, separated parent)`` of ``kernel``, one per
-    configuration of the other parents, in row-major order."""
-    cards = kernel.shape[1:]
-    other = [range(c) for i, c in enumerate(cards) if i != sep_axis]
-    for idx in itertools.product(*other):
-        yield kernel[(slice(None),) + idx[:sep_axis] + (slice(None),) + idx[sep_axis:]]
-
 
 def separated_kernel(rng: np.random.Generator, card: int,
                      parent_cards: tuple[int, ...], sep_axis: int,
@@ -161,26 +163,32 @@ def separated_kernel(rng: np.random.Generator, card: int,
     heights instead), plus a small random remainder; every level keeps at
     least one grain, so no conditional cell is empty.  Quantizing to a
     shared ``1/grains`` grid keeps the exact noise encoding small: the CDF
-    breakpoints of all parent configurations land on the same grid.
+    breakpoints of all parent configurations land on the same grid.  The
+    grain counts are collected column by column, for each configuration of
+    the other parents in row-major order, into one array at the end.
     """
     k_sep = parent_cards[sep_axis]
-    out = np.empty((card,) + tuple(parent_cards))
+    others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
     spare = grains - card
     top = min(3, max(spare - 2, 0))
-    for block in _separated_blocks(out, sep_axis):
+    cols = []
+    for _ in range(math.prod(others)):
         if card == 2:
-            heights = rng.choice(np.arange(1, grains), size=k_sep, replace=False)
-            block[0], block[1] = grains - heights, heights
-        else:
-            start = int(rng.integers(card))
-            for w in range(k_sep):
-                col = [1] * card
-                sprinkle = int(rng.integers(0, top + 1))
-                col[(start + w) % card] += spare - sprinkle
-                for _ in range(sprinkle):
-                    col[int(rng.integers(card))] += 1
-                block[:, w] = col
-    return out / grains
+            heights = (rng.choice(grains - 1, size=k_sep, replace=False) + 1).tolist()
+            cols += ([grains - h, h] for h in heights)
+            continue
+        start = int(rng.integers(card))
+        for w in range(k_sep):
+            col = [1] * card
+            sprinkle = int(rng.integers(0, top + 1))
+            col[(start + w) % card] += spare - sprinkle
+            for _ in range(sprinkle):
+                col[int(rng.integers(card))] += 1
+            cols.append(col)
+    # (other parents, separated parent, level) -> (level, parents in order)
+    n = len(others)
+    counts = np.array(cols, dtype=float).reshape(others + (k_sep, card))
+    return counts.transpose((n + 1, *range(sep_axis), n, *range(sep_axis, n))) / grains
 
 
 def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
@@ -195,55 +203,79 @@ def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
     sequential sum."""
     k_sep = parent_cards[sep_axis]
     others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
-    lo, hi = levels.min() + 0.25, levels.max() - 0.25
-    offsets, spread, exps = [], [], []
+    lo, hi = float(levels.min()) + 0.25, float(levels.max()) - 0.25
+    means, exps = [], []
     for _ in range(math.prod(others)):
-        offsets.append(rng.permutation(k_sep))
-        for _ in range(k_sep):
-            spread.append(0.15 + (0.85 - 0.15) * rng.random())
+        for offset in rng.permutation(k_sep).tolist():
+            spread = 0.15 + (0.85 - 0.15) * rng.random()
+            means.append(lo + (offset + spread) * (hi - lo) / k_sep)
             exps.append(rng.standard_exponential(levels.size))
     exps = np.array(exps)
     qs = exps * (1.0 / exps.cumsum(axis=1)[:, -1:])
-    means = lo + (np.concatenate(offsets) + spread) * (hi - lo) / k_sep
-    cols = _pmfs_with_means(levels, means, qs)
-    return np.moveaxis(cols.reshape((levels.size,) + others + (k_sep,)), -1, sep_axis + 1)
+    cols = _pmfs_with_means(levels, np.array(means), qs)
+    # (level, other parents, separated parent) -> (level, parents in order)
+    n = len(others)
+    cols = cols.reshape((levels.size,) + others + (k_sep,))
+    return cols.transpose((0, *range(1, sep_axis + 1), n + 1, *range(sep_axis + 1, n + 1)))
 
 
 #: a drawn model before encoding: per node in topological order, its space,
 #: its parents and its kernel ``f(node | parents)`` of shape ``(card, *parent_cards)``
 Kernels = tuple[tuple[VarSpace, tuple[str, ...], np.ndarray], ...]
 
+#: how a draw makes its kernels: per node in topological order, its space,
+#: its parents, its kernel's shape and the function of the draw's generator
+#: that draws the kernel, or None for a kernel the caller gives
+KernelPlan = tuple[tuple[VarSpace, tuple[str, ...], tuple[int, ...], Callable | None], ...]
 
-def _designed_kernels(dag: Dag, spaces: dict[str, VarSpace], seed: int,
-                      kernels: dict[str, np.ndarray] | None = None) -> Kernels:
-    """The kernels :func:`designed_npsem` encodes, drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    kernels = kernels or {}
-    out = []
+
+def _kernel_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
+    """The plan of :func:`_designed_kernels` on ``dag``, where the nodes in
+    ``given`` take a kernel from the caller: it depends on the graph and the
+    spaces alone, so a generator works it out once for all its redraws."""
+    plan = []
     for name in dag.topological_order():
         space = spaces[name]
         parents = dag.parents(name)
         parent_cards = tuple(spaces[p].cardinality for p in parents)
-        if name in kernels:
-            kern = np.asarray(kernels[name], dtype=float)
-            if kern.shape != (space.cardinality,) + parent_cards:
-                raise InvalidDistribution(f"kernel for {name} has shape {kern.shape}")
+        sep_axis = parents.index("W") if "W" in parents else 0
+        if name in given:
+            draw = None
         elif not parents:
-            kern = rng.dirichlet(np.full(space.cardinality, 4.0))
+            draw = partial(np.random.Generator.dirichlet, alpha=np.full(space.cardinality, 4.0))
+        elif name == "Y" and set(parents) == {"X", "W"}:
+            draw = partial(_mean_spread_kernel, levels=np.asarray(space.levels),
+                           parent_cards=parent_cards, sep_axis=sep_axis)
         else:
-            sep_axis = parents.index("W") if "W" in parents else 0
-            if name == "Y" and set(parents) == {"X", "W"}:
-                kern = _mean_spread_kernel(rng, np.asarray(space.levels),
-                                           parent_cards, sep_axis)
-            elif name == "Y":
-                kern = separated_kernel(rng, space.cardinality, parent_cards,
-                                        sep_axis, grains=12)
-            else:
-                grains = 8 if space.cardinality >= 4 else max(6, parent_cards[sep_axis] + 2)
-                kern = separated_kernel(rng, space.cardinality, parent_cards,
-                                        sep_axis, grains)
+            grains = (12 if name == "Y" else 8 if space.cardinality >= 4
+                      else max(6, parent_cards[sep_axis] + 2))
+            draw = partial(separated_kernel, card=space.cardinality,
+                           parent_cards=parent_cards, sep_axis=sep_axis, grains=grains)
+        plan.append((space, parents, (space.cardinality,) + parent_cards, draw))
+    return tuple(plan)
+
+
+def _draw_kernels(plan: KernelPlan, seed, kernels: dict[str, np.ndarray] | None = None) -> Kernels:
+    """The kernels of ``plan`` drawn from ``seed``, with the caller's
+    ``kernels`` for the nodes the plan leaves to them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for space, parents, shape, draw in plan:
+        if draw is None:
+            kern = np.asarray(kernels[space.name], dtype=float)
+            if kern.shape != shape:
+                raise InvalidDistribution(f"kernel for {space.name} has shape {kern.shape}")
+        else:
+            kern = draw(rng)
         out.append((space, parents, kern))
     return tuple(out)
+
+
+def _designed_kernels(dag: Dag, spaces: dict[str, VarSpace], seed: int,
+                      kernels: dict[str, np.ndarray] | None = None) -> Kernels:
+    """The kernels :func:`designed_npsem` encodes, drawn from ``seed``."""
+    kernels = kernels or {}
+    return _draw_kernels(_kernel_plan(dag, spaces, kernels), seed, kernels)
 
 
 def _encode(nodes: Kernels, latent) -> Npsem:
@@ -255,19 +287,19 @@ def _encode(nodes: Kernels, latent) -> Npsem:
         for space, parents, kern in nodes), tuple(latent))
 
 
-def _kernel_joint(nodes: Kernels) -> ProbTensor:
-    """Factual joint of every node, the product of the drawn kernels in
-    topological order: :func:`~triproxy.scm.observable_joint` of the
-    encoded model up to round-off, under the same cell guard and the same
-    validation of the result."""
-    joint_spaces = tuple(space for space, _, _ in nodes)
-    _check_cells(math.prod(s.cardinality for s in joint_spaces), "the factual joint")
-    axis = {s.name: i for i, s in enumerate(joint_spaces)}
+def _kernel_margin(nodes: Kernels, keep: tuple[str, ...]) -> np.ndarray:
+    """The factual joint of every node, the product of the drawn kernels,
+    summed down to the nodes ``keep`` in that order by one ``einsum``
+    straight from the kernels.  The joint is never built, but its size
+    passes the oracle's cell guard first, and the margin passes the
+    validation of a built :class:`~triproxy.prob.ProbTensor`."""
+    _check_cells(math.prod(space.cardinality for space, _, _ in nodes), "the factual joint")
+    axis = {space.name: i for i, (space, _, _) in enumerate(nodes)}
     operands = []
     for space, parents, kern in nodes:
-        operands += [kern, [axis[space.name]] + [axis[p] for p in parents]]
-    return ProbTensor.build(joint_spaces,
-                            np.einsum(*operands, list(range(len(joint_spaces)))))
+        operands += [kern, [axis[space.name], *(axis[p] for p in parents)]]
+    margin = np.einsum(*operands, [axis[n] for n in keep])
+    return ProbTensor.build(tuple(nodes[axis[n]][0] for n in keep), margin).values
 
 
 def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
@@ -308,29 +340,35 @@ class FixtureDiagnostics:
                 and self.stratum_mass >= 0.04 and self.cate_gap >= 1e-3)
 
 
-def _screens(joint: ProbTensor, figure: str, K: int) -> FixtureDiagnostics:
-    """Rank, column-gap and mass screens of a figure model's intended
-    design on its factual ``joint``; ``cate_gap`` is infinite.
+def _screened_design(figure: str) -> Design:
+    """The design a figure model is screened for: the figure's entry in
+    :data:`FIGURE_DESIGNS`, or a bounds design's point design."""
+    return DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
 
-    The stratum axis and signal are those of the design's entry in
-    :data:`~triproxy.graphs.DESIGNS` (a bounds design uses its point
-    design's).  Within each stratum (each level of the stratum axis, or the
-    whole joint) the Z|W kernel and the W-V matrix must have rank K, the
-    signal's columns given W must differ, and the W marginal must keep
-    mass, as must V's when V is a second-stage axis; so must the stratum
-    axis itself.  The joint is summed once down to (stratum, W, Z, V,
-    signal), so each family of per-stratum matrices is one stacked array,
+
+def _screen_axes(d: Design) -> tuple[str, ...]:
+    """The axes, in order, of the margin :func:`_screens` reads."""
+    return ((d.stratum,) if d.stratum else ()) + ("W", "Z", "V", d.signal)
+
+
+def _screens(t: np.ndarray, d: Design, K: int) -> FixtureDiagnostics:
+    """Rank, column-gap and mass screens of the design ``d`` on ``t``, the
+    margin of a model's factual joint over :func:`_screen_axes`;
+    ``cate_gap`` is infinite.
+
+    Within each stratum (each level of the stratum axis, or the whole
+    joint) the Z|W kernel and the W-V matrix must have rank K, the signal's
+    columns given W must differ, and the W marginal must keep mass, as must
+    V's when V is a second-stage axis; so must the stratum axis itself.
+    Each family of per-stratum matrices is one stacked array of the margin,
     screened by one batched SVD or one pairwise column comparison.  A
     stratum, or a W cell within one, without mass raises
     :class:`~triproxy.errors.ZeroConditioningCell`.
     """
-    d = DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
-    order = ((d.stratum,) if d.stratum else ()) + ("W", "Z", "V", d.signal)
-    t = marginalize(joint, set(joint.names) - set(order)).reorder(order).values
     t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
     w = t.sum(axis=(2, 3, 4))                            # (stratum, W)
-    empty = np.argwhere(w <= 0)
-    if empty.size:
+    if not (w > 0).all():
+        empty = np.argwhere(w <= 0)
         raise ZeroConditioningCell(f"W = {empty[0, 1]} has zero probability in "
                                    f"stratum {empty[0, 0]} of {d.stratum or 'the joint'}")
     strata = w.sum(axis=1)
@@ -341,11 +379,12 @@ def _screens(joint: ProbTensor, figure: str, K: int) -> FixtureDiagnostics:
         ratio = vals[:, K - 1] / vals[:, 0] if vals.shape[1] >= K else np.zeros(1)
         sv = min(sv, float(ratio.min()))
     gap = np.inf
-    if w.shape[1] >= 2:            # between the signal's columns W = i and W = j
+    if w.shape[1] >= 2:            # between the signal's columns W = i and W = j, i != j
         cols = t.sum(axis=(2, 3)) / w[:, :, None]
         pairs = np.abs(cols[:, :, None] - cols[:, None]).max(axis=3)
-        upper = np.triu_indices(w.shape[1], 1)
-        gap = float(pairs[:, upper[0], upper[1]].min())
+        diagonal = np.arange(w.shape[1])
+        pairs[:, diagonal, diagonal] = np.inf
+        gap = float(pairs.min())
     mass = min(mass, float((w / strata[:, None]).min()))
     if "V" in d.second_stage:
         mass = min(mass, float((t.sum(axis=(1, 2, 4)) / strata[:, None]).min()))
@@ -370,7 +409,10 @@ def figure_diagnostics(m: Npsem, figure: str, K: int,
     screens pass at :meth:`FixtureDiagnostics.passes`'s thresholds;
     ``cate_gap`` is NaN otherwise, and infinite when ``with_cate`` is false.
     """
-    screens = _screens(observable_joint(m), figure, K)
+    d = _screened_design(figure)
+    joint, axes = observable_joint(m), _screen_axes(d)
+    screens = _screens(marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values,
+                       d, K)
     return _with_cate_gap(screens, m) if with_cate else screens
 
 
@@ -379,13 +421,15 @@ def _screened_draw(draw, figure: str, K: int, what: str,
     """The model of the first of ``draw(0)``, ``draw(1)``, ... up to
     ``MAX_TRIES`` drawn kernels whose diagnostics pass.
 
-    A draw is screened on the product of its kernels, and only a draw that
-    passes the screens is encoded, for the oracle's CATE gap and to be
-    handed out.
+    A draw is screened on the margin of its kernels' product that the
+    screens read, and only a draw that passes the screens is encoded, for
+    the oracle's CATE gap and to be handed out.
     """
+    d = _screened_design(figure)
+    axes = _screen_axes(d)
     for attempt in range(MAX_TRIES):
         nodes = draw(attempt)
-        screens = _screens(_kernel_joint(nodes), figure, K)
+        screens = _screens(_kernel_margin(nodes, axes), d, K)
         if not screens.passes():
             continue
         m = _encode(nodes, ("W",))
@@ -394,15 +438,19 @@ def _screened_draw(draw, figure: str, K: int, what: str,
     raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
 
 
+def _figure_dag(figure: str) -> Dag:
+    """The graph of a figure that has a generator."""
+    if figure not in FIGURE_DESIGNS:
+        raise InvalidDistribution(f"no generator for figure {figure!r}")
+    return FIGURES[figure]
+
+
 def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True) -> Npsem:
     """Seeded random model on a builtin figure graph, redrawn until the
     intended design's diagnostics pass."""
-    if figure not in FIGURE_DESIGNS:
-        raise InvalidDistribution(f"no generator for figure {figure!r}")
-    dag = FIGURES[figure]
-    spaces = standard_spaces(K)
+    plan = _kernel_plan(_figure_dag(figure), standard_spaces(K))
     return _screened_draw(
-        lambda attempt: _designed_kernels(dag, spaces, seed=_derive(figure, K, seed, attempt)),
+        lambda attempt: _draw_kernels(plan, _derive(figure, K, seed, attempt)),
         figure, K, f"draw for {figure} K={K} seed={seed}", with_cate=with_cate_gap)
 
 
@@ -414,25 +462,30 @@ def _pmfs_with_means(levels: np.ndarray, means: np.ndarray,
                      qs: np.ndarray) -> np.ndarray:
     """Columns ``(levels, means)`` of pmfs over ``levels`` with the exact
     requested ``means``, one per row of the Dirichlet draws ``qs``."""
-    lo, hi = levels.min(), levels.max()
-    outside = ~((lo + 1e-9 < means) & (means < hi - 1e-9))
-    if outside.any():
-        raise InvalidDistribution(f"mean {means[outside][0]} outside ({lo}, {hi})")
-    # row by row: a stacked product can round differently in the last bit
-    mq = np.array([q @ levels for q in qs])
+    lo, hi = float(levels.min()), float(levels.max())
     # mix each q with a two-point law at the extreme levels; the mixture weight
-    # keeps the two-point mean feasible, so the result is exact
-    dist = np.abs(means - mq)
-    slack = np.minimum(means - lo, hi - means)
-    lam = np.minimum(0.95, np.maximum(0.35, dist / (dist + slack) + 0.05))
-    m2 = (means - (1 - lam) * mq) / lam
-    p = (1 - lam)[:, None] * qs
-    w_hi = (m2 - lo) / (hi - lo)
-    p[:, np.argmax(levels)] += lam * w_hi
-    p[:, np.argmin(levels)] += lam * (1 - w_hi)
+    # keeps the two-point mean feasible, so the result is exact.  The weights
+    # are per-row scalars, so they are worked out in Python floats, which
+    # round as numpy's elementwise operations do
+    keep, add_hi, add_lo = [], [], []
+    for mean, q in zip(means.tolist(), qs):
+        if not lo + 1e-9 < mean < hi - 1e-9:
+            raise InvalidDistribution(f"mean {mean} outside ({lo}, {hi})")
+        # row by row: a stacked product can round differently in the last bit
+        mq = float(q @ levels)
+        dist = abs(mean - mq)
+        lam = min(0.95, max(0.35, dist / (dist + min(mean - lo, hi - mean)) + 0.05))
+        w_hi = ((mean - (1 - lam) * mq) / lam - lo) / (hi - lo)
+        keep.append(1 - lam)
+        add_hi.append(lam * w_hi)
+        add_lo.append(lam * (1 - w_hi))
+    p = np.array(keep)[:, None] * qs
+    p[:, levels.argmax()] += add_hi
+    p[:, levels.argmin()] += add_lo
     if p.min() < -1e-12:
         raise InvalidDistribution("could not realize requested mean")
-    return (np.clip(p, 0, None) / p.sum(axis=1, keepdims=True)).T
+    p = np.maximum(p, 0.0)
+    return (p / p.sum(axis=1, keepdims=True)).T
 
 
 def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
@@ -442,22 +495,28 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
     ``monotone_map`` (per-state target means) switches to the strictly
     monotone-garbling construction; default targets are W's own levels.
     """
-    dag = FIGURES[figure]
-    spaces = dict(standard_spaces(K))
+    dag = _figure_dag(figure)
+    spaces = standard_spaces(K)
     z_levels = np.arange(-1.0, K + 1.0)  # wide enough to realize every mean
     spaces["Z"] = VarSpace("Z", z_levels.size, tuple(z_levels))
-    w_levels = spaces["W"].level_values()
-    targets = np.asarray(monotone_map, dtype=float) if monotone_map is not None \
-        else w_levels
+    if monotone_map is None:
+        targets = spaces["W"].level_values()
+    else:
+        targets = np.asarray(monotone_map, dtype=float)
+        if targets.shape != (K,):
+            raise InvalidDistribution(f"monotone_map must hold {K} target means, one per W state")
+        steps = np.diff(targets)
+        if not ((steps > 0).all() or (steps < 0).all()):
+            raise InvalidDistribution("monotone_map must be strictly increasing or decreasing")
     if targets.min() <= z_levels.min() or targets.max() >= z_levels.max():
         raise InvalidDistribution("target means must lie inside the Z level range")
+    plan = _kernel_plan(dag, spaces, given={"Z"})
+    flat = np.ones(z_levels.size)
 
     def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ub"))
-        z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(
-            np.ones(z_levels.size), size=targets.size))
-        return _designed_kernels(dag, spaces, seed=_derive(figure, K, seed, attempt, "rest"),
-                                 kernels={"Z": z_kernel})
+        z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(flat, size=targets.size))
+        return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"), {"Z": z_kernel})
 
     return _screened_draw(draw, figure, K, "unbiased-proxy draw")
 
@@ -470,21 +529,34 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     The outcome table is driven by per-(w, x) target means with
     E[Y(0)|W=w] increasing in w and the CATE weakly increasing (rank
     invariance); for fig7* the targets vary per v and the outcome ignores
-    C so the per-v CATE structure is explicit.
+    C so the per-v CATE structure is explicit.  ``cate_values``, one per
+    latent state, replaces the drawn CATE.
     """
-    dag = FIGURES[figure]
+    dag = _figure_dag(figure)
     spaces = standard_spaces(K)
     y_levels = spaces["Y"].level_values()
+    lo, hi = y_levels.min() + 0.15, y_levels.max() - 0.15
+    flat = np.ones(y_levels.size)
+    if cate_values is not None:
+        cate_values = np.asarray(cate_values, dtype=float)
+        if cate_values.shape != (K,) or not np.isfinite(cate_values).all():
+            raise InvalidDistribution(f"cate_values must hold {K} finite effects, "
+                                      f"one per W state")
     auxiliary = figure.startswith("fig7")
+    n_v = spaces["V"].cardinality if auxiliary else 1
+    y_parents = ("W", "V", "X") if auxiliary else ("W", "X")
+    dag = _with_outcome_parents(dag, y_parents)
+    # from (y, *y_parents) to Y's parents in the graph's edge order
+    y_axes = (0,) + tuple(y_parents.index(p) + 1 for p in dag.parents("Y"))
+    plan = _kernel_plan(dag, spaces, given={"Y"})
 
     def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))
-        lo, hi = y_levels.min() + 0.15, y_levels.max() - 0.15
 
         def monotone_targets():
             base = np.sort(rng.uniform(lo, lo + 0.45 * (hi - lo), size=K))
             if cate_values is not None:
-                cate = np.asarray(cate_values, dtype=float)
+                cate = cate_values
             elif constant_cate:
                 cate = np.full(K, rng.uniform(0.1, 0.3))
             else:
@@ -492,26 +564,16 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
             return base, cate
 
         # per V level (one without V), the targets, then one draw per (w, x)
-        n_v = spaces["V"].cardinality if auxiliary else 1
         means, qs = [], []
         for _ in range(n_v):
             base, cate = monotone_targets()
             means.append(np.stack([base, base + cate], axis=1))
-            qs.append(rng.dirichlet(np.ones(y_levels.size), size=2 * K))
+            qs.append(rng.dirichlet(flat, size=2 * K))
         kern = _pmfs_with_means(y_levels, np.ravel(means), np.concatenate(qs))
         kern = kern.reshape(-1, n_v, K, 2).transpose(0, 2, 1, 3)    # (y, w, v, x)
-        if auxiliary:
-            y_parents, y_kernel = ("W", "V", "X"), kern
-        else:
-            y_parents, y_kernel = ("W", "X"), kern[:, :, 0]
-
-        dag_mod = _with_outcome_parents(dag, y_parents)
-        actual = dag_mod.parents("Y")
-        perm = tuple(y_parents.index(p) + 1 for p in actual)
-        y_kernel = np.transpose(y_kernel, (0,) + perm)
-        return _designed_kernels(dag_mod, spaces,
-                                 seed=_derive(figure, K, seed, attempt, "rest"),
-                                 kernels={"Y": y_kernel})
+        y_kernel = kern if auxiliary else kern[:, :, 0]
+        return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"),
+                             {"Y": np.transpose(y_kernel, y_axes)})
 
     return _screened_draw(draw, figure, K, "rank-invariant draw", with_cate=False)
 

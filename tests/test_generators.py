@@ -1,18 +1,22 @@
 """Generators against the loops they replaced: the batched screens, on the
-observable joint and on the product of the drawn kernels, against the
-per-stratum loop over restricted tensors; that product against the exact
-oracle's joint; and the stacked exact-mean pmfs against the scalar
-construction, random stream included."""
+observable joint and on the margin of the drawn kernels' product, against
+the per-stratum loop over restricted tensors; that product against the
+exact oracle's joint; the stacked exact-mean pmfs and both kernel builders
+against the scalar constructions, random stream included; and the
+refusals of bad generator arguments."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from triproxy.errors import EnumerationTooLarge, InvalidDistribution, ZeroConditioningCell
 from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics, _derive,
-                                 _designed_kernels, _kernel_joint, _mean_spread_kernel,
-                                 _pmfs_with_means, _screened_draw, _screens,
-                                 _separated_blocks, designed_npsem, figure_diagnostics,
-                                 standard_spaces)
+                                 _designed_kernels, _kernel_margin, _mean_spread_kernel,
+                                 _pmfs_with_means, _screen_axes, _screened_design,
+                                 _screened_draw, _screens, designed_npsem, figure_diagnostics,
+                                 figure_model, rank_invariant_bounds_model, separated_kernel,
+                                 standard_spaces, unbiased_proxy_model)
 from triproxy.graphs import FIGURES
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import observable_joint
@@ -90,13 +94,20 @@ def draws_up_to_acceptance(figure: str, K: int):
     pytest.fail(f"no accepted draw for {figure} K={K}")
 
 
+def kernel_screens(kernels, figure: str, K: int) -> FixtureDiagnostics:
+    """The screens a draw gets in the draw loop: on the margin of the
+    kernels' product, summed straight from the kernels."""
+    d = _screened_design(figure)
+    return _screens(_kernel_margin(kernels, _screen_axes(d)), d, K)
+
+
 @pytest.mark.parametrize("K", [2, 3, 4])
 @pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
 def test_batched_screens_match_the_per_stratum_loop(figure, K):
     for kernels, m in draws_up_to_acceptance(figure, K):
         want = reference_screens(m, figure, K)
         for got in (figure_diagnostics(m, figure, K, with_cate=False),
-                    _screens(_kernel_joint(kernels), figure, K)):
+                    kernel_screens(kernels, figure, K)):
             np.testing.assert_allclose([got.sv_ratio, got.column_gap, got.stratum_mass],
                                        [want.sv_ratio, want.column_gap, want.stratum_mass],
                                        rtol=0, atol=1e-12)
@@ -108,12 +119,19 @@ def test_batched_screens_match_the_per_stratum_loop(figure, K):
 @pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
 def test_kernel_product_is_the_observable_joint(figure, K):
     # the screened draws see the joint the encoded model hands out
+    axes = _screen_axes(_screened_design(figure))
     for kernels, m in draws_up_to_acceptance(figure, K):
-        product, joint = _kernel_joint(kernels), observable_joint(m)
-        assert product.names == joint.names
-        np.testing.assert_allclose(product.values, joint.values, rtol=0, atol=1e-15)
-        assert (_screens(product, figure, K).passes()
-                == figure_diagnostics(m, figure, K, with_cate=False).passes())
+        joint = observable_joint(m)
+        np.testing.assert_allclose(_kernel_margin(kernels, joint.names), joint.values,
+                                   rtol=0, atol=1e-15)
+        margin = marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values
+        np.testing.assert_allclose(_kernel_margin(kernels, axes), margin, rtol=0, atol=1e-15)
+        got, want = kernel_screens(kernels, figure, K), figure_diagnostics(m, figure, K,
+                                                                          with_cate=False)
+        np.testing.assert_allclose([got.sv_ratio, got.column_gap, got.stratum_mass],
+                                   [want.sv_ratio, want.column_gap, want.stratum_mass],
+                                   rtol=0, atol=1e-12)
+        assert got.passes() == want.passes()
 
 
 @pytest.mark.parametrize("x1_iff_w0", [False, True], ids=["empty-stratum", "empty-w-cell"])
@@ -168,6 +186,37 @@ def _pmf_with_mean(levels: np.ndarray, mean: float,
     return np.clip(p, 0, None) / p.sum()
 
 
+def _separated_blocks(kernel: np.ndarray, sep_axis: int):
+    """Views ``(level, separated parent)`` of ``kernel``, one per
+    configuration of the other parents, in row-major order."""
+    cards = kernel.shape[1:]
+    other = [range(c) for i, c in enumerate(cards) if i != sep_axis]
+    for idx in itertools.product(*other):
+        yield kernel[(slice(None),) + idx[:sep_axis] + (slice(None),) + idx[sep_axis:]]
+
+
+def _separated_loop(rng, card, parent_cards, sep_axis, grains):
+    """The grid-quantized kernel one cell at a time."""
+    k_sep = parent_cards[sep_axis]
+    out = np.empty((card,) + tuple(parent_cards))
+    spare = grains - card
+    top = min(3, max(spare - 2, 0))
+    for block in _separated_blocks(out, sep_axis):
+        if card == 2:
+            heights = rng.choice(np.arange(1, grains), size=k_sep, replace=False)
+            block[0], block[1] = grains - heights, heights
+        else:
+            start = int(rng.integers(card))
+            for w in range(k_sep):
+                col = [1] * card
+                sprinkle = int(rng.integers(0, top + 1))
+                col[(start + w) % card] += spare - sprinkle
+                for _ in range(sprinkle):
+                    col[int(rng.integers(card))] += 1
+                block[:, w] = col
+    return out / grains
+
+
 def _mean_spread_loop(rng, levels, parent_cards, sep_axis):
     """The outcome kernel one column at a time."""
     k_sep = parent_cards[sep_axis]
@@ -212,3 +261,44 @@ def test_mean_spread_kernel_matches_the_column_loop(parent_cards, levels):
             assert got.tobytes() == want.tobytes(), (sep_axis, seed)
             # the same draws, so the stream goes on where the loop left it
             assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("parent_cards", [(2,), (3,), (4, 2), (2, 3), (3, 4, 2), (2, 2, 3)],
+                         ids=str)
+@pytest.mark.parametrize("card", [2, 3, 4])
+def test_separated_kernel_matches_the_column_loop(card, parent_cards):
+    for sep_axis in range(len(parent_cards)):
+        for grains in (card + 4, 12):
+            for seed in range(6):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = separated_kernel(got_rng, card, parent_cards, sep_axis, grains)
+                want = _separated_loop(want_rng, card, parent_cards, sep_axis, grains)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (sep_axis, grains, seed)
+                assert got_rng.random() == want_rng.random()
+
+
+def test_standard_spaces_is_a_fresh_dict():
+    before = figure_model("fig2a", 3, 0).to_dict()
+    spaces = standard_spaces(3)
+    spaces["Z"] = VarSpace("Z", 2, (0.0, 1.0))
+    assert standard_spaces(3)["Z"] == VarSpace("Z", 4, (0.0, 1.0, 2.0, 3.0))
+    assert unbiased_proxy_model(3, 0)["Z"].space.cardinality == 5
+    assert figure_model("fig2a", 3, 0).to_dict() == before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rank_invariant_bounds_model(3, 0, cate_values=[0.1, 0.2]),
+    lambda: rank_invariant_bounds_model(3, 0, cate_values=[0.1]),
+    lambda: rank_invariant_bounds_model(2, 0, cate_values=[[0.1, 0.2]]),
+    lambda: rank_invariant_bounds_model(2, 0, cate_values=[0.1, np.nan]),
+    lambda: unbiased_proxy_model(3, 0, monotone_map=[0, 0, 0]),
+    lambda: unbiased_proxy_model(3, 0, monotone_map=[0.0, 1.5, 1.0]),
+    lambda: unbiased_proxy_model(3, 0, monotone_map=[0.0, 1.0]),
+    lambda: unbiased_proxy_model(2, 0, figure="fig9z"),
+], ids=["cate-too-short", "cate-one-value", "cate-matrix", "cate-nan", "map-constant",
+        "map-not-monotone", "map-too-short", "unknown-figure"])
+def test_bad_generator_arguments_are_refused(make):
+    with pytest.raises(InvalidDistribution):
+        make()
+
