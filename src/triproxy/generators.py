@@ -19,11 +19,14 @@ attempt's seed, at most ``MAX_TRIES`` times, so every fixture this module
 hands out is numerically well-posed for its pipeline.  A generator works
 out what depends on the graph alone once per call: each node's parents,
 their cardinalities and how its kernel is drawn (:func:`_kernel_plan`), so
-a redraw only draws.  A draw is its kernels, one per node.  The diagnostics
-read one margin of the kernels' product, its factual joint, over (stratum,
-W, Z, V, signal), summed straight from the kernels by one ``einsum``, and
-screen every stratum of it in one batched pass; only the draw that passes
-is encoded into a model, for the oracle's CATE gap and to be handed out.
+a redraw only draws.  A draw is its kernels, one per node, drawn in
+topological order.  The diagnostics read one margin of the kernels'
+product, over (stratum, W, Z, V, signal), summed straight from the kernels
+by one ``einsum``, and screen every stratum of it in one batched pass.  A
+draw is screened as soon as the kernels drawn so far hold what a screen
+reads, so a draw that fails the column gap stops before its later
+kernels; only the draw that passes every screen is drawn to the end and
+encoded into a model, for the oracle's CATE gap and to be handed out.
 Kernels take their random draws, scalar by scalar, in the order of a
 column-by-column loop, collect them in Python lists and make one array per
 kernel, so a seed always gives the same model.
@@ -249,17 +252,28 @@ def _kernel_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
         else:
             grains = (12 if name == "Y" else 8 if space.cardinality >= 4
                       else max(6, parent_cards[sep_axis] + 2))
+            if space.cardinality > grains + 1:
+                raise InvalidDistribution(f"{name} has {space.cardinality} levels, too many for "
+                                          f"its {grains}-grain kernel: its counts go negative")
             draw = partial(separated_kernel, card=space.cardinality,
                            parent_cards=parent_cards, sep_axis=sep_axis, grains=grains)
         plan.append((space, parents, (space.cardinality,) + parent_cards, draw))
     return tuple(plan)
 
 
-def _draw_kernels(plan: KernelPlan, seed, kernels: dict[str, np.ndarray] | None = None) -> Kernels:
-    """The kernels of ``plan`` drawn from ``seed``, with the caller's
-    ``kernels`` for the nodes the plan leaves to them."""
+def _generator_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
+    """The plan of a screened generator's draws.  A screened draw may stop
+    before its last kernel, so the factual joint passes the oracle's cell
+    guard once, before the plan is made and anything is drawn."""
+    _check_cells(math.prod(spaces[n].cardinality for n in dag.nodes), "the factual joint")
+    return _kernel_plan(dag, spaces, given)
+
+
+def _draw_kernels(plan: KernelPlan, seed, kernels: dict[str, np.ndarray] | None = None):
+    """The kernels of ``plan`` drawn from ``seed``, yielded one node at a
+    time, with the caller's ``kernels`` for the nodes the plan leaves to
+    them: a draw the screens refuse stops drawing where they refuse it."""
     rng = np.random.default_rng(seed)
-    out = []
     for space, parents, shape, draw in plan:
         if draw is None:
             kern = np.asarray(kernels[space.name], dtype=float)
@@ -267,15 +281,14 @@ def _draw_kernels(plan: KernelPlan, seed, kernels: dict[str, np.ndarray] | None 
                 raise InvalidDistribution(f"kernel for {space.name} has shape {kern.shape}")
         else:
             kern = draw(rng)
-        out.append((space, parents, kern))
-    return tuple(out)
+        yield space, parents, kern
 
 
 def _designed_kernels(dag: Dag, spaces: dict[str, VarSpace], seed: int,
                       kernels: dict[str, np.ndarray] | None = None) -> Kernels:
     """The kernels :func:`designed_npsem` encodes, drawn from ``seed``."""
     kernels = kernels or {}
-    return _draw_kernels(_kernel_plan(dag, spaces, kernels), seed, kernels)
+    return tuple(_draw_kernels(_kernel_plan(dag, spaces, kernels), seed, kernels))
 
 
 def _encode(nodes: Kernels, latent) -> Npsem:
@@ -366,11 +379,7 @@ def _screens(t: np.ndarray, d: Design, K: int) -> FixtureDiagnostics:
     :class:`~triproxy.errors.ZeroConditioningCell`.
     """
     t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
-    w = t.sum(axis=(2, 3, 4))                            # (stratum, W)
-    if not (w > 0).all():
-        empty = np.argwhere(w <= 0)
-        raise ZeroConditioningCell(f"W = {empty[0, 1]} has zero probability in "
-                                   f"stratum {empty[0, 0]} of {d.stratum or 'the joint'}")
+    w = _w_margin(t, d)
     strata = w.sum(axis=1)
     mass = np.inf if d.stratum is None else float(strata.min())
     sv = np.inf                    # of f(Z|W) and f(W, V); ratios ignore stratum mass
@@ -378,17 +387,36 @@ def _screens(t: np.ndarray, d: Design, K: int) -> FixtureDiagnostics:
         vals = np.linalg.svd(mats, compute_uv=False)
         ratio = vals[:, K - 1] / vals[:, 0] if vals.shape[1] >= K else np.zeros(1)
         sv = min(sv, float(ratio.min()))
-    gap = np.inf
-    if w.shape[1] >= 2:            # between the signal's columns W = i and W = j, i != j
-        cols = t.sum(axis=(2, 3)) / w[:, :, None]
-        pairs = np.abs(cols[:, :, None] - cols[:, None]).max(axis=3)
-        diagonal = np.arange(w.shape[1])
-        pairs[:, diagonal, diagonal] = np.inf
-        gap = float(pairs.min())
+    gap = _column_gap(t.sum(axis=(2, 3)), w)
     mass = min(mass, float((w / strata[:, None]).min()))
     if "V" in d.second_stage:
         mass = min(mass, float((t.sum(axis=(1, 2, 4)) / strata[:, None]).min()))
     return FixtureDiagnostics(sv, gap, mass, np.inf)
+
+
+def _w_margin(t: np.ndarray, d: Design) -> np.ndarray:
+    """The (stratum, W) margin of ``t``, whose first two axes are those; a
+    W cell without mass in some stratum raises
+    :class:`~triproxy.errors.ZeroConditioningCell`."""
+    w = t.sum(axis=tuple(range(2, t.ndim)))
+    if not (w > 0).all():
+        empty = np.argwhere(w <= 0)
+        raise ZeroConditioningCell(f"W = {empty[0, 1]} has zero probability in "
+                                   f"stratum {empty[0, 0]} of {d.stratum or 'the joint'}")
+    return w
+
+
+def _column_gap(t: np.ndarray, w: np.ndarray) -> float:
+    """The least max-norm gap between the signal's columns W = i and W = j,
+    i != j, in any stratum: ``t`` is the (stratum, W, signal) margin and
+    ``w`` its (stratum, W) margin."""
+    if w.shape[1] < 2:
+        return np.inf
+    cols = t / w[:, :, None]
+    pairs = np.abs(cols[:, :, None] - cols[:, None]).max(axis=3)
+    diagonal = np.arange(w.shape[1])
+    pairs[:, diagonal, diagonal] = np.inf
+    return float(pairs.min())
 
 
 def _with_cate_gap(screens: FixtureDiagnostics, m: Npsem) -> FixtureDiagnostics:
@@ -421,21 +449,45 @@ def _screened_draw(draw, figure: str, K: int, what: str,
     """The model of the first of ``draw(0)``, ``draw(1)``, ... up to
     ``MAX_TRIES`` drawn kernels whose diagnostics pass.
 
-    A draw is screened on the margin of its kernels' product that the
-    screens read, and only a draw that passes the screens is encoded, for
-    the oracle's CATE gap and to be handed out.
+    A draw's kernels come one node at a time in topological order, so the
+    nodes drawn so far are an ancestral set and the product of their
+    kernels is their joint.  A draw is screened as soon as that product
+    holds what a screen reads: the column gap, the screen most redraws
+    fail, once the stratum axis, W and the signal are drawn (when a screen
+    axis is still to come), then all the screens once every screen axis is
+    drawn.  The kernels after those are drawn, and the draw encoded, only
+    for a draw that passes, for the oracle's CATE gap and to be handed out.
     """
     d = _screened_design(figure)
     axes = _screen_axes(d)
+    gap_axes = ((d.stratum,) if d.stratum else ()) + ("W", d.signal)
     for attempt in range(MAX_TRIES):
-        nodes = draw(attempt)
+        draws, nodes = iter(draw(attempt)), []
+        _draw_up_to(draws, nodes, gap_axes)
+        if not set(axes) <= {space.name for space, _, _ in nodes}:
+            t = _kernel_margin(nodes, gap_axes)
+            t = t.reshape((-1,) + t.shape[-2:])             # (stratum, W, signal)
+            if not FixtureDiagnostics(np.inf, _column_gap(t, _w_margin(t, d)),
+                                      np.inf, np.inf).passes():
+                continue
+        _draw_up_to(draws, nodes, axes)
         screens = _screens(_kernel_margin(nodes, axes), d, K)
         if not screens.passes():
             continue
-        m = _encode(nodes, ("W",))
+        m = _encode((*nodes, *draws), ("W",))
         if not with_cate or _with_cate_gap(screens, m).passes():
             return m
     raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
+
+
+def _draw_up_to(draws, nodes: list, names) -> None:
+    """Append nodes from the iterator ``draws`` to ``nodes`` until ``nodes``
+    holds every node in ``names``."""
+    missing = set(names).difference(space.name for space, _, _ in nodes)
+    while missing:
+        node = next(draws)
+        nodes.append(node)
+        missing.discard(node[0].name)
 
 
 def _figure_dag(figure: str) -> Dag:
@@ -448,7 +500,7 @@ def _figure_dag(figure: str) -> Dag:
 def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True) -> Npsem:
     """Seeded random model on a builtin figure graph, redrawn until the
     intended design's diagnostics pass."""
-    plan = _kernel_plan(_figure_dag(figure), standard_spaces(K))
+    plan = _generator_plan(_figure_dag(figure), standard_spaces(K))
     return _screened_draw(
         lambda attempt: _draw_kernels(plan, _derive(figure, K, seed, attempt)),
         figure, K, f"draw for {figure} K={K} seed={seed}", with_cate=with_cate_gap)
@@ -510,7 +562,7 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
             raise InvalidDistribution("monotone_map must be strictly increasing or decreasing")
     if targets.min() <= z_levels.min() or targets.max() >= z_levels.max():
         raise InvalidDistribution("target means must lie inside the Z level range")
-    plan = _kernel_plan(dag, spaces, given={"Z"})
+    plan = _generator_plan(dag, spaces, given={"Z"})
     flat = np.ones(z_levels.size)
 
     def draw(attempt: int) -> Kernels:
@@ -548,7 +600,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     dag = _with_outcome_parents(dag, y_parents)
     # from (y, *y_parents) to Y's parents in the graph's edge order
     y_axes = (0,) + tuple(y_parents.index(p) + 1 for p in dag.parents("Y"))
-    plan = _kernel_plan(dag, spaces, given={"Y"})
+    plan = _generator_plan(dag, spaces, given={"Y"})
 
     def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))

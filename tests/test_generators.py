@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from triproxy.errors import EnumerationTooLarge, InvalidDistribution, ZeroConditioningCell
-from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics, _derive,
-                                 _designed_kernels, _kernel_margin, _mean_spread_kernel,
-                                 _pmfs_with_means, _screen_axes, _screened_design,
-                                 _screened_draw, _screens, designed_npsem, figure_diagnostics,
-                                 figure_model, rank_invariant_bounds_model, separated_kernel,
-                                 standard_spaces, unbiased_proxy_model)
+from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, FixtureDiagnostics, _column_gap,
+                                 _derive, _designed_kernels, _kernel_margin,
+                                 _mean_spread_kernel, _pmfs_with_means, _screen_axes,
+                                 _screened_design, _screened_draw, _screens, _w_margin,
+                                 designed_npsem, figure_diagnostics, figure_model,
+                                 rank_invariant_bounds_model, separated_kernel, standard_spaces,
+                                 unbiased_proxy_model)
 from triproxy.graphs import FIGURES
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import observable_joint
@@ -94,11 +95,29 @@ def draws_up_to_acceptance(figure: str, K: int):
     pytest.fail(f"no accepted draw for {figure} K={K}")
 
 
+def prefix(kernels, names):
+    """The kernels up to the last of the nodes ``names`` in topological
+    order: the ones the draw loop holds when it screens ``names``."""
+    last = max(i for i, (space, _, _) in enumerate(kernels) if space.name in names)
+    return kernels[:last + 1]
+
+
 def kernel_screens(kernels, figure: str, K: int) -> FixtureDiagnostics:
     """The screens a draw gets in the draw loop: on the margin of the
-    kernels' product, summed straight from the kernels."""
+    product of its kernels up to the last screen axis."""
     d = _screened_design(figure)
-    return _screens(_kernel_margin(kernels, _screen_axes(d)), d, K)
+    axes = _screen_axes(d)
+    return _screens(_kernel_margin(prefix(kernels, axes), axes), d, K)
+
+
+def early_column_gap(kernels, figure: str) -> float:
+    """The column gap the draw loop screens first, on the product of the
+    kernels up to the stratum axis, W and the signal."""
+    d = _screened_design(figure)
+    axes = ((d.stratum,) if d.stratum else ()) + ("W", d.signal)
+    t = _kernel_margin(prefix(kernels, axes), axes)
+    t = t.reshape((-1,) + t.shape[-2:])
+    return _column_gap(t, _w_margin(t, d))
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -113,6 +132,10 @@ def test_batched_screens_match_the_per_stratum_loop(figure, K):
                                        rtol=0, atol=1e-12)
             assert got.cate_gap == np.inf
             assert got.passes() == want.passes()
+        # the gap a draw is refused on before its last screen axis is drawn
+        gap = early_column_gap(kernels, figure)
+        np.testing.assert_allclose(gap, want.column_gap, rtol=0, atol=1e-12)
+        assert (gap >= 0.08) == (want.column_gap >= 0.08)
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -125,7 +148,8 @@ def test_kernel_product_is_the_observable_joint(figure, K):
         np.testing.assert_allclose(_kernel_margin(kernels, joint.names), joint.values,
                                    rtol=0, atol=1e-15)
         margin = marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values
-        np.testing.assert_allclose(_kernel_margin(kernels, axes), margin, rtol=0, atol=1e-15)
+        for nodes in (kernels, prefix(kernels, axes)):
+            np.testing.assert_allclose(_kernel_margin(nodes, axes), margin, rtol=0, atol=1e-15)
         got, want = kernel_screens(kernels, figure, K), figure_diagnostics(m, figure, K,
                                                                           with_cate=False)
         np.testing.assert_allclose([got.sv_ratio, got.column_gap, got.stratum_mass],
@@ -150,6 +174,20 @@ def test_zero_mass_raises(x1_iff_w0):
     kernels = _designed_kernels(dag, spaces, seed=0, kernels={"X": kern})
     with pytest.raises(ZeroConditioningCell):
         _screened_draw(lambda attempt: kernels, "fig2a", 2, "draw")
+
+
+def test_zero_mass_raises_before_the_last_kernel():
+    # fig4a draws V, a screen axis, after the stratum Y, W and the signal X,
+    # so the draw loop meets the empty W cell on its first, column-gap screen
+    dag, spaces = FIGURES["fig4a"], standard_spaces(2)
+    assert dag.topological_order()[-1] == "V"
+    kern = np.full((3, 2, 2), 1 / 3)              # f(Y | X, W)
+    kern[:, :, 0] = [[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]   # Y = 0 never with W = 0
+    kernels = _designed_kernels(dag, spaces, seed=0, kernels={"Y": kern})
+    with pytest.raises(ZeroConditioningCell, match="W = 0 has zero probability in stratum 0"):
+        _screened_draw(lambda attempt: kernels, "fig4a", 2, "draw")
+    with pytest.raises(ZeroConditioningCell, match="W = 0 has zero probability in stratum 0"):
+        figure_diagnostics(designed_npsem(dag, spaces, seed=0, kernels={"Y": kern}), "fig4a", 2)
 
 
 def test_oversized_joint_raises_from_both_paths():
@@ -302,3 +340,12 @@ def test_bad_generator_arguments_are_refused(make):
     with pytest.raises(InvalidDistribution):
         make()
 
+
+@pytest.mark.parametrize("K", [9, 20])
+def test_latent_dimension_past_the_kernel_grid_is_refused(K):
+    # Z and V have K + 1 levels on an 8-grain grid: past 9 levels a column's
+    # grain counts would go negative, so no draw is made
+    for make in (lambda: figure_model("fig2a", K, 0), lambda: unbiased_proxy_model(K, 0),
+                 lambda: rank_invariant_bounds_model(K, 0)):
+        with pytest.raises(InvalidDistribution, match="too many for its 8-grain kernel"):
+            make()
