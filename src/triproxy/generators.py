@@ -44,9 +44,9 @@ import numpy as np
 
 from .errors import InvalidDistribution, ZeroConditioningCell
 from .graphs import DESIGNS, FIGURES, Dag, Design
-from .prob import ProbTensor, VarSpace, marginalize
+from .prob import VarSpace, marginalize
 from .scm import NodeSpec, Npsem, _check_cells, effects, observable_joint
-from .tolerances import MASS_TOL
+from .tolerances import INPUT_NEG_TOL, MASS_TOL
 
 MAX_TRIES = 100
 
@@ -206,7 +206,7 @@ def _mean_spread_kernel(rng: np.random.Generator, levels: np.ndarray,
     sequential sum."""
     k_sep = parent_cards[sep_axis]
     others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
-    lo, hi = float(levels.min()) + 0.25, float(levels.max()) - 0.25
+    lo, hi = min(levels.tolist()) + 0.25, max(levels.tolist()) - 0.25
     means, exps = [], []
     for _ in range(math.prod(others)):
         for offset in rng.permutation(k_sep).tolist():
@@ -301,18 +301,23 @@ def _encode(nodes: Kernels, latent) -> Npsem:
 
 
 def _kernel_margin(nodes: Kernels, keep: tuple[str, ...]) -> np.ndarray:
-    """The factual joint of every node, the product of the drawn kernels,
-    summed down to the nodes ``keep`` in that order by one ``einsum``
-    straight from the kernels.  The joint is never built, but its size
-    passes the oracle's cell guard first, and the margin passes the
-    validation of a built :class:`~triproxy.prob.ProbTensor`."""
+    """The joint of the drawn ``nodes``, all of a draw's or the ones drawn
+    so far (an ancestral set either way), summed down to the nodes ``keep``
+    in that order by one ``einsum`` straight from their kernels.  The joint
+    is never built, but its size passes the oracle's cell guard first, and
+    the margin passes the checks of a built :class:`~triproxy.prob.ProbTensor`:
+    finite, non-negative up to round-off and of unit mass, then rescaled."""
     _check_cells(math.prod(space.cardinality for space, _, _ in nodes), "the factual joint")
     axis = {space.name: i for i, (space, _, _) in enumerate(nodes)}
     operands = []
     for space, parents, kern in nodes:
         operands += [kern, [axis[space.name], *(axis[p] for p in parents)]]
     margin = np.einsum(*operands, [axis[n] for n in keep])
-    return ProbTensor.build(tuple(nodes[axis[n]][0] for n in keep), margin).values
+    mass = margin.sum()            # not finite when an entry is not
+    if not abs(mass - 1.0) <= MASS_TOL or margin.min() < -INPUT_NEG_TOL:
+        raise InvalidDistribution(f"the drawn kernels' product has mass {float(mass)!r} "
+                                  f"and least entry {float(margin.min())!r}")
+    return np.maximum(margin, 0.0) / mass
 
 
 def designed_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
@@ -514,7 +519,8 @@ def _pmfs_with_means(levels: np.ndarray, means: np.ndarray,
                      qs: np.ndarray) -> np.ndarray:
     """Columns ``(levels, means)`` of pmfs over ``levels`` with the exact
     requested ``means``, one per row of the Dirichlet draws ``qs``."""
-    lo, hi = float(levels.min()), float(levels.max())
+    values = levels.tolist()
+    lo, hi = min(values), max(values)
     # mix each q with a two-point law at the extreme levels; the mixture weight
     # keeps the two-point mean feasible, so the result is exact.  The weights
     # are per-row scalars, so they are worked out in Python floats, which
@@ -532,8 +538,8 @@ def _pmfs_with_means(levels: np.ndarray, means: np.ndarray,
         add_hi.append(lam * w_hi)
         add_lo.append(lam * (1 - w_hi))
     p = np.array(keep)[:, None] * qs
-    p[:, levels.argmax()] += add_hi
-    p[:, levels.argmin()] += add_lo
+    p[:, values.index(hi)] += add_hi
+    p[:, values.index(lo)] += add_lo
     if p.min() < -1e-12:
         raise InvalidDistribution("could not realize requested mean")
     p = np.maximum(p, 0.0)

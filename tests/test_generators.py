@@ -203,6 +203,17 @@ def test_oversized_joint_raises_from_both_paths():
         _screened_draw(lambda attempt: kernels, "fig2a", 2, "draw")
 
 
+@pytest.mark.parametrize("column", [(np.nan, 0.5), (np.inf, 0.5), (-0.25, 1.25), (0.75, 0.5)],
+                         ids=["nan", "inf", "negative", "mass-off"])
+def test_kernel_margin_refuses_what_a_joint_would(column):
+    dag, spaces = FIGURES["fig2a"], standard_spaces(2)
+    kern = np.full((2, 2, 3), 0.5)                # f(X | W, V)
+    kern[:, 0, 0] = column
+    kernels = _designed_kernels(dag, spaces, seed=0, kernels={"X": kern})
+    with pytest.raises(InvalidDistribution):
+        _kernel_margin(kernels, ("X", "W", "Z", "V", "Y"))
+
+
 def _pmf_with_mean(levels: np.ndarray, mean: float,
                    rng: np.random.Generator) -> np.ndarray:
     """One random pmf over ``levels`` with the exact requested mean, drawing
