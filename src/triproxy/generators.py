@@ -27,9 +27,9 @@ draw is screened as soon as the kernels drawn so far hold what a screen
 reads, so a draw that fails the column gap stops before its later
 kernels; only the draw that passes every screen is drawn to the end and
 encoded into a model, for the oracle's CATE gap and to be handed out.
-Kernels take their random draws, scalar by scalar, in the order of a
-column-by-column loop, collect them in Python lists and make one array per
-kernel, so a seed always gives the same model.
+Kernels take their random draws in the order of a column-by-column loop,
+gather them in Python lists and make one array per kernel, so a seed
+always gives the same model.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def separated_kernel(rng: np.random.Generator, card: int,
     the other parents in row-major order, into one array at the end.
     """
     k_sep = parent_cards[sep_axis]
-    others = parent_cards[:sep_axis] + parent_cards[sep_axis + 1:]
+    others = tuple(parent_cards[:sep_axis]) + tuple(parent_cards[sep_axis + 1:])
     spare = grains - card
     top = min(3, max(spare - 2, 0))
     cols = []
