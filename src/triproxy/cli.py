@@ -177,8 +177,7 @@ def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
 
 def _identify(joint: ProbTensor, design: str, k: int):
     order = _check_joint(joint, design, k)
-    model = PIPELINES[design][0](joint.reorder(order), k)
-    return estimands(model), model
+    return PIPELINES[design][0](joint.reorder(order), k)
 
 
 def _taus(text: str) -> tuple[float, ...]:
@@ -215,7 +214,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_identify(args) -> int:
     joint, inputs = _load_tensor(args.joint)
-    rep, model = _identify(joint, args.design, args.latent_dim)
+    rep = estimands(_identify(joint, args.design, args.latent_dim))
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
     _write(args.report, _report(args, "identify", result, inputs))
@@ -227,7 +226,7 @@ def _cmd_identify(args) -> int:
 def _cmd_relabel(args) -> int:
     taus = _taus(args.tau)
     joint, inputs = _load_tensor(args.joint)
-    _, model = _identify(joint, args.design, args.latent_dim)
+    model = _identify(joint, args.design, args.latent_dim)
     functional, mode = args.rule.rsplit("-", 1)
     rule = RelabelRule(functional=functional, mode=mode)
     if mode == "unbiased":
@@ -323,7 +322,7 @@ def run_fixture(payload: dict) -> dict:
             f"(designs found: {designs or 'none'})",
             assumption="graphical prerequisites: no certified design")
     design = triple[0]   # each fixture's graph certifies one pipeline design
-    rep, _ = _identify(observed_joint(m), design, payload["latent_dim"])
+    rep = estimands(_identify(observed_joint(m), design, payload["latent_dim"]))
     return {"fixture": name, "designs": designs, "design": design,
             "estimands": _estimand_result(rep)}
 

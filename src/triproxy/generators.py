@@ -12,24 +12,26 @@ Two construction routes:
   kernel exactly.
 
 Every figure variable has a cardinality fixed by the latent dimension K
-(:func:`standard_spaces`).  All three generators share one screened draw
-loop: a draw failing the rank / distinguishability / stratum-mass
-diagnostics of the intended design is discarded and redrawn from the next
-attempt's seed, at most ``MAX_TRIES`` times, so every fixture this module
-hands out is numerically well-posed for its pipeline.  A generator works
-out what depends on the graph alone once per call: each node's parents,
-their cardinalities and how its kernel is drawn (:func:`_kernel_plan`), so
-a redraw only draws.  A draw is its kernels, one per node, drawn in
-topological order.  The diagnostics read one margin of the kernels'
-product, over (stratum, W, Z, V, signal), summed straight from the kernels
-by one ``einsum``, and screen every stratum of it in one batched pass.  A
-draw is screened as soon as the kernels drawn so far hold what a screen
-reads, so a draw that fails the column gap stops before its later
-kernels; only the draw that passes every screen is drawn to the end and
-encoded into a model, for the oracle's CATE gap and to be handed out.
-Kernels take their random draws in the order of a column-by-column loop,
-gather them in Python lists and make one array per kernel, so a seed
-always gives the same model.
+(:func:`standard_spaces`), and a grid-quantized kernel's grid grows with
+its node's level count, so any K can be drawn.  All three generators
+share one screened draw loop: a draw failing the rank / distinguishability
+/ stratum-mass diagnostics of the figure's design is discarded and redrawn
+from the next attempt's seed, at most ``MAX_TRIES`` times, so every
+fixture this module hands out is numerically well-posed for its pipeline.
+The screens read K off the W axis, and only a point design's figure is
+screened on its CATE gap.  A generator works out what depends on the
+graph alone once per call: each node's parents, their cardinalities and
+how its kernel is drawn (:func:`_kernel_plan`), so a redraw only draws.  A
+draw is its kernels, one per node, drawn in topological order.  The
+diagnostics read one margin of the kernels' product, over (stratum, W, Z,
+V, signal), summed straight from the kernels by one ``einsum``, and screen
+every stratum of it in one batched pass.  A draw is screened as soon as
+the kernels drawn so far hold what a screen reads, so a draw that fails
+the column gap stops before its later kernels; only the draw that passes
+every screen is drawn to the end and encoded into a model, for the
+oracle's CATE gap and to be handed out.  Kernels take their random draws
+in the order of a column-by-column loop, gather them in Python lists and
+make one array per kernel, so a seed always gives the same model.
 """
 
 from __future__ import annotations
@@ -107,13 +109,11 @@ def node_from_kernel(space: VarSpace, parents, kernel: np.ndarray) -> NodeSpec:
 
 
 def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
-                 kernels: dict[str, np.ndarray] | None = None,
-                 noise_cards: dict[str, int] | None = None) -> Npsem:
+                 kernels: dict[str, np.ndarray] | None = None) -> Npsem:
     """Random model on ``dag``, whose latent node is ``W``; nodes listed in
     ``kernels`` are encoded exactly."""
     rng = np.random.default_rng(seed)
     kernels = kernels or {}
-    noise_cards = noise_cards or {}
     specs = []
     for name in dag.topological_order():
         space = spaces[name]
@@ -129,7 +129,7 @@ def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
             specs.append(NodeSpec(space, (), np.arange(space.cardinality, dtype=np.int64),
                                   pmf))
         else:
-            nc = noise_cards.get(name, max(4, 2 * space.cardinality))
+            nc = max(4, 2 * space.cardinality)
             pmf = rng.dirichlet(np.ones(nc))
             table = random_onto_table(rng, parent_cards, space.cardinality, nc)
             specs.append(NodeSpec(space, parents, table, pmf))
@@ -235,7 +235,12 @@ KernelPlan = tuple[tuple[VarSpace, tuple[str, ...], tuple[int, ...], Callable | 
 def _kernel_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
     """The plan of :func:`_designed_kernels` on ``dag``, where the nodes in
     ``given`` take a kernel from the caller: it depends on the graph and the
-    spaces alone, so a generator works it out once for all its redraws."""
+    spaces alone, so a generator works it out once for all its redraws.  A
+    screened draw may stop before its last kernel, so the factual joint
+    passes the oracle's cell guard here, before anything is drawn.  A node
+    with ``card`` levels gets a grid of at least ``2 * card - 6`` grains, so
+    its separated kernel always has grains to spare past one per level."""
+    _check_cells(math.prod(spaces[n].cardinality for n in dag.nodes), "the factual joint")
     plan = []
     for name in dag.topological_order():
         space = spaces[name]
@@ -250,23 +255,13 @@ def _kernel_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
             draw = partial(_mean_spread_kernel, levels=np.asarray(space.levels),
                            parent_cards=parent_cards, sep_axis=sep_axis)
         else:
-            grains = (12 if name == "Y" else 8 if space.cardinality >= 4
-                      else max(6, parent_cards[sep_axis] + 2))
-            if space.cardinality > grains + 1:
-                raise InvalidDistribution(f"{name} has {space.cardinality} levels, too many for "
-                                          f"its {grains}-grain kernel: its counts go negative")
+            grains = max(2 * space.cardinality - 6,
+                         12 if name == "Y" else 8 if space.cardinality >= 4
+                         else max(6, parent_cards[sep_axis] + 2))
             draw = partial(separated_kernel, card=space.cardinality,
                            parent_cards=parent_cards, sep_axis=sep_axis, grains=grains)
         plan.append((space, parents, (space.cardinality,) + parent_cards, draw))
     return tuple(plan)
-
-
-def _generator_plan(dag: Dag, spaces: dict[str, VarSpace], given=()) -> KernelPlan:
-    """The plan of a screened generator's draws.  A screened draw may stop
-    before its last kernel, so the factual joint passes the oracle's cell
-    guard once, before the plan is made and anything is drawn."""
-    _check_cells(math.prod(spaces[n].cardinality for n in dag.nodes), "the factual joint")
-    return _kernel_plan(dag, spaces, given)
 
 
 def _draw_kernels(plan: KernelPlan, seed, kernels: dict[str, np.ndarray] | None = None):
@@ -360,7 +355,10 @@ class FixtureDiagnostics:
 
 def _screened_design(figure: str) -> Design:
     """The design a figure model is screened for: the figure's entry in
-    :data:`FIGURE_DESIGNS`, or a bounds design's point design."""
+    :data:`FIGURE_DESIGNS`, or a bounds design's point design.  A figure
+    without a generator is refused."""
+    if figure not in FIGURE_DESIGNS:
+        raise InvalidDistribution(f"no generator for figure {figure!r}")
     return DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
 
 
@@ -369,21 +367,22 @@ def _screen_axes(d: Design) -> tuple[str, ...]:
     return ((d.stratum,) if d.stratum else ()) + ("W", "Z", "V", d.signal)
 
 
-def _screens(t: np.ndarray, d: Design, K: int) -> FixtureDiagnostics:
+def _screens(t: np.ndarray, d: Design) -> FixtureDiagnostics:
     """Rank, column-gap and mass screens of the design ``d`` on ``t``, the
     margin of a model's factual joint over :func:`_screen_axes`;
     ``cate_gap`` is infinite.
 
     Within each stratum (each level of the stratum axis, or the whole
-    joint) the Z|W kernel and the W-V matrix must have rank K, the signal's
-    columns given W must differ, and the W marginal must keep mass, as must
-    V's when V is a second-stage axis; so must the stratum axis itself.
-    Each family of per-stratum matrices is one stacked array of the margin,
-    screened by one batched SVD or one pairwise column comparison.  A
-    stratum, or a W cell within one, without mass raises
-    :class:`~triproxy.errors.ZeroConditioningCell`.
+    joint) the Z|W kernel and the W-V matrix must have rank K, the number
+    of W levels, the signal's columns given W must differ, and the W
+    marginal must keep mass, as must V's when V is a second-stage axis; so
+    must the stratum axis itself.  Each family of per-stratum matrices is
+    one stacked array of the margin, screened by one batched SVD or one
+    pairwise column comparison.  A stratum, or a W cell within one, without
+    mass raises :class:`~triproxy.errors.ZeroConditioningCell`.
     """
     t = t.reshape((-1,) + t.shape[-4:])                  # (stratum, W, Z, V, signal)
+    K = t.shape[1]
     w = _w_margin(t, d)
     strata = w.sum(axis=1)
     mass = np.inf if d.stratum is None else float(strata.min())
@@ -424,10 +423,13 @@ def _column_gap(t: np.ndarray, w: np.ndarray) -> float:
     return float(pairs.min())
 
 
-def _with_cate_gap(screens: FixtureDiagnostics, m: Npsem) -> FixtureDiagnostics:
+def _cate_screened(screens: FixtureDiagnostics, m: Npsem, figure: str) -> FixtureDiagnostics:
     """``screens`` with the least gap between two latent states' CATEs from
     the cross-world oracle, or a NaN gap when the screens fail, since such a
-    draw is refused whatever its CATE gap."""
+    draw is refused whatever its CATE gap.  A bounds design reports no
+    stratum-effect distribution, so its figures' gap stays infinite."""
+    if FIGURE_DESIGNS[figure].startswith("bounds-"):
+        return screens
     if not screens.passes():
         return replace(screens, cate_gap=np.nan)
     cate = effects(m)["cate"]
@@ -435,22 +437,18 @@ def _with_cate_gap(screens: FixtureDiagnostics, m: Npsem) -> FixtureDiagnostics:
         (abs(a - b) for i, a in enumerate(cate) for b in cate[i + 1:]), default=np.inf)))
 
 
-def figure_diagnostics(m: Npsem, figure: str, K: int,
-                       with_cate: bool = True) -> FixtureDiagnostics:
-    """The screens of :func:`_screens` on ``m``'s observable joint, then the
-    CATE gap from the cross-world oracle.  The oracle runs only when the
-    screens pass at :meth:`FixtureDiagnostics.passes`'s thresholds;
-    ``cate_gap`` is NaN otherwise, and infinite when ``with_cate`` is false.
-    """
+def figure_diagnostics(m: Npsem, figure: str) -> FixtureDiagnostics:
+    """The screens of :func:`_screens` on ``m``'s observable joint, then
+    the CATE gap of :func:`_cate_screened`: NaN unless the screens pass at
+    :meth:`FixtureDiagnostics.passes`'s thresholds, infinite on a bounds
+    design's figure."""
     d = _screened_design(figure)
     joint, axes = observable_joint(m), _screen_axes(d)
-    screens = _screens(marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values,
-                       d, K)
-    return _with_cate_gap(screens, m) if with_cate else screens
+    screens = _screens(marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values, d)
+    return _cate_screened(screens, m, figure)
 
 
-def _screened_draw(draw, figure: str, K: int, what: str,
-                   with_cate: bool = True) -> Npsem:
+def _screened_draw(draw, figure: str, what: str) -> Npsem:
     """The model of the first of ``draw(0)``, ``draw(1)``, ... up to
     ``MAX_TRIES`` drawn kernels whose diagnostics pass.
 
@@ -476,11 +474,11 @@ def _screened_draw(draw, figure: str, K: int, what: str,
                                       np.inf, np.inf).passes():
                 continue
         _draw_up_to(draws, nodes, axes)
-        screens = _screens(_kernel_margin(nodes, axes), d, K)
+        screens = _screens(_kernel_margin(nodes, axes), d)
         if not screens.passes():
             continue
         m = _encode((*nodes, *draws), ("W",))
-        if not with_cate or _with_cate_gap(screens, m).passes():
+        if _cate_screened(screens, m, figure).passes():
             return m
     raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
 
@@ -497,18 +495,16 @@ def _draw_up_to(draws, nodes: list, names) -> None:
 
 def _figure_dag(figure: str) -> Dag:
     """The graph of a figure that has a generator."""
-    if figure not in FIGURE_DESIGNS:
-        raise InvalidDistribution(f"no generator for figure {figure!r}")
+    _screened_design(figure)
     return FIGURES[figure]
 
 
-def figure_model(figure: str, K: int, seed: int, with_cate_gap: bool = True) -> Npsem:
+def figure_model(figure: str, K: int, seed: int) -> Npsem:
     """Seeded random model on a builtin figure graph, redrawn until the
     intended design's diagnostics pass."""
-    plan = _generator_plan(_figure_dag(figure), standard_spaces(K))
-    return _screened_draw(
-        lambda attempt: _draw_kernels(plan, _derive(figure, K, seed, attempt)),
-        figure, K, f"draw for {figure} K={K} seed={seed}", with_cate=with_cate_gap)
+    plan = _kernel_plan(_figure_dag(figure), standard_spaces(K))
+    return _screened_draw(lambda attempt: _draw_kernels(plan, _derive(figure, K, seed, attempt)),
+                          figure, f"draw for {figure} K={K} seed={seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +564,7 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
             raise InvalidDistribution("monotone_map must be strictly increasing or decreasing")
     if targets.min() <= z_levels.min() or targets.max() >= z_levels.max():
         raise InvalidDistribution("target means must lie inside the Z level range")
-    plan = _generator_plan(dag, spaces, given={"Z"})
+    plan = _kernel_plan(dag, spaces, given={"Z"})
     flat = np.ones(z_levels.size)
 
     def draw(attempt: int) -> Kernels:
@@ -576,7 +572,7 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
         z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(flat, size=targets.size))
         return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"), {"Z": z_kernel})
 
-    return _screened_draw(draw, figure, K, "unbiased-proxy draw")
+    return _screened_draw(draw, figure, "unbiased-proxy draw")
 
 
 def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
@@ -606,7 +602,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     dag = _with_outcome_parents(dag, y_parents)
     # from (y, *y_parents) to Y's parents in the graph's edge order
     y_axes = (0,) + tuple(y_parents.index(p) + 1 for p in dag.parents("Y"))
-    plan = _generator_plan(dag, spaces, given={"Y"})
+    plan = _kernel_plan(dag, spaces, given={"Y"})
 
     def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))
@@ -633,7 +629,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
         return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"),
                              {"Y": np.transpose(y_kernel, y_axes)})
 
-    return _screened_draw(draw, figure, K, "rank-invariant draw", with_cate=False)
+    return _screened_draw(draw, figure, "rank-invariant draw")
 
 
 def _with_outcome_parents(dag: Dag, parents: tuple[str, ...]) -> Dag:

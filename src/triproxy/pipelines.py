@@ -257,7 +257,11 @@ def _left_quantile_index(pmf: np.ndarray, taus):
 
 def _state_effects(laws: np.ndarray, w_marginal: np.ndarray,
                    y_levels: np.ndarray) -> np.ndarray:
-    """Per-latent-state effect E[Y(1) - Y(0) | W = w] from the arm laws."""
+    """Per-latent-state effect E[Y(1) - Y(0) | W = w] from the arm laws,
+    which must be those of a binary treatment."""
+    if laws.shape[0] != 2:
+        raise NonBinaryTreatment(f"effect summaries need a binary treatment, "
+                                 f"got {laws.shape[0]} levels")
     cond_w = laws.sum(axis=3) / w_marginal                   # (x1, y, w)
     return y_levels @ (cond_w[1] - cond_w[0])
 
@@ -297,19 +301,14 @@ QTE_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def estimands(m: LatentOutcomeModel) -> EstimandReport:
     m = m.canonicalized()
     y_levels = m.y_space.level_values()
-    n_x = m.wx_joint.values.shape[1]
-    if n_x != 2:
-        raise NonBinaryTreatment(f"effect summaries need a binary treatment, "
-                                 f"got {n_x} levels")
-
     laws = m.arm_laws                                        # (x1, y, w, x2)
     w_x = m.wx_joint.values
     f_x = w_x.sum(axis=0)
     w_marg = w_x.sum(axis=1)
+    beta = _state_effects(laws, w_marg, y_levels)           # refuses a non-binary X
 
     pot_y_given_x = laws.sum(axis=2).transpose(1, 0, 2) / f_x   # (|Y|, x1, x2)
     pot_y = laws.sum(axis=(2, 3)).T                          # (|Y|, x1)
-    beta = _state_effects(laws, w_marg, y_levels)
     ate = float(y_levels @ (pot_y[:, 1] - pot_y[:, 0]))
     att = float(y_levels @ (pot_y_given_x[:, 1, 1] - pot_y_given_x[:, 0, 1]))
     atu = float(y_levels @ (pot_y_given_x[:, 1, 0] - pot_y_given_x[:, 0, 0]))
@@ -324,7 +323,7 @@ def estimands(m: LatentOutcomeModel) -> EstimandReport:
     group = np.cumsum(keep) - 1
     masses = np.zeros(atoms.size)
     np.add.at(masses, group, w_marg[order])
-    masses_x = np.zeros((atoms.size, n_x))
+    masses_x = np.zeros((atoms.size, f_x.size))
     np.add.at(masses_x, group, (w_x / f_x)[order])
     beta_cdf = np.cumsum(masses)
     beta_cdf_given_x = np.cumsum(masses_x, axis=0)

@@ -180,7 +180,7 @@ def _cells(cards) -> int:
     return out
 
 
-def _plan(nodes, worlds, outputs, out_cards, noise_cards) -> tuple:
+def _plan(nodes, worlds, outputs, out_cards, noise_sizes) -> tuple:
     """Everything of an exact joint that depends only on the structure.
 
     ``nodes`` holds ``(name, parents, cardinality)`` per node.  A node gets
@@ -190,7 +190,7 @@ def _plan(nodes, worlds, outputs, out_cards, noise_cards) -> tuple:
     eliminated in topological order: each step multiplies one kernel into
     the running joint and sums out every variable past its last use.  All
     cell counts are checked against :data:`ENUMERATION_GUARD` before any
-    array is allocated; ``noise_cards`` only enter that check.  Each step
+    array is allocated; ``noise_sizes`` only enter that check.  Each step
     holds the node, its parent cells, per copy the table index of each parent
     configuration, the kernel's cell offsets, cells and shape and the einsum
     subscripts.
@@ -227,7 +227,7 @@ def _plan(nodes, worlds, outputs, out_cards, noise_cards) -> tuple:
         pa_vars = list(dict.fromkeys(r for v in copies for r in parents_of[v]
                                      if not isinstance(r, tuple)))
         k_vars = pa_vars + copies
-        _check_cells(_cells(cards[v] for v in pa_vars) * noise_cards[i],
+        _check_cells(_cells(cards[v] for v in pa_vars) * noise_sizes[i],
                      f"the noise sum of {nodes[i][0]!r}")
         _check_cells(_cells(cards[v] for v in k_vars), f"the kernel of {nodes[i][0]!r}")
         for v in k_vars:

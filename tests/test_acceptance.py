@@ -161,7 +161,7 @@ def test_criterion_3_proposition_battery():
         conclusions[figure].append(ii)
     for figure, needed in sorted(conclusions.items()):
         for seed in range(30):
-            m = figure_model(figure, K=2, seed=3000 + seed, with_cate_gap=False)
+            m = figure_model(figure, K=2, seed=3000 + seed)
             for c in needed:
                 assert check_conclusion(m, c), (figure, seed, str(c))
 

@@ -17,8 +17,8 @@ import pytest
 import triproxy
 from triproxy import cli, tolerances
 from triproxy.cli import main
-from triproxy.generators import (FIGURE_DESIGNS, figure_model,
-                                 rank_invariant_bounds_model,
+from triproxy.generators import (FIGURE_DESIGNS, designed_npsem, figure_model,
+                                 rank_invariant_bounds_model, standard_spaces,
                                  unbiased_proxy_model)
 from triproxy.graphs import FIGURES
 from triproxy.prob import ProbTensor, VarSpace
@@ -277,6 +277,22 @@ class TestIdentify:
                            "--rule", "mean-monotone", "--tau", "0.5")
         assert code == 0
         assert "0.5" in _result(out)["beta_by_tau"]
+
+    @pytest.mark.parametrize("verb", [("identify",), ("relabel", "--rule", "mean-unbiased"),
+                                      ("relabel", "--rule", "mean-monotone")],
+                             ids=["identify", "relabel-unbiased", "relabel-monotone"])
+    def test_a_three_level_treatment_is_refused(self, tmp_path, capsys, verb):
+        # the pipeline identifies the latent states, but the effects that
+        # identify and relabel report contrast two treatment arms
+        spaces = standard_spaces(2)
+        spaces["X"] = _space("X", 3)
+        m = designed_npsem(FIGURES["fig2a"], spaces, seed=0)
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(observed_joint(m).to_dict()))
+        code, out, err = run(capsys, verb[0], "--design", "outcome", "--latent-dim", "2",
+                             "--joint", str(joint), *verb[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "NonBinaryTreatment"
 
     def test_bounds_verb(self, tmp_path, capsys):
         m = rank_invariant_bounds_model(2, seed=1, figure="fig6a",

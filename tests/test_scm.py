@@ -9,7 +9,7 @@ import pytest
 
 from triproxy.errors import (EnumerationTooLarge, InvalidDistribution, MissingRole,
                              NonBinaryTreatment, UnknownNode)
-from triproxy.generators import figure_model, random_npsem, standard_spaces
+from triproxy.generators import figure_model, random_npsem, random_onto_table, standard_spaces
 from triproxy.graphs import FIGURES, PROPOSITIONS, Conclusion
 from triproxy import scm
 from triproxy.prob import VarSpace, marginalize
@@ -132,8 +132,14 @@ class TestPlanCache:
 
     def test_models_on_one_dag_share_one_plan(self):
         dag, spaces = FIGURES["fig2a"], standard_spaces(2)
-        models = [random_npsem(dag, spaces, seed=s, noise_cards={"Y": nc})
-                  for s, nc in ((0, 4), (1, 9))]
+        first, second = (random_npsem(dag, spaces, seed=s) for s in (0, 1))
+        # the second model's Y takes 9 noise levels instead of the default 6
+        rng = np.random.default_rng(1)
+        y = NodeSpec(spaces["Y"], second["Y"].parents,
+                     random_onto_table(rng, second["Y"].table.shape[:-1], 3, 9),
+                     rng.dirichlet(np.ones(9)))
+        models = [first, Npsem(tuple(y if n.space.name == "Y" else n for n in second.nodes),
+                               second.latent)]
         assert models[0]["Y"].noise_card != models[1]["Y"].noise_card
         scm._PLANS.clear()
         for m in models:
