@@ -31,6 +31,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -49,7 +50,7 @@ from .relabel import RelabelRule, relabel_monotone, relabel_unbiased
 from .scm import Npsem, effects, observed_joint
 from .tolerances import GOLDEN_TOL
 
-REPORT_FORMAT = 7
+REPORT_FORMAT = 8
 
 #: design -> (pipeline, the joint's axes in the order it reads them)
 PIPELINES = {name: (fn, DESIGNS[name].axes) for name, fn in (
@@ -280,10 +281,7 @@ def _cmd_dag_check(args) -> int:
     rep = check_proposition(g, args.proposition)
     result = {"proposition": rep.proposition,
               "all_observational_certified": rep.all_observational_certified,
-              "conclusions": [
-                  {"label": c.label, "kind": c.kind, "statement": c.statement,
-                   "certified": c.certified, "graphical_hint": c.graphical_hint}
-                  for c in rep.conclusions]}
+              "conclusions": [asdict(c) for c in rep.conclusions]}
     _write(args.report, _report(args, "dag-check", result, inputs))
     return 0
 

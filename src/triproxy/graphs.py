@@ -5,12 +5,11 @@ walk directed edges remembering the direction of entry, crossing a node
 only when the local head-to-head / chain / fork rule permits it given the
 conditioning set.
 
-Counterfactual independence statements (those about potential outcomes)
-are handled two ways: a twin-network construction gives a *graphical*
-certificate, while :func:`triproxy.scm.check_conclusion` tests the same
-record exactly on structural models.  Proposition reports only
-claim counterfactual conclusions as verified-by-simulation; design
-classification requires the graphical certificate.
+A counterfactual independence statement (one about a potential outcome)
+is certified by d-separation in a twin network (Balke & Pearl 1994).
+Proposition reports and design classification certify every conclusion by
+that one rule; :func:`triproxy.scm.check_conclusion` tests the same record
+exactly on structural models.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class Dag:
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
-        edges = tuple((str(a), str(b)) for a, b in self.edges)
+        edges = tuple(tuple(e) for e in self.edges)
         if len(set(nodes)) != len(nodes):
             raise InvalidDistribution(f"duplicate nodes: {nodes}")
         if len(set(edges)) != len(edges):
@@ -175,10 +174,11 @@ def d_separated(g: Dag, q: CiQuery) -> bool:
 def twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
     """Graph over originals, shared noise terms, and intervened-world copies.
 
-    Each node gets an explicit noise parent ``u:N``.  Every descendant of an
-    intervened node gets a copy ``N*`` driven by the same noise, with the
-    intervened parents removed (they are clamped constants in that world).
-    Returns the twin graph and a map from original names to copy names.
+    Every descendant ``N`` of an intervened node gets a copy ``(N, "*")``,
+    without the intervened parents (constants in that world), and a noise
+    parent ``("u", N)`` shared with ``N``; other noise, with one child, lies
+    on no path.  Tuple names never equal a graph node's.  Returns the twin
+    graph and a map from original names to copy names.
     """
     intervene_on = set(intervene_on)
     for n in intervene_on:
@@ -188,15 +188,12 @@ def twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
     for x in intervene_on:
         affected |= g.descendants(x)
     affected -= intervene_on
-    copy = {n: f"{n}*" for n in affected}
-    nodes = list(g.nodes) + [f"u:{n}" for n in g.nodes] + list(copy.values())
-    edges = list(g.edges) + [(f"u:{n}", n) for n in g.nodes]
-    for n in affected:
-        edges.append((f"u:{n}", copy[n]))
-        for p in g.parents(n):
-            if p in intervene_on:
-                continue  # clamped to a constant in the intervened world
-            edges.append((copy.get(p, p), copy[n]))
+    copy = {n: (n, "*") for n in g.nodes if n in affected}
+    nodes = list(g.nodes) + [("u", n) for n in copy] + list(copy.values())
+    edges = list(g.edges)
+    for n, c in copy.items():
+        edges += [(("u", n), n), (("u", n), c)]
+        edges += [(copy.get(p, p), c) for p in g.parents(n) if p not in intervene_on]
     return Dag(tuple(nodes), tuple(edges)), copy
 
 
@@ -394,8 +391,7 @@ class ConclusionReport:
     label: str
     kind: str
     statement: str
-    certified: bool | None      # None for simulation-only conclusions
-    graphical_hint: bool | None # twin-network result, informational only
+    certified: bool     # d-separation, in the twin network if counterfactual
 
 
 @dataclass(frozen=True)
@@ -421,12 +417,15 @@ def _holds(g: Dag, c: Conclusion, roles: dict[str, str], twin) -> bool:
                              mapped(c.right), mapped(c.given))
 
 
-def check_proposition(g: Dag, prop_id: int) -> CheckReport:
-    """Certify a proposition's observational conclusions by d-separation.
+def _twins(g: Dag):
+    """The twin-network builder of ``g``, building each intervened set once."""
+    return functools.cache(functools.partial(twin_network, g))
 
-    Counterfactual conclusions get ``certified=None`` (delegated to the
-    structural-model oracle) plus an informational twin-network hint.
-    """
+
+def check_proposition(g: Dag, prop_id: int) -> CheckReport:
+    """Certify each of a proposition's conclusions on ``g``, with the rule
+    :func:`classify_designs` applies: d-separation for an observational
+    conclusion, the twin network for a counterfactual one."""
     if prop_id not in PROPOSITIONS:
         raise InvalidDistribution(f"no proposition {prop_id}")
     for c in PROPOSITIONS[prop_id]:
@@ -434,14 +433,10 @@ def check_proposition(g: Dag, prop_id: int) -> CheckReport:
             if r not in g.nodes:
                 raise MissingRole(f"graph lacks a node for role {r!r}")
     roles = {n: n for n in g.nodes}
-    twin = functools.partial(twin_network, g)
-
-    reports = []
-    for c in PROPOSITIONS[prop_id]:
-        ok = _holds(g, c, roles, twin)
-        reports.append(ConclusionReport(c.label, c.kind, str(c),
-                                        ok if c.kind == "observational" else None, ok))
-    return CheckReport(prop_id, tuple(reports))
+    twin = _twins(g)
+    return CheckReport(prop_id, tuple(
+        ConclusionReport(c.label, c.kind, str(c), _holds(g, c, roles, twin))
+        for c in PROPOSITIONS[prop_id]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +463,7 @@ def classify_designs(g: Dag) -> frozenset:
         raise EnumerationTooLarge(
             f"{len(candidates)} candidate proxies give {count} assignments of 3 proxy "
             f"roles, over the {ROLE_ASSIGNMENT_GUARD} guard")
-    twin = functools.cache(functools.partial(twin_network, g))
+    twin = _twins(g)
     found = set()
     for d in DESIGNS.values():
         needed, proxy_roles = d.needed(), d.proxy_roles()

@@ -24,7 +24,7 @@ documented limitation of the monotone regime, not a detectable error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,13 @@ def compute_alpha(z_given_w: MarkovKernel, rule: RelabelRule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledLatentModel:
-    """An outcome model whose latent axis carries resolved labels.
+    """An outcome model with one resolved label per latent state.
 
-    Under the unbiased rule the latent axis is reordered by alpha and the
-    latent space's levels are the alpha values themselves.  Under the
-    monotone rule only quantile addressing is exposed: ``state_at(tau)``
-    maps a quantile rank to the flat latent index holding it.
+    The labels live in ``alpha`` alone, ``alpha[i]`` for state ``i`` of
+    ``base``, whose latent axis keeps its state indices.  Under the unbiased
+    rule ``base`` is sorted by alpha.  Under the monotone rule only quantile
+    addressing is exposed: ``state_at(tau)`` maps a quantile rank to the
+    flat latent index holding it.
     """
 
     base: LatentOutcomeModel
@@ -116,14 +117,7 @@ def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
         raise ValueError("rule.mode must be 'unbiased'")
     alpha = compute_alpha(m.z_given_w, rule)
     order = np.argsort(alpha, kind="stable")
-    base = m.permuted(order)
-    sorted_alpha = alpha[order]
-    w_old, x = base.wx_joint.axes
-    w = VarSpace(w_old.name, w_old.cardinality, tuple(float(a) for a in sorted_alpha))
-    base = replace(base, wx_joint=ProbTensor((w, x), base.wx_joint.values),
-                   z_given_w=MarkovKernel(base.z_given_w.target, (w,),
-                                          base.z_given_w.values))
-    return LabeledLatentModel(base, sorted_alpha)
+    return LabeledLatentModel(m.permuted(order), alpha[order])
 
 
 def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentModel:

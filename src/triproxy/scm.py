@@ -47,6 +47,7 @@ from .errors import (
     MissingRole,
     NonBinaryTreatment,
     UnknownNode,
+    ValidationError,
 )
 from .graphs import Conclusion, Dag, _names
 from .prob import ProbTensor, VarSpace, _count, marginalize
@@ -352,16 +353,22 @@ def counterfactual_joint(m: Npsem, intervene_on, outcome: str = "Y",
     One axis per intervention arm, named e.g. ``Y(0)`` or ``Y(1,2)``,
     carrying the outcome's numeric levels; noise is shared across arms, so
     consistency ``Y(X) = Y`` holds exactly.  ``keep`` restricts the factual
-    axes retained (default: all nodes).
+    axes retained (default: all nodes); a kept node named like an arm's axis
+    is refused with :class:`~triproxy.errors.ValidationError`.
     """
     intervene_on = tuple(intervene_on)
     y_space = m[outcome].space
     keep = tuple(keep) if keep is not None else m.names
     arms = list(itertools.product(*[range(m[n].space.cardinality) for n in intervene_on]))
     worlds = [{}] + [dict(zip(intervene_on, arm)) for arm in arms]
+    labels = [arm_label(outcome, arm) for arm in arms]
+    for n in keep:
+        if n in labels:
+            raise ValidationError(f"model node {n!r} is named like the potential outcome "
+                                  f"of {outcome!r} under {worlds[1 + labels.index(n)]}")
     outputs = [(w, outcome) for w in range(1, len(worlds))] + [(0, n) for n in keep]
-    spaces = [VarSpace(arm_label(outcome, arm), y_space.cardinality, y_space.levels)
-              for arm in arms] + [m[n].space for n in keep]
+    spaces = [VarSpace(label, y_space.cardinality, y_space.levels)
+              for label in labels] + [m[n].space for n in keep]
     return _exact_joint(m, worlds, outputs, spaces)
 
 

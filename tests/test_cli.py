@@ -168,6 +168,19 @@ class TestSimulateOracle:
         assert diag["error"] == "MissingRole"
         assert "latent node" in diag["message"]
 
+    @pytest.mark.parametrize("arm", ["Y(0)", "Y(1)"])
+    def test_oracle_refuses_a_latent_named_like_an_arm(self, tmp_path, capsys, fig2a_files,
+                                                       arm):
+        m, _, _ = fig2a_files
+        path = tmp_path / "arm-named.json"
+        path.write_text(json.dumps(m.to_dict()).replace('"W"', json.dumps(arm)))
+        assert Npsem.from_dict(json.loads(path.read_text())).latent == (arm,)
+        code, _, err = run(capsys, "oracle", "--model", str(path))
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert f"{arm!r}" in diag["message"] and f"{{'X': {arm[2]}}}" in diag["message"]
+
 
 class TestIdentify:
     def test_outcome_design_matches_oracle(self, capsys, fig2a_files):
@@ -186,7 +199,7 @@ class TestIdentify:
                            "--joint", joint)
         assert code == 0
         rep = json.loads(out)
-        assert rep["report_format"] == 7
+        assert rep["report_format"] == 8
         registry = {name.lower(): value for name, value in vars(tolerances).items()
                     if name.isupper()}
         assert rep["tolerances"] == registry
@@ -325,12 +338,38 @@ class TestIdentify:
 
 class TestGraphVerbs:
     def test_dag_check(self, capsys):
+        """Every conclusion is certified by one rule, the counterfactual iv
+        through the twin network, with no separate hint."""
         code, out, _ = run(capsys, "dag-check", "--figure", "fig2a",
                            "--proposition", "1")
         assert code == 0
+        assert json.loads(out)["report_format"] == 8
         res = _result(out)
         assert res["proposition"] == 1
         assert res["all_observational_certified"] is True
+        assert [(c["label"], c["kind"], c["certified"]) for c in res["conclusions"]] == [
+            ("i", "observational", True), ("ii", "observational", True),
+            ("iii", "observational", True), ("iv", "counterfactual", True)]
+        assert all("graphical_hint" not in c for c in res["conclusions"])
+
+    @pytest.mark.parametrize("verb", [["classify"], ["dag-check", "--proposition", "1"],
+                                      ["dag-check", "--proposition", "5"]])
+    def test_twin_names_cannot_clash_with_node_names(self, tmp_path, capsys, verb):
+        """No node name can clash with a twin network's noise nodes or
+        copies: a graph with nodes named u:X and Y* gets the report of the
+        same graph with those nodes renamed."""
+        g = FIGURES["fig2a"]
+        text = json.dumps({"nodes": [*g.nodes, "u:X", "Y*"],
+                           "edges": [*map(list, g.edges), ["u:X", "X"], ["Y", "Y*"]]})
+        results = []
+        for name, body in (("clash", text),
+                           ("renamed", text.replace("u:X", "UX").replace("Y*", "Ystar"))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(body)
+            code, out, err = run(capsys, *verb, "--graph", str(path))
+            assert code == 0, err
+            results.append(_result(out))
+        assert results[0] == results[1]
 
     def test_classify_builtin(self, capsys):
         code, out, _ = run(capsys, "classify", "--figure", "fig1b")

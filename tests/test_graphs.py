@@ -115,22 +115,24 @@ class TestTwinNetwork:
     def test_copies_only_for_descendants(self):
         g = FIGURES["fig2a"]
         twin, copies = twin_network(g, ("X",))
-        assert copies["Y"] == "Y*"
+        assert copies["Y"] == ("Y", "*")
         # intervened nodes are clamped constants, not copied
-        assert "X" not in copies and "X*" not in twin.nodes
+        assert "X" not in copies and ("X", "*") not in twin.nodes
         # Z is not a descendant of X: no copy
-        assert "Z" not in copies and "Z*" not in twin.nodes
+        assert "Z" not in copies and ("Z", "*") not in twin.nodes
 
     def test_copy_drops_intervened_parents(self):
         g = FIGURES["fig2a"]
         twin, copies = twin_network(g, ("X",))
-        assert ("W", "Y*") in twin.edges
-        assert ("X", "Y*") not in twin.edges
+        assert ("W", ("Y", "*")) in twin.edges
+        assert ("X", ("Y", "*")) not in twin.edges
 
     def test_shared_noise(self):
         g = FIGURES["fig2a"]
         twin, copies = twin_network(g, ("X",))
-        assert ("u:Y", "Y") in twin.edges and ("u:Y", "Y*") in twin.edges
+        assert (("u", "Y"), "Y") in twin.edges and (("u", "Y"), ("Y", "*")) in twin.edges
+        # only a copied node's noise is explicit
+        assert set(twin.nodes) - set(g.nodes) == {("u", "Y"), ("Y", "*")}
 
     def test_known_counterfactual(self):
         g = FIGURES["fig2a"]
@@ -143,6 +145,51 @@ class TestTwinNetwork:
         for right, given in (({"Y", "X", "V"}, {"W"}), ({"X"}, set()), ({"Z"}, set())):
             assert counterfactual_d_separated(g, "Y", ("X",), right, given) == d_separated(
                 g, CiQuery(frozenset({"Y"}), frozenset(right - {"Y"}), frozenset(given)))
+
+
+def full_twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
+    """Reference twin network: an explicit noise parent ``u:N`` on every
+    node, and a copy ``N*`` of every descendant of an intervened node."""
+    intervene_on = set(intervene_on)
+    affected = set().union(*(g.descendants(x) for x in intervene_on)) - intervene_on
+    copy = {n: f"{n}*" for n in affected}
+    nodes = list(g.nodes) + [f"u:{n}" for n in g.nodes] + list(copy.values())
+    edges = list(g.edges) + [(f"u:{n}", n) for n in g.nodes]
+    for n in affected:
+        edges.append((f"u:{n}", copy[n]))
+        edges += [(copy.get(p, p), copy[n]) for p in g.parents(n) if p not in intervene_on]
+    return Dag(tuple(nodes), tuple(edges)), copy
+
+
+def full_counterfactual_d_separated(g: Dag, outcome: str, intervene_on, right, given) -> bool:
+    twin, copy = full_twin_network(g, intervene_on)
+    cf = copy.get(outcome, outcome)
+    if cf == outcome:
+        right = set(right) - {outcome}
+    return d_separated(twin, CiQuery(frozenset({cf}), frozenset(right), frozenset(given)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_twin_network_agrees_with_the_full_construction(seed):
+    """Dropping the noise nodes of uncopied nodes changes no verdict: every
+    intervened set of one or two nodes, each outcome, and sampled
+    (right, given) sets give the reference construction's answer."""
+    rng = np.random.default_rng(seed)
+    g = random_dag(rng, int(rng.integers(4, 8)), float(rng.uniform(0.2, 0.6)))
+    nodes = list(g.nodes)
+    for size in (1, 2):
+        for intervene in itertools.combinations(nodes, size):
+            for outcome in nodes:
+                others = [n for n in nodes if n != outcome]
+                for _ in range(3):
+                    rng.shuffle(others)
+                    n_right = int(rng.integers(1, len(others) + 1))
+                    n_given = int(rng.integers(0, len(others) - n_right + 1))
+                    right = set(others[:n_right])
+                    given = set(others[n_right:n_right + n_given])
+                    assert counterfactual_d_separated(g, outcome, intervene, right, given) \
+                        == full_counterfactual_d_separated(g, outcome, intervene, right, given), \
+                        (g, outcome, intervene, right, given)
 
 
 EXPECTED_DESIGNS = {
@@ -213,6 +260,10 @@ def test_classify_builds_one_twin_network_per_intervened_set(monkeypatch):
     calls.clear()
     classify_designs(FIGURES["fig1d"])
     assert calls == [frozenset({"X"})]
+    # Proposition 5's two conclusions intervene on one set: one build
+    calls.clear()
+    check_proposition(FIGURES["fig2a"], 5)
+    assert calls == [frozenset({"X", "W"})]
 
 
 def test_design_registry_is_the_one_list_of_designs():
@@ -280,14 +331,13 @@ def test_propositions_certified_on_their_graphs(prop, figure):
     rep = check_proposition(FIGURES[figure], prop)
     assert rep.all_observational_certified
     if prop == 5:
-        hints = {c.label: c.graphical_hint for c in rep.conclusions}
+        certified = {c.label: c.certified for c in rep.conclusions}
         if figure in PROPOSITION5_UNCONDITIONAL:
-            assert hints["i"]
+            assert certified["i"]
         if figure in PROPOSITION5_GIVEN_V:
-            assert hints["ii"]
+            assert certified["ii"]
     else:
-        assert all(c.graphical_hint for c in rep.conclusions
-                   if c.kind == "counterfactual")
+        assert all(c.certified for c in rep.conclusions)
 
 
 def test_proposition1_not_certified_on_fig1b():

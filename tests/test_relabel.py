@@ -10,8 +10,8 @@ from conftest import oracle_clamp_xw_mean
 from triproxy.errors import (AlphaCollision, MissingLevels, TauOutOfRange,
                              ZeroConditioningCell)
 from triproxy.generators import unbiased_proxy_model
-from triproxy.pipelines import (identify_auxiliary_proxy,
-                                identify_outcome_proxy)
+from triproxy.pipelines import (identify_auxiliary_proxy, identify_outcome_proxy,
+                                potential_joint)
 from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
 from triproxy.relabel import (RelabelRule, compute_alpha, confounder_effects,
                               relabel_monotone, relabel_unbiased)
@@ -62,9 +62,8 @@ class TestUnbiased:
         m = unbiased_proxy_model(K, seed=2)
         labeled = relabel_unbiased(identified(m, K), RelabelRule("mean", "unbiased"))
         np.testing.assert_allclose(labeled.alpha, np.arange(K), atol=1e-7)
-        # the latent space now carries the alpha values as levels
-        np.testing.assert_allclose(labeled.base.wx_joint.axes[0].level_values(),
-                                   np.arange(K), atol=1e-7)
+        # the latent states are sorted by their labels
+        assert (np.diff(labeled.alpha) > 0).all()
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_per_state_effects_match_oracle(self, K):
@@ -95,6 +94,28 @@ class TestUnbiased:
         np.testing.assert_array_equal(once.alpha, twice.alpha)
         np.testing.assert_array_equal(once.base.wx_joint.values,
                                       twice.base.wx_joint.values)
+
+    @pytest.mark.parametrize("monotone_map", [None, (0.0, 0.4, 2.1)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_labels_live_in_alpha_alone(self, seed, monotone_map):
+        """Relabeling reorders the latent states and moves no label onto the
+        latent axis, so reordering the labeled model cannot put a label on
+        another state: its canonical form and potential-outcome joints are
+        the identified model's, axes included, and alpha[i] is the proxy
+        location of its state i."""
+        rule = RelabelRule("mean", "unbiased")
+        model = identified(unbiased_proxy_model(3, seed, monotone_map=monotone_map), 3)
+        labeled = relabel_unbiased(model, rule)
+        np.testing.assert_allclose(compute_alpha(labeled.base.z_given_w, rule),
+                                   labeled.alpha, rtol=0, atol=1e-12)
+        for x in (0, 1):
+            got, want = potential_joint(labeled.base, x), potential_joint(model, x)
+            assert got.axes == want.axes
+            np.testing.assert_array_equal(got.values, want.values)
+        got, want = labeled.base.canonicalized(), model.canonicalized()
+        assert got.wx_joint.axes == want.wx_joint.axes
+        assert got.z_given_w.given == want.z_given_w.given
+        np.testing.assert_array_equal(got.z_given_w.values, want.z_given_w.values)
 
     def test_unknown_value_rejected(self):
         m = unbiased_proxy_model(2, seed=5)
