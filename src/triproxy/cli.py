@@ -68,7 +68,7 @@ TOLERANCES = {name.lower(): value for name, value in vars(tolerances).items()
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+                      ensure_ascii=False, allow_nan=False)
 
 
 def _config_hash(args: argparse.Namespace) -> str:

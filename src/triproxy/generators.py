@@ -13,15 +13,17 @@ Two construction routes:
 
 Every figure variable has a cardinality fixed by the latent dimension K
 (:func:`standard_spaces`), and a grid-quantized kernel's grid grows with
-its node's level count, so any K can be drawn.  All three generators
-share one screened draw loop: a draw failing the rank / distinguishability
-/ stratum-mass diagnostics of the figure's design is discarded and redrawn
+its node's level count, so any K can be drawn.  Each generator resolves
+its figure once (:func:`_resolve`): to its graph, the design its draws are
+screened for and whether the oracle's CATE gap is screened too (not for a
+bounds design).  All three share one draw loop, which screens draws for
+that design and never reads a figure name: a draw failing the rank /
+distinguishability / stratum-mass diagnostics is discarded and redrawn
 from the next attempt's seed, at most ``MAX_TRIES`` times, so every
 fixture this module hands out is numerically well-posed for its pipeline.
-The screens read K off the W axis, and only a point design's figure is
-screened on its CATE gap.  A generator works out what depends on the
-graph alone once per call: each node's parents, their cardinalities and
-how its kernel is drawn (:func:`_kernel_plan`), so a redraw only draws.  A
+The screens read K off the W axis.  A generator works out what depends on
+the graph alone once per call: each node's parents, their cardinalities
+and how its kernel is drawn (:func:`_kernel_plan`), so a redraw only draws.  A
 draw is its kernels, one per node, drawn in topological order.  The
 diagnostics read one margin of the kernels' product, over (stratum, W, Z,
 V, signal), summed straight from the kernels by one ``einsum``, and screen
@@ -103,11 +105,6 @@ def encode_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table.reshape(kernel.shape[1:] + (pmf.size,)), pmf
 
 
-def node_from_kernel(space: VarSpace, parents, kernel: np.ndarray) -> NodeSpec:
-    table, pmf = encode_kernel(kernel)
-    return NodeSpec(space, tuple(parents), table, pmf)
-
-
 def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
                  kernels: dict[str, np.ndarray] | None = None) -> Npsem:
     """Random model on ``dag``, whose latent node is ``W``; nodes listed in
@@ -123,7 +120,7 @@ def random_npsem(dag: Dag, spaces: dict[str, VarSpace], seed: int,
             kern = np.asarray(kernels[name], dtype=float)
             if kern.shape != (space.cardinality,) + parent_cards:
                 raise InvalidDistribution(f"kernel for {name} has shape {kern.shape}")
-            specs.append(node_from_kernel(space, parents, kern))
+            specs.append(NodeSpec(space, parents, *encode_kernel(kern)))
         elif not parents:
             pmf = rng.dirichlet(np.ones(space.cardinality))
             specs.append(NodeSpec(space, (), np.arange(space.cardinality, dtype=np.int64),
@@ -290,7 +287,7 @@ def _encode(nodes: Kernels, latent) -> Npsem:
     """The model with the drawn kernels: a root's pmf is its noise, every
     other node goes through the exact :func:`encode_kernel`."""
     return Npsem(tuple(
-        node_from_kernel(space, parents, kern) if parents else
+        NodeSpec(space, parents, *encode_kernel(kern)) if parents else
         NodeSpec(space, (), np.arange(space.cardinality, dtype=np.int64), kern)
         for space, parents, kern in nodes), tuple(latent))
 
@@ -341,6 +338,10 @@ PIPELINE_FIGURES = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c",
                     "fig4a", "fig4b", "fig5a", "fig5b", "fig5c")
 
 
+#: the least column gap a draw keeps, in the early screen as in the last
+_MIN_GAP = 0.08
+
+
 @dataclass(frozen=True)
 class FixtureDiagnostics:
     sv_ratio: float
@@ -349,17 +350,20 @@ class FixtureDiagnostics:
     cate_gap: float
 
     def passes(self) -> bool:
-        return (self.sv_ratio >= 0.06 and self.column_gap >= 0.08
+        return (self.sv_ratio >= 0.06 and self.column_gap >= _MIN_GAP
                 and self.stratum_mass >= 0.04 and self.cate_gap >= 1e-3)
 
 
-def _screened_design(figure: str) -> Design:
-    """The design a figure model is screened for: the figure's entry in
-    :data:`FIGURE_DESIGNS`, or a bounds design's point design.  A figure
-    without a generator is refused."""
+def _resolve(figure: str) -> tuple[Dag, Design, bool]:
+    """The graph of a figure that has a generator, the design its models
+    are screened for (a bounds design's point design) and whether the CATE
+    screen applies: a bounds design reports no stratum-effect distribution,
+    so its figures skip it.  A figure without a generator is refused."""
     if figure not in FIGURE_DESIGNS:
         raise InvalidDistribution(f"no generator for figure {figure!r}")
-    return DESIGNS[FIGURE_DESIGNS[figure].removeprefix("bounds-")]
+    design = FIGURE_DESIGNS[figure]
+    point = design.removeprefix("bounds-")
+    return FIGURES[figure], DESIGNS[point], point == design
 
 
 def _screen_axes(d: Design) -> tuple[str, ...]:
@@ -423,12 +427,12 @@ def _column_gap(t: np.ndarray, w: np.ndarray) -> float:
     return float(pairs.min())
 
 
-def _cate_screened(screens: FixtureDiagnostics, m: Npsem, figure: str) -> FixtureDiagnostics:
+def _cate_screened(screens: FixtureDiagnostics, m: Npsem, cate: bool) -> FixtureDiagnostics:
     """``screens`` with the least gap between two latent states' CATEs from
     the cross-world oracle, or a NaN gap when the screens fail, since such a
-    draw is refused whatever its CATE gap.  A bounds design reports no
-    stratum-effect distribution, so its figures' gap stays infinite."""
-    if FIGURE_DESIGNS[figure].startswith("bounds-"):
+    draw is refused whatever its CATE gap.  Without the CATE screen the gap
+    stays infinite."""
+    if not cate:
         return screens
     if not screens.passes():
         return replace(screens, cate_gap=np.nan)
@@ -442,15 +446,16 @@ def figure_diagnostics(m: Npsem, figure: str) -> FixtureDiagnostics:
     the CATE gap of :func:`_cate_screened`: NaN unless the screens pass at
     :meth:`FixtureDiagnostics.passes`'s thresholds, infinite on a bounds
     design's figure."""
-    d = _screened_design(figure)
+    _, d, cate = _resolve(figure)
     joint, axes = observable_joint(m), _screen_axes(d)
     screens = _screens(marginalize(joint, set(joint.names) - set(axes)).reorder(axes).values, d)
-    return _cate_screened(screens, m, figure)
+    return _cate_screened(screens, m, cate)
 
 
-def _screened_draw(draw, figure: str, what: str) -> Npsem:
+def _screened_draw(draw, d: Design, cate: bool, what: str) -> Npsem:
     """The model of the first of ``draw(0)``, ``draw(1)``, ... up to
-    ``MAX_TRIES`` drawn kernels whose diagnostics pass.
+    ``MAX_TRIES`` drawn kernels whose diagnostics for the design ``d`` pass,
+    the oracle's CATE gap included when ``cate`` is set.
 
     A draw's kernels come one node at a time in topological order, so the
     nodes drawn so far are an ancestral set and the product of their
@@ -461,7 +466,6 @@ def _screened_draw(draw, figure: str, what: str) -> Npsem:
     drawn.  The kernels after those are drawn, and the draw encoded, only
     for a draw that passes, for the oracle's CATE gap and to be handed out.
     """
-    d = _screened_design(figure)
     axes = _screen_axes(d)
     gap_axes = ((d.stratum,) if d.stratum else ()) + ("W", d.signal)
     for attempt in range(MAX_TRIES):
@@ -470,15 +474,14 @@ def _screened_draw(draw, figure: str, what: str) -> Npsem:
         if not set(axes) <= {space.name for space, _, _ in nodes}:
             t = _kernel_margin(nodes, gap_axes)
             t = t.reshape((-1,) + t.shape[-2:])             # (stratum, W, signal)
-            if not FixtureDiagnostics(np.inf, _column_gap(t, _w_margin(t, d)),
-                                      np.inf, np.inf).passes():
+            if not _column_gap(t, _w_margin(t, d)) >= _MIN_GAP:
                 continue
         _draw_up_to(draws, nodes, axes)
         screens = _screens(_kernel_margin(nodes, axes), d)
         if not screens.passes():
             continue
         m = _encode((*nodes, *draws), ("W",))
-        if _cate_screened(screens, m, figure).passes():
+        if _cate_screened(screens, m, cate).passes():
             return m
     raise InvalidDistribution(f"no well-posed {what} in {MAX_TRIES} tries")
 
@@ -486,25 +489,17 @@ def _screened_draw(draw, figure: str, what: str) -> Npsem:
 def _draw_up_to(draws, nodes: list, names) -> None:
     """Append nodes from the iterator ``draws`` to ``nodes`` until ``nodes``
     holds every node in ``names``."""
-    missing = set(names).difference(space.name for space, _, _ in nodes)
-    while missing:
-        node = next(draws)
-        nodes.append(node)
-        missing.discard(node[0].name)
-
-
-def _figure_dag(figure: str) -> Dag:
-    """The graph of a figure that has a generator."""
-    _screened_design(figure)
-    return FIGURES[figure]
+    while not set(names) <= {space.name for space, _, _ in nodes}:
+        nodes.append(next(draws))
 
 
 def figure_model(figure: str, K: int, seed: int) -> Npsem:
     """Seeded random model on a builtin figure graph, redrawn until the
     intended design's diagnostics pass."""
-    plan = _kernel_plan(_figure_dag(figure), standard_spaces(K))
+    dag, d, cate = _resolve(figure)
+    plan = _kernel_plan(dag, standard_spaces(K))
     return _screened_draw(lambda attempt: _draw_kernels(plan, _derive(figure, K, seed, attempt)),
-                          figure, f"draw for {figure} K={K} seed={seed}")
+                          d, cate, f"draw for {figure} K={K} seed={seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +544,7 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
     ``monotone_map`` (per-state target means) switches to the strictly
     monotone-garbling construction; default targets are W's own levels.
     """
-    dag = _figure_dag(figure)
+    dag, d, cate = _resolve(figure)
     spaces = standard_spaces(K)
     z_levels = np.arange(-1.0, K + 1.0)  # wide enough to realize every mean
     spaces["Z"] = VarSpace("Z", z_levels.size, tuple(z_levels))
@@ -572,7 +567,7 @@ def unbiased_proxy_model(K: int, seed: int, figure: str = "fig2a",
         z_kernel = _pmfs_with_means(z_levels, targets, rng.dirichlet(flat, size=targets.size))
         return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"), {"Z": z_kernel})
 
-    return _screened_draw(draw, figure, "unbiased-proxy draw")
+    return _screened_draw(draw, d, cate, "unbiased-proxy draw")
 
 
 def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
@@ -586,7 +581,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     C so the per-v CATE structure is explicit.  ``cate_values``, one per
     latent state, replaces the drawn CATE.
     """
-    dag = _figure_dag(figure)
+    dag, d, cate = _resolve(figure)
     spaces = standard_spaces(K)
     y_levels = spaces["Y"].level_values()
     lo, hi = y_levels.min() + 0.15, y_levels.max() - 0.15
@@ -599,29 +594,26 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
     auxiliary = figure.startswith("fig7")
     n_v = spaces["V"].cardinality if auxiliary else 1
     y_parents = ("W", "V", "X") if auxiliary else ("W", "X")
-    dag = _with_outcome_parents(dag, y_parents)
+    # Y keeps only its edges from y_parents: dropping edges is always a valid
+    # exclusion under the same graph
+    dag = Dag(dag.nodes, tuple((a, b) for a, b in dag.edges if b != "Y" or a in y_parents))
     # from (y, *y_parents) to Y's parents in the graph's edge order
     y_axes = (0,) + tuple(y_parents.index(p) + 1 for p in dag.parents("Y"))
     plan = _kernel_plan(dag, spaces, given={"Y"})
 
     def draw(attempt: int) -> Kernels:
         rng = np.random.default_rng(_derive(figure, K, seed, attempt, "ri"))
-
-        def monotone_targets():
-            base = np.sort(rng.uniform(lo, lo + 0.45 * (hi - lo), size=K))
-            if cate_values is not None:
-                cate = cate_values
-            elif constant_cate:
-                cate = np.full(K, rng.uniform(0.1, 0.3))
-            else:
-                cate = np.sort(rng.uniform(0.05, 0.45 * (hi - lo), size=K))
-            return base, cate
-
         # per V level (one without V), the targets, then one draw per (w, x)
         means, qs = [], []
         for _ in range(n_v):
-            base, cate = monotone_targets()
-            means.append(np.stack([base, base + cate], axis=1))
+            base = np.sort(rng.uniform(lo, lo + 0.45 * (hi - lo), size=K))
+            if cate_values is not None:
+                effect = cate_values
+            elif constant_cate:
+                effect = np.full(K, rng.uniform(0.1, 0.3))
+            else:
+                effect = np.sort(rng.uniform(0.05, 0.45 * (hi - lo), size=K))
+            means.append(np.stack([base, base + effect], axis=1))
             qs.append(rng.dirichlet(flat, size=2 * K))
         kern = _pmfs_with_means(y_levels, np.ravel(means), np.concatenate(qs))
         kern = kern.reshape(-1, n_v, K, 2).transpose(0, 2, 1, 3)    # (y, w, v, x)
@@ -629,11 +621,4 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
         return _draw_kernels(plan, _derive(figure, K, seed, attempt, "rest"),
                              {"Y": np.transpose(y_kernel, y_axes)})
 
-    return _screened_draw(draw, figure, "rank-invariant draw")
-
-
-def _with_outcome_parents(dag: Dag, parents: tuple[str, ...]) -> Dag:
-    """Restrict Y's incoming edges to ``parents`` (dropping edges is always
-    a valid exclusion under the same graph)."""
-    edges = tuple((a, b) for a, b in dag.edges if b != "Y" or a in parents)
-    return Dag(dag.nodes, edges)
+    return _screened_draw(draw, d, cate, "rank-invariant draw")

@@ -33,6 +33,18 @@ def _count(d: dict, key: str) -> int:
     return int(value)
 
 
+def _flat(values, what: str, integers: bool = False) -> np.ndarray:
+    """A flat list of JSON numbers from a parsed file, as an array: a
+    string, a boolean or a nested list is refused, not converted, and so is
+    a non-integer where ``integers`` is set."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise InvalidDistribution(f"{what} must be a flat list of JSON numbers")
+    array = np.array(values) if integers else np.array(values, dtype=float)
+    if integers and array.dtype.kind not in "iu":
+        raise InvalidDistribution(f"{what} entries are not integers")
+    return array
+
+
 @dataclass(frozen=True)
 class VarSpace:
     """A named categorical variable with optional numeric level values."""
@@ -70,8 +82,9 @@ class VarSpace:
     def from_dict(cls, d: dict) -> "VarSpace":
         if not isinstance(d["name"], str):
             raise InvalidDistribution(f"variable name {d['name']!r} is not a string")
+        levels = d.get("levels")
         return cls(d["name"], _count(d, "cardinality"),
-                   tuple(d["levels"]) if d.get("levels") is not None else None)
+                   None if levels is None else tuple(_flat(levels, f"{d['name']!r}: levels")))
 
 
 def _clean(values: np.ndarray, what: str) -> np.ndarray:
@@ -161,7 +174,7 @@ class ProbTensor:
     def from_dict(cls, d: dict) -> "ProbTensor":
         axes = tuple(VarSpace.from_dict(a) for a in d["axes"])
         shape = tuple(a.cardinality for a in axes)
-        values = np.asarray(d["values"], dtype=float).reshape(shape, order="C")
+        values = _flat(d["values"], "values").reshape(shape, order="C")
         return cls.build(axes, values)
 
 

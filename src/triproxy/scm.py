@@ -37,6 +37,7 @@ memoized cross-world joint that keeps the latent node and the treatment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Conclusion, Dag, _names
-from .prob import ProbTensor, VarSpace, _count, marginalize
+from .prob import ProbTensor, VarSpace, _count, _flat, marginalize
 from .tolerances import ATOM_TOL, CI_TOL, ENUMERATION_GUARD, MASS_TOL
 
 
@@ -155,12 +156,9 @@ class Npsem:
             parents = _names(nd["parents"], f"{space.name} parents")
             shape = tuple(spaces[p].cardinality for p in parents) + (
                 _count(nd, "noise_card"),)
-            table = np.asarray(nd["table"])
-            if table.dtype.kind not in "iu":
-                raise InvalidDistribution(f"{space.name}: table entries are not integers")
-            table = table.astype(np.int64).reshape(shape, order="C")
-            specs.append(NodeSpec(space, parents, table,
-                                  np.asarray(nd["noise_pmf"], dtype=float)))
+            table = _flat(nd["table"], f"{space.name}: table", integers=True)
+            specs.append(NodeSpec(space, parents, table.astype(np.int64).reshape(shape),
+                                  _flat(nd["noise_pmf"], f"{space.name}: noise_pmf")))
         return cls(tuple(specs), _names(d.get("latent", []), "latent"))
 
 
@@ -172,13 +170,6 @@ def _check_cells(cells: int, what: str) -> None:
     if cells > ENUMERATION_GUARD:
         raise EnumerationTooLarge(
             f"{what} would hold {cells} cells, over the {ENUMERATION_GUARD} guard")
-
-
-def _cells(cards) -> int:
-    out = 1
-    for c in cards:
-        out *= int(c)
-    return out
 
 
 def _plan(nodes, worlds, outputs, out_cards, noise_sizes) -> tuple:
@@ -228,9 +219,9 @@ def _plan(nodes, worlds, outputs, out_cards, noise_sizes) -> tuple:
         pa_vars = list(dict.fromkeys(r for v in copies for r in parents_of[v]
                                      if not isinstance(r, tuple)))
         k_vars = pa_vars + copies
-        _check_cells(_cells(cards[v] for v in pa_vars) * noise_sizes[i],
+        _check_cells(math.prod(cards[v] for v in pa_vars) * noise_sizes[i],
                      f"the noise sum of {nodes[i][0]!r}")
-        _check_cells(_cells(cards[v] for v in k_vars), f"the kernel of {nodes[i][0]!r}")
+        _check_cells(math.prod(cards[v] for v in k_vars), f"the kernel of {nodes[i][0]!r}")
         for v in k_vars:
             last_use[v] = len(steps)
         steps.append((i, copies, pa_vars, k_vars))
@@ -239,9 +230,9 @@ def _plan(nodes, worlds, outputs, out_cards, noise_sizes) -> tuple:
     for step, (_, _, _, k_vars) in enumerate(steps):
         union = list(dict.fromkeys(live + k_vars))
         live = [v for v in union if last_use[v] > step or v in out_vars]
-        _check_cells(_cells(cards[v] for v in live), "an intermediate joint")
+        _check_cells(math.prod(cards[v] for v in live), "an intermediate joint")
         lives.append(live)
-    _check_cells(_cells(out_cards), "the requested joint")
+    _check_cells(math.prod(out_cards), "the requested joint")
 
     # size-1 axes are left out of every einsum; the guard then keeps the
     # subscripts within numpy's 52, as each operand and the output carry at
@@ -252,7 +243,7 @@ def _plan(nodes, worlds, outputs, out_cards, noise_sizes) -> tuple:
     planned, j_vars = [], []
     for (i, copies, pa_vars, k_vars), live in zip(steps, lives):
         shape = [cards[v] for v in pa_vars]
-        pa_cells = _cells(shape)
+        pa_cells = math.prod(shape)
         grid = np.indices(shape).reshape(len(shape), pa_cells)
         index = [tuple(r[1] if isinstance(r, tuple) else grid[pa_vars.index(r)]
                        for r in parents_of[v]) for v in copies]

@@ -62,7 +62,7 @@ class HsOptions:
 @dataclass(frozen=True)
 class HsDiagnostics:
     singular_ratio: float
-    eigen_gap: float
+    eigen_gap: float | None         # None for one latent state: no two eigenvalues
     lstsq_residual: float
     clipped_mass: float
     retries_used: int
@@ -184,7 +184,7 @@ def hs_decompose(joint: np.ndarray, opts: HsOptions) -> HsFactors:
     clipped = max(clipped, worst)
 
     diag = HsDiagnostics(
-        singular_ratio=float(sv[k - 1] / sv[0]), eigen_gap=gap,
+        singular_ratio=float(sv[k - 1] / sv[0]), eigen_gap=gap if k > 1 else None,
         lstsq_residual=residual, clipped_mass=clipped,
         retries_used=retries + 1)
     return HsFactors(z_given_w, c_given_w, w_given_v, v_marg, diag)

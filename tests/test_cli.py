@@ -336,6 +336,24 @@ class TestIdentify:
             assert lo - 1e-7 <= truth[key] <= hi + 1e-7, key
 
 
+    @pytest.mark.parametrize("figure,design", [("fig6a", "outcome"), ("fig7a", "auxiliary")])
+    def test_bounds_report_at_one_latent_state_is_strict_json(self, tmp_path, capsys,
+                                                               figure, design):
+        # one latent state has no eigen gap: the report says null, not Infinity
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(observed_joint(
+            rank_invariant_bounds_model(1, seed=0, figure=figure)).to_dict()))
+        code, out, err = run(capsys, "bounds", "--design", design, "--latent-dim", "1",
+                             "--joint", str(joint))
+        assert code == 0, err
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        res = json.loads(out, parse_constant=refuse)["result"]
+        assert [res["diagnostics"][arm]["eigen_gap"] for arm in ("arm0", "arm1")] == [None, None]
+
+
 class TestGraphVerbs:
     def test_dag_check(self, capsys):
         """Every conclusion is certified by one rule, the counterfactual iv
@@ -496,9 +514,14 @@ class TestExitCodesAndDiagnostics:
         (lambda d: d["nodes"][1].update(parents="W"),
          "Z parents 'W' is not a list of names"),
         (lambda d: d.update(latent="W"), "latent 'W' is not a list of names"),
+        (lambda d: d["nodes"][0].update(noise_pmf=[False, True]),
+         "W: noise_pmf must be a flat list of JSON numbers"),
+        (lambda d: d["nodes"][1].update(table=[[t] for t in d["nodes"][1]["table"]]),
+         "Z: table must be a flat list of JSON numbers"),
     ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf", "cardinality-1e400",
             "noise-card-1e400", "table-entry-1e30", "cardinality-2.7", "noise-card-2.5",
-            "table-entry-1.9", "noise-card-negative", "parents-string", "latent-string"])
+            "table-entry-1.9", "noise-card-negative", "parents-string", "latent-string",
+            "noise-pmf-booleans", "table-nested"])
     def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
         m, _, _ = fig2a_files
         d = m.to_dict()
@@ -525,9 +548,19 @@ class TestExitCodesAndDiagnostics:
          "nodes 'YXWVZ' is not a list of names"),
         ("classify", lambda d: d.update(edges=["".join(e) for e in d["edges"]]),
          "edge 'XY' is not a list of names"),
+        ("identify", lambda d: d["values"].__setitem__(0, repr(d["values"][0])),
+         "values must be a flat list of JSON numbers"),
+        ("identify", lambda d: d.update(values=[[v] for v in d["values"]]),
+         "values must be a flat list of JSON numbers"),
+        ("identify", lambda d: d["axes"][0]["levels"].__setitem__(0, "0.0"),
+         "'Z': levels must be a flat list of JSON numbers"),
+        ("identify", lambda d: next(a for a in d["axes"] if a["name"] == "X").update(
+            levels=[False, True]),
+         "'X': levels must be a flat list of JSON numbers"),
     ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node",
             "cardinality-2.7", "deeply-nested", "numeric-axis-name", "nodes-string",
-            "edges-strings"])
+            "edges-strings", "values-string", "values-nested", "levels-string",
+            "levels-booleans"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
         m, _, _ = fig2a_files

@@ -1,7 +1,8 @@
 """Malformed input files on the command line: every truncation of a valid
 joint, model or graph file, and token edits of one, end in exit 0 or in exit
 2 with a one-line JSON diagnostic, never in a traceback or a report of a
-broken input."""
+broken input; a number turned into a string, a boolean or a nested list
+always ends in exit 2."""
 
 import functools
 import json
@@ -26,6 +27,8 @@ KEY = re.compile(r'"(\w+)":')
 #: what a number may become: non-finite literals, signs, fractions, overflow
 NUMBER_EDITS = ("NaN", "Infinity", "-Infinity", "-1", "-0.0", "0", "0.5", "2.5", "1e400",
                 "99")
+#: what a number may not become, as a format of the number's own text
+TYPE_EDITS = ('"{}"', "true", "false", "[{}]")
 
 
 @pytest.fixture(autouse=True)
@@ -60,17 +63,19 @@ def diagnostic(err: str) -> dict:
 
 
 def edits(text: str, rng: random.Random):
-    """(label, edited text): numbers replaced, a ``[`` opened as ``{``, a key
+    """(label, edited text, the exit codes it may end in): numbers replaced
+    by other numbers or by non-numbers, a ``[`` opened as ``{``, a key
     renamed, each at seeded positions."""
     numbers = [m.span() for m in NUMBER.finditer(text)]
     for lo, hi in rng.sample(numbers, min(len(numbers), 25)):
-        for new in NUMBER_EDITS:
-            yield f"{text[lo:hi]}@{lo}->{new}", text[:lo] + new + text[hi:]
+        for new, codes in [(n, (0, 2)) for n in NUMBER_EDITS] + [
+                (t.format(text[lo:hi]), (2,)) for t in TYPE_EDITS]:
+            yield f"{text[lo:hi]}@{lo}->{new}", text[:lo] + new + text[hi:], codes
     brackets = [i for i, ch in enumerate(text) if ch == "["]
     for i in rng.sample(brackets, min(len(brackets), 25)):
-        yield f"[@{i}->{{", text[:i] + "{" + text[i + 1:]
+        yield f"[@{i}->{{", text[:i] + "{" + text[i + 1:], (0, 2)
     for key in sorted(set(KEY.findall(text))):
-        yield f"key {key}", text.replace(f'"{key}":', f'"{key}_":', 1)
+        yield f"key {key}", text.replace(f'"{key}":', f'"{key}_":', 1), (0, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(VERBS))
@@ -88,9 +93,9 @@ def test_every_truncation_exits_2(tmp_path, capsys, texts, kind):
 @pytest.mark.parametrize("kind", sorted(VERBS))
 def test_token_edits_exit_0_or_2(tmp_path, capsys, texts, kind):
     outcomes = set()
-    for label, text in edits(texts[kind], random.Random(f"edit {kind}")):
+    for label, text, codes in edits(texts[kind], random.Random(f"edit {kind}")):
         code, err = run_file(tmp_path, capsys, kind, text)
-        assert code in (0, 2), f"{kind} {label} exits {code}: {err}"
+        assert code in codes, f"{kind} {label} exits {code}: {err}"
         if code == 2:
             diagnostic(err)
         outcomes.add(code)

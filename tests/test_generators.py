@@ -17,11 +17,11 @@ from triproxy.errors import EnumerationTooLarge, InvalidDistribution, ZeroCondit
 from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, PIPELINE_FIGURES,
                                  FixtureDiagnostics, _column_gap, _derive, _designed_kernels,
                                  _kernel_margin, _mean_spread_kernel, _pmfs_with_means,
-                                 _screen_axes, _screened_design, _screened_draw, _screens,
+                                 _resolve, _screen_axes, _screened_draw, _screens,
                                  _w_margin, designed_npsem, figure_diagnostics, figure_model,
                                  rank_invariant_bounds_model, separated_kernel, standard_spaces,
                                  unbiased_proxy_model)
-from triproxy.graphs import FIGURES
+from triproxy.graphs import DESIGNS, FIGURES
 from triproxy.pipelines import estimands
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
 from triproxy.scm import effects, observable_joint, observed_joint
@@ -109,7 +109,7 @@ def prefix(kernels, names):
 def kernel_screens(kernels, figure: str) -> FixtureDiagnostics:
     """The screens a draw gets in the draw loop: on the margin of the
     product of its kernels up to the last screen axis."""
-    d = _screened_design(figure)
+    _, d, _ = _resolve(figure)
     axes = _screen_axes(d)
     return _screens(_kernel_margin(prefix(kernels, axes), axes), d)
 
@@ -117,7 +117,7 @@ def kernel_screens(kernels, figure: str) -> FixtureDiagnostics:
 def early_column_gap(kernels, figure: str) -> float:
     """The column gap the draw loop screens first, on the product of the
     kernels up to the stratum axis, W and the signal."""
-    d = _screened_design(figure)
+    _, d, _ = _resolve(figure)
     axes = ((d.stratum,) if d.stratum else ()) + ("W", d.signal)
     t = _kernel_margin(prefix(kernels, axes), axes)
     t = t.reshape((-1,) + t.shape[-2:])
@@ -154,7 +154,7 @@ def test_batched_screens_match_the_per_stratum_loop(figure, K):
 @pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
 def test_kernel_product_is_the_observable_joint(figure, K):
     # the screened draws see the joint the encoded model hands out
-    axes = _screen_axes(_screened_design(figure))
+    axes = _screen_axes(_resolve(figure)[1])
     for kernels, m in draws_up_to_acceptance(figure, K):
         joint = observable_joint(m)
         np.testing.assert_allclose(_kernel_margin(kernels, joint.names), joint.values,
@@ -184,7 +184,7 @@ def test_zero_mass_raises(x1_iff_w0):
             screens(m, "fig2a")
     kernels = _designed_kernels(dag, spaces, seed=0, kernels={"X": kern})
     with pytest.raises(ZeroConditioningCell):
-        _screened_draw(lambda attempt: kernels, "fig2a", "draw")
+        _screened_draw(lambda attempt: kernels, *_resolve("fig2a")[1:], "draw")
 
 
 def test_zero_mass_raises_before_the_last_kernel():
@@ -196,7 +196,7 @@ def test_zero_mass_raises_before_the_last_kernel():
     kern[:, :, 0] = [[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]   # Y = 0 never with W = 0
     kernels = _designed_kernels(dag, spaces, seed=0, kernels={"Y": kern})
     with pytest.raises(ZeroConditioningCell, match="W = 0 has zero probability in stratum 0"):
-        _screened_draw(lambda attempt: kernels, "fig4a", "draw")
+        _screened_draw(lambda attempt: kernels, *_resolve("fig4a")[1:], "draw")
     with pytest.raises(ZeroConditioningCell, match="W = 0 has zero probability in stratum 0"):
         figure_diagnostics(designed_npsem(dag, spaces, seed=0, kernels={"Y": kern}), "fig4a")
 
@@ -215,7 +215,7 @@ def test_oversized_joint_raises_from_both_paths():
         shape = tuple(spaces[n].cardinality for n in (name, *dag.parents(name)))
         kernels.append((spaces[name], dag.parents(name), np.full(shape, 1.0 / shape[0])))
     with pytest.raises(EnumerationTooLarge):
-        _screened_draw(lambda attempt: kernels, "fig2a", "draw")
+        _screened_draw(lambda attempt: kernels, *_resolve("fig2a")[1:], "draw")
 
 
 @pytest.mark.parametrize("column", [(np.nan, 0.5), (np.inf, 0.5), (-0.25, 1.25), (0.75, 0.5)],
@@ -370,11 +370,23 @@ def test_bad_generator_arguments_are_refused(make):
 @pytest.mark.parametrize("figure", ["fig9z", "fig1b"])
 def test_figure_without_a_generator_is_refused(figure):
     m = figure_model("fig2a", 2, 0)
-    for make in (lambda: figure_diagnostics(m, figure), lambda: figure_model(figure, 2, 0),
+    for make in (lambda: _resolve(figure), lambda: figure_diagnostics(m, figure),
+                 lambda: figure_model(figure, 2, 0),
                  lambda: unbiased_proxy_model(2, 0, figure=figure),
                  lambda: rank_invariant_bounds_model(2, 0, figure=figure)):
         with pytest.raises(InvalidDistribution, match=f"no generator for figure '{figure}'"):
             make()
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_DESIGNS))
+def test_resolver_reads_the_figure_table(figure):
+    # the graph, the point design the draws are screened for, and the CATE
+    # screen on every figure but a bounds design's
+    dag, d, cate = _resolve(figure)
+    design = FIGURE_DESIGNS[figure]
+    assert dag is FIGURES[figure]
+    assert d is DESIGNS[design.removeprefix("bounds-")]
+    assert cate == (not design.startswith("bounds-"))
 
 
 def _node_kernel(node) -> np.ndarray:
