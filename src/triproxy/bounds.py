@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .errors import NonBinaryTreatment, ZeroConditioningCell
 from .graphs import DESIGNS
 from .pipelines import _deconvolve, _require_axes, _slice_joint

@@ -29,14 +29,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from importlib import resources
 
-import numpy as np
-
 from . import __version__, tolerances
+from ._np import np
 from .bounds import bounds_auxiliary_proxy, bounds_outcome_proxy
 from .errors import (EnumerationTooLarge, GoldenMismatch, IdentificationRefused,
                      MissingLevels, MissingRole, NonBinaryTreatment, TriproxyError,
@@ -103,8 +104,32 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _non_finite(obj, path: str = "") -> tuple[str, float] | None:
+    """The path and value of the first non-finite float in ``obj``, if any."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}/{k}", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
+
+
 def _write(path: str | None, report: dict) -> None:
-    _write_text(path, _canonical_json(report) + "\n")
+    """Write ``report`` as canonical JSON; a report holding a non-finite
+    number, which strict JSON cannot represent, is refused and not written."""
+    try:
+        text = _canonical_json(report)
+    except ValueError:
+        found = _non_finite(report)
+        if found is None:
+            raise
+        raise ValidationError(
+            f"report field {found[0]} is {found[1]!r}: the input's numbers take the "
+            f"computation out of floating-point range") from None
+    _write_text(path, text + "\n")
 
 
 def _load_json(path: str, flag: str) -> tuple[dict, dict]:
@@ -442,7 +467,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "latent_dim", 1) < 1:
             raise ValidationError(f"--latent-dim must be at least 1, got {args.latent_dim}")
-        return args.func(args)
+        with warnings.catch_warnings():
+            # numpy's floating-point warnings from triproxy's arithmetic: a
+            # non-finite number that reaches a report is refused by _write
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"triproxy\.")
+            return args.func(args)
     except SystemExit:   # only --help, once printed: the parser raises its refusals
         return 0
     except TriproxyError as e:

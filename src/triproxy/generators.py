@@ -44,8 +44,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-import numpy as np
-
+from ._np import np
 from .errors import InvalidDistribution, ZeroConditioningCell
 from .graphs import DESIGNS, FIGURES, Dag, Design
 from .prob import VarSpace, marginalize

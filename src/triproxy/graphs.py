@@ -56,8 +56,13 @@ class Dag:
                 raise UnknownNode(f"edge ({a},{b}) uses undeclared node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
-        parents = {n: tuple(a for a, b in edges if b == n) for n in nodes}
-        children = {n: tuple(b for a, b in edges if a == n) for n in nodes}
+        parent_lists = {n: [] for n in nodes}
+        child_lists = {n: [] for n in nodes}
+        for a, b in edges:
+            parent_lists[b].append(a)
+            child_lists[a].append(b)
+        parents = {n: tuple(ps) for n, ps in parent_lists.items()}
+        children = {n: tuple(cs) for n, cs in child_lists.items()}
         indeg = {n: len(parents[n]) for n in nodes}
         queue = deque(n for n in nodes if indeg[n] == 0)
         order = []

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     NonBinaryTreatment,
     NonStochasticSolution,

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .errors import InvalidDistribution, MissingLevels, UnknownAxis, ZeroConditioningCell
 from .tolerances import INPUT_NEG_TOL, MASS_TOL
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import AlphaCollision, TauOutOfRange, ZeroConditioningCell
 from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
 from .prob import MarkovKernel, ProbTensor, VarSpace

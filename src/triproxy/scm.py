@@ -40,8 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     EnumerationTooLarge,
     InvalidDistribution,

@@ -32,8 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     AmbiguousMatch,
     EigenGapExhausted,

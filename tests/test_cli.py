@@ -761,6 +761,47 @@ def test_classify_refuses_too_many_role_assignments_at_once(tmp_path):
            f"{tolerances.ROLE_ASSIGNMENT_GUARD} guard" in diag["message"]
 
 
+def test_classify_refuses_a_long_chain_at_once(tmp_path):
+    """W -> X -> Y -> N0 -> ... on 20,000 nodes: the graph is built in one pass
+    over its edges (a scan of every edge per node took about 18 s) and
+    classify refuses its role assignments before trying any."""
+    nodes = ["W", "X", "Y"] + [f"N{i}" for i in range(19_997)]
+    edges = [["W", "X"], ["W", "Y"]] + [[a, b] for a, b in zip(nodes[1:], nodes[2:])]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    src = str(Path(triproxy.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "triproxy.cli", "classify", "--graph",
+                          str(graph)], capture_output=True, text=True, timeout=10,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert json.loads(out.stderr)["error"] == "EnumerationTooLarge"
+
+
+def test_non_finite_report_is_refused_and_not_written(tmp_path):
+    """Outcome levels near the top of the float range: the stratum-effect
+    variance overflows to inf, so the report cannot be strict JSON.  The
+    verb exits 2 with one JSON diagnostic naming the field, and writes
+    neither the report nor the CSV."""
+    d = observed_joint(figure_model("fig2a", 2, seed=0)).to_dict()
+    (y,) = [a for a in d["axes"] if a["name"] == "Y"]
+    y["levels"] = [0, 1e200, 2e200]
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps(d))
+    report, table = tmp_path / "report.json", tmp_path / "effects.csv"
+    src = str(Path(triproxy.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "triproxy.cli", "identify", "--design",
+                          "outcome", "--latent-dim", "2", "--joint", str(joint),
+                          "--report", str(report), "--csv", str(table)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    (line,) = out.stderr.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "ValidationError"
+    assert "/result/estimands/var_beta is inf" in diag["message"]
+    assert not report.exists() and not table.exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(triproxy.__file__).parents[1])
     probe = ("import sys, triproxy.cli; "

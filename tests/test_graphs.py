@@ -9,6 +9,7 @@ import argparse
 import ast
 import itertools
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,22 @@ class TestDagBasics:
     def test_json_roundtrip(self):
         g = FIGURES["fig3a"]
         assert Dag.from_dict(g.to_dict()) == g
+
+    def test_parents_and_children_keep_edge_order(self):
+        for g in FIGURES.values():
+            for n in g.nodes:
+                assert g.parents(n) == tuple(a for a, b in g.edges if b == n)
+                assert g.children(n) == tuple(b for a, b in g.edges if a == n)
+
+    def test_a_long_chain_builds_in_linear_time(self):
+        """The parent and child maps take one pass over the edges; a scan of
+        every edge per node took about 18 s on this chain."""
+        nodes = tuple(f"N{i}" for i in range(20_000))
+        start = time.perf_counter()
+        g = Dag(nodes, tuple(zip(nodes, nodes[1:])))
+        assert time.perf_counter() - start < 2.0
+        assert g.parents("N0") == () and g.children("N0") == ("N1",)
+        assert g.topological_order() == nodes
 
 
 class TestTwinNetwork:
@@ -323,6 +340,16 @@ def test_design_registry_imports_no_numpy():
              "from .errors import X\nfrom .prob import Y\nfrom . import pipelines\n"
              "from triproxy.tolerances import Z\nimport triproxy.scm\n")
     assert _foreign_imports(probe) == ["numpy", ".prob", ".pipelines", "triproxy.scm"]
+
+
+def test_only_the_lazy_module_imports_numpy():
+    """Every other module binds ``np`` through ``triproxy._np``, so the graph
+    verbs never load numpy."""
+    src = Path(graphs.__file__).parent
+    found = {path.name: [name for name in _foreign_imports(path.read_text(encoding="utf-8"))
+                         if name.split(".")[0] == "numpy"]
+             for path in sorted(src.glob("*.py")) if path.name != "_np.py"}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 @pytest.mark.parametrize("prop,figure", [
