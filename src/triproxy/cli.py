@@ -467,11 +467,18 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "latent_dim", 1) < 1:
             raise ValidationError(f"--latent-dim must be at least 1, got {args.latent_dim}")
-        with warnings.catch_warnings():
-            # numpy's floating-point warnings from triproxy's arithmetic: a
-            # non-finite number that reaches a report is refused by _write
-            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"triproxy\.")
-            return args.func(args)
+        # warnings are held back while the verb runs: a refused verb prints
+        # only its JSON diagnostic (a non-finite number that reaches a report
+        # is refused by _write), and a verb that returns re-issues them under
+        # the caller's own filters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = args.func(args)
+        seen: dict = {}
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   registry=seen, source=w.source)
+        return code
     except SystemExit:   # only --help, once printed: the parser raises its refusals
         return 0
     except TriproxyError as e:

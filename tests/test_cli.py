@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from importlib import resources, util
 from pathlib import Path
 
@@ -800,6 +801,37 @@ def test_non_finite_report_is_refused_and_not_written(tmp_path):
     assert diag["error"] == "ValidationError"
     assert "/result/estimands/var_beta is inf" in diag["message"]
     assert not report.exists() and not table.exists()
+
+
+def test_warnings_of_a_refused_verb_are_dropped_and_of_a_finished_one_kept(
+        tmp_path, capsys, monkeypatch):
+    """A verb's warnings are held back while it runs.  The overflowing joint
+    above, run in-process under the suite's "error" filter, still ends in the
+    one-line refusal; a verb that returns re-issues what triproxy's arithmetic
+    warned, so that filter and the user still see it."""
+    d = observed_joint(figure_model("fig2a", 2, seed=0)).to_dict()
+    (y,) = [a for a in d["axes"] if a["name"] == "Y"]
+    y["levels"] = [0, 1e200, 2e200]
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps(d))
+    code, out, err = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
+                         "--joint", str(joint))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+
+    classify = cli._cmd_classify
+
+    def overflowing(args):
+        code = classify(args)
+        warnings.warn_explicit("overflow encountered in square", RuntimeWarning,
+                               cli.__file__, 1, module="triproxy.pipelines")
+        return code
+
+    monkeypatch.setattr(cli, "_cmd_classify", overflowing)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+        code, out, _ = run(capsys, "classify", "--figure", "fig1b")
+    assert code == 0 and _result(out)["designs"] == ["double-proxy"]
 
 
 def test_cli_import_loads_no_scipy():
