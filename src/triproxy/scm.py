@@ -54,6 +54,16 @@ from .prob import ProbTensor, VarSpace, _count, _flat, marginalize
 from .tolerances import ATOM_TOL, CI_TOL, ENUMERATION_GUARD, MASS_TOL
 
 
+def _distinct_parents(node: str, parents) -> tuple[str, ...]:
+    """``parents`` as a tuple; a parent listed twice, whose edge the model's
+    graph would hold twice, is refused."""
+    parents = tuple(parents)
+    for i, p in enumerate(parents):
+        if p in parents[:i]:
+            raise InvalidDistribution(f"{node}: parent {p!r} listed twice")
+    return parents
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One structural equation: value = table[parent levels..., noise level]."""
@@ -64,6 +74,7 @@ class NodeSpec:
     noise_pmf: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        parents = _distinct_parents(self.space.name, self.parents)
         table = np.asarray(self.table, dtype=np.int64)
         pmf = np.asarray(self.noise_pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size < 1:
@@ -74,7 +85,7 @@ class NodeSpec:
             raise InvalidDistribution(f"{self.space.name}: table/noise shape mismatch")
         if table.min() < 0 or table.max() >= self.space.cardinality:
             raise InvalidDistribution(f"{self.space.name}: table values out of range")
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "noise_pmf", pmf)
         self.table.setflags(write=False)
@@ -152,7 +163,8 @@ class Npsem:
         for nd in d["nodes"]:
             space = VarSpace.from_dict(nd)
             spaces[space.name] = space
-            parents = _names(nd["parents"], f"{space.name} parents")
+            parents = _distinct_parents(space.name,
+                                        _names(nd["parents"], f"{space.name} parents"))
             shape = tuple(spaces[p].cardinality for p in parents) + (
                 _count(nd, "noise_card"),)
             table = _flat(nd["table"], f"{space.name}: table", integers=True)

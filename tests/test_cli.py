@@ -2,6 +2,7 @@
 byte-determinism of reports, and the golden end-to-end fixtures."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -803,6 +804,39 @@ def test_non_finite_report_is_refused_and_not_written(tmp_path):
     assert not report.exists() and not table.exists()
 
 
+#: what the ``triproxy`` console script runs
+CONSOLE_ENTRY = "import sys; from triproxy.cli import main; sys.exit(main())"
+
+
+def _console(*argv: str, probe: str = "") -> subprocess.CompletedProcess:
+    """A verb run as a fresh process through the console script's entry,
+    after ``probe`` (Python source) has run in it."""
+    src = str(Path(triproxy.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", f"{probe}\n{CONSOLE_ENTRY}", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("verb", ["oracle", "simulate"])
+def test_model_listing_a_parent_twice_is_refused(tmp_path, verb):
+    """fig2a's Y lists W twice and its table is widened to the extra axis, so
+    every shape check passes; the model's graph would have the edge W -> Y
+    twice, and both verbs that read a model refuse it."""
+    d = figure_model("fig2a", 2, seed=0).to_dict()
+    (y,) = [n for n in d["nodes"] if n["name"] == "Y"]
+    table = np.reshape(y["table"], (2, 2, y["noise_card"]))     # (X, W, noise)
+    y["parents"] = ["X", "W", "W"]
+    y["table"] = np.repeat(table[:, :, None], 2, axis=2).ravel().tolist()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(d))
+    out = _console(verb, "--model", str(model))
+    assert out.returncode == 2 and out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "ValidationError"
+    assert "Y: parent 'W' listed twice" in diag["message"]
+
+
 def test_warnings_of_a_refused_verb_are_dropped_and_of_a_finished_one_kept(
         tmp_path, capsys, monkeypatch):
     """A verb's warnings are held back while it runs.  The overflowing joint
@@ -832,6 +866,39 @@ def test_warnings_of_a_refused_verb_are_dropped_and_of_a_finished_one_kept(
     with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
         code, out, _ = run(capsys, "classify", "--figure", "fig1b")
     assert code == 0 and _result(out)["designs"] == ["double-proxy"]
+
+
+def test_verb_process_freezes_the_collector_only_at_exit():
+    """A verb's process moves its live objects to the collector's permanent
+    generation at exit, so finalization's collections skip them.  The probe's
+    atexit handler is registered before ``triproxy.cli`` registers its own,
+    so it runs after it (handlers run last in, first out).  This process has
+    imported ``triproxy.cli`` too, and nothing in it is frozen."""
+    probe = ("import atexit, gc; "
+             "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))")
+    out = _console("classify", "--figure", "fig1b", probe=probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "frozen at exit True"
+    assert gc.get_freeze_count() == 0
+
+
+def test_verb_process_writes_the_same_files_as_an_in_process_call(tmp_path, fig2a_files):
+    """Everything a verb writes is written and closed before the collector
+    is frozen: the report and CSV of a fresh ``identify`` process are
+    byte-equal to those of an in-process ``main`` call."""
+    _, _, joint = fig2a_files
+    argv = ["identify", "--design", "outcome", "--latent-dim", "2", "--joint", joint]
+
+    def outputs(where):
+        return ["--report", str(tmp_path / f"{where}.json"),
+                "--csv", str(tmp_path / f"{where}.csv")]
+
+    out = _console(*argv, *outputs("process"))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert main([*argv, *outputs("call")]) == 0
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"process.{ext}").read_bytes() == (tmp_path / f"call.{ext}").read_bytes()
+    assert b"qte" in (tmp_path / "call.csv").read_bytes()
 
 
 def test_cli_import_loads_no_scipy():

@@ -125,6 +125,12 @@ class TestEnumeration:
             Npsem((NodeSpec(VarSpace("A", 2), ("B",),
                             np.zeros((2, 2), dtype=np.int64), np.full(2, 0.5)),))
 
+    def test_parent_listed_twice_rejected(self):
+        # the table fits the repeated axis, so only the parent list is at fault
+        with pytest.raises(InvalidDistribution, match="B: parent 'A' listed twice"):
+            NodeSpec(VarSpace("B", 2), ("A", "A"), np.zeros((2, 2, 1), dtype=np.int64),
+                     np.ones(1))
+
 
 class TestPlanCache:
     """The elimination is planned once per structure and shared by every
