@@ -139,11 +139,11 @@ def _non_finite(obj, path: str = "") -> tuple[str, float] | None:
     return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
-def _write(path: str | None, report: dict) -> None:
-    """Write ``report`` as canonical JSON; a report holding a non-finite
-    number, which strict JSON cannot represent, is refused and not written."""
+def _render(report: dict) -> str:
+    """``report`` as canonical JSON text; a report holding a non-finite
+    number, which strict JSON cannot represent, is refused."""
     try:
-        text = _canonical_json(report)
+        return _canonical_json(report) + "\n"
     except ValueError:
         found = _non_finite(report)
         if found is None:
@@ -151,7 +151,10 @@ def _write(path: str | None, report: dict) -> None:
         raise ValidationError(
             f"report field {found[0]} is {found[1]!r}: the input's numbers take the "
             f"computation out of floating-point range") from None
-    _write_text(path, text + "\n")
+
+
+def _write(path: str | None, report: dict) -> None:
+    _write_text(path, _render(report))
 
 
 def _load_json(path: str, flag: str) -> tuple[dict, dict]:
@@ -265,9 +268,11 @@ def _cmd_identify(args) -> int:
     rep = estimands(_identify(joint, args.design, args.latent_dim))
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
-    _write(args.report, _report(args, "identify", result, inputs))
+    # the report goes last, so a refused CSV leaves no report of a failed run
+    text = _render(_report(args, "identify", result, inputs))
     if args.csv:
         _write_csv(args.csv, rep)
+    _write_text(args.report, text)
     return 0
 
 

@@ -326,22 +326,6 @@ PROPOSITIONS: dict[int, tuple[Conclusion, ...]] = {
         _cf("iv", "Y", ["X"], ["X"], ["W", "V"])),
 }
 
-#: figures each proposition speaks about (Proposition 5's two conclusions
-#: apply to different figure families, handled in tests)
-PROPOSITION_FIGURES: dict[int, tuple[str, ...]] = {
-    1: ("fig2a", "fig2b", "fig2c"),
-    2: ("fig3a", "fig3b", "fig3c"),
-    3: ("fig4a", "fig4b"),
-    4: ("fig5a", "fig5b", "fig5c"),
-    5: ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b",
-        "fig3c", "fig6a", "fig6b", "fig6c"),
-    6: ("fig6a", "fig6b", "fig6c"),
-    7: ("fig7a", "fig7b"),
-}
-
-PROPOSITION5_UNCONDITIONAL = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b")
-PROPOSITION5_GIVEN_V = ("fig3c", "fig6a", "fig6b", "fig6c")
-
 _CORE_ROLES = ("Y", "X", "W")
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._np import np
-from .errors import AlphaCollision, TauOutOfRange, ZeroConditioningCell
+from .errors import AlphaCollision, TauOutOfRange
 from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
-from .prob import MarkovKernel, ProbTensor, VarSpace
+from .prob import MarkovKernel
 from .tolerances import LABEL_TOL
 
 
@@ -131,26 +131,3 @@ def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
         raise ValueError("rule.mode must be 'monotone'")
     return LabeledLatentModel(m, compute_alpha(m.z_given_w, rule))
 
-
-def confounder_effects(m: LatentOutcomeModel | LabeledLatentModel,
-                       x1: int, w: int) -> ProbTensor:
-    """Joint law of the doubly-intervened outcome Y(x1, w) and the factual
-    treatment: ``f(y, x2) = f(y | x1, w) * f(x2)``.
-
-    The outcome law is the arm law of ``x1`` within the clamped latent
-    stratum, ``f(Y(x1) = y | W = w) = sum_x f(Y(x1) = y, W = w, X = x) / f(w)``,
-    the same formula for every design.  For the auxiliary design the arm
-    laws integrate the extra proxy over its law within each latent stratum,
-    which renders the intervened display when the extra proxy sits
-    downstream of the latent state (as in the builtin auxiliary figures
-    with W -> V).
-    """
-    base = m.base if isinstance(m, LabeledLatentModel) else m
-    w_x = base.wx_joint.values
-    w_mass = w_x[w].sum()
-    if w_mass <= 0:
-        raise ZeroConditioningCell(f"latent state W={w} has zero probability")
-    y_cond = base.arm_laws[x1, :, w].sum(axis=1) / w_mass
-    y = base.y_space
-    arm = VarSpace(f"{y.name}({x1},{w})", y.cardinality, y.levels)
-    return ProbTensor.build((arm, base.wx_joint.axes[1]), np.outer(y_cond, w_x.sum(axis=0)))

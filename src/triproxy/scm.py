@@ -54,14 +54,15 @@ from .prob import ProbTensor, VarSpace, _count, _flat, marginalize
 from .tolerances import ATOM_TOL, CI_TOL, ENUMERATION_GUARD, MASS_TOL
 
 
-def _distinct_parents(node: str, parents) -> tuple[str, ...]:
-    """``parents`` as a tuple; a parent listed twice, whose edge the model's
-    graph would hold twice, is refused."""
-    parents = tuple(parents)
-    for i, p in enumerate(parents):
-        if p in parents[:i]:
-            raise InvalidDistribution(f"{node}: parent {p!r} listed twice")
-    return parents
+def _distinct(names, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple; a name listed twice is refused, named as
+    ``what``.  A repeated parent would put its edge in the model's graph
+    twice, and a repeated latent node would count as two latent nodes."""
+    names = tuple(names)
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise InvalidDistribution(f"{what} {n!r} listed twice")
+    return names
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class NodeSpec:
     noise_pmf: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        parents = _distinct_parents(self.space.name, self.parents)
+        parents = _distinct(self.parents, f"{self.space.name}: parent")
         table = np.asarray(self.table, dtype=np.int64)
         pmf = np.asarray(self.noise_pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size < 1:
@@ -121,11 +122,12 @@ class Npsem:
                 raise InvalidDistribution(
                     f"{n.space.name}: table shape {n.table.shape}, expected {expected}")
             cards[n.space.name] = n.space.cardinality
-        for l in self.latent:
+        latent = _distinct(self.latent, "latent node")
+        for l in latent:
             if l not in names:
                 raise UnknownNode(f"latent {l!r} not a node")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "latent", tuple(self.latent))
+        object.__setattr__(self, "latent", latent)
 
     def __getitem__(self, name: str) -> NodeSpec:
         for n in self.nodes:
@@ -163,8 +165,8 @@ class Npsem:
         for nd in d["nodes"]:
             space = VarSpace.from_dict(nd)
             spaces[space.name] = space
-            parents = _distinct_parents(space.name,
-                                        _names(nd["parents"], f"{space.name} parents"))
+            parents = _distinct(_names(nd["parents"], f"{space.name} parents"),
+                                f"{space.name}: parent")
             shape = tuple(spaces[p].cardinality for p in parents) + (
                 _count(nd, "noise_card"),)
             table = _flat(nd["table"], f"{space.name}: table", integers=True)

@@ -4,17 +4,36 @@ Effect references come from :func:`triproxy.scm.effects`; the helpers here
 cover what it does not: the rank-invariance premise of the bounds, the
 clamp-both intervention ``E[Y(x, w)]`` and a CDF comparison.  All of them
 read exact structural-model joints, independently of the identification
-code under test.
+code under test; ``clamp_xw_mean`` reads the same ``E[Y(x, w)]`` off an
+identified model, for comparison with the oracle.  The figure lists of the
+propositions are the graph tests' expected values.
 """
 
 import numpy as np
 import pytest
 
+from triproxy.pipelines import LatentOutcomeModel
 from triproxy.prob import marginalize
 from triproxy.scm import Npsem, arm_label, counterfactual_joint
 
 #: one PASS/FAIL line per acceptance criterion, echoed after the test run
 ACCEPTANCE_LINES: list[str] = []
+
+#: figures each proposition speaks about (Proposition 5's two conclusions
+#: apply to different figure families, listed below)
+PROPOSITION_FIGURES: dict[int, tuple[str, ...]] = {
+    1: ("fig2a", "fig2b", "fig2c"),
+    2: ("fig3a", "fig3b", "fig3c"),
+    3: ("fig4a", "fig4b"),
+    4: ("fig5a", "fig5b", "fig5c"),
+    5: ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b",
+        "fig3c", "fig6a", "fig6b", "fig6c"),
+    6: ("fig6a", "fig6b", "fig6c"),
+    7: ("fig7a", "fig7b"),
+}
+
+PROPOSITION5_UNCONDITIONAL = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b")
+PROPOSITION5_GIVEN_V = ("fig3c", "fig6a", "fig6b", "fig6c")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -53,6 +72,15 @@ def oracle_clamp_xw_mean(m: Npsem, x: int, w: int, outcome: str = "Y") -> float:
     a = arm_label(outcome, (x, w))
     pmf = marginalize(joint, set(joint.names) - {a}).reorder((a,)).values
     return float(y @ pmf)
+
+
+def clamp_xw_mean(m: LatentOutcomeModel, x: int, w: int) -> float:
+    """E[Y(x, w)] read off an identified model: the mean of the arm law of
+    ``x`` within latent state ``w``,
+    ``sum_x' f(Y(x) = y, W = w, X = x') / f(w)``, one formula for every
+    design (the auxiliary design's arm laws already integrate V)."""
+    y = m.y_space.level_values()
+    return float(y @ m.arm_laws[x, :, w].sum(axis=1)) / float(m.wx_joint.values[w].sum())
 
 
 def assert_cdf_match(atoms_a, cdf_a, atoms_b, cdf_b, tol):

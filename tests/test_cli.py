@@ -280,6 +280,22 @@ class TestIdentify:
         tables = {r[0] for r in rows[1:]}
         assert tables == {"qte", "beta_cdf"}
 
+    @pytest.mark.parametrize("report", ["r.json", "-"])
+    def test_refused_csv_leaves_no_report(self, tmp_path, capsys, fig2a_files, report):
+        """A CSV path that cannot be written refuses the run, and the report,
+        written last, is written nowhere: neither its file nor stdout holds
+        a report of the failed run."""
+        _, _, joint = fig2a_files
+        target = str(tmp_path / report) if report != "-" else report
+        code, out, err = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
+                             "--joint", joint, "--report", target,
+                             "--csv", str(tmp_path / "missing" / "q.csv"))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ValidationError" and "q.csv" in diag["message"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_relabel_unbiased_and_monotone(self, capsys, fig2a_files):
         _, _, joint = fig2a_files
         code, out, _ = run(capsys, "relabel", "--design", "outcome",
@@ -835,6 +851,22 @@ def test_model_listing_a_parent_twice_is_refused(tmp_path, verb):
     diag = json.loads(line)
     assert diag["error"] == "ValidationError"
     assert "Y: parent 'W' listed twice" in diag["message"]
+
+
+@pytest.mark.parametrize("verb", ["oracle", "simulate"])
+def test_model_listing_a_latent_node_twice_is_refused(tmp_path, capsys, verb):
+    """A latent node listed twice would count as two latent nodes; both verbs
+    that read a model refuse it with the repeated name, before any joint."""
+    d = figure_model("fig2a", 2, seed=0).to_dict()
+    d["latent"] = ["W", "W"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(d))
+    code, out, err = run(capsys, verb, "--model", str(model))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "ValidationError"
+    assert "latent node 'W' listed twice" in diag["message"]
 
 
 def test_warnings_of_a_refused_verb_are_dropped_and_of_a_finished_one_kept(

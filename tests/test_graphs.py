@@ -8,6 +8,8 @@ classical equivalent criterion), implemented from scratch here.
 import argparse
 import ast
 import itertools
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -17,15 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PROPOSITION5_GIVEN_V, PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES
 from triproxy import graphs
 from triproxy.errors import CyclicGraph, EnumerationTooLarge, MissingRole, UnknownNode
 from triproxy.cli import build_parser
 from triproxy.generators import FIGURE_DESIGNS
-from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITION5_GIVEN_V,
-                             PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES,
-                             PROPOSITIONS, CiQuery, Dag, check_proposition,
-                             classify_designs, counterfactual_d_separated,
-                             d_separated, twin_network)
+from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITIONS, CiQuery, Dag,
+                             check_proposition, classify_designs,
+                             counterfactual_d_separated, d_separated, twin_network)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,24 @@ def test_design_registry_imports_no_numpy():
              "from .errors import X\nfrom .prob import Y\nfrom . import pipelines\n"
              "from triproxy.tolerances import Z\nimport triproxy.scm\n")
     assert _foreign_imports(probe) == ["numpy", ".prob", ".pipelines", "triproxy.scm"]
+
+
+#: the triproxy modules a fresh interpreter holds after importing the key
+LOADED_BY = {"triproxy": ["triproxy"],
+             "triproxy.graphs": ["triproxy", "triproxy.errors", "triproxy.graphs",
+                                 "triproxy.tolerances"]}
+
+
+@pytest.mark.parametrize("module", sorted(LOADED_BY))
+def test_each_module_is_imported_on_its_own(module):
+    """Importing the package loads none of its modules, and a module loads
+    only those it imports itself."""
+    probe = (f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'triproxy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(graphs.__file__).parents[1])})
+    assert out.stdout.strip() == str(LOADED_BY[module])
 
 
 def test_only_the_lazy_module_imports_numpy():
