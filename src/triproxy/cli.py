@@ -31,9 +31,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from importlib import resources
 
@@ -117,13 +118,25 @@ def _invalid(what: str,
         raise ValidationError(f"{what}{e}") from e
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with _invalid(f"cannot write {path}: ", OSError), \
-            open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_text(*outputs: tuple[str | None, str]) -> None:
+    """Write each ``(path, text)`` in order, a path of None or ``-`` to
+    stdout.  Every file is opened before any is written; if one cannot be,
+    those this call created are removed, so a refused run leaves none."""
+    with ExitStack() as undo, ExitStack() as stack:
+        files = {}
+        for path in (p for p, _ in outputs if p not in (None, "-")):
+            new = not os.path.exists(path)
+            with _invalid(f"cannot write {path}: ", OSError):
+                files[path] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            if new:
+                undo.callback(os.remove, path)
+        undo.pop_all()                  # every file is open: none is removed
+        for path, text in outputs:
+            if path not in files:
+                sys.stdout.write(text)
+                continue
+            with _invalid(f"cannot write {path}: ", OSError):
+                files[path].write(text)
 
 
 def _non_finite(obj, path: str = "") -> tuple[str, float] | None:
@@ -154,7 +167,7 @@ def _render(report: dict) -> str:
 
 
 def _write(path: str | None, report: dict) -> None:
-    _write_text(path, _render(report))
+    _write_text((path, _render(report)))
 
 
 def _load_json(path: str, flag: str) -> tuple[dict, dict]:
@@ -197,7 +210,7 @@ def _estimand_result(rep: EstimandReport) -> dict:
     }
 
 
-def _write_csv(path: str, rep: EstimandReport) -> None:
+def _csv_text(rep: EstimandReport) -> str:
     """RFC-4180 CSV of the QTE grid and the effect-distribution atoms."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
@@ -207,7 +220,7 @@ def _write_csv(path: str, rep: EstimandReport) -> None:
     for a, c, (c0, c1) in zip(rep.beta_atoms, rep.beta_cdf, rep.beta_cdf_given_x):
         w.writerow(["beta_cdf", repr(float(a)), repr(float(c)),
                     repr(float(c0)), repr(float(c1))])
-    _write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
@@ -268,11 +281,8 @@ def _cmd_identify(args) -> int:
     rep = estimands(_identify(joint, args.design, args.latent_dim))
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
-    # the report goes last, so a refused CSV leaves no report of a failed run
-    text = _render(_report(args, "identify", result, inputs))
-    if args.csv:
-        _write_csv(args.csv, rep)
-    _write_text(args.report, text)
+    csv_out = [(args.csv, _csv_text(rep))] if args.csv else []
+    _write_text(*csv_out, (args.report, _render(_report(args, "identify", result, inputs))))
     return 0
 
 

@@ -360,7 +360,7 @@ class Design:
 DESIGNS: dict[str, Design] = {d.name: d for d in (
     Design("outcome", 1, None, ("Y", "Z", "V", "X"), "X", "Y", ("Y", "Z", "X"),
            "HS Assumption 4 / Assumption 3: distinct outcome-kernel columns "
-           "in the reference treatment stratum"),
+           "in the factorized treatment stratum"),
     Design("treatment", 2, None, ("Y", "Z", "V", "X"), None, "X", ("Y", "Z", "X"),
            "HS Assumption 4 / Assumption 4: distinct treatment-kernel columns"),
     Design("cond-treatment", 3, None, ("Y", "Z", "V", "X"), "Y", "X", ("Y", "Z", "X"),
@@ -368,7 +368,7 @@ DESIGNS: dict[str, Design] = {d.name: d for d in (
            "columns in the reference outcome stratum"),
     Design("auxiliary", 4, None, ("Y", "C", "Z", "V", "X"), "X", "C", ("Y", "Z", "V", "X"),
            "HS Assumption 4 / Assumption 8: distinct auxiliary-signal columns "
-           "in the reference treatment stratum"),
+           "in the factorized treatment stratum"),
     Design("outcome-rank-invariance", 6),
     Design("auxiliary-rank-invariance", 7),
     Design("double-proxy", 1, ("ii", "iii", "iv")),

@@ -10,7 +10,8 @@ ATE/ATT/ATU, quantile effects, and the distribution of the stratum effect
 
 The designs of :data:`~triproxy.graphs.DESIGNS` differ only in which
 variable is the third proxy (the outcome, the treatment, the treatment
-within outcome strata, or an auxiliary C), and run the same three steps:
+within outcome strata, or an auxiliary C), and run the same three steps,
+the first two being :func:`_stage`, which :mod:`triproxy.bounds` runs per arm:
 
 1. *Factorize once.*  :func:`~triproxy.spectral.hs_decompose` splits the
    (Z, signal, V) law in the most probable level of the design's stratum
@@ -48,7 +49,7 @@ from .errors import (
     UnknownAxis,
     ZeroConditioningCell,
 )
-from .graphs import DESIGNS
+from .graphs import DESIGNS, Design
 from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize
 from .spectral import COMPLETENESS_LABEL, HsOptions, canonical_order, hs_decompose
 from .tolerances import (ASSEMBLY_MASS_TOL, ATOM_TOL, COND_GUARD, MASS_TOL, PROJECTION_TOL,
@@ -180,22 +181,28 @@ def _require_positivity(cell_x: ProbTensor) -> None:
             "but not in every treatment arm (positivity)")
 
 
+def _stage(joint: ProbTensor, d: Design, k: int, fix: dict, solve: dict, what: str) -> tuple:
+    """Factorize the (Z, signal, V) law of ``d`` given ``fix``; deconvolve
+    ``d.second_stage`` given ``solve``, less the axes ``solve`` fixes, through
+    that f(z | w).  Returns the factors and :func:`_deconvolve`'s results."""
+    fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), fix),
+                       HsOptions(latent_dim=k, distinctness_label=d.distinctness))
+    axes = tuple(a for a in d.second_stage if a not in solve)
+    return (fac,) + _deconvolve(fac.z_given_w, _slice_joint(joint, axes, solve), what)
+
+
 def _identify(joint: ProbTensor, k: int, design: str) -> LatentOutcomeModel:
-    """Factorize once, in the reference stratum; deconvolve once, through
-    the shared f(z | w), to f(y, w, x), or f(y, w, v, x) for the auxiliary
-    design; assemble: each arm integrates f(y | w, v, x1) over f(v, w, x)
-    within each latent state and factual treatment (a design without V is
-    one V level)."""
+    """The stage once, factorizing in the reference stratum, to f(y, w, x),
+    or f(y, w, v, x) for the auxiliary design; then each arm integrates
+    f(y | w, v, x1) over f(v, w, x) within each latent state and factual
+    treatment (a design without V is one V level)."""
     d = DESIGNS[design]
     _require_axes(joint, d.axes)
     fix = {}
     if d.stratum is not None:
         f_s = marginalize(joint, set(joint.names) - {d.stratum}).values
         fix = {d.stratum: int(np.argmax(f_s))}
-    fac = hs_decompose(_slice_joint(joint, ("Z", d.signal, "V"), fix),
-                       HsOptions(latent_dim=k, distinctness_label=d.distinctness))
-    latent, neg, cond = _deconvolve(fac.z_given_w, _slice_joint(joint, d.second_stage, {}),
-                                    "latent joint")
+    fac, latent, neg, cond = _stage(joint, d, k, fix, {}, "latent joint")
     y, x = joint.axis("Y"), joint.axis("X")
     cell = (VarSpace("W", k, tuple(map(float, range(k)))),) + tuple(   # (W,) or (W, V)
         joint.axis(n) for n in d.second_stage[2:-1])

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import check_rank_invariance
+from triproxy import pipelines
 from triproxy.bounds import BoundsReport, bounds_auxiliary_proxy, bounds_outcome_proxy
-from triproxy.errors import (MissingLevels, NonBinaryTreatment, TriproxyError,
-                             ZeroConditioningCell)
-from triproxy.generators import rank_invariant_bounds_model
+from triproxy.errors import (EigenGapExhausted, MissingLevels, NonBinaryTreatment,
+                             TriproxyError, ZeroConditioningCell)
+from triproxy.generators import random_npsem, rank_invariant_bounds_model, standard_spaces
+from triproxy.graphs import DESIGNS, FIGURES
 from triproxy.prob import ProbTensor, VarSpace, marginalize
 from triproxy.scm import effects, observed_joint
 
@@ -93,6 +95,42 @@ class TestAuxiliaryBounds:
         crippled = ProbTensor.build(joint.axes, vals / vals.sum())
         with pytest.raises(ZeroConditioningCell):
             bounds_auxiliary_proxy(crippled, 2)
+
+
+class TestStage:
+    """Each arm runs the identification stage of ``pipelines``: it refuses
+    under its design's own labels, and a call factorizes and deconvolves
+    once per arm."""
+
+    @pytest.mark.parametrize("figure, design, signal", [("fig6a", "outcome", "Y"),
+                                                        ("fig7a", "auxiliary", "C")])
+    def test_signal_constant_in_w_refused_by_design_label(self, figure, design, signal):
+        K = 2
+        dag, spaces = FIGURES[figure], standard_spaces(K)
+        # the signal's law depends on the arm and not on W, its other parent
+        pmf = np.random.default_rng(40).dirichlet(np.ones(3), size=2).T   # (|signal|, X)
+        kernel = np.stack([pmf] * K, axis=1 + dag.parents(signal).index("W"))
+        m = random_npsem(dag, spaces, seed=40, kernels={signal: kernel})
+        bounds = bounds_outcome_proxy if design == "outcome" else bounds_auxiliary_proxy
+        with pytest.raises(EigenGapExhausted) as ei:
+            bounds(observed_joint(m), K)
+        assert DESIGNS[design].distinctness in str(ei.value)
+
+    @pytest.mark.parametrize("figure", ["fig6a", "fig7a"])
+    def test_each_arm_factorizes_and_deconvolves_once(self, figure, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(pipelines, "hs_decompose", counted(pipelines.hs_decompose))
+        monkeypatch.setattr(pipelines, "_deconvolve", counted(pipelines._deconvolve))
+        bounds = bounds_outcome_proxy if figure == "fig6a" else bounds_auxiliary_proxy
+        bounds(observed_joint(rank_invariant_bounds_model(2, seed=0, figure=figure)), 2)
+        assert sorted(calls) == ["_deconvolve"] * 2 + ["hs_decompose"] * 2
 
 
 class TestGuards:

@@ -67,6 +67,13 @@ def _literal(text: str, put):
     return edit
 
 
+def _drop_noise_level(d):
+    """Drop the last noise level of node Z and renormalize the rest, so that
+    its pmf is a distribution one entry shorter than its ``noise_card``."""
+    pmf = d["nodes"][1]["noise_pmf"][:-1]
+    d["nodes"][1]["noise_pmf"] = [p / sum(pmf) for p in pmf]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -282,9 +289,9 @@ class TestIdentify:
 
     @pytest.mark.parametrize("report", ["r.json", "-"])
     def test_refused_csv_leaves_no_report(self, tmp_path, capsys, fig2a_files, report):
-        """A CSV path that cannot be written refuses the run, and the report,
-        written last, is written nowhere: neither its file nor stdout holds
-        a report of the failed run."""
+        """A CSV path that cannot be written refuses the run, and the report
+        is written nowhere: neither its file nor stdout holds a report of
+        the failed run."""
         _, _, joint = fig2a_files
         target = str(tmp_path / report) if report != "-" else report
         code, out, err = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
@@ -295,6 +302,19 @@ class TestIdentify:
         diag = json.loads(line)
         assert diag["error"] == "ValidationError" and "q.csv" in diag["message"]
         assert not (tmp_path / "r.json").exists()
+
+    def test_refused_report_leaves_no_csv(self, tmp_path, capsys, fig2a_files):
+        """Every destination is opened before any is written, so a report
+        path that cannot be written refuses the run and leaves no CSV."""
+        _, _, joint = fig2a_files
+        code, out, err = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
+                             "--joint", joint, "--csv", str(tmp_path / "q.csv"),
+                             "--report", str(tmp_path / "missing" / "r.json"))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ValidationError" and "r.json" in diag["message"]
+        assert not (tmp_path / "q.csv").exists()
 
     def test_relabel_unbiased_and_monotone(self, capsys, fig2a_files):
         _, _, joint = fig2a_files
@@ -536,10 +556,14 @@ class TestExitCodesAndDiagnostics:
          "W: noise_pmf must be a flat list of JSON numbers"),
         (lambda d: d["nodes"][1].update(table=[[t] for t in d["nodes"][1]["table"]]),
          "Z: table must be a flat list of JSON numbers"),
+        (lambda d: d["nodes"].append(d["nodes"][0]), "duplicate node names"),
+        (_drop_noise_level, "Z: table/noise shape mismatch"),
+        (lambda d: d["nodes"][0].update(noise_pmf=[]), "W: bad noise pmf"),
     ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf", "cardinality-1e400",
             "noise-card-1e400", "table-entry-1e30", "cardinality-2.7", "noise-card-2.5",
             "table-entry-1.9", "noise-card-negative", "parents-string", "latent-string",
-            "noise-pmf-booleans", "table-nested"])
+            "noise-pmf-booleans", "table-nested", "duplicate-node", "noise-pmf-short",
+            "noise-pmf-empty"])
     def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
         m, _, _ = fig2a_files
         d = m.to_dict()
@@ -575,10 +599,12 @@ class TestExitCodesAndDiagnostics:
         ("identify", lambda d: next(a for a in d["axes"] if a["name"] == "X").update(
             levels=[False, True]),
          "'X': levels must be a flat list of JSON numbers"),
+        ("classify", lambda d: d["nodes"].append("W"), "duplicate nodes"),
+        ("classify", lambda d: d["edges"].append(d["edges"][0]), "duplicate edges"),
     ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node",
             "cardinality-2.7", "deeply-nested", "numeric-axis-name", "nodes-string",
             "edges-strings", "values-string", "values-nested", "levels-string",
-            "levels-booleans"])
+            "levels-booleans", "duplicate-node", "duplicate-edge"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
         m, _, _ = fig2a_files
