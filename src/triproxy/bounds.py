@@ -77,8 +77,7 @@ def _bounds(joint: ProbTensor, k: int, design: str) -> BoundsReport:
     mins = np.empty(f_vx.shape)
     maxs = np.empty(f_vx.shape)
     for x in (0, 1):
-        fac, ywv, _, cond = _stage(joint, d, k, {"X": x}, {"X": x},
-                                   f"outcome/latent joint (X={x})")
+        fac, ywv, _, cond = _stage(joint, d, k, {"X": x}, {"X": x}, f"outcome/latent joint (X={x})")
         ywv = ywv.reshape(ywv.shape[:2] + (-1,))         # one V level without V
         stratum_means = []
         for v in range(f_vx.shape[0]):

@@ -34,7 +34,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict
 from importlib import resources
 
@@ -118,27 +118,6 @@ def _invalid(what: str,
         raise ValidationError(f"{what}{e}") from e
 
 
-def _write_text(*outputs: tuple[str | None, str]) -> None:
-    """Write each ``(path, text)`` in order, a path of None or ``-`` to
-    stdout.  Every file is opened before any is written; if one cannot be,
-    those this call created are removed, so a refused run leaves none."""
-    with ExitStack() as undo, ExitStack() as stack:
-        files = {}
-        for path in (p for p, _ in outputs if p not in (None, "-")):
-            new = not os.path.exists(path)
-            with _invalid(f"cannot write {path}: ", OSError):
-                files[path] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            if new:
-                undo.callback(os.remove, path)
-        undo.pop_all()                  # every file is open: none is removed
-        for path, text in outputs:
-            if path not in files:
-                sys.stdout.write(text)
-                continue
-            with _invalid(f"cannot write {path}: ", OSError):
-                files[path].write(text)
-
-
 def _non_finite(obj, path: str = "") -> tuple[str, float] | None:
     """The path and value of the first non-finite float in ``obj``, if any."""
     if isinstance(obj, float):
@@ -166,8 +145,23 @@ def _render(report: dict) -> str:
             f"computation out of floating-point range") from None
 
 
-def _write(path: str | None, report: dict) -> None:
-    _write_text((path, _render(report)))
+def _write(path: str | None, report: dict, *before: tuple[str, str]) -> None:
+    """Write ``before``'s ``(path, text)`` pairs, then ``report`` to ``path`` (None or
+    ``-``: stdout); if one cannot be written, remove the files this call created."""
+    outputs = (*before, (path, _render(report)))
+    made = [dest for dest, _ in outputs if dest not in (None, "-") and not os.path.exists(dest)]
+    try:
+        for dest, text in outputs:
+            if dest in (None, "-"):
+                sys.stdout.write(text)
+                continue
+            with _invalid(f"cannot write {dest}: ", OSError), \
+                    open(dest, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except ValidationError:
+        for dest in filter(os.path.exists, made):
+            os.remove(dest)
+        raise
 
 
 def _load_json(path: str, flag: str) -> tuple[dict, dict]:
@@ -282,7 +276,7 @@ def _cmd_identify(args) -> int:
     result = {"design": args.design, "latent_dim": args.latent_dim,
               "estimands": _estimand_result(rep)}
     csv_out = [(args.csv, _csv_text(rep))] if args.csv else []
-    _write_text(*csv_out, (args.report, _render(_report(args, "identify", result, inputs))))
+    _write(args.report, _report(args, "identify", result, inputs), *csv_out)
     return 0
 
 

@@ -192,10 +192,9 @@ def _stage(joint: ProbTensor, d: Design, k: int, fix: dict, solve: dict, what: s
 
 
 def _identify(joint: ProbTensor, k: int, design: str) -> LatentOutcomeModel:
-    """The stage once, factorizing in the reference stratum, to f(y, w, x),
-    or f(y, w, v, x) for the auxiliary design; then each arm integrates
-    f(y | w, v, x1) over f(v, w, x) within each latent state and factual
-    treatment (a design without V is one V level)."""
+    """The stage once, in the reference stratum, to f(y, w, x), or f(y, w, v, x)
+    for the auxiliary design; then each arm integrates f(y | w, v, x1) over
+    f(v, w, x) within each latent state and factual treatment (no V: one level)."""
     d = DESIGNS[design]
     _require_axes(joint, d.axes)
     fix = {}

@@ -144,7 +144,10 @@ class ProbTensor:
         return tuple(a.name for a in self.axes)
 
     def axis(self, name: str) -> VarSpace:
-        return self.axes[self.axis_index(name)]
+        for a in self.axes:
+            if a.name == name:
+                return a
+        raise UnknownAxis(f"no axis named {name!r} in {self.names}")
 
     def axis_index(self, name: str) -> int:
         for i, a in enumerate(self.axes):

@@ -304,8 +304,8 @@ class TestIdentify:
         assert not (tmp_path / "r.json").exists()
 
     def test_refused_report_leaves_no_csv(self, tmp_path, capsys, fig2a_files):
-        """Every destination is opened before any is written, so a report
-        path that cannot be written refuses the run and leaves no CSV."""
+        """A report path that cannot be written refuses the run, and the CSV
+        file the run wrote before it is removed."""
         _, _, joint = fig2a_files
         code, out, err = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
                              "--joint", joint, "--csv", str(tmp_path / "q.csv"),
@@ -315,6 +315,16 @@ class TestIdentify:
         diag = json.loads(line)
         assert diag["error"] == "ValidationError" and "r.json" in diag["message"]
         assert not (tmp_path / "q.csv").exists()
+
+    def test_csv_and_report_on_one_path_leave_the_report(self, tmp_path, capsys, fig2a_files):
+        """The report is written after the CSV, so one path given to both
+        ends holding the report alone."""
+        _, _, joint = fig2a_files
+        out_path = tmp_path / "out"
+        code, out, _ = run(capsys, "identify", "--design", "outcome", "--latent-dim", "2",
+                           "--joint", joint, "--csv", str(out_path), "--report", str(out_path))
+        assert code == 0 and out == ""
+        assert json.loads(out_path.read_text())["verb"] == "identify"
 
     def test_relabel_unbiased_and_monotone(self, capsys, fig2a_files):
         _, _, joint = fig2a_files
@@ -640,6 +650,9 @@ class TestExitCodesAndDiagnostics:
         (_BOUNDS + ["--seed", "3"], "ValidationError", "unrecognized arguments: --seed 3"),
         (_IDENTIFY + ["--report", "{missing}"], "ValidationError", "cannot write"),
         (_IDENTIFY + ["--csv", "{missing}"], "ValidationError", "cannot write"),
+        # a full device refuses at the flush on close, not at open or write
+        (_IDENTIFY + ["--report", "/dev/full"], "ValidationError", "cannot write /dev/full"),
+        (_IDENTIFY + ["--csv", "/dev/full"], "ValidationError", "cannot write /dev/full"),
         (_BOUNDS[:3] + ["--latent-dim", "9", "--joint", "{joint}"], "ValidationError",
          "latent dimension 9 exceeds"),
         (["bounds", "--design", "auxiliary", "--latent-dim", "2", "--joint", "{joint}"],
@@ -669,7 +682,8 @@ class TestExitCodesAndDiagnostics:
          "triproxy dag-check: one of the arguments --graph --figure is required"),
     ], ids=["relabel-tau-abc", "relabel-tau-0", "relabel-tau-1.5", "latent-dim-negative",
             "latent-dim-0", "identify-seed", "relabel-seed", "bounds-seed",
-            "report-in-missing-dir", "csv-in-missing-dir",
+            "report-in-missing-dir", "csv-in-missing-dir", "report-to-full-device",
+            "csv-to-full-device",
             "bounds-latent-dim-9", "bounds-auxiliary-without-c", "treatment-joint-with-c",
             "classify-graph-without-w", "dag-check-graph-without-w",
             "simulate-oversized-model", "oracle-oversized-model", "classify-unknown-figure",
