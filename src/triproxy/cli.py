@@ -35,7 +35,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from importlib import resources
 
 from . import __version__, tolerances
@@ -76,7 +76,7 @@ atexit.register(_freeze_heap)
 
 REPORT_FORMAT = 8
 
-#: design -> (pipeline, the joint's axes in the order it reads them)
+#: design -> (pipeline, the axes its joint must have; the pipeline reads each by name)
 PIPELINES = {name: (fn, DESIGNS[name].axes) for name, fn in (
     ("outcome", identify_outcome_proxy), ("treatment", identify_treatment_proxy),
     ("cond-treatment", identify_cond_treatment_proxy),
@@ -188,20 +188,23 @@ def _load_tensor(path: str) -> tuple[ProbTensor, dict]:
         return ProbTensor.from_dict(d), inputs
 
 
+def _record(rec) -> dict:
+    """The fields of the dataclass record ``rec`` as report JSON: arrays and
+    tuples become lists, and a ``None`` field is left out."""
+    out = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
 def _estimand_result(rep: EstimandReport) -> dict:
-    return {
-        "y_levels": list(rep.y_levels),
-        "pot_y": rep.pot_y.tolist(),
-        "pot_y_given_x": rep.pot_y_given_x.tolist(),
-        "ate": rep.ate, "att": rep.att, "atu": rep.atu,
-        "qte_taus": list(QTE_TAUS), "qte": rep.qte.tolist(),
-        "beta": rep.beta.tolist(),
-        "w_marginal": rep.w_marginal.tolist(),
-        "beta_atoms": rep.beta_atoms.tolist(),
-        "beta_cdf": rep.beta_cdf.tolist(),
-        "beta_cdf_given_x": rep.beta_cdf_given_x.tolist(),
-        "var_beta": rep.var_beta,
-    }
+    return {**_record(rep), "qte_taus": list(QTE_TAUS)}
 
 
 def _csv_text(rep: EstimandReport) -> str:
@@ -217,25 +220,24 @@ def _csv_text(rep: EstimandReport) -> str:
     return buf.getvalue()
 
 
-def _check_joint(joint: ProbTensor, design: str, k: int) -> tuple[str, ...]:
-    """The axis order of ``design``, once ``joint`` has exactly its axes and
+def _check_joint(joint: ProbTensor, design: str, k: int) -> None:
+    """Refuse ``joint`` unless it has exactly the axes of ``design`` and
     proxies with at least ``k`` levels."""
-    order = DESIGNS[design].axes
-    if sorted(order) != sorted(joint.names):
+    axes = sorted(DESIGNS[design].axes)
+    if axes != sorted(joint.names):
         raise ValidationError(f"the {design} design needs exactly the axes "
-                              f"{sorted(order)}; the joint has {sorted(joint.names)}")
+                              f"{axes}; the joint has {sorted(joint.names)}")
     for proxy in ("Z", "V"):
         card = joint.axis(proxy).cardinality
         if card < k:
             raise ValidationError(
                 f"latent dimension {k} exceeds |{proxy}| = {card}; the design "
                 f"needs |Z|, |V| >= K")
-    return order
 
 
 def _identify(joint: ProbTensor, design: str, k: int):
-    order = _check_joint(joint, design, k)
-    return PIPELINES[design][0](joint.reorder(order), k)
+    _check_joint(joint, design, k)
+    return PIPELINES[design][0](joint, k)
 
 
 def _taus(text: str) -> tuple[float, ...]:
@@ -304,15 +306,7 @@ def _cmd_bounds(args) -> int:
     joint, inputs = _load_tensor(args.joint)
     _check_joint(joint, args.design, args.latent_dim)
     fn = bounds_outcome_proxy if args.design == "outcome" else bounds_auxiliary_proxy
-    rep = fn(joint, args.latent_dim)
-    result = {"design": args.design, "s_lower": rep.s_lower, "s_upper": rep.s_upper,
-              "att_interval": list(rep.att_interval),
-              "atu_interval": list(rep.atu_interval),
-              "point_identified": rep.point_identified,
-              "diagnostics": rep.diagnostics}
-    if rep.per_v_lower is not None:
-        result["per_v_lower"] = rep.per_v_lower.tolist()
-        result["per_v_upper"] = rep.per_v_upper.tolist()
+    result = {"design": args.design, **_record(fn(joint, args.latent_dim))}
     _write(args.report, _report(args, "bounds", result, inputs))
     return 0
 

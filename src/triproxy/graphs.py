@@ -337,7 +337,7 @@ class Design:
     name: str
     proposition: int
     labels: tuple[str, ...] | None = None  # conclusions needed; None: all of them
-    axes: tuple[str, ...] = ()      # the joint's axes, in the order the CLI reorders to
+    axes: tuple[str, ...] = ()      # the axes the design's joint must have, read by name
     stratum: str | None = None      # factorized in its most probable level; None: whole joint
     signal: str | None = None       # the third proxy: (Z, signal, V) is factorized
     second_stage: tuple[str, ...] = ()  # deconvolved through the shared f(z | w)

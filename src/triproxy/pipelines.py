@@ -50,7 +50,7 @@ from .errors import (
     ZeroConditioningCell,
 )
 from .graphs import DESIGNS, Design
-from .prob import MarkovKernel, ProbTensor, VarSpace, marginalize
+from .prob import ProbTensor, VarSpace, marginalize
 from .spectral import COMPLETENESS_LABEL, HsOptions, canonical_order, hs_decompose
 from .tolerances import (ASSEMBLY_MASS_TOL, ATOM_TOL, COND_GUARD, MASS_TOL, PROJECTION_TOL,
                          QUANTILE_TOL)
@@ -63,7 +63,8 @@ class LatentOutcomeModel:
     arm_laws: np.ndarray                # f(Y(x1) = y, W = w, X = x), (n_x, |Y|, k, n_x)
     y_space: VarSpace                   # the outcome Y
     wx_joint: ProbTensor                # f(w, x) over (W, X)
-    z_given_w: MarkovKernel             # shared proxy kernel f(z | w)
+    z_space: VarSpace                   # the proxy Z
+    z_given_w: np.ndarray               # shared proxy kernel f(z | w), (|Z|, k)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -85,12 +86,11 @@ class LatentOutcomeModel:
         return replace(
             self, arm_laws=self.arm_laws[:, :, perm],
             wx_joint=ProbTensor(self.wx_joint.axes, self.wx_joint.values[perm]),
-            z_given_w=MarkovKernel(self.z_given_w.target, self.z_given_w.given,
-                                   self.z_given_w.values[:, perm]))
+            z_given_w=self.z_given_w[:, perm])
 
     def canonicalized(self) -> "LatentOutcomeModel":
         """The model in canonical latent order; itself when already in it."""
-        perm = canonical_order(self.z_given_w.values)
+        perm = canonical_order(self.z_given_w)
         if (perm == np.arange(perm.size)).all():
             return self
         return self.permuted(perm)
@@ -140,8 +140,8 @@ def _deconvolve(z_given_w: np.ndarray, arr: np.ndarray,
 
 
 def _normalize_slices(joint: np.ndarray) -> np.ndarray:
-    """Conditional law along axis 0; zero-mass slices become uniform (they
-    carry no weight downstream but must stay valid pmfs)."""
+    """Conditional law along axis 0; zero-mass slices become uniform, which
+    keeps them finite (they carry no weight downstream)."""
     sums = joint.sum(axis=0, keepdims=True)
     out = np.where(sums > 0, joint / np.where(sums > 0, sums, 1.0),
                    1.0 / joint.shape[0])
@@ -207,13 +207,13 @@ def _identify(joint: ProbTensor, k: int, design: str) -> LatentOutcomeModel:
         joint.axis(n) for n in d.second_stage[2:-1])
     cell_x = ProbTensor.build(cell + (x,), latent.sum(axis=0))
     _require_positivity(cell_x)
-    y_given = MarkovKernel.build(y, cell + (x,), _normalize_slices(latent)).values
     wvx = cell_x.values.reshape(k, -1, x.cardinality)
-    laws = np.einsum("ywvt,wvx->tywx", y_given.reshape((y.cardinality,) + wvx.shape), wvx)
+    y_given = _normalize_slices(latent).reshape((y.cardinality,) + wvx.shape)
+    laws = np.einsum("ywvt,wvx->tywx", y_given, wvx)
     h = fac.diagnostics
     return LatentOutcomeModel(
         arm_laws=laws, y_space=y, wx_joint=ProbTensor((cell[0], x), wvx.sum(axis=1)),
-        z_given_w=MarkovKernel.build(joint.axis("Z"), cell[:1], fac.z_given_w),
+        z_space=joint.axis("Z"), z_given_w=fac.z_given_w,
         diagnostics={"design": design, "reference_stratum": fix,
                      "hs": {"singular_ratio": h.singular_ratio, "eigen_gap": h.eigen_gap,
                             "lstsq_residual": h.lstsq_residual, "clipped_mass": h.clipped_mass},

@@ -86,23 +86,6 @@ class VarSpace:
                    None if levels is None else tuple(_flat(levels, f"{d['name']!r}: levels")))
 
 
-def _clean(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise InvalidDistribution(f"{what}: non-finite entries")
-    worst = float(values.min()) if values.size else 0.0
-    if worst < -INPUT_NEG_TOL:
-        raise InvalidDistribution(
-            f"{what}: entry {worst:.3e} below -{INPUT_NEG_TOL:.0e}"
-        )
-    return np.clip(values, 0.0, None)
-
-
-def _check_unique(axes) -> None:
-    names = [a.name for a in axes]
-    if len(set(names)) != len(names):
-        raise InvalidDistribution(f"duplicate axis names: {names}")
-
-
 @dataclass(frozen=True)
 class ProbTensor:
     """A joint pmf over an ordered tuple of named categorical variables.
@@ -115,12 +98,12 @@ class ProbTensor:
 
     def __post_init__(self):
         axes = tuple(self.axes)
-        _check_unique(axes)
+        names = [a.name for a in axes]
+        if len(set(names)) != len(names):
+            raise InvalidDistribution(f"duplicate axis names: {names}")
         values = np.asarray(self.values, dtype=float)
         if values.shape != tuple(a.cardinality for a in axes):
-            raise InvalidDistribution(
-                f"shape {values.shape} does not match axes {[a.name for a in axes]}"
-            )
+            raise InvalidDistribution(f"shape {values.shape} does not match axes {names}")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", values)
         self.values.setflags(write=False)
@@ -131,7 +114,12 @@ class ProbTensor:
     def build(cls, axes, values) -> "ProbTensor":
         """Validate, clip benign negative round-off, rescale to unit mass."""
         values = np.asarray(values, dtype=float)
-        values = _clean(values, "ProbTensor")
+        if not np.all(np.isfinite(values)):
+            raise InvalidDistribution("ProbTensor: non-finite entries")
+        worst = float(values.min()) if values.size else 0.0
+        if worst < -INPUT_NEG_TOL:
+            raise InvalidDistribution(f"ProbTensor: entry {worst:.3e} below -{INPUT_NEG_TOL:.0e}")
+        values = np.clip(values, 0.0, None)
         mass = values.sum()
         if abs(mass - 1.0) > MASS_TOL:
             raise InvalidDistribution(f"total mass {float(mass)!r} not within {MASS_TOL} of 1")
@@ -175,40 +163,6 @@ class ProbTensor:
         shape = tuple(a.cardinality for a in axes)
         values = _flat(d["values"], "values").reshape(shape, order="C")
         return cls.build(axes, values)
-
-
-@dataclass(frozen=True)
-class MarkovKernel:
-    """A conditional pmf: ``target`` given an ordered conditioning tuple.
-
-    ``values`` has shape ``(target.cardinality, *given cardinalities)`` and
-    every conditional slice sums to one.
-    """
-
-    target: VarSpace
-    given: tuple[VarSpace, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        given = tuple(self.given)
-        _check_unique((self.target,) + given)
-        values = np.asarray(self.values, dtype=float)
-        shape = (self.target.cardinality,) + tuple(g.cardinality for g in given)
-        if values.shape != shape:
-            raise InvalidDistribution(f"kernel shape {values.shape}, expected {shape}")
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "values", values)
-        self.values.setflags(write=False)
-
-    @classmethod
-    def build(cls, target, given, values) -> "MarkovKernel":
-        values = np.asarray(values, dtype=float)
-        values = _clean(values, "MarkovKernel")
-        sums = values.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > MASS_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise InvalidDistribution(f"kernel slice mass off by {worst:.3e}")
-        return cls(target, tuple(given), values / sums)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ._np import np
 from .errors import AlphaCollision, TauOutOfRange
 from .pipelines import LatentOutcomeModel, _left_quantile_index, _state_effects
-from .prob import MarkovKernel
+from .prob import VarSpace
 from .tolerances import LABEL_TOL
 
 
@@ -53,13 +53,14 @@ def _location(levels: np.ndarray, pmf: np.ndarray, functional: str) -> float:
     return float(levels[_left_quantile_index(pmf, 0.5)])
 
 
-def compute_alpha(z_given_w: MarkovKernel, rule: RelabelRule) -> np.ndarray:
-    """Per-latent-state location of the proxy law, shape ``(k,)``; two
-    states closer than ``LABEL_TOL`` raise :class:`AlphaCollision`."""
-    levels = z_given_w.target.level_values()
-    cols = z_given_w.values
-    alpha = np.array([_location(levels, cols[:, w], rule.functional)
-                      for w in range(cols.shape[1])])
+def compute_alpha(z_space: VarSpace, z_given_w: np.ndarray, rule: RelabelRule) -> np.ndarray:
+    """Per-latent-state location of the proxy law ``z_given_w``, shape
+    ``(|Z|, k)``, over the levels of ``z_space``: shape ``(k,)``.  A proxy
+    without numeric levels raises :class:`MissingLevels`; two states closer
+    than ``LABEL_TOL`` raise :class:`AlphaCollision`."""
+    levels = z_space.level_values()
+    alpha = np.array([_location(levels, z_given_w[:, w], rule.functional)
+                      for w in range(z_given_w.shape[1])])
     close = np.argwhere(np.triu(np.abs(alpha[:, None] - alpha) < LABEL_TOL, 1))
     if close.size:
         i, j = close[0]
@@ -114,7 +115,7 @@ def relabel_unbiased(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
     """Assign each latent state its exact location value and sort by it."""
     if rule.mode != "unbiased":
         raise ValueError("rule.mode must be 'unbiased'")
-    alpha = compute_alpha(m.z_given_w, rule)
+    alpha = compute_alpha(m.z_space, m.z_given_w, rule)
     order = np.argsort(alpha, kind="stable")
     return LabeledLatentModel(m.permuted(order), alpha[order])
 
@@ -129,5 +130,5 @@ def relabel_monotone(m: LatentOutcomeModel, rule: RelabelRule) -> LabeledLatentM
     """
     if rule.mode != "monotone":
         raise ValueError("rule.mode must be 'monotone'")
-    return LabeledLatentModel(m, compute_alpha(m.z_given_w, rule))
+    return LabeledLatentModel(m, compute_alpha(m.z_space, m.z_given_w, rule))
 

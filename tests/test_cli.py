@@ -29,6 +29,13 @@ from triproxy.scm import NodeSpec, Npsem, effects, observed_joint
 #: oracle report key -> field of ``scm.effects``
 ORACLE_REPORT = {"ate": "ate", "att": "att", "atu": "atu", "beta_by_state": "cate",
                  "w_marginal": "w", "pot_y": "pot_y"}
+#: the keys of an ``identify`` report's ``estimands`` and of a ``bounds``
+#: report's ``result``; a design with V adds ``per_v_lower``/``per_v_upper``
+ESTIMAND_KEYS = {"y_levels", "pot_y", "pot_y_given_x", "ate", "att", "atu", "qte_taus",
+                 "qte", "beta", "w_marginal", "beta_atoms", "beta_cdf", "beta_cdf_given_x",
+                 "var_beta"}
+BOUNDS_KEYS = {"design", "s_lower", "s_upper", "att_interval", "atu_interval",
+               "point_identified", "diagnostics"}
 
 
 def _load_script(name: str):
@@ -198,6 +205,7 @@ class TestIdentify:
                            "--latent-dim", "2", "--joint", joint)
         assert code == 0
         est = _result(out)["estimands"]
+        assert set(est) == ESTIMAND_KEYS
         truth = effects(m)
         assert abs(est["ate"] - truth["ate"]) < 1e-8
         assert abs(est["att"] - truth["att"]) < 1e-8
@@ -364,6 +372,7 @@ class TestIdentify:
                            "--latent-dim", "2", "--joint", str(joint))
         assert code == 0
         res = _result(out)
+        assert set(res) == BOUNDS_KEYS        # one V level: no per_v_* keys
         assert abs(res["s_lower"] - 0.1) < 1e-7
         assert abs(res["s_upper"] - 0.3) < 1e-7
         assert res["point_identified"] is False
@@ -376,6 +385,7 @@ class TestIdentify:
                              "--latent-dim", "2", "--joint", str(joint))
         assert code == 0, err
         res = _result(out)
+        assert set(res) == BOUNDS_KEYS | {"per_v_lower", "per_v_upper"}
         n_v = m["V"].space.cardinality
         assert len(res["per_v_lower"]) == len(res["per_v_upper"]) == n_v
         truth = effects(m)

@@ -19,8 +19,8 @@ from triproxy.generators import (FIGURE_DESIGNS, MAX_TRIES, PIPELINE_FIGURES,
                                  _kernel_margin, _mean_spread_kernel, _pmfs_with_means,
                                  _resolve, _screen_axes, _screened_draw, _screens,
                                  _w_margin, designed_npsem, figure_diagnostics, figure_model,
-                                 rank_invariant_bounds_model, separated_kernel, standard_spaces,
-                                 unbiased_proxy_model)
+                                 random_npsem, rank_invariant_bounds_model, separated_kernel,
+                                 standard_spaces, unbiased_proxy_model)
 from triproxy.graphs import DESIGNS, FIGURES
 from triproxy.pipelines import estimands
 from triproxy.prob import ProbTensor, VarSpace, marginalize, restrict
@@ -359,9 +359,15 @@ def test_standard_spaces_is_a_fresh_dict():
     lambda: unbiased_proxy_model(3, 0, monotone_map=[0, 0, 0]),
     lambda: unbiased_proxy_model(3, 0, monotone_map=[0.0, 1.5, 1.0]),
     lambda: unbiased_proxy_model(3, 0, monotone_map=[0.0, 1.0]),
+    lambda: unbiased_proxy_model(2, 0, monotone_map=(-1.0, 0.5)),
     lambda: unbiased_proxy_model(2, 0, figure="fig9z"),
+    lambda: random_npsem(FIGURES["fig2a"], standard_spaces(2), 0,
+                         kernels={"X": np.full((2, 3), 0.5)}),
+    lambda: designed_npsem(FIGURES["fig2a"], standard_spaces(2), 0,
+                           kernels={"X": np.full((2, 3), 0.5)}),
 ], ids=["cate-too-short", "cate-one-value", "cate-matrix", "cate-nan", "map-constant",
-        "map-not-monotone", "map-too-short", "unknown-figure"])
+        "map-not-monotone", "map-too-short", "map-outside-z-levels", "unknown-figure",
+        "random-kernel-shape", "designed-kernel-shape"])
 def test_bad_generator_arguments_are_refused(make):
     with pytest.raises(InvalidDistribution):
         make()

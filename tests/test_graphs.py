@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import PROPOSITION5_GIVEN_V, PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES
 from triproxy import graphs
-from triproxy.errors import CyclicGraph, EnumerationTooLarge, MissingRole, UnknownNode
+from triproxy.errors import (CyclicGraph, EnumerationTooLarge, InvalidDistribution,
+                             MissingRole, UnknownNode)
 from triproxy.cli import build_parser
 from triproxy.generators import FIGURE_DESIGNS
 from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITIONS, CiQuery, Dag,
@@ -96,6 +97,23 @@ class TestDagBasics:
         g = FIGURES["fig2a"]
         with pytest.raises(UnknownNode):
             g.parents("Q")
+
+    @pytest.mark.parametrize("ask", [
+        lambda g: g.children("Q"),
+        lambda g: d_separated(g, CiQuery(frozenset({"Q"}), frozenset({"Y"}))),
+        lambda g: twin_network(g, {"Q"}),
+    ], ids=["children", "d-separated", "twin-network"])
+    def test_unknown_node_in_a_query(self, ask):
+        with pytest.raises(UnknownNode, match="'Q'"):
+            ask(FIGURES["fig2a"])
+
+    @pytest.mark.parametrize("ask,message", [
+        (lambda: CiQuery(frozenset({"X"}), frozenset({"X", "Y"})), "pairwise disjoint"),
+        (lambda: check_proposition(FIGURES["fig2a"], 99), "no proposition 99"),
+    ], ids=["overlapping-query", "unknown-proposition"])
+    def test_malformed_question_refused(self, ask, message):
+        with pytest.raises(InvalidDistribution, match=message):
+            ask()
 
     def test_topological_order_respects_edges(self):
         g = FIGURES["fig5a"]

@@ -161,9 +161,18 @@ class TestInvariances:
         for figure in PIPELINE_FIGURES:
             for K in (2, 3):
                 for seed in range(4):
-                    z = run_pipeline(figure_model(figure, K, seed), K).z_given_w.values
+                    z = run_pipeline(figure_model(figure, K, seed), K).z_given_w
                     assert np.array_equal(canonical_order(z), np.arange(K)), \
                         (figure, K, seed)
+
+    @pytest.mark.parametrize("figure", PIPELINE_FIGURES)
+    def test_proxy_kernel_columns_sum_to_one(self, figure):
+        # the model holds hs_decompose's f(z | w), normalized there and only there
+        for K in (2, 3, 4):
+            for seed in range(5):
+                z = run_pipeline(figure_model(figure, K, seed), K).z_given_w
+                assert z.shape == (K + 1, K)
+                assert np.abs(z.sum(axis=0) - 1.0).max() <= 1e-15, (K, seed)
 
     def test_canonicalized_returns_a_canonical_model_itself(self):
         model = identify_outcome_proxy(observed_joint(figure_model("fig2a", K=3, seed=15)), 3)
@@ -171,12 +180,12 @@ class TestInvariances:
         back = model.permuted(np.array([2, 0, 1])).canonicalized()
         for got, want in ((back.arm_laws, model.arm_laws),
                           (back.wx_joint.values, model.wx_joint.values),
-                          (back.z_given_w.values, model.z_given_w.values)):
+                          (back.z_given_w, model.z_given_w)):
             assert got.tobytes() == want.tobytes()
 
     def test_ulp_perturbed_tied_joint_keeps_state_effects(self):
         joint = observed_joint(figure_model("fig5b", K=2, seed=5))
-        z = identify_auxiliary_proxy(joint, 2).z_given_w.values
+        z = identify_auxiliary_proxy(joint, 2).z_given_w
         assert abs(z[0, 0] - z[0, 1]) < 1e-12       # tied in the first level
         values = joint.values.copy()
         up = np.random.default_rng(0).random(values.shape) < 0.5
@@ -232,7 +241,6 @@ class TestInvariances:
 
 def _two_point_model():
     """Hand-built latent model with Y(1) distributed as Y(0) shifted by 1."""
-    from triproxy.prob import MarkovKernel, ProbTensor, VarSpace
     w = VarSpace("W", 2, (0.0, 1.0))
     x = VarSpace("X", 2, (0.0, 1.0))
     y = VarSpace("Y", 3, (0.0, 1.0, 2.0))
@@ -243,11 +251,10 @@ def _two_point_model():
     y_given_wx[:, 0, 1] = [0.0, 0.7, 0.3]
     y_given_wx[:, 1, 1] = [0.0, 0.4, 0.6]
     wx = np.array([[0.3, 0.2], [0.25, 0.25]])
-    z_given_w = np.array([[0.9, 0.2], [0.1, 0.8]])
     return LatentOutcomeModel(
         arm_laws=np.einsum("ywt,wx->tywx", y_given_wx, wx), y_space=y,
         wx_joint=ProbTensor.build((w, x), wx),
-        z_given_w=MarkovKernel.build(z, (w,), z_given_w))
+        z_space=z, z_given_w=np.array([[0.9, 0.2], [0.1, 0.8]]))
 
 
 class TestFailureModes:

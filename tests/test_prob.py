@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from triproxy.errors import (InvalidDistribution, UnknownAxis,
                              ZeroConditioningCell)
-from triproxy.prob import (MASS_TOL, MarkovKernel, ProbTensor, VarSpace,
-                           marginalize, restrict)
+from triproxy.prob import MASS_TOL, ProbTensor, VarSpace, marginalize, restrict
 
 A = VarSpace("A", 2, (0.0, 1.0))
 B = VarSpace("B", 3, (0.0, 1.0, 2.0))
@@ -55,21 +54,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.values[0, 0] = 0.5
 
-    def test_kernel_slices_must_be_stochastic(self):
-        with pytest.raises(InvalidDistribution):
-            MarkovKernel.build(A, (B,), np.array([[0.5, 0.5, 0.5],
-                                                  [0.4, 0.5, 0.5]]))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidDistribution):
             ProbTensor.build((A,), np.array([bad, 1.0]))
-        with pytest.raises(InvalidDistribution):
-            MarkovKernel.build(A, (C,), np.array([[bad, 0.5], [0.5, 0.5]]))
 
     def test_varspace_levels_length_checked(self):
         with pytest.raises(InvalidDistribution):
             VarSpace("A", 3, (0.0, 1.0))
+
+    def test_varspace_needs_a_level(self):
+        with pytest.raises(InvalidDistribution, match="must be >= 1"):
+            VarSpace("A", 0)
 
 
 class TestOperations:
@@ -82,6 +78,13 @@ class TestOperations:
     def test_marginalize_unknown_axis(self):
         with pytest.raises(UnknownAxis):
             marginalize(uniform(A), {"Q"})
+
+    @pytest.mark.parametrize("lookup", [lambda t: t.axis("Q"), lambda t: t.axis_index("Q"),
+                                        lambda t: t.reorder(("A", "Q"))],
+                             ids=["axis", "axis_index", "reorder"])
+    def test_unknown_axis_name(self, lookup):
+        with pytest.raises(UnknownAxis):
+            lookup(uniform(A, B))
 
     def test_restrict_renormalizes(self, rng):
         t = random_tensor(rng, A, B)

@@ -9,7 +9,7 @@ from triproxy.errors import AlphaCollision, MissingLevels, TauOutOfRange
 from triproxy.generators import unbiased_proxy_model
 from triproxy.pipelines import (identify_auxiliary_proxy, identify_outcome_proxy,
                                 potential_joint)
-from triproxy.prob import MarkovKernel, VarSpace
+from triproxy.prob import VarSpace
 from triproxy.relabel import (RelabelRule, compute_alpha, relabel_monotone,
                               relabel_unbiased)
 from triproxy.scm import effects, observed_joint
@@ -23,34 +23,27 @@ def identified(m, K, design="outcome"):
 class TestAlpha:
     def test_mean_alpha_matches_hand_computation(self):
         z = VarSpace("Z", 3, (0.0, 1.0, 2.0))
-        w = VarSpace("W", 2, (0.0, 1.0))
         cols = np.array([[0.5, 0.1], [0.3, 0.2], [0.2, 0.7]])
-        kern = MarkovKernel.build(z, (w,), cols)
-        alpha = compute_alpha(kern, RelabelRule("mean", "unbiased"))
+        alpha = compute_alpha(z, cols, RelabelRule("mean", "unbiased"))
         np.testing.assert_allclose(alpha, [0.7, 1.6])
 
     def test_median_alpha(self):
         z = VarSpace("Z", 3, (0.0, 1.0, 2.0))
-        w = VarSpace("W", 2, (0.0, 1.0))
         cols = np.array([[0.6, 0.1], [0.3, 0.2], [0.1, 0.7]])
-        kern = MarkovKernel.build(z, (w,), cols)
-        alpha = compute_alpha(kern, RelabelRule("median", "unbiased"))
+        alpha = compute_alpha(z, cols, RelabelRule("median", "unbiased"))
         np.testing.assert_allclose(alpha, [0.0, 2.0])
 
     def test_collision_detected(self):
         z = VarSpace("Z", 2, (0.0, 1.0))
-        w = VarSpace("W", 2, (0.0, 1.0))
         cols = np.array([[0.5, 0.5], [0.5, 0.5]])
-        kern = MarkovKernel.build(z, (w,), cols)
         with pytest.raises(AlphaCollision):
-            compute_alpha(kern, RelabelRule("mean", "unbiased"))
+            compute_alpha(z, cols, RelabelRule("mean", "unbiased"))
 
     def test_missing_levels(self):
         z = VarSpace("Z", 2, None)
-        w = VarSpace("W", 2, (0.0, 1.0))
-        kern = MarkovKernel.build(z, (w,), np.array([[0.9, 0.2], [0.1, 0.8]]))
+        cols = np.array([[0.9, 0.2], [0.1, 0.8]])
         with pytest.raises(MissingLevels):
-            compute_alpha(kern, RelabelRule("mean", "unbiased"))
+            compute_alpha(z, cols, RelabelRule("mean", "unbiased"))
 
 
 class TestUnbiased:
@@ -103,7 +96,8 @@ class TestUnbiased:
         rule = RelabelRule("mean", "unbiased")
         model = identified(unbiased_proxy_model(3, seed, monotone_map=monotone_map), 3)
         labeled = relabel_unbiased(model, rule)
-        np.testing.assert_allclose(compute_alpha(labeled.base.z_given_w, rule),
+        np.testing.assert_allclose(compute_alpha(labeled.base.z_space, labeled.base.z_given_w,
+                                                 rule),
                                    labeled.alpha, rtol=0, atol=1e-12)
         for x in (0, 1):
             got, want = potential_joint(labeled.base, x), potential_joint(model, x)
@@ -111,8 +105,8 @@ class TestUnbiased:
             np.testing.assert_array_equal(got.values, want.values)
         got, want = labeled.base.canonicalized(), model.canonicalized()
         assert got.wx_joint.axes == want.wx_joint.axes
-        assert got.z_given_w.given == want.z_given_w.given
-        np.testing.assert_array_equal(got.z_given_w.values, want.z_given_w.values)
+        assert got.z_space == want.z_space
+        np.testing.assert_array_equal(got.z_given_w, want.z_given_w)
 
     def test_unknown_value_rejected(self):
         m = unbiased_proxy_model(2, seed=5)
@@ -163,6 +157,13 @@ class TestMonotone:
             relabel_monotone(identified(m, 2), RelabelRule("mean", "unbiased"))
         with pytest.raises(ValueError):
             relabel_unbiased(identified(m, 2), RelabelRule("mean", "monotone"))
+
+    @pytest.mark.parametrize("functional,mode,message", [
+        ("mode", "unbiased", "unknown functional 'mode'"),
+        ("mean", "x", "unknown mode 'x'")])
+    def test_unknown_rule_rejected(self, functional, mode, message):
+        with pytest.raises(ValueError, match=message):
+            RelabelRule(functional, mode)
 
 
 class TestConfounderEffects:
