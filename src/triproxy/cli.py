@@ -35,7 +35,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import fields
 from importlib import resources
 
 from . import __version__, tolerances
@@ -111,11 +111,13 @@ def _report(args, verb: str, result: dict, inputs: dict) -> dict:
 @contextmanager
 def _invalid(what: str,
              errors=(TriproxyError, KeyError, TypeError, ValueError, OverflowError)):
-    """Re-raise ``errors`` as a validation problem, prefixed by ``what``."""
+    """Re-raise ``errors`` as a validation problem, prefixed by ``what``; a
+    ``KeyError`` is a missing field."""
     try:
         yield
     except errors as e:
-        raise ValidationError(f"{what}{e}") from e
+        reason = f"missing field {e.args[0]!r}" if isinstance(e, KeyError) else e
+        raise ValidationError(f"{what}{reason}") from e
 
 
 def _non_finite(obj, path: str = "") -> tuple[str, float] | None:
@@ -166,12 +168,15 @@ def _write(path: str | None, report: dict, *before: tuple[str, str]) -> None:
 
 def _load_json(path: str, flag: str) -> tuple[dict, dict]:
     """The parsed file, read once, and ``{flag: sha256 of its bytes}``.  The
-    bytes are decoded as a UTF-8 text file is, newlines included."""
+    bytes are decoded as a UTF-8 text file is, newlines included; a file
+    whose top level is not a JSON object is refused."""
     with _invalid(f"cannot read {path}: ", (OSError, ValueError, RecursionError)):
         with open(path, "rb") as fh:
             data = fh.read()
-        return (json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")),
-                {flag: hashlib.sha256(data).hexdigest()})
+        d = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    if not isinstance(d, dict):
+        raise ValidationError(f"bad file {path}: the top level is not a JSON object")
+    return d, {flag: hashlib.sha256(data).hexdigest()}
 
 
 def _load_model(path: str) -> tuple[Npsem, dict]:
@@ -182,7 +187,7 @@ def _load_model(path: str) -> tuple[Npsem, dict]:
 
 def _load_tensor(path: str) -> tuple[ProbTensor, dict]:
     d, inputs = _load_json(path, "--joint")
-    if isinstance(d, dict) and d.get("verb") == "simulate":   # a simulate report
+    if d.get("verb") == "simulate":   # a simulate report
         d = d.get("result")
     with _invalid(f"bad tensor file {path}: "):
         return ProbTensor.from_dict(d), inputs
@@ -331,7 +336,8 @@ def _cmd_dag_check(args) -> int:
     rep = check_proposition(g, args.proposition)
     result = {"proposition": rep.proposition,
               "all_observational_certified": rep.all_observational_certified,
-              "conclusions": [asdict(c) for c in rep.conclusions]}
+              "conclusions": [{"label": c.label, "kind": c.kind, "statement": str(c),
+                               "certified": ok} for c, ok in rep.conclusions]}
     _write(args.report, _report(args, "dag-check", result, inputs))
     return 0
 

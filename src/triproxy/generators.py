@@ -576,9 +576,9 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
 
     The outcome table is driven by per-(w, x) target means with
     E[Y(0)|W=w] increasing in w and the CATE weakly increasing (rank
-    invariance); for fig7* the targets vary per v and the outcome ignores
-    C so the per-v CATE structure is explicit.  ``cate_values``, one per
-    latent state, replaces the drawn CATE.
+    invariance); for the auxiliary design (fig7*) the targets vary per v
+    and the outcome ignores C so the per-v CATE structure is explicit.
+    ``cate_values``, one per latent state, replaces the drawn CATE.
     """
     dag, d, cate = _resolve(figure)
     spaces = standard_spaces(K)
@@ -590,7 +590,7 @@ def rank_invariant_bounds_model(K: int, seed: int, figure: str = "fig6a",
         if cate_values.shape != (K,) or not np.isfinite(cate_values).all():
             raise InvalidDistribution(f"cate_values must hold {K} finite effects, "
                                       f"one per W state")
-    auxiliary = figure.startswith("fig7")
+    auxiliary = "V" in d.second_stage
     n_v = spaces["V"].cardinality if auxiliary else 1
     y_parents = ("W", "V", "X") if auxiliary else ("W", "X")
     # Y keeps only its edges from y_parents: dropping edges is always a valid

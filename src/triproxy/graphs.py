@@ -107,37 +107,23 @@ class Dag:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dag":
-        return cls(_names(d["nodes"], "nodes"),
-                   tuple(_names(e, "edge") for e in d["edges"]))
+        nodes = _names(d["nodes"], "nodes")
+        edges = tuple(_names(e, "edge") for e in d["edges"])
+        for e in edges:
+            if len(e) != 2:
+                raise InvalidDistribution(f"edge {list(e)!r} is not two names")
+        return cls(nodes, edges)
 
 
-@dataclass(frozen=True)
-class CiQuery:
-    """Conditional-independence statement: left ⊥ right | given."""
-
-    left: frozenset
-    right: frozenset
-    given: frozenset = frozenset()
-
-    def __post_init__(self):
-        left, right, given = frozenset(self.left), frozenset(self.right), frozenset(self.given)
-        if (left & right) or (left & given) or (right & given):
-            raise InvalidDistribution("query sets must be pairwise disjoint")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "given", given)
-
-    def __str__(self):
-        g = ",".join(sorted(self.given)) or "∅"
-        return f"{','.join(sorted(self.left))} ⊥ {','.join(sorted(self.right))} | {g}"
-
-
-def d_separated(g: Dag, q: CiQuery) -> bool:
-    """True iff every path between ``q.left`` and ``q.right`` is blocked."""
-    for n in q.left | q.right | q.given:
+def d_separated(g: Dag, left, right, given=()) -> bool:
+    """True iff every path between the nodes ``left`` and ``right`` is
+    blocked by the nodes ``given``."""
+    left, right, conditioned = set(left), set(right), set(given)
+    if (left & right) or (left & conditioned) or (right & conditioned):
+        raise InvalidDistribution("query sets must be pairwise disjoint")
+    for n in left | right | conditioned:
         if n not in g.nodes:
             raise UnknownNode(f"query node {n!r} not in graph")
-    conditioned = set(q.given)
     # ancestors of the conditioning set, needed for the collider rule
     anc_z = set(conditioned)
     stack = list(conditioned)
@@ -149,12 +135,12 @@ def d_separated(g: Dag, q: CiQuery) -> bool:
 
     # states: (node, direction) with direction "up" (arrived via child) or
     # "down" (arrived via parent)
-    start = [(n, "up") for n in q.left]
+    start = [(n, "up") for n in left]
     seen = set(start)
     queue = deque(start)
     while queue:
         node, direction = queue.popleft()
-        if node in q.right:
+        if node in right:
             return False
         moves = []
         if direction == "up" and node not in conditioned:
@@ -202,20 +188,16 @@ def twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
     return Dag(tuple(nodes), tuple(edges)), copy
 
 
-def counterfactual_d_separated(g: Dag, outcome: str, intervene_on,
-                               right, given) -> bool:
-    """Graphical check of ``outcome(x) ⊥ right | given`` via a twin network."""
-    return _twin_d_separated(*twin_network(g, intervene_on), outcome, right, given)
-
-
-def _twin_d_separated(twin: Dag, copy: dict, outcome: str, right, given) -> bool:
-    """The check of :func:`counterfactual_d_separated` on a built twin network."""
+def counterfactual_d_separated(twin: tuple[Dag, dict], outcome: str, right, given) -> bool:
+    """Graphical check of ``outcome(x) ⊥ right | given`` on ``twin``, the twin
+    network and copy map :func:`twin_network` returns for the intervened set."""
+    net, copy = twin
     cf = copy.get(outcome, outcome)
     if cf == outcome:
         # outcome unaffected by the intervention: plain d-separation,
         # excluding trivial overlaps
         right = set(right) - {outcome}
-    return d_separated(twin, CiQuery(frozenset({cf}), frozenset(right), frozenset(given)))
+    return d_separated(net, {cf}, right, given)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +258,16 @@ class Conclusion:
     given: tuple[str, ...] = ()
     intervene: tuple[str, ...] = () # for counterfactual conclusions
 
-    def query(self) -> CiQuery:
-        return CiQuery(frozenset(self.left), frozenset(self.right), frozenset(self.given))
-
     def __str__(self):
-        """The statement ``dag-check`` reports: ``V ⊥ X,Z | W``, or
-        ``Y(x) ⊥ X,V | W`` with the intervened nodes in lower case."""
+        """The statement ``dag-check`` reports: ``V ⊥ X,Z | W`` with each set
+        sorted, or ``Y(x) ⊥ X,V | W`` in the record's order with the
+        intervened nodes in lower case."""
         if self.kind == "observational":
-            return str(self.query())
-        return (f"{self.left[0]}({','.join(n.lower() for n in self.intervene)}) ⊥ "
-                f"{','.join(self.right)} | {','.join(self.given) or '∅'}")
+            left, right, given = sorted(self.left), sorted(self.right), sorted(self.given)
+        else:
+            left = [f"{self.left[0]}({','.join(n.lower() for n in self.intervene)})"]
+            right, given = self.right, self.given
+        return f"{','.join(left)} ⊥ {','.join(right)} | {','.join(given) or '∅'}"
 
 
 def _obs(label, left, right, given=()):
@@ -376,21 +358,15 @@ DESIGNS: dict[str, Design] = {d.name: d for d in (
 
 
 @dataclass(frozen=True)
-class ConclusionReport:
-    label: str
-    kind: str
-    statement: str
-    certified: bool     # d-separation, in the twin network if counterfactual
-
-
-@dataclass(frozen=True)
 class CheckReport:
     proposition: int
-    conclusions: tuple[ConclusionReport, ...]
+    #: each conclusion with its verdict: d-separation, in the twin network
+    #: if counterfactual
+    conclusions: tuple[tuple[Conclusion, bool], ...]
 
     @property
     def all_observational_certified(self) -> bool:
-        return all(c.certified for c in self.conclusions if c.kind == "observational")
+        return all(ok for c, ok in self.conclusions if c.kind == "observational")
 
 
 def _holds(g: Dag, c: Conclusion, roles: dict[str, str], twin) -> bool:
@@ -401,9 +377,9 @@ def _holds(g: Dag, c: Conclusion, roles: dict[str, str], twin) -> bool:
         return frozenset(roles[n] for n in names)
 
     if c.kind == "observational":
-        return d_separated(g, CiQuery(mapped(c.left), mapped(c.right), mapped(c.given)))
-    return _twin_d_separated(*twin(mapped(c.intervene)), roles[c.left[0]],
-                             mapped(c.right), mapped(c.given))
+        return d_separated(g, mapped(c.left), mapped(c.right), mapped(c.given))
+    return counterfactual_d_separated(twin(mapped(c.intervene)), roles[c.left[0]],
+                                      mapped(c.right), mapped(c.given))
 
 
 def _twins(g: Dag):
@@ -423,9 +399,8 @@ def check_proposition(g: Dag, prop_id: int) -> CheckReport:
                 raise MissingRole(f"graph lacks a node for role {r!r}")
     roles = {n: n for n in g.nodes}
     twin = _twins(g)
-    return CheckReport(prop_id, tuple(
-        ConclusionReport(c.label, c.kind, str(c), _holds(g, c, roles, twin))
-        for c in PROPOSITIONS[prop_id]))
+    return CheckReport(prop_id, tuple((c, _holds(g, c, roles, twin))
+                                      for c in PROPOSITIONS[prop_id]))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,10 @@ def _distinct(names, what: str) -> tuple[str, ...]:
     return names
 
 
+def _undefined_parent(node: str, parent: str) -> InvalidDistribution:
+    return InvalidDistribution(f"{node}: parent {parent!r} not defined earlier (or cycle)")
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One structural equation: value = table[parent levels..., noise level]."""
@@ -115,8 +119,7 @@ class Npsem:
         for n in nodes:
             for p in n.parents:
                 if p not in cards:
-                    raise InvalidDistribution(
-                        f"{n.space.name}: parent {p!r} not defined earlier (or cycle)")
+                    raise _undefined_parent(n.space.name, p)
             expected = tuple(cards[p] for p in n.parents) + (n.noise_card,)
             if n.table.shape != expected:
                 raise InvalidDistribution(
@@ -167,6 +170,9 @@ class Npsem:
             spaces[space.name] = space
             parents = _distinct(_names(nd["parents"], f"{space.name} parents"),
                                 f"{space.name}: parent")
+            for p in parents:
+                if p not in spaces:
+                    raise _undefined_parent(space.name, p)
             shape = tuple(spaces[p].cardinality for p in parents) + (
                 _count(nd, "noise_card"),)
             table = _flat(nd["table"], f"{space.name}: table", integers=True)

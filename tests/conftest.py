@@ -6,12 +6,18 @@ clamp-both intervention ``E[Y(x, w)]`` and a CDF comparison.  All of them
 read exact structural-model joints, independently of the identification
 code under test; ``clamp_xw_mean`` reads the same ``E[Y(x, w)]`` off an
 identified model, for comparison with the oracle.  The figure lists of the
-propositions are the graph tests' expected values.
+propositions are the graph tests' expected values, and ``census_graphs``
+enumerates every graph the figures' five nodes can carry around the
+confounded treatment-outcome core.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from triproxy.errors import CyclicGraph
+from triproxy.graphs import Dag
 from triproxy.pipelines import LatentOutcomeModel
 from triproxy.prob import marginalize
 from triproxy.scm import Npsem, arm_label, counterfactual_joint
@@ -34,6 +40,27 @@ PROPOSITION_FIGURES: dict[int, tuple[str, ...]] = {
 
 PROPOSITION5_UNCONDITIONAL = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b")
 PROPOSITION5_GIVEN_V = ("fig3c", "fig6a", "fig6b", "fig6c")
+
+#: the nodes of the census graphs, in the figures' order
+CENSUS_NODES = ("Y", "X", "W", "V", "Z")
+CENSUS_BASE = (("X", "Y"), ("W", "X"), ("W", "Y"))
+
+
+def census_graphs() -> list[Dag]:
+    """The 1,008 DAGs over ``CENSUS_NODES`` that contain W -> X, W -> Y and
+    X -> Y: each of the other 7 pairs has no edge or an edge either way,
+    and the cyclic graphs are dropped."""
+    pairs = [p for p in itertools.combinations(CENSUS_NODES, 2)
+             if p not in CENSUS_BASE and p[::-1] not in CENSUS_BASE]
+    graphs = []
+    for choice in itertools.product((None, False, True), repeat=len(pairs)):
+        edges = CENSUS_BASE + tuple(p[::-1] if flip else p for p, flip in zip(pairs, choice)
+                                    if flip is not None)
+        try:
+            graphs.append(Dag(CENSUS_NODES, edges))
+        except CyclicGraph:
+            pass
+    return graphs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

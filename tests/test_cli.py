@@ -427,6 +427,13 @@ class TestGraphVerbs:
             ("i", "observational", True), ("ii", "observational", True),
             ("iii", "observational", True), ("iv", "counterfactual", True)]
         assert all("graphical_hint" not in c for c in res["conclusions"])
+        # observational statements sort each set; counterfactual ones keep
+        # the record's order
+        assert [c["statement"] for c in res["conclusions"]] == [
+            "Y ⊥ V,Z | W,X", "V ⊥ Z | W,X", "Z ⊥ X | W", "Y(x) ⊥ X,V | W"]
+        _, out, _ = run(capsys, "dag-check", "--figure", "fig5a", "--proposition", "4")
+        statements = [c["statement"] for c in _result(out)["conclusions"]]
+        assert statements[3:] == ["Y ⊥ Z | V,W,X", "Y(x) ⊥ X | W,V"]
 
     @pytest.mark.parametrize("verb", [["classify"], ["dag-check", "--proposition", "1"],
                                       ["dag-check", "--proposition", "5"]])
@@ -579,11 +586,15 @@ class TestExitCodesAndDiagnostics:
         (lambda d: d["nodes"].append(d["nodes"][0]), "duplicate node names"),
         (_drop_noise_level, "Z: table/noise shape mismatch"),
         (lambda d: d["nodes"][0].update(noise_pmf=[]), "W: bad noise pmf"),
+        (lambda d: d["nodes"][0].__delitem__("noise_pmf"), "missing field 'noise_pmf'"),
+        (lambda d: d["nodes"][1].update(parents=["Q"]),
+         "Z: parent 'Q' not defined earlier (or cycle)"),
+        (lambda d: json.dumps([d]), "the top level is not a JSON object"),
     ], ids=["unknown-latent", "table-out-of-range", "nan-noise-pmf", "cardinality-1e400",
             "noise-card-1e400", "table-entry-1e30", "cardinality-2.7", "noise-card-2.5",
             "table-entry-1.9", "noise-card-negative", "parents-string", "latent-string",
             "noise-pmf-booleans", "table-nested", "duplicate-node", "noise-pmf-short",
-            "noise-pmf-empty"])
+            "noise-pmf-empty", "noise-pmf-missing", "undefined-parent", "top-level-array"])
     def test_bad_model_file_exit_2(self, tmp_path, capsys, fig2a_files, edit, reason):
         m, _, _ = fig2a_files
         d = m.to_dict()
@@ -621,10 +632,18 @@ class TestExitCodesAndDiagnostics:
          "'X': levels must be a flat list of JSON numbers"),
         ("classify", lambda d: d["nodes"].append("W"), "duplicate nodes"),
         ("classify", lambda d: d["edges"].append(d["edges"][0]), "duplicate edges"),
+        ("classify", lambda d: d["edges"].append(["W", "X", "Y"]),
+         "edge ['W', 'X', 'Y'] is not two names"),
+        ("classify", lambda d: d["edges"].append(["W"]), "edge ['W'] is not two names"),
+        ("identify", lambda d: d.__delitem__("axes"), "missing field 'axes'"),
+        ("classify", lambda d: d.__delitem__("edges"), "missing field 'edges'"),
+        ("identify", lambda d: json.dumps([d]), "the top level is not a JSON object"),
+        ("classify", lambda d: json.dumps([d]), "the top level is not a JSON object"),
     ], ids=["nan-joint", "cardinality-99", "cyclic-graph", "undeclared-node",
             "cardinality-2.7", "deeply-nested", "numeric-axis-name", "nodes-string",
             "edges-strings", "values-string", "values-nested", "levels-string",
-            "levels-booleans", "duplicate-node", "duplicate-edge"])
+            "levels-booleans", "duplicate-node", "duplicate-edge", "edge-of-three",
+            "edge-of-one", "axes-missing", "edges-missing", "joint-array", "graph-array"])
     def test_bad_joint_or_graph_file_exit_2(self, tmp_path, capsys, fig2a_files,
                                             verb, edit, reason):
         m, _, _ = fig2a_files

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,23 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPOSITION5_GIVEN_V, PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES
+from conftest import (CENSUS_BASE, CENSUS_NODES, PROPOSITION5_GIVEN_V,
+                      PROPOSITION5_UNCONDITIONAL, PROPOSITION_FIGURES, census_graphs)
 from triproxy import graphs
 from triproxy.errors import (CyclicGraph, EnumerationTooLarge, InvalidDistribution,
                              MissingRole, UnknownNode)
 from triproxy.cli import build_parser
 from triproxy.generators import FIGURE_DESIGNS
-from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITIONS, CiQuery, Dag,
-                             check_proposition, classify_designs,
-                             counterfactual_d_separated, d_separated, twin_network)
+from triproxy.graphs import (DESIGNS, FIGURES, PROPOSITIONS, Dag, check_proposition,
+                             classify_designs, counterfactual_d_separated, d_separated,
+                             twin_network)
 
 
 # ---------------------------------------------------------------------------
 # independent oracle: moralized ancestral graph separation
 
 
-def moral_separation(g: Dag, q: CiQuery) -> bool:
-    relevant = set(q.left) | set(q.right) | set(q.given)
+def moral_separation(g: Dag, left: set, right: set, given: set) -> bool:
+    relevant = left | right | given
     anc = set(relevant)
     changed = True
     while changed:
@@ -53,7 +55,7 @@ def moral_separation(g: Dag, q: CiQuery) -> bool:
         for p1, p2 in itertools.combinations(ps, 2):
             edges.add(frozenset((p1, p2)))
     # undirected reachability avoiding the conditioning set
-    frontier = set(q.left)
+    frontier = set(left)
     seen = set(frontier)
     while frontier:
         nxt = set()
@@ -61,11 +63,11 @@ def moral_separation(g: Dag, q: CiQuery) -> bool:
             for e in edges:
                 if n in e:
                     (other,) = e - {n} or {n}
-                    if other not in seen and other not in q.given:
+                    if other not in seen and other not in given:
                         nxt.add(other)
                         seen.add(other)
         frontier = nxt
-    return not (seen & set(q.right))
+    return not (seen & right)
 
 
 def random_dag(rng, n_nodes: int, p_edge: float) -> Dag:
@@ -84,8 +86,7 @@ def test_d_separation_matches_moral_graph_oracle(seed, n, p):
     rng.shuffle(nodes)
     left, right = {nodes[0]}, {nodes[1]}
     given = set(nodes[2:2 + rng.integers(0, n - 2)])
-    q = CiQuery(frozenset(left), frozenset(right), frozenset(given))
-    assert d_separated(g, q) == moral_separation(g, q)
+    assert d_separated(g, left, right, given) == moral_separation(g, left, right, given)
 
 
 class TestDagBasics:
@@ -100,7 +101,7 @@ class TestDagBasics:
 
     @pytest.mark.parametrize("ask", [
         lambda g: g.children("Q"),
-        lambda g: d_separated(g, CiQuery(frozenset({"Q"}), frozenset({"Y"}))),
+        lambda g: d_separated(g, {"Q"}, {"Y"}),
         lambda g: twin_network(g, {"Q"}),
     ], ids=["children", "d-separated", "twin-network"])
     def test_unknown_node_in_a_query(self, ask):
@@ -108,7 +109,7 @@ class TestDagBasics:
             ask(FIGURES["fig2a"])
 
     @pytest.mark.parametrize("ask,message", [
-        (lambda: CiQuery(frozenset({"X"}), frozenset({"X", "Y"})), "pairwise disjoint"),
+        (lambda: d_separated(FIGURES["fig2a"], {"X"}, {"X", "Y"}), "pairwise disjoint"),
         (lambda: check_proposition(FIGURES["fig2a"], 99), "no proposition 99"),
     ], ids=["overlapping-query", "unknown-proposition"])
     def test_malformed_question_refused(self, ask, message):
@@ -172,15 +173,16 @@ class TestTwinNetwork:
 
     def test_known_counterfactual(self):
         g = FIGURES["fig2a"]
-        assert counterfactual_d_separated(g, "Y", ("X",), {"X", "V"}, {"W"})
+        twin = twin_network(g, ("X",))
+        assert counterfactual_d_separated(twin, "Y", {"X", "V"}, {"W"})
         # without conditioning on W the backdoor is open
-        assert not counterfactual_d_separated(g, "Y", ("X",), {"X"}, set())
+        assert not counterfactual_d_separated(twin, "Y", {"X"}, set())
         # without X -> Y the outcome has no intervened copy: plain d-separation,
         # the outcome itself dropped from the right-hand side
         g = Dag(g.nodes, tuple(e for e in g.edges if e != ("X", "Y")))
         for right, given in (({"Y", "X", "V"}, {"W"}), ({"X"}, set()), ({"Z"}, set())):
-            assert counterfactual_d_separated(g, "Y", ("X",), right, given) == d_separated(
-                g, CiQuery(frozenset({"Y"}), frozenset(right - {"Y"}), frozenset(given)))
+            assert counterfactual_d_separated(twin_network(g, ("X",)), "Y", right, given) \
+                == d_separated(g, {"Y"}, right - {"Y"}, given)
 
 
 def full_twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
@@ -195,14 +197,6 @@ def full_twin_network(g: Dag, intervene_on) -> tuple[Dag, dict]:
         edges.append((f"u:{n}", copy[n]))
         edges += [(copy.get(p, p), copy[n]) for p in g.parents(n) if p not in intervene_on]
     return Dag(tuple(nodes), tuple(edges)), copy
-
-
-def full_counterfactual_d_separated(g: Dag, outcome: str, intervene_on, right, given) -> bool:
-    twin, copy = full_twin_network(g, intervene_on)
-    cf = copy.get(outcome, outcome)
-    if cf == outcome:
-        right = set(right) - {outcome}
-    return d_separated(twin, CiQuery(frozenset({cf}), frozenset(right), frozenset(given)))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -223,8 +217,10 @@ def test_twin_network_agrees_with_the_full_construction(seed):
                     n_given = int(rng.integers(0, len(others) - n_right + 1))
                     right = set(others[:n_right])
                     given = set(others[n_right:n_right + n_given])
-                    assert counterfactual_d_separated(g, outcome, intervene, right, given) \
-                        == full_counterfactual_d_separated(g, outcome, intervene, right, given), \
+                    assert counterfactual_d_separated(
+                        twin_network(g, intervene), outcome, right, given) \
+                        == counterfactual_d_separated(
+                            full_twin_network(g, intervene), outcome, right, given), \
                         (g, outcome, intervene, right, given)
 
 
@@ -269,6 +265,26 @@ def test_fig1c_fails_double_but_not_triple():
     assert "cond-treatment" in designs
 
 
+def test_census_triple_and_double_proxy_conditions_are_non_nested():
+    """Over every graph around the confounded core W -> X -> Y <- W, some
+    graphs certify a triple design and not the double proxy, and others the
+    double proxy and no triple design: neither set of conditional
+    independences implies the other."""
+    triple = {"outcome", "treatment", "cond-treatment", "auxiliary"}
+    census = {frozenset(g.edges): classify_designs(g) for g in census_graphs()}
+    assert len(census) == 1008
+    assert Counter((bool(d & triple), "double-proxy" in d) for d in census.values()) == {
+        (True, True): 52, (True, False): 12, (False, True): 28, (False, False): 916}
+    assert Counter(name for d in census.values() for name in d) == {
+        "outcome": 36, "treatment": 24, "cond-treatment": 20, "double-proxy": 80,
+        "outcome-rank-invariance": 52}
+    # one witness each way, both with W -> Z and W -> V
+    assert census[frozenset(FIGURES["fig4a"].edges)] == {"cond-treatment"}
+    assert census[frozenset(CENSUS_BASE + (("W", "Z"), ("W", "V"), ("X", "V"),
+                                           ("Z", "Y")))] == {"double-proxy"}
+    assert FIGURES["fig4a"].nodes == CENSUS_NODES
+
+
 def test_counterfactual_conclusions_gate_certification():
     """fig1d without C -> Y passes the observational conclusions of
     Proposition 1 only with C in V's role; the node V, a cause of X and Y in
@@ -276,7 +292,7 @@ def test_counterfactual_conclusions_gate_certification():
     designs are not certified."""
     g = FIGURES["fig1d"]
     edited = Dag(g.nodes, tuple(e for e in g.edges if e != ("C", "Y")))
-    assert not counterfactual_d_separated(edited, "Y", {"X"}, {"X", "C"}, {"W"})
+    assert not counterfactual_d_separated(twin_network(edited, {"X"}), "Y", {"X", "C"}, {"W"})
     assert classify_designs(edited) == {"auxiliary", "auxiliary-rank-invariance"}
 
 
@@ -395,13 +411,13 @@ def test_propositions_certified_on_their_graphs(prop, figure):
     rep = check_proposition(FIGURES[figure], prop)
     assert rep.all_observational_certified
     if prop == 5:
-        certified = {c.label: c.certified for c in rep.conclusions}
+        certified = {c.label: ok for c, ok in rep.conclusions}
         if figure in PROPOSITION5_UNCONDITIONAL:
             assert certified["i"]
         if figure in PROPOSITION5_GIVEN_V:
             assert certified["ii"]
     else:
-        assert all(c.certified for c in rep.conclusions)
+        assert all(ok for _, ok in rep.conclusions)
 
 
 def test_proposition1_not_certified_on_fig1b():

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import assert_cdf_match
 from triproxy import pipelines
-from triproxy.errors import (EigenGapExhausted, MissingLevels,
-                             NonBinaryTreatment, RankDeficient, SolveIllConditioned,
+from triproxy.errors import (EigenGapExhausted, MissingLevels, NonBinaryTreatment,
+                             NonStochasticSolution, RankDeficient, SolveIllConditioned,
                              TriproxyError, UnknownAxis, ZeroConditioningCell)
 from triproxy.generators import (FIGURE_DESIGNS, PIPELINE_FIGURES,
                                  encode_kernel, figure_model, random_npsem,
@@ -357,6 +357,12 @@ class TestFailureModes:
             with pytest.raises(TriproxyError) as ei:
                 run_pipeline(m, K - 1)
             assert ei.value.assumption, f"seed {seed}: {ei.value!r}"
+
+    def test_assembled_law_without_unit_mass_refused(self):
+        model = _two_point_model()
+        with pytest.raises(NonStochasticSolution,
+                           match="assembled outcome/treatment law has mass"):
+            replace(model, arm_laws=model.arm_laws * 0.8)
 
     def test_ill_conditioned_proxy_kernel_refused(self):
         # two nearly equal columns of f(z | w): condition number 2e9

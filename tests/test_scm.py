@@ -125,6 +125,13 @@ class TestEnumeration:
             Npsem((NodeSpec(VarSpace("A", 2), ("B",),
                             np.zeros((2, 2), dtype=np.int64), np.full(2, 0.5)),))
 
+    def test_table_shape_must_match_the_parents(self):
+        with pytest.raises(InvalidDistribution,
+                           match=r"B: table shape \(3, 2\), expected \(2, 2\)"):
+            Npsem((NodeSpec(VarSpace("A", 2), (), np.arange(2), np.full(2, 0.5)),
+                   NodeSpec(VarSpace("B", 2), ("A",), np.zeros((3, 2), dtype=np.int64),
+                            np.full(2, 0.5))))
+
     def test_parent_listed_twice_rejected(self):
         # the table fits the repeated axis, so only the parent list is at fault
         with pytest.raises(InvalidDistribution, match="B: parent 'A' listed twice"):

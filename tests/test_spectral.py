@@ -99,6 +99,10 @@ class TestFailureModes:
         with pytest.raises(RankDeficient):
             hs_decompose(np.full((2, 3, 2), 1 / 12), HsOptions(latent_dim=3))
 
+    def test_two_axis_joint_refused(self):
+        with pytest.raises(ValueError, match="three-axis"):
+            hs_decompose(np.full((2, 2), 0.25), HsOptions(latent_dim=1))
+
     @pytest.mark.parametrize("make", [identical_signal_columns, complex_transfer_eigenvalues],
                              ids=["identical-signal-columns", "complex-transfer-eigenvalues"])
     def test_eigen_gap_exhausted(self, make):
